@@ -29,7 +29,11 @@ from .pipeline import (
 )
 from .providers import ResponseCache
 from .report import (
+    check_same_cases,
     format_table,
+    generation_scores,
+    id_set_scores,
+    link_scores,
     per_case_generation_rows,
     per_case_id_rows,
     per_case_link_rows,
@@ -114,8 +118,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for c in gold_file.cases
             if c.gold_evidence is not None
         }
-        row = score_id_sets(pred, gold)
-        per_case = per_case_id_rows(pred, gold)
+        scores = id_set_scores(pred, gold)
+        row, per_case = score_id_sets(scores), per_case_id_rows(scores)
     elif subtask == "st4":
         pred = {
             r["case_id"]: [(a["answer_id"], list(a["evidence_id"])) for a in r["alignments"]]
@@ -126,8 +130,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for c in gold_file.cases
             if c.gold_alignments is not None
         }
-        row = score_alignments(pred, gold)
-        per_case = per_case_link_rows(pred, gold)
+        scores = link_scores(pred, gold)
+        row, per_case = score_alignments(scores), per_case_link_rows(scores)
     elif subtask == "st1":
         pred_q = {r["case_id"]: r["clinician_question"] for r in preds}
         gold_q = {
@@ -135,11 +139,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for c in gold_file.cases
             if c.clinician_question
         }
-        _require_same_cases(pred_q, gold_q)
+        check_same_cases(pred_q, gold_q)
         pairs = {cid: (pred_q[cid], gold_q[cid]) for cid in gold_q}
         sources = {c.case_id: c.patient_question for c in gold_file.cases if c.case_id in gold_q}
-        row = score_generation(pairs, sources=sources)
-        per_case = per_case_generation_rows(pairs, sources=sources)
+        scores = generation_scores(pairs, sources=sources)
+        row, per_case = score_generation(scores), per_case_generation_rows(scores)
     elif subtask == "st3":
         pred_a = {r["case_id"]: r["answer_text"] for r in preds}
         gold_a = {
@@ -147,15 +151,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for c in gold_file.cases
             if c.clinician_answer_paragraph
         }
-        _require_same_cases(pred_a, gold_a)
+        check_same_cases(pred_a, gold_a)
         pairs = {cid: (pred_a[cid], gold_a[cid]) for cid in gold_a}
         sources = {
             c.case_id: " ".join(s.text for s in c.note)
             for c in gold_file.cases
             if c.case_id in gold_a
         }
-        row = score_generation(pairs, sources=sources)
-        per_case = per_case_generation_rows(pairs, sources=sources)
+        scores = generation_scores(pairs, sources=sources)
+        row, per_case = score_generation(scores), per_case_generation_rows(scores)
     else:
         raise EhrqaError(f"unknown subtask {subtask!r}")
 
@@ -174,16 +178,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         atomic_write_text(out_dir / f"{subtask}_report.txt", table + "\n" + per_case_table)
     return 0
-
-
-def _require_same_cases(pred: dict, gold: dict) -> None:
-    missing = sorted(set(gold) - set(pred))
-    extra = sorted(set(pred) - set(gold))
-    if missing or extra:
-        raise EhrqaError(
-            f"case_id mismatch between predictions and gold "
-            f"(missing={missing}, unexpected={extra})"
-        )
 
 
 def cmd_cache(args: argparse.Namespace) -> int:

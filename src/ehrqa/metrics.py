@@ -60,7 +60,11 @@ def macro_prf(
     common shared-task convention, switchable via ``empty_both_score``);
     an empty prediction against non-empty gold scores zero.
     """
-    scores = [case_prf(pred, gold, empty_both_score) for pred, gold in pairs]
+    return mean_prf([case_prf(pred, gold, empty_both_score) for pred, gold in pairs])
+
+
+def mean_prf(scores: Sequence[PRF]) -> PRF:
+    """Unweighted mean of per-case PRF; no cases score zero."""
     if not scores:
         return PRF(0.0, 0.0, 0.0)
     n = len(scores)

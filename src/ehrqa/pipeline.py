@@ -338,9 +338,9 @@ def load_dataset(config: dict) -> tuple[CaseFile, CaseFile]:
     return case_file, pool_file
 
 
-def _st2_shots(case: Case, pool_file: CaseFile, cfg: dict) -> list:
-    pool = few_shot_pool(pool_file, exclude_case_id=case.case_id, require_nonempty_gold=True)
-    shots = pool[: cfg["shots"]]
+def _st2_shots(pool: list[Case], cfg: dict) -> list:
+    """Leading shots of a leave-one-out pool, in case_id order, that have gold evidence."""
+    shots = [c for c in pool if c.gold_evidence][: cfg["shots"]]
     if cfg.get("contrast_shots"):
         contrast = []
         for shot in shots:
@@ -356,13 +356,20 @@ def _case_chain(
     case: Case,
     config: dict,
     subtasks: list[str],
-    pool_file: CaseFile,
+    pool_cases: tuple[Case, ...],
+    st1_pool: st1.St1Pool | None,
     generator: Generator,
     embedder: Embedder | None,
     constraints: ConstraintConfig,
     workers: int,
 ) -> dict[str, dict]:
-    """Run every selected subtask for one case, chaining outputs forward."""
+    """Run every selected subtask for one case, chaining outputs forward.
+
+    ``pool_cases`` is the few-shot pool sorted by case_id; ``st1_pool``
+    holds st1's features of its cases that have a clinician question.
+    Both are built once per run, and each case is left out of them here.
+    """
+    pool = [c for c in pool_cases if c.case_id != case.case_id]
     records: dict[str, dict] = {}
     st1_question: str | None = None
     st2_ids: list[str] | None = None
@@ -370,15 +377,10 @@ def _case_chain(
 
     if "st1" in subtasks:
         cfg = config["st1"]
-        pool = [
-            c
-            for c in few_shot_pool(pool_file, exclude_case_id=case.case_id)
-            if c.clinician_question
-        ]
         providers = [(d, generator) for d in cfg["deployments"]]
         result = st1.run_case(
             case,
-            pool,
+            st1_pool,
             providers,
             constraints=constraints,
             max_shots=cfg["shots"],
@@ -407,7 +409,7 @@ def _case_chain(
         cfg = config["st2"]
         result = st2.run_case(
             case,
-            _st2_shots(case, pool_file, cfg),
+            _st2_shots(pool, cfg),
             plan_from_config(cfg["plan"]),
             generator,
             policy_from_config(cfg["merge"]),
@@ -422,15 +424,11 @@ def _case_chain(
     if "st3" in subtasks:
         cfg = config["st3"]
         evidence_ids = st2_ids if st2_ids is not None else sorted(case.gold_evidence or [])
-        pool = [
-            c
-            for c in few_shot_pool(pool_file, exclude_case_id=case.case_id)
-            if c.clinician_answer_paragraph
-        ][: cfg["shots"]]
+        shots = [c for c in pool if c.clinician_answer_paragraph][: cfg["shots"]]
         result = st3.run_case(
             case,
             evidence_ids,
-            pool,
+            shots,
             generator,
             deployments=list(cfg["deployments"]),
             constraints=constraints,
@@ -453,15 +451,10 @@ def _case_chain(
         if not answers:
             records["st4"] = {"case_id": case.case_id, "alignments": []}
             return records
-        pool = [
-            c
-            for c in few_shot_pool(pool_file, exclude_case_id=case.case_id)
-            if c.gold_alignments is not None and c.clinician_answer_sentences
-        ][: cfg["shots"]]
         embedding_only = cfg.get("mode") == "embedding_only"
         result = st4.run_case(
             case,
-            pool,
+            _st4_shots(pool, cfg),
             None if embedding_only else plan_from_config(cfg["plan"]),
             None if embedding_only else generator,
             _st4_policy(cfg),
@@ -505,10 +498,17 @@ def run_pipeline(config: dict) -> dict:
 
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
     cases = sorted(case_file.cases, key=case_sort_key)
+    pool_cases = tuple(sorted(pool_file.cases, key=case_sort_key))
+    st1_pool = (
+        st1.St1Pool(c for c in pool_cases if c.clinician_question)
+        if "st1" in subtasks
+        else None
+    )
 
     def chain(case: Case) -> dict[str, dict]:
         return _case_chain(
-            case, config, subtasks, pool_file, generator, embedder, constraints, workers
+            case, config, subtasks, pool_cases, st1_pool, generator, embedder,
+            constraints, workers,
         )
 
     if workers <= 1 or len(cases) <= 1:
@@ -554,6 +554,13 @@ def run_pipeline(config: dict) -> dict:
     return manifest
 
 
+def _st4_shots(pool: list[Case], cfg: dict) -> list[Case]:
+    """Leading shots of a leave-one-out pool, in case_id order, that have gold alignments."""
+    return [
+        c for c in pool if c.gold_alignments is not None and c.clinician_answer_sentences
+    ][: cfg["shots"]]
+
+
 def _st4_policy(cfg: dict) -> MergePolicy:
     if cfg.get("threshold_file"):
         k = st4.read_best_threshold(cfg["threshold_file"])
@@ -592,14 +599,9 @@ def run_sweep(config: dict, subtask: str) -> dict:
                 raise ConfigError(f"case {case.case_id} has no gold alignments; sweep needs dev gold")
             if not case.clinician_answer_sentences:
                 raise ConfigError(f"case {case.case_id} has no answer sentences")
-            pool = [
-                c
-                for c in few_shot_pool(pool_file, exclude_case_id=case.case_id)
-                if c.gold_alignments is not None and c.clinician_answer_sentences
-            ][: cfg["shots"]]
             tally = st4.run_ensemble(
                 case,
-                pool,
+                _st4_shots(few_shot_pool(pool_file, exclude_case_id=case.case_id), cfg),
                 plan,
                 generator,
                 full_answer_context=bool(cfg.get("full_answer_context", True)),
@@ -618,7 +620,7 @@ def run_sweep(config: dict, subtask: str) -> dict:
         for case in cases:
             if case.gold_evidence is None:
                 raise ConfigError(f"case {case.case_id} has no gold evidence; sweep needs dev gold")
-            shots = _st2_shots(case, pool_file, cfg)
+            shots = _st2_shots(few_shot_pool(pool_file, exclude_case_id=case.case_id), cfg)
             tally = st2.run_ensemble(case, shots, plan, generator, max_workers=workers)
             pairs.append((tally, case))
         max_votes = max(t.total_runs for t, _ in pairs)

@@ -431,6 +431,11 @@ class RetryPolicy:
     def delay(self, attempt: int) -> float:
         return self.backoff_seconds * (2**attempt)
 
+    def backoff(self, attempt: int, sleep: Callable[[float], None]) -> None:
+        """Wait before the next attempt; no attempt follows the last one."""
+        if attempt + 1 < self.max_attempts:
+            sleep(self.delay(attempt))
+
 
 class HttpChatProvider:
     """Chat-completions-style HTTP client with bounded retries.
@@ -483,12 +488,12 @@ class HttpChatProvider:
             except Exception as exc:  # connection-level failure
                 last_error = exc
                 logger.warning("transport error (attempt %d): %s", attempt + 1, exc)
-                self._sleep(self.retry.delay(attempt))
+                self.retry.backoff(attempt, self._sleep)
                 continue
             status = getattr(response, "status_code", 200)
             if status in RETRYABLE_STATUS:
                 last_error = ProviderError(f"HTTP {status} from {url}")
-                self._sleep(self.retry.delay(attempt))
+                self.retry.backoff(attempt, self._sleep)
                 continue
             if status >= 400:
                 raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")
@@ -546,12 +551,12 @@ class HttpEmbeddingProvider:
                 response = self._transport(url, payload, headers)
             except Exception as exc:
                 last_error = exc
-                self._sleep(self.retry.delay(attempt))
+                self.retry.backoff(attempt, self._sleep)
                 continue
             status = getattr(response, "status_code", 200)
             if status in RETRYABLE_STATUS:
                 last_error = ProviderError(f"HTTP {status} from {url}")
-                self._sleep(self.retry.delay(attempt))
+                self.retry.backoff(attempt, self._sleep)
                 continue
             if status >= 400:
                 raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")

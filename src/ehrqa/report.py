@@ -15,7 +15,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .core import EhrqaError
-from .metrics import (
+
+# Scoring looks each metric up by its name in this module, so bench/run.py
+# can rebind a name to trace it; macro_prf and link_prf stay importable
+# from here for the same reason.
+from .metrics import (  # noqa: F401
     PRF,
     bleu,
     case_prf,
@@ -23,36 +27,62 @@ from .metrics import (
     leaderboard_mean,
     link_prf,
     macro_prf,
+    mean_prf,
     micro_prf,
     rouge_lsum,
     rouge_n,
     sari,
 )
 
+
 def _pct(value: float) -> float:
     return round(100.0 * value, 2)
 
 
-def score_id_sets(
+def check_same_cases(pred: dict, gold: dict) -> None:
+    """Raise unless predictions and gold cover exactly the same case_ids."""
+    missing = sorted(set(gold) - set(pred))
+    extra = sorted(set(pred) - set(gold))
+    if missing or extra:
+        raise EhrqaError(
+            f"case_id mismatch between predictions and gold "
+            f"(missing={missing}, unexpected={extra})"
+        )
+
+
+@dataclass(frozen=True)
+class SetScores:
+    """Per-case (pred, gold) sets in case_id order and each case's PRF,
+    computed once for both the corpus row and the per-case rows."""
+
+    pairs: dict[str, tuple[set, set]]
+    cases: dict[str, PRF]
+
+
+def _set_scores(pairs: dict[str, tuple[set, set]]) -> SetScores:
+    return SetScores(pairs, {cid: case_prf(p, g) for cid, (p, g) in pairs.items()})
+
+
+def id_set_scores(
     pred: dict[str, Iterable[str]], gold: dict[str, Iterable[str]]
-) -> dict[str, float]:
-    """Micro and macro PRF (0-100) over per-case ID sets."""
-    _check_alignment_of_ids(pred, gold)
-    pairs = [(pred[cid], gold[cid]) for cid in sorted(gold)]
-    micro, macro = micro_prf(pairs), macro_prf(pairs)
-    return _set_row(micro, macro)
+) -> SetScores:
+    """Per-case scores over ID sets."""
+    check_same_cases(pred, gold)
+    return _set_scores({cid: (set(pred[cid]), set(gold[cid])) for cid in sorted(gold)})
 
 
-def score_alignments(pred: dict, gold: dict) -> dict[str, float]:
-    """Micro and macro link PRF (0-100) over per-case alignments."""
-    _check_alignment_of_ids(pred, gold)
-    pairs = [(pred[cid], gold[cid]) for cid in sorted(gold)]
-    micro = link_prf(pairs, mode="micro")
-    macro = link_prf(pairs, mode="macro")
-    return _set_row(micro, macro)
+def link_scores(pred: dict, gold: dict) -> SetScores:
+    """Per-case scores over alignments flattened to (answer_id, evidence_id) links."""
+    check_same_cases(pred, gold)
+    return _set_scores(
+        {cid: (flatten_links(pred[cid]), flatten_links(gold[cid])) for cid in sorted(gold)}
+    )
 
 
-def _set_row(micro: PRF, macro: PRF) -> dict[str, float]:
+def score_id_sets(scores: SetScores) -> dict[str, float]:
+    """Micro (pooled counts) and macro (mean case PRF) PRF, 0-100."""
+    micro = micro_prf(scores.pairs.values())
+    macro = mean_prf(list(scores.cases.values()))
     return {
         "μP": _pct(micro.precision),
         "μR": _pct(micro.recall),
@@ -63,85 +93,76 @@ def _set_row(micro: PRF, macro: PRF) -> dict[str, float]:
     }
 
 
-def _check_alignment_of_ids(pred: dict, gold: dict) -> None:
-    missing = sorted(set(gold) - set(pred))
-    extra = sorted(set(pred) - set(gold))
-    if missing or extra:
-        raise EhrqaError(
-            f"case_id mismatch between predictions and gold "
-            f"(missing={missing}, unexpected={extra})"
-        )
-
-
-def _prf_row(prf: PRF) -> dict[str, float]:
-    return {"P": _pct(prf.precision), "R": _pct(prf.recall), "F1": _pct(prf.f1)}
-
-
-def per_case_id_rows(
-    pred: dict[str, Iterable[str]], gold: dict[str, Iterable[str]]
-) -> dict[str, dict[str, float]]:
+def per_case_id_rows(scores: SetScores) -> dict[str, dict[str, float]]:
     """Per-case PRF rows (0-100) keyed by case_id."""
-    _check_alignment_of_ids(pred, gold)
-    return {cid: _prf_row(case_prf(pred[cid], gold[cid])) for cid in sorted(gold)}
-
-
-def per_case_link_rows(pred: dict, gold: dict) -> dict[str, dict[str, float]]:
-    _check_alignment_of_ids(pred, gold)
     return {
-        cid: _prf_row(case_prf(flatten_links(pred[cid]), flatten_links(gold[cid])))
-        for cid in sorted(gold)
+        cid: {"P": _pct(prf.precision), "R": _pct(prf.recall), "F1": _pct(prf.f1)}
+        for cid, prf in scores.cases.items()
     }
+
+
+# Alignments score as ID sets of their links (see ``link_scores``).
+score_alignments = score_id_sets
+per_case_link_rows = per_case_id_rows
+
+
+def generation_scores(
+    pairs: dict[str, tuple[str, str]], sources: dict[str, str] | None = None
+) -> dict[str, dict[str, float]]:
+    """Raw metric values per case, in case_id order, each computed once.
+
+    ``pairs`` maps case_id -> (candidate, reference). R1, R2, RLsum and
+    BLEU lie in [0, 1]; SARI, in [0, 100], needs a source text per case
+    and is left out without ``sources``.
+    """
+    scores = {}
+    for cid in sorted(pairs):
+        candidate, reference = pairs[cid]
+        values = {
+            "R1": rouge_n(candidate, reference, 1),
+            "R2": rouge_n(candidate, reference, 2),
+            "RLsum": rouge_lsum(candidate, reference),
+            "BLEU": bleu(candidate, reference),
+        }
+        if sources is not None:
+            values["SARI"] = sari(sources[cid], candidate, reference)
+        scores[cid] = values
+    return scores
+
+
+def _scaled(metric: str, value: float) -> float:
+    """A raw value on the report's rounded 0-100 scale (SARI is already on it)."""
+    return round(value, 2) if metric == "SARI" else _pct(value)
 
 
 def per_case_generation_rows(
-    pairs: dict[str, tuple[str, str]], sources: dict[str, str] | None = None
+    scores: dict[str, dict[str, float]]
 ) -> dict[str, dict[str, float]]:
-    rows = {}
-    for cid in sorted(pairs):
-        candidate, reference = pairs[cid]
-        row = {
-            "R1": _pct(rouge_n(candidate, reference, 1)),
-            "R2": _pct(rouge_n(candidate, reference, 2)),
-            "RLsum": _pct(rouge_lsum(candidate, reference)),
-            "BLEU": _pct(bleu(candidate, reference)),
-        }
-        if sources is not None:
-            row["SARI"] = round(sari(sources[cid], candidate, reference), 2)
-        rows[cid] = row
-    return rows
+    """Per-case metric rows (0-100) from ``generation_scores``."""
+    return {
+        cid: {metric: _scaled(metric, v) for metric, v in values.items()}
+        for cid, values in scores.items()
+    }
 
 
 def score_generation(
-    pairs: dict[str, tuple[str, str]],
-    sources: dict[str, str] | None = None,
+    scores: dict[str, dict[str, float]],
     external_scores: dict[str, dict[str, float]] | None = None,
 ) -> dict:
-    """Average generation metrics over cases.
+    """Average the per-case values of ``generation_scores`` over cases.
 
-    ``pairs`` maps case_id -> (candidate, reference). SARI needs a source
-    text per case and is skipped (and reported as unavailable) without one.
+    SARI is reported as unavailable when it was scored without sources.
     ``external_scores`` merges per-metric corpus means from external
     scorers into the overall Score.
     """
-    if not pairs:
+    if not scores:
         raise EhrqaError("no cases to score")
-    case_ids = sorted(pairs)
-    r1 = [rouge_n(pairs[c][0], pairs[c][1], 1) for c in case_ids]
-    r2 = [rouge_n(pairs[c][0], pairs[c][1], 2) for c in case_ids]
-    rlsum = [rouge_lsum(pairs[c][0], pairs[c][1]) for c in case_ids]
-    bleus = [bleu(pairs[c][0], pairs[c][1]) for c in case_ids]
-    columns: dict[str, float] = {
-        "R1": _pct(sum(r1) / len(r1)),
-        "R2": _pct(sum(r2) / len(r2)),
-        "RLsum": _pct(sum(rlsum) / len(rlsum)),
-        "BLEU": _pct(sum(bleus) / len(bleus)),
-    }
-    unavailable = []
-    if sources is not None:
-        saris = [sari(sources[c], pairs[c][0], pairs[c][1]) for c in case_ids]
-        columns["SARI"] = round(sum(saris) / len(saris), 2)
-    else:
-        unavailable.append("SARI")
+    case_ids = sorted(scores)
+    columns: dict[str, float] = {}
+    for metric in scores[case_ids[0]]:
+        values = [scores[c][metric] for c in case_ids]
+        columns[metric] = _scaled(metric, sum(values) / len(values))
+    unavailable = [] if "SARI" in columns else ["SARI"]
     for name, per_case in (external_scores or {}).items():
         values = [per_case[c] for c in case_ids if c in per_case]
         if values:

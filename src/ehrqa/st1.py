@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .core import (
@@ -28,6 +30,9 @@ from .prompting import Message, load_template, render_prompt
 from .providers import GenRequest, Generator, gather_multi
 
 logger = logging.getLogger(__name__)
+
+# Share of the question-type match in the hybrid and candidate scores.
+TYPE_WEIGHT = 0.5
 
 QUESTION_TYPES = ("why", "what", "how", "when", "where", "who", "yes_no", "other")
 
@@ -168,7 +173,12 @@ def _split_rough_sentences(text: str) -> list[str]:
 
 
 def token_overlap_f1(a: str, b: str) -> float:
-    """Set-based F1 over lowercase punctuation-stripped tokens."""
+    """Set-based F1 over lowercase punctuation-stripped tokens.
+
+    The per-pair reference definition: the per-run path (``St1Pool``)
+    computes the same floats from cached token sets, and tests hold it to
+    this function exactly.
+    """
     tokens_a = {strip_token_punct(t).lower() for t in a.split()} - {""}
     tokens_b = {strip_token_punct(t).lower() for t in b.split()} - {""}
     if not tokens_a or not tokens_b:
@@ -180,7 +190,25 @@ def token_overlap_f1(a: str, b: str) -> float:
     return 2 * p * r / (p + r)
 
 
-def hybrid_score(case: Case, candidate: Case, type_weight: float = 0.5) -> float:
+def _token_set(text: str) -> frozenset[str]:
+    return frozenset({strip_token_punct(t).lower() for t in text.split()} - {""})
+
+
+def _set_f1(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
+    if not tokens_a or not tokens_b:
+        return 0.0
+    overlap = len(tokens_a & tokens_b)
+    if overlap == 0:
+        return 0.0
+    p, r = overlap / len(tokens_a), overlap / len(tokens_b)
+    return 2 * p * r / (p + r)
+
+
+def _weighted(type_match: float, lexical: float, type_weight: float) -> float:
+    return type_weight * type_match + (1.0 - type_weight) * lexical
+
+
+def hybrid_score(case: Case, candidate: Case, type_weight: float = TYPE_WEIGHT) -> float:
     type_match = 1.0 if (
         classify_question_type(case.patient_question)
         == classify_question_type(candidate.patient_question)
@@ -189,13 +217,85 @@ def hybrid_score(case: Case, candidate: Case, type_weight: float = 0.5) -> float
     return type_weight * type_match + (1.0 - type_weight) * lexical
 
 
-def retrieve_shots(case: Case, pool: list[Case], max_n: int = 5) -> list[Case]:
-    """Top few-shot cases by hybrid question-type + lexical similarity."""
-    scored = sorted(
-        (c for c in pool if c.case_id != case.case_id),
-        key=lambda c: (-hybrid_score(case, c), c.case_id),
+@dataclass(frozen=True)
+class QuestionFeatures:
+    """What every st1 similarity reads of a question: its type and token set."""
+
+    qtype: str
+    tokens: frozenset[str]
+
+    @classmethod
+    def of(cls, text: str) -> QuestionFeatures:
+        return cls(classify_question_type(text), _token_set(text))
+
+
+@dataclass(frozen=True)
+class GoldStyle:
+    """The gold clinician questions candidates are scored against: their
+    token sets and one histogram of their question types, duplicates
+    counted."""
+
+    token_sets: tuple[frozenset[str], ...]
+    type_counts: Mapping[str, int]
+
+    @classmethod
+    def of(cls, templates: Iterable[str]) -> GoldStyle:
+        features = [QuestionFeatures.of(t) for t in templates]
+        return cls(tuple(f.tokens for f in features), Counter(f.qtype for f in features))
+
+
+class St1Pool:
+    """Few-shot pool with the question features of every case, built once.
+
+    Per case it holds the features of the patient question and, when the
+    case has one, of the clinician question, plus the clinician-question
+    type histogram of the whole pool. Leave-one-out is a filter on
+    case_id and a decrement of the left-out case's type.
+    """
+
+    def __init__(self, cases: Iterable[Case]):
+        self.cases = tuple(cases)
+        self.patient = tuple(QuestionFeatures.of(c.patient_question) for c in self.cases)
+        self.clinician = tuple(
+            QuestionFeatures.of(c.clinician_question) if c.clinician_question else None
+            for c in self.cases
+        )
+        self.type_counts = Counter(f.qtype for f in self.clinician if f is not None)
+
+    def gold_style(self, exclude_case_id: str | None = None) -> GoldStyle:
+        counts = self.type_counts
+        token_sets = []
+        for case, features in zip(self.cases, self.clinician):
+            if features is None:
+                continue
+            if case.case_id == exclude_case_id:
+                counts = counts.copy()
+                counts[features.qtype] -= 1
+            else:
+                token_sets.append(features.tokens)
+        return GoldStyle(tuple(token_sets), counts)
+
+
+def _as_pool(pool: St1Pool | Iterable[Case]) -> St1Pool:
+    return pool if isinstance(pool, St1Pool) else St1Pool(pool)
+
+
+def retrieve_shots(case: Case, pool: St1Pool | Iterable[Case], max_n: int = 5) -> list[Case]:
+    """Top few-shot cases by hybrid question-type + lexical similarity
+    (``hybrid_score``), leaving ``case`` itself out."""
+    pool = _as_pool(pool)
+    query = QuestionFeatures.of(case.patient_question)
+
+    def key(i: int):
+        other = pool.patient[i]
+        type_match = 1.0 if query.qtype == other.qtype else 0.0
+        lexical = _set_f1(query.tokens, other.tokens)
+        return (-_weighted(type_match, lexical, TYPE_WEIGHT), pool.cases[i].case_id)
+
+    ranked = sorted(
+        (i for i, c in enumerate(pool.cases) if c.case_id != case.case_id), key=key
     )
-    return scored[:max_n]
+    return [pool.cases[i] for i in ranked[:max_n]]
 
 
 @dataclass(frozen=True)
@@ -207,14 +307,12 @@ class CandidateScore:
     constraint_ok: bool
 
 
-def _plurality_type(gold_templates: list[str]) -> str:
-    counts: dict[str, int] = {}
-    for template in gold_templates:
-        qtype = classify_question_type(template)
-        counts[qtype] = counts.get(qtype, 0) + 1
-    if not counts:
+def _plurality_type(type_counts: Mapping[str, int]) -> str:
+    if not any(type_counts.values()):
         return "other"
-    return max(QUESTION_TYPES, key=lambda t: (counts.get(t, 0), -QUESTION_TYPES.index(t)))
+    return max(
+        QUESTION_TYPES, key=lambda t: (type_counts.get(t, 0), -QUESTION_TYPES.index(t))
+    )
 
 
 def check_constraints(candidate: str, constraints: ConstraintConfig) -> bool:
@@ -227,23 +325,27 @@ def check_constraints(candidate: str, constraints: ConstraintConfig) -> bool:
 
 def score_candidates(
     candidates: list[str],
-    gold_templates: list[str],
+    gold_templates: GoldStyle | Iterable[str],
     constraints: ConstraintConfig,
-    type_weight: float = 0.5,
+    type_weight: float = TYPE_WEIGHT,
 ) -> list[CandidateScore]:
-    target_type = _plurality_type(gold_templates)
+    style = gold_templates
+    if not isinstance(style, GoldStyle):
+        style = GoldStyle.of(style)
+    target_type = _plurality_type(style.type_counts)
     scored = []
     for candidate in candidates:
-        type_match = 1.0 if classify_question_type(candidate) == target_type else 0.0
+        features = QuestionFeatures.of(candidate)
+        type_match = 1.0 if features.qtype == target_type else 0.0
         lexical = max(
-            (token_overlap_f1(candidate, t) for t in gold_templates), default=0.0
+            (_set_f1(features.tokens, t) for t in style.token_sets), default=0.0
         )
         scored.append(
             CandidateScore(
                 candidate=candidate,
                 type_match=type_match,
                 lexical=lexical,
-                total=type_weight * type_match + (1.0 - type_weight) * lexical,
+                total=_weighted(type_match, lexical, type_weight),
                 constraint_ok=check_constraints(candidate, constraints),
             )
         )
@@ -272,7 +374,7 @@ def _selection_key(score: CandidateScore):
 
 def select_candidate(
     candidates: list[str],
-    gold_templates: list[str],
+    gold_templates: GoldStyle | Iterable[str],
     constraints: ConstraintConfig,
 ) -> tuple[str, list[CandidateScore]]:
     """Pick the best constraint-satisfying candidate, repairing the top raw
@@ -361,7 +463,7 @@ class St1Result:
 
 def run_case(
     case: Case,
-    pool: list[Case],
+    pool: St1Pool | Iterable[Case],
     providers: list[tuple[str, Generator]],
     constraints: ConstraintConfig = ConstraintConfig(),
     max_shots: int = 5,
@@ -369,7 +471,9 @@ def run_case(
     context_provider: Generator | None = None,
     max_workers: int = 4,
 ) -> St1Result:
-    """Full reformulation pipeline for one case."""
+    """Full reformulation pipeline for one case; ``case`` itself is left
+    out of the few-shot pool and of the gold style."""
+    pool = _as_pool(pool)
     ctx_provider = context_provider or (providers[0][1] if providers else None)
     context = EMPTY_CONTEXT
     if ctx_provider is not None:
@@ -383,6 +487,7 @@ def run_case(
     candidates = generate_candidates(
         case, context, shots, providers, max_workers=max_workers
     )
-    gold_templates = [c.clinician_question for c in pool if c.clinician_question]
-    chosen, scored = select_candidate(candidates, gold_templates, constraints)
+    chosen, scored = select_candidate(
+        candidates, pool.gold_style(exclude_case_id=case.case_id), constraints
+    )
     return St1Result(case_id=case.case_id, clinician_question=chosen, candidates=scored)

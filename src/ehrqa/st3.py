@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Case, ConstraintConfig, SubtaskError, id_sort_key
+from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
 from .prompting import load_template, render_prompt
 from .providers import Embedder, GenRequest, Generator, cosine
 
@@ -172,17 +172,17 @@ def rerank_candidates(
     embedder: Embedder | None = None,
 ) -> tuple[str, list[float]]:
     """Highest semantic similarity to the reference wins; ties keep the
-    earlier candidate (ensemble member order)."""
+    earlier candidate (ensemble member order). Without a scorer, the
+    reference and every candidate are embedded in one call."""
     if not candidates:
         raise SubtaskError("no candidates to rerank")
-    if scorer is None:
-        if embedder is None:
-            raise SubtaskError("rerank needs a scorer or an embedder")
-        scorer = _embedding_scorer(embedder)
-    scores: list[float] = []
+    if scorer is None and embedder is None:
+        raise SubtaskError("rerank needs a scorer or an embedder")
     try:
-        for candidate in candidates:
-            scores.append(scorer(candidate, reference_text))
+        if scorer is not None:
+            scores = [scorer(candidate, reference_text) for candidate in candidates]
+        else:
+            scores = _embedding_scores(embedder, candidates, reference_text)
     except Exception as exc:
         logger.warning("rerank scorer failed, keeping first candidate: %s", exc)
         return candidates[0], []
@@ -193,12 +193,13 @@ def rerank_candidates(
     return candidates[best_idx], scores
 
 
-def _embedding_scorer(embedder: Embedder) -> Callable[[str, str], float]:
-    def score(candidate: str, reference: str) -> float:
-        vec_c, vec_r = embedder.embed([candidate, reference])
-        return cosine(vec_c, vec_r)
-
-    return score
+def _embedding_scores(embedder: Embedder, candidates: list[str], reference: str) -> list[float]:
+    vec_r, *vectors = embedder.embed([reference, *candidates])
+    if len(vectors) != len(candidates):
+        raise ProviderError(
+            f"embedder returned {len(vectors) + 1} vectors for {len(candidates) + 1} texts"
+        )
+    return [cosine(vec_c, vec_r) for vec_c in vectors]
 
 
 @dataclass

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ehrqa import report
 from ehrqa.cli import main
 from ehrqa.core import ConfigError
 from ehrqa.dataset import toy_dataset_path
@@ -404,6 +405,41 @@ class TestCliCommands:
         )
         assert code == 0
         assert "100.00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "subtask,field,gold_field",
+        [("st1", "clinician_question", "clinician_question"),
+         ("st3", "answer_text", "answer_paragraph")],
+    )
+    def test_eval_scores_each_case_once(self, tmp_path, monkeypatch, subtask, field, gold_field):
+        calls = []
+        real_sari = report.sari
+
+        def counting_sari(*args, **kwargs):
+            calls.append(args)
+            return real_sari(*args, **kwargs)
+
+        monkeypatch.setattr(report, "sari", counting_sari)
+        pred = tmp_path / f"{subtask}.jsonl"
+        records = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        pred.write_text(
+            "\n".join(json.dumps({"case_id": r["case_id"], field: r[gold_field]}) for r in records)
+            + "\n"
+        )
+        code = main(
+            [
+                "eval",
+                "--pred", str(pred),
+                "--gold", str(toy_dataset_path()),
+                "--subtask", subtask,
+                "--out", str(tmp_path / "report"),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == len(records)
+        report_json = json.loads((tmp_path / "report" / f"{subtask}_report.json").read_text())
+        assert "SARI" in report_json["corpus"]
+        assert all("SARI" in row for row in report_json["per_case"].values())
 
     def test_cache_inspect_and_prune(self, tmp_path, capsys):
         config = resolve_config(

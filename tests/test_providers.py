@@ -11,6 +11,7 @@ from ehrqa.providers import (
     GenRequest,
     HashEmbedder,
     HttpChatProvider,
+    HttpEmbeddingProvider,
     PipelineMockProvider,
     ReplayGenerator,
     ResponseCache,
@@ -220,6 +221,24 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="401"):
             provider.generate(req())
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("failure", ["status", "transport"])
+    @pytest.mark.parametrize("kind", ["chat", "embedding"])
+    def test_no_sleep_after_last_attempt(self, kind, failure):
+        def transport(url, payload, headers):
+            if failure == "transport":
+                raise ConnectionError("refused")
+            return FakeResponse(status_code=503)
+
+        slept = []
+        cls = HttpChatProvider if kind == "chat" else HttpEmbeddingProvider
+        provider = cls("https://api.example/v1", "key", transport=transport, sleep=slept.append)
+        with pytest.raises(ProviderError, match="3 attempts"):
+            if kind == "chat":
+                provider.generate(req())
+            else:
+                provider.embed(["text"])
+        assert slept == [0.5, 1.0]
 
     def test_env_var_names(self):
         assert env_var_names("gpt-5.2") == ("EHRQA_GPT_5_2_ENDPOINT", "EHRQA_GPT_5_2_API_KEY")

@@ -6,6 +6,9 @@ from ehrqa.core import EhrqaError
 from ehrqa.report import (
     ExternalScorer,
     format_table,
+    generation_scores,
+    id_set_scores,
+    link_scores,
     score_alignments,
     score_generation,
     score_id_sets,
@@ -15,21 +18,21 @@ from ehrqa.report import (
 class TestScoreIdSets:
     def test_perfect_prediction_scores_100(self):
         pred = {"a": {"1", "2"}, "b": {"3"}}
-        row = score_id_sets(pred, pred)
+        row = score_id_sets(id_set_scores(pred, pred))
         assert row["μF1"] == 100.0
         assert row["mF1"] == 100.0
 
     def test_hand_counts(self):
         pred = {"a": {"2", "5", "9"}}
         gold = {"a": {"2", "5"}}
-        row = score_id_sets(pred, gold)
+        row = score_id_sets(id_set_scores(pred, gold))
         assert row["μP"] == pytest.approx(66.67, abs=0.01)
         assert row["μR"] == 100.0
         assert row["μF1"] == pytest.approx(80.0, abs=0.01)
 
     def test_case_mismatch_lists_offenders(self):
         with pytest.raises(EhrqaError, match="missing=\\['b'\\]"):
-            score_id_sets({"a": set()}, {"a": set(), "b": set()})
+            id_set_scores({"a": set()}, {"a": set(), "b": set()})
 
 
 class TestScoreAlignments:
@@ -42,7 +45,7 @@ class TestScoreAlignments:
             "a": [("1", ["3", "7"])],
             "b": [("1", ["2"]), ("2", ["5"])],
         }
-        row = score_alignments(pred, gold)
+        row = score_alignments(link_scores(pred, gold))
         # pooled: TP=2 (a:1-3, b:1-2), FP=1 (b:1-4), FN=2 (a:1-7, b:2-5)
         assert row["μP"] == pytest.approx(66.67, abs=0.01)
         assert row["μR"] == pytest.approx(50.0, abs=0.01)
@@ -54,21 +57,21 @@ class TestScoreAlignments:
 class TestScoreGeneration:
     def test_identical_candidates(self):
         pairs = {"a": ("same text", "same text")}
-        row = score_generation(pairs, sources={"a": "same text"})
+        row = score_generation(generation_scores(pairs, sources={"a": "same text"}))
         assert row["R1"] == 100.0
         assert row["BLEU"] == 100.0
         assert row["SARI"] == 100.0
         assert row["Score"] == pytest.approx(100.0)
 
     def test_sari_skipped_without_sources(self):
-        row = score_generation({"a": ("x y", "x z")})
+        row = score_generation(generation_scores({"a": ("x y", "x z")}))
         assert "SARI" not in row
         assert row["unavailable_metrics"] == ["SARI"]
 
     def test_external_scores_enter_mean(self):
         pairs = {"a": ("x", "x")}
         row = score_generation(
-            pairs, sources={"a": "x"}, external_scores={"BERT": {"a": 50.0}}
+            generation_scores(pairs, sources={"a": "x"}), external_scores={"BERT": {"a": 50.0}}
         )
         assert row["BERT"] == 50.0
         expected = (row["R1"] + row["R2"] + row["RLsum"] + row["BLEU"] + row["SARI"] + 50.0) / 6

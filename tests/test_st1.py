@@ -1,19 +1,29 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ehrqa import st1 as st1_module
 from ehrqa.core import ConstraintConfig, SubtaskError, count_words
+from ehrqa.dataset import CaseFile, save_cases
+from ehrqa.pipeline import resolve_config, run_pipeline
 from ehrqa.providers import ScriptedProvider
 from ehrqa.st1 import (
+    QUESTION_TYPES,
+    CandidateScore,
     ClinicalContext,
+    St1Pool,
+    check_constraints,
     classify_question_type,
     extract_context,
     generate_candidates,
+    hybrid_score,
     repair_candidate,
     retrieve_shots,
     run_case,
+    score_candidates,
     select_candidate,
     token_overlap_f1,
 )
@@ -293,3 +303,113 @@ class TestRunCase:
         result = run_case(case, pool, providers)
         assert result.clinician_question == "Why was the stent placed so urgently?"
         assert count_words(result.clinician_question) <= 15
+
+
+# A small vocabulary, so that token sets repeat and hybrid scores tie.
+_WORDS = ["why", "what", "was", "is", "the", "stent", "dose", "it", "my", "done", "How", "."]
+_questions = st.lists(st.sampled_from(_WORDS), max_size=6).map(lambda ws: " ".join(ws) + "?")
+_templates = st.one_of(
+    st.none(),
+    st.sampled_from(
+        ["Why was the stent placed?", "What changed the dose?", "Was the dose adjusted?"]
+    ),
+    _questions,
+)
+
+
+class TestPoolFeatures:
+    """The per-run feature path against the per-pair reference definitions."""
+
+    @given(
+        pool_spec=st.lists(st.tuples(_questions, _templates), min_size=1, max_size=8),
+        query=st.one_of(st.integers(min_value=0, max_value=7), _questions),
+        candidates=st.lists(_questions, min_size=1, max_size=4),
+        max_n=st.integers(min_value=0, max_value=6),
+    )
+    def test_matches_per_pair_definitions(self, pool_spec, query, candidates, max_n):
+        pool = [
+            simple_case(str(i), patient_question=pq, clinician_question=cq)
+            for i, (pq, cq) in enumerate(pool_spec)
+        ]
+        if isinstance(query, int):
+            case = pool[query % len(pool)]  # leave-one-out
+        else:
+            case = simple_case("q", patient_question=query)
+        features = St1Pool(pool)
+
+        expected_shots = sorted(
+            (c for c in pool if c.case_id != case.case_id),
+            key=lambda c: (-hybrid_score(case, c), c.case_id),
+        )[:max_n]
+        assert retrieve_shots(case, features, max_n=max_n) == expected_shots
+
+        templates = [
+            c.clinician_question
+            for c in pool
+            if c.case_id != case.case_id and c.clinician_question
+        ]
+        counts = Counter(classify_question_type(t) for t in templates)
+        target = "other"
+        if counts:
+            target = max(
+                QUESTION_TYPES, key=lambda t: (counts.get(t, 0), -QUESTION_TYPES.index(t))
+            )
+        expected_scores = []
+        for candidate in candidates:
+            type_match = 1.0 if classify_question_type(candidate) == target else 0.0
+            lexical = max((token_overlap_f1(candidate, t) for t in templates), default=0.0)
+            expected_scores.append(
+                CandidateScore(
+                    candidate=candidate,
+                    type_match=type_match,
+                    lexical=lexical,
+                    total=0.5 * type_match + (1.0 - 0.5) * lexical,
+                    constraint_ok=check_constraints(candidate, CONSTRAINTS),
+                )
+            )
+        style = features.gold_style(exclude_case_id=case.case_id)
+        assert score_candidates(candidates, style, CONSTRAINTS) == expected_scores
+        assert score_candidates(candidates, templates, CONSTRAINTS) == expected_scores
+
+
+def _st1_work(tmp_path, n: int, monkeypatch) -> int:
+    """Calls to st1's token-punctuation stripper in one st1 run over n cases."""
+    openers = ["Why was", "What is", "How long was", "Was", "When did"]
+    topics = ["the stent", "my dose", "the scan", "it done", "the fever", "the rash"]
+    cases = tuple(
+        simple_case(
+            str(i),
+            patient_question=f"{openers[i % 5]} {topics[i % 6]} {i} needed so soon?",
+            clinician_question=f"{openers[(i + 2) % 5]} {topics[(i + 1) % 6]} required?",
+        )
+        for i in range(n)
+    )
+    path = tmp_path / f"cases-{n}.jsonl"
+    save_cases(CaseFile(cases, split_label="dev"), path)
+    config = resolve_config({
+        "dataset": {"cases": str(path)},
+        "subtasks": ["st1"],
+        "provider_mode": "mock",
+        "out_dir": str(tmp_path / f"out-{n}"),
+        "workers": 1,
+    })
+    calls = 0
+    strip = st1_module.strip_token_punct
+
+    def counting(token):
+        nonlocal calls
+        calls += 1
+        return strip(token)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(st1_module, "strip_token_punct", counting)
+        run_pipeline(config)
+    return calls
+
+
+def test_st1_work_grows_linearly_with_cases(tmp_path, monkeypatch):
+    # Counts, not timings: per-pair retrieval and scoring would make the
+    # ratio about 4 when the case count doubles.
+    small = _st1_work(tmp_path, 20, monkeypatch)
+    large = _st1_work(tmp_path, 40, monkeypatch)
+    assert large <= 2.5 * small

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehrqa.core import ConstraintConfig, count_words
-from ehrqa.providers import FixedEmbedder, HashEmbedder, ScriptedProvider
+from ehrqa.providers import FixedEmbedder, HashEmbedder, ScriptedProvider, cosine
 from ehrqa.st3 import (
     CitedDraft,
     extract_markers,
@@ -141,6 +141,27 @@ class TestRerank:
         table = {"a": [1.0, 0.0], "b": [1.0, 0.0], "ref": [1.0, 0.0]}
         chosen, _ = rerank_candidates(["a", "b"], "ref", embedder=FixedEmbedder(table))
         assert chosen == "a"
+
+    def test_one_embed_call_with_reference_first(self):
+        calls = []
+
+        class Recording(HashEmbedder):
+            def embed(self, texts):
+                calls.append(list(texts))
+                return super().embed(texts)
+
+        candidates = ["first answer", "second answer", "third answer"]
+        _, scores = rerank_candidates(candidates, "note text", embedder=Recording())
+        assert calls == [["note text", *candidates]]
+        embedder = HashEmbedder()
+        expected = [cosine(*embedder.embed([c, "note text"])) for c in candidates]
+        assert scores == expected
+
+    def test_embed_failure_keeps_first(self):
+        table = {"a": [1.0, 0.0], "b": [0.0, 1.0]}  # no vector for the reference
+        chosen, scores = rerank_candidates(["a", "b"], "ref", embedder=FixedEmbedder(table))
+        assert chosen == "a"
+        assert scores == []
 
     def test_scorer_failure_keeps_first(self):
         def broken(candidate, reference):
