@@ -18,15 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .core import EhrqaError
+from .core import EhrqaError, atomic_write_text
 from .dataset import load_cases
-from .pipeline import (
-    PRESETS,
-    atomic_write_text,
-    resolve_config,
-    run_pipeline,
-    run_sweep,
-)
+from .pipeline import PRESETS, resolve_config, run_pipeline, run_sweep
 from .providers import ResponseCache
 from .report import (
     check_same_cases,

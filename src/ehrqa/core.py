@@ -1,14 +1,19 @@
 """Core domain types shared by every stage of the pipeline.
 
 All types here are immutable value objects and safe to share across
-concurrent tasks without coordination.
+concurrent tasks without coordination. The one file helper,
+``atomic_write_text``, is here because every layer that persists a file
+(outputs, the response cache, the swept threshold) uses it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 class EhrqaError(Exception):
@@ -297,3 +302,22 @@ def strip_token_punct(token: str) -> str:
 def contains_first_person(text: str, forbidden: frozenset[str] = DEFAULT_FIRST_PERSON) -> bool:
     """True when any whitespace token, punctuation-stripped and lowercased, is forbidden."""
     return any(strip_token_punct(tok).lower() in forbidden for tok in text.split())
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and ``os.replace``.
+
+    Readers see the previous file or the new one, never a partial write,
+    and a failed write leaves the previous file intact. The temporary name
+    is unique to the writing process and thread, so concurrent writers into
+    one directory never overwrite each other's temporary file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -26,6 +26,7 @@ from .core import (
     MergePolicy,
     PlanMember,
     SamplingPlan,
+    atomic_write_text,
 )
 from .dataset import CaseFile, case_sort_key, few_shot_pool, load_cases
 from .metrics import micro_prf
@@ -212,8 +213,15 @@ def validate_config(config: dict) -> None:
             raise ConfigError(f"{key} shots must be >= 0")
 
 
+# Where a run reads and writes, and how many threads it uses, never changes
+# an output byte, so the config hash leaves these fields out.
+RUN_ONLY_FIELDS = frozenset({"workers", "out_dir", "cache_dir"})
+
+
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, ensure_ascii=False)
+    """Hash of the fields that can change a run's outputs."""
+    relevant = {k: v for k, v in config.items() if k not in RUN_ONLY_FIELDS}
+    canonical = json.dumps(relevant, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -307,13 +315,6 @@ def build_embedder(config: dict) -> Embedder:
             inner = _live_embedder(model)
         return CachedEmbedder(cache, inner=inner, mode="record", model=model)
     return _live_embedder(model)
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def write_jsonl(path: Path, records: list[dict]) -> None:

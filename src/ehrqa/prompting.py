@@ -10,6 +10,7 @@ uses a system block plus interleaved user/assistant turns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from string import Template
 
@@ -45,7 +46,10 @@ def _asset(name: str) -> str:
     )
 
 
+@cache
 def load_template(subtask: str) -> PromptTemplate:
+    """The subtask's template, read from the package assets once per process
+    (templates are frozen, so every caller can share the one instance)."""
     if subtask not in SUBTASKS:
         raise RenderError(f"unknown subtask {subtask!r}")
     if subtask == "st4":

@@ -24,7 +24,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .core import CacheMissError, EhrqaError, ProviderError
+from .core import CacheMissError, EhrqaError, ProviderError, atomic_write_text
 from .prompting import Message
 
 logger = logging.getLogger(__name__)
@@ -78,8 +78,9 @@ def request_cache_key(request: GenRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def embed_cache_key(model: str, text: str) -> str:
-    canonical = json.dumps({"embed": model, "text": text}, ensure_ascii=False)
+def embed_cache_key(model: str, texts: Sequence[str]) -> str:
+    """Content hash of one embed() call: the model and the ordered texts."""
+    canonical = json.dumps({"embed": model, "texts": list(texts)}, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -278,7 +279,12 @@ class FixedEmbedder:
 
 
 class ResponseCache:
-    """Content-addressed store: one JSON file per request hash."""
+    """Content-addressed store: one compact JSON file per key.
+
+    Reads take no lock: ``put`` publishes each entry with an atomic rename,
+    so a reader finds either no file or a whole one. The lock guards only
+    the hit and miss counters.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -290,24 +296,34 @@ class ResponseCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, key: str) -> dict | None:
-        with self._lock:
-            path = self._path(key)
-            if not path.exists():
+    def get(self, key: str, field: str, what: str):
+        """The ``field`` of the entry stored under ``key``, or None on a miss.
+
+        An entry that does not parse, or has no ``field``, raises
+        ProviderError naming the key and ``what`` it was read for.
+        """
+        try:
+            with open(self._path(key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            with self._lock:
                 self.misses += 1
-                return None
+            return None
+        try:
+            value = json.loads(data)[field]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ProviderError(
+                f"unreadable cache entry {key} for {what}: no valid {field!r} ({exc})"
+            ) from exc
+        with self._lock:
             self.hits += 1
-            return json.loads(path.read_text(encoding="utf-8"))
+        return value
 
     def put(self, key: str, record: dict) -> None:
-        with self._lock:
-            path = self._path(key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(record, ensure_ascii=False, sort_keys=True, indent=1),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+        atomic_write_text(
+            self._path(key),
+            json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
+        )
 
     def entries(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob("*.json"))
@@ -326,8 +342,11 @@ class ResponseCache:
 class ReplayGenerator:
     """Record/replay wrapper around another generator.
 
-    record: always call the inner backend and persist before returning.
-    replay: serve cached responses only; a miss is an error naming the tag.
+    Both modes serve a cached response when there is one. On a miss, record
+    calls the inner backend and persists the response before returning, so
+    an interrupted recording resumes where it stopped; replay raises an
+    error naming the request tag. An entry holds the response and the
+    request's metadata, not its messages: the key already stands for them.
     """
 
     def __init__(self, cache: ResponseCache, inner: Generator | None = None, mode: str = "replay"):
@@ -341,18 +360,17 @@ class ReplayGenerator:
 
     def generate(self, request: GenRequest) -> GenResponse:
         key = request_cache_key(request)
-        if self.mode == "replay":
-            record = self.cache.get(key)
-            if record is None:
-                raise CacheMissError(
-                    f"no cached response for request {request.request_tag!r} (key {key[:12]})"
-                )
-            resp = record["response"]
+        resp = self.cache.get(key, "response", f"request {request.request_tag!r}")
+        if resp is not None:
             return GenResponse(
                 text=resp["text"],
                 deployment_name=resp["deployment_name"],
                 latency_ms=resp.get("latency_ms", 0.0),
                 from_cache=True,
+            )
+        if self.mode == "replay":
+            raise CacheMissError(
+                f"no cached response for request {request.request_tag!r} (key {key[:12]})"
             )
         assert self.inner is not None
         response = self.inner.generate(request)
@@ -361,11 +379,10 @@ class ReplayGenerator:
             {
                 "request": {
                     "deployment_name": request.deployment_name,
-                    "messages": [[m.role, m.content] for m in request.messages],
+                    "request_tag": request.request_tag,
+                    "sample_index": request.sample_index,
                     "temperature": request.temperature,
                     "max_output_tokens": request.max_output_tokens,
-                    "sample_index": request.sample_index,
-                    "request_tag": request.request_tag,
                 },
                 "response": {
                     "text": response.text,
@@ -378,7 +395,11 @@ class ReplayGenerator:
 
 
 class CachedEmbedder:
-    """Record/replay wrapper for an embedder, one cache entry per text."""
+    """Record/replay wrapper for an embedder, one cache entry per embed() call.
+
+    The entry is keyed on the model and the ordered text list and holds the
+    vectors in that order. Hits and misses behave as in ReplayGenerator.
+    """
 
     def __init__(
         self,
@@ -399,21 +420,23 @@ class CachedEmbedder:
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             raise EhrqaError("embed requires a non-empty input list")
+        key = embed_cache_key(self.model, texts)
+        what = f"embedding of {len(texts)} text(s) starting {texts[0][:60]!r}"
+        vectors = self.cache.get(key, "vectors", what)
+        if vectors is not None:
+            if len(vectors) != len(texts):
+                raise ProviderError(
+                    f"cache entry {key} for {what} holds {len(vectors)} vector(s)"
+                )
+            return [np.asarray(v, dtype=float) for v in vectors]
         if self.mode == "replay":
-            out = []
-            for text in texts:
-                record = self.cache.get(embed_cache_key(self.model, text))
-                if record is None:
-                    raise CacheMissError(f"no cached embedding for text {text[:60]!r}")
-                out.append(np.asarray(record["vector"], dtype=float))
-            return out
+            raise CacheMissError(f"no cached {what} (key {key[:12]})")
         assert self.inner is not None
         vectors = self.inner.embed(texts)
-        for text, vec in zip(texts, vectors):
-            self.cache.put(
-                embed_cache_key(self.model, text),
-                {"model": self.model, "text": text, "vector": [float(x) for x in vec]},
-            )
+        self.cache.put(
+            key,
+            {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]},
+        )
         return vectors
 
 

@@ -21,6 +21,7 @@ from .core import (
     EhrqaError,
     MergePolicy,
     SamplingPlan,
+    atomic_write_text,
     id_sort_key,
     resolve_threshold,
 )
@@ -192,7 +193,7 @@ def sweep_threshold(
         if prf.f1 > best_f1:
             best_theta, best_f1 = theta, prf.f1
     if out_path is not None:
-        Path(out_path).write_text(f"{best_theta}\n", encoding="utf-8")
+        atomic_write_text(out_path, f"{best_theta}\n")
     return best_theta, frontier
 
 

@@ -65,7 +65,7 @@ class TestResolveConfig:
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
-    DEFAULT_HASH = "9cbaa0ba625293c00baa938dd9b7f33506f6c7d4ee4472a1410e9aeaa1a5fd2d"
+    DEFAULT_HASH = "7bd60c7815877a03040ccea2b66e124c52c9530f32f145e6d8e3da294cb4009a"
 
     def test_default_config_hash_pinned(self):
         assert config_hash(resolve_config({})) == self.DEFAULT_HASH
@@ -77,13 +77,18 @@ class TestConfigHash:
     def test_changes_with_any_field(self):
         base = resolve_config({"dataset": {"cases": "x"}})
         for overlay in (
-            {"workers": 9},
             {"st2": {"shots": 4}},
             {"st4": {"recall": {"tau": 0.5}}},
             {"dataset": {"cases": "y"}},
         ):
             changed = resolve_config({"dataset": {"cases": "x"}}, overrides=overlay)
             assert config_hash(changed) != config_hash(base)
+
+    def test_ignores_run_only_fields(self):
+        base = resolve_config({"dataset": {"cases": "x"}})
+        for overlay in ({"workers": 9}, {"out_dir": "elsewhere"}, {"cache_dir": "c2"}):
+            changed = resolve_config({"dataset": {"cases": "x"}}, overrides=overlay)
+            assert config_hash(changed) == config_hash(base)
 
 
 class TestRunPipeline:
@@ -132,6 +137,38 @@ class TestRunPipeline:
             trees.append(tree_bytes(tmp_path / "out"))
         assert trees[0] == trees[1]
 
+    def test_second_record_pass_resumes_from_cache(self, tmp_path, monkeypatch):
+        from ehrqa import pipeline
+        from ehrqa.providers import FailingProvider
+
+        def record(out):
+            config = base_config(
+                tmp_path,
+                subtasks=["st1", "st2", "st3", "st4"],
+                provider_mode="record",
+                record_source="mock",
+                out_dir=str(out),
+                st3={"rerank": True},
+                st4={"recall": {"enabled": True}},
+            )
+            manifest = run_pipeline(resolve_config(config))
+            tree = tree_bytes(out)
+            del tree["manifest.json"]  # its cache statistics count hits and misses
+            return manifest["cache"], tree
+
+        first_cache, first_tree = record(tmp_path / "out0")
+        # the second pass may reach no backend: every call must be a cache hit
+        backend = FailingProvider()
+        monkeypatch.setattr(pipeline, "PipelineMockProvider", lambda: backend)
+        monkeypatch.setattr(pipeline, "HashEmbedder", lambda dim: backend)
+        second_cache, second_tree = record(tmp_path / "out1")
+        assert backend.calls == 0
+        assert second_tree == first_tree
+        assert second_cache == {
+            "hits": first_cache["misses"], "misses": 0, "entries": first_cache["entries"]
+        }
+        assert second_cache["hits"] > 0
+
     def test_worker_count_never_changes_outputs(self, tmp_path):
         trees = {}
         for workers in (1, 4):
@@ -145,11 +182,8 @@ class TestRunPipeline:
                 )
             )
             run_pipeline(config)
-            trees[workers] = {
-                name: data
-                for name, data in tree_bytes(out).items()
-                if name != "manifest.json"  # manifest embeds the config hash
-            }
+            trees[workers] = tree_bytes(out)
+        assert "manifest.json" in trees[1]
         assert trees[1] == trees[4]
 
     def test_replay_makes_zero_network_calls(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from ehrqa.core import Case, EhrqaError, NoteSentence
 from ehrqa.prompting import (
+    SUBTASKS,
     ContrastExample,
     RenderError,
     load_template,
@@ -175,6 +176,10 @@ class TestRenderStructure:
                 [shot_case()],
                 extra={"evidence_block": "x", "draft": "y"},
             )
+
+    def test_template_loaded_once_and_shared(self):
+        for subtask in SUBTASKS:
+            assert load_template(subtask) is load_template(subtask)
 
     def test_scaffold_slots_extraction(self):
         assert scaffold_slots("a $one b ${two} c $one") == {"one", "two"}

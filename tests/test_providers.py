@@ -1,4 +1,7 @@
+import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from ehrqa.providers import (
     RetryPolicy,
     ScriptedProvider,
     cosine,
+    embed_cache_key,
     env_var_names,
     gather_responses,
     request_cache_key,
@@ -62,6 +66,27 @@ class TestCacheKey:
         assert request_cache_key(req(temperature=0.0)) != request_cache_key(req(temperature=0.3))
         assert request_cache_key(req(deployment="a")) != request_cache_key(req(deployment="b"))
 
+    def test_digest_pinned(self):
+        # golden pin: caches recorded by earlier versions must keep replaying
+        request = GenRequest(
+            deployment_name="m1",
+            messages=(
+                Message("system", "Be brief."),
+                Message("user", "Which sentences support the answer?"),
+            ),
+            temperature=0.3,
+            max_output_tokens=256,
+            request_tag="c1/st2/m1/1",
+            sample_index=1,
+        )
+        assert request_cache_key(request) == (
+            "cc981b6f5fb3c2d707edafffc12297248b951956fa4b62c2b26d572ab08457e2"
+        )
+
+    def test_embed_key_depends_on_model_and_text_order(self):
+        assert embed_cache_key("e", ["a", "b"]) != embed_cache_key("e", ["b", "a"])
+        assert embed_cache_key("e", ["a"]) != embed_cache_key("f", ["a"])
+
 
 class TestRecordReplay:
     def test_record_then_replay_identical(self, tmp_path):
@@ -99,12 +124,116 @@ class TestRecordReplay:
         assert replayer.generate(req("z", sample=0)).text == "sample-0"
         assert replayer.generate(req("z", sample=1)).text == "sample-1"
 
+    def test_record_resumes_from_cache(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        ReplayGenerator(cache, inner=ScriptedProvider({"t": "x"}), mode="record").generate(req("t"))
+        backend = FailingProvider()
+        resumed = ReplayGenerator(ResponseCache(tmp_path), inner=backend, mode="record")
+        assert resumed.generate(req("t")).text == "x"
+        assert backend.calls == 0
+        assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+
+    def test_entry_recorded_before_slim_format_replays(self, tmp_path):
+        request = req("t", content="an old prompt")
+        old_entry = {
+            "request": {
+                "deployment_name": "m1",
+                "messages": [["user", "an old prompt"]],
+                "temperature": 0.0,
+                "max_output_tokens": 1024,
+                "sample_index": 0,
+                "request_tag": "t",
+            },
+            "response": {"text": "old", "deployment_name": "m1", "latency_ms": 3.0},
+        }
+        key = request_cache_key(request)
+        (tmp_path / f"{key}.json").write_text(
+            json.dumps(old_entry, sort_keys=True, indent=1), encoding="utf-8"
+        )
+        response = ReplayGenerator(ResponseCache(tmp_path)).generate(request)
+        assert (response.text, response.latency_ms, response.from_cache) == ("old", 3.0, True)
+
     def test_cache_stats_and_prune(self, tmp_path):
         cache = ResponseCache(tmp_path)
         ReplayGenerator(cache, inner=ScriptedProvider({"t": "x"}), mode="record").generate(req("t"))
         assert cache.stats()["entries"] == 1
         assert cache.prune() == 1
         assert cache.entries() == []
+
+
+class TestCacheFormat:
+    @pytest.mark.parametrize("prompt_chars", [1_000, 200_000])
+    def test_entry_size_independent_of_prompt(self, tmp_path, prompt_chars):
+        prompt = ("note sentence " * prompt_chars)[:prompt_chars]
+        cache = ResponseCache(tmp_path)
+        ReplayGenerator(cache, inner=ScriptedProvider({"t": "reply"}), mode="record").generate(
+            req("t", content=prompt)
+        )
+        (entry,) = tmp_path.glob("*.json")
+        data = entry.read_text(encoding="utf-8")
+        assert len(data.encode("utf-8")) < 1_000
+        assert "note sentence" not in data
+        assert json.loads(data)["request"] == {
+            "deployment_name": "m1",
+            "request_tag": "t",
+            "sample_index": 0,
+            "temperature": 0.0,
+            "max_output_tokens": 1024,
+        }
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"response": {"text": "tru', "[]", '{"request": {}}'],
+        ids=["truncated", "not-an-object", "no-response"],
+    )
+    def test_unreadable_generator_entry_names_key_and_tag(self, tmp_path, content):
+        request = req("c7/st4/m2/0")
+        key = request_cache_key(request)
+        (tmp_path / f"{key}.json").write_text(content, encoding="utf-8")
+        for mode, inner in (("replay", None), ("record", FailingProvider())):
+            generator = ReplayGenerator(ResponseCache(tmp_path), inner=inner, mode=mode)
+            with pytest.raises(ProviderError, match=rf"{key}.*'c7/st4/m2/0'"):
+                generator.generate(request)
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"vectors": [[0.1, 0.', '{"model": "default"}', '{"vectors": [[1.0, 0.0]]}'],
+        ids=["truncated", "no-vectors", "wrong-count"],
+    )
+    def test_unreadable_embedding_entry_names_key(self, tmp_path, content):
+        key = embed_cache_key("default", ["alpha", "beta"])
+        (tmp_path / f"{key}.json").write_text(content, encoding="utf-8")
+        with pytest.raises(ProviderError, match=rf"{key}.*'alpha'"):
+            CachedEmbedder(ResponseCache(tmp_path)).embed(["alpha", "beta"])
+
+    def test_put_leaves_no_temporary_file(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("k", {"response": {"text": "x"}})
+        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+        assert (tmp_path / "k.json").read_text(encoding="utf-8") == '{"response":{"text":"x"}}'
+
+    def test_concurrent_replay_identical_and_counted(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        script = ScriptedProvider(handler=lambda r: f"reply to {r.request_tag}")
+        recorder = ReplayGenerator(cache, inner=script, mode="record")
+        requests = [req(f"c{i}/st2/m1/0", content=f"prompt {i}") for i in range(50)]
+        for request in requests:
+            recorder.generate(request)
+
+        replayer = ReplayGenerator(ResponseCache(tmp_path), mode="replay")
+
+        def replay_all(_):
+            return [replayer.generate(r).text for r in requests]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(replay_all, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(texts == [f"reply to {r.request_tag}" for r in requests] for texts in results)
+        assert replayer.cache.stats() == {"hits": 8 * 50, "misses": 0, "entries": 50}
 
 
 class TestEmbedders:
@@ -137,6 +266,23 @@ class TestEmbedders:
         assert np.allclose(replayer.embed(["hello"])[0], original)
         with pytest.raises(CacheMissError):
             replayer.embed(["unseen"])
+
+    def test_one_cache_entry_per_embed_call(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        recorder = CachedEmbedder(cache, inner=HashEmbedder(), mode="record")
+        original = recorder.embed(["a", "b", "c"])
+        assert len(cache.entries()) == 1
+        replayed = CachedEmbedder(ResponseCache(tmp_path)).embed(["a", "b", "c"])
+        assert all(np.array_equal(x, y) for x, y in zip(original, replayed))
+        with pytest.raises(CacheMissError):
+            CachedEmbedder(ResponseCache(tmp_path)).embed(["a"])
+
+    def test_record_resumes_from_cache(self, tmp_path):
+        CachedEmbedder(ResponseCache(tmp_path), inner=HashEmbedder(), mode="record").embed(["a"])
+        backend = FailingProvider()
+        resumed = CachedEmbedder(ResponseCache(tmp_path), inner=backend, mode="record")
+        assert np.array_equal(resumed.embed(["a"])[0], HashEmbedder().embed(["a"])[0])
+        assert backend.calls == 0
 
 
 class TestCosine:

@@ -173,6 +173,19 @@ class TestSweep:
         assert out.read_text() == "2\n"
         assert read_best_threshold(out) == 2
 
+    def test_failed_write_keeps_previous_threshold_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "best_vote_threshold.txt"
+        out.write_text("1\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            sweep_threshold(self.fixture_runs(), out_path=out)
+        assert out.read_text(encoding="utf-8") == "1\n"
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
     def test_single_vote_plan(self, tmp_path):
         case = align_case()
         runs = [(LinkVoteTally(votes={("1", "3"): 1}, total_votes=1), [("1", ["3"])], case)]
