@@ -45,7 +45,8 @@ class ProviderError(EhrqaError):
 
 
 class CacheMissError(ProviderError):
-    """Strict replay was requested but the response is not in the cache."""
+    """The response cache cannot serve a request: replay found no entry,
+    or the entry cannot be read."""
 
 
 class SubtaskError(EhrqaError):
@@ -273,17 +274,13 @@ class ConstraintConfig:
 
     st1_max_words: int = 15
     st3_max_words: int = 75
-    st3_word_band_low: int = 70
     forbidden_first_person: frozenset[str] = field(default=DEFAULT_FIRST_PERSON)
 
     def __post_init__(self) -> None:
         if self.st1_max_words <= 0:
             raise ConfigError("st1_max_words must be positive")
-        if not 0 < self.st3_word_band_low <= self.st3_max_words:
-            raise ConfigError(
-                f"need 0 < st3_word_band_low ({self.st3_word_band_low}) "
-                f"<= st3_max_words ({self.st3_max_words})"
-            )
+        if self.st3_max_words <= 0:
+            raise ConfigError("st3_max_words must be positive")
 
 
 def count_words(text: str) -> int:

@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import st1, st2, st3, st4
+from . import st1, st2, st3, st4, vote
 from .core import (
     Case,
     ConfigError,
@@ -29,7 +29,6 @@ from .core import (
     atomic_write_text,
 )
 from .dataset import CaseFile, case_sort_key, few_shot_pool, load_cases
-from .metrics import micro_prf
 from .prompting import make_contrast_example
 from .providers import (
     CachedEmbedder,
@@ -59,7 +58,7 @@ DEFAULT_CONFIG: dict = {
     "out_dir": "out",
     "workers": 4,
     "random_free": True,
-    "constraints": {"st1_max_words": 15, "st3_max_words": 75, "st3_word_band_low": 70},
+    "constraints": {"st1_max_words": 15, "st3_max_words": 75},
     "embedding": {"deployment": "embedder", "dim": 32},
     "st1": {
         "deployments": ["reformulator-a", "reformulator-b"],
@@ -250,7 +249,6 @@ def constraints_from_config(cfg: dict) -> ConstraintConfig:
     return ConstraintConfig(
         st1_max_words=int(cfg.get("st1_max_words", 15)),
         st3_max_words=int(cfg.get("st3_max_words", 75)),
-        st3_word_band_low=int(cfg.get("st3_word_band_low", 70)),
     )
 
 
@@ -589,62 +587,35 @@ def run_sweep(config: dict, subtask: str) -> dict:
     workers = int(config.get("workers", 4))
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    cases = sorted(case_file.cases, key=case_sort_key)
-
-    if subtask == "st4":
-        cfg = config["st4"]
-        plan = plan_from_config(cfg["plan"])
-        dev_runs = []
-        for case in cases:
-            if case.gold_alignments is None:
-                raise ConfigError(f"case {case.case_id} has no gold alignments; sweep needs dev gold")
-            if not case.clinician_answer_sentences:
-                raise ConfigError(f"case {case.case_id} has no answer sentences")
+    cfg = config[subtask]
+    plan = plan_from_config(cfg["plan"])
+    dev_runs = []
+    for case in sorted(case_file.cases, key=case_sort_key):
+        gold = case.gold_evidence if subtask == "st2" else case.gold_alignments
+        if gold is None:
+            raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
+        pool = few_shot_pool(pool_file, exclude_case_id=case.case_id)
+        if subtask == "st2":
+            shots = _st2_shots(pool, cfg)
+            tally = st2.run_ensemble(case, shots, plan, generator, max_workers=workers)
+        else:
             tally = st4.run_ensemble(
                 case,
-                _st4_shots(few_shot_pool(pool_file, exclude_case_id=case.case_id), cfg),
+                _st4_shots(pool, cfg),
                 plan,
                 generator,
                 full_answer_context=bool(cfg.get("full_answer_context", True)),
                 max_workers=workers,
             )
-            gold = [(aid, sorted(ev)) for aid, ev in case.gold_alignments]
-            dev_runs.append((tally, gold, case))
-        best, frontier = st4.sweep_threshold(
-            dev_runs, out_path=out_dir / st4.THRESHOLD_FILENAME
-        )
-        result = {"subtask": "st4", "best_threshold": best, "frontier": frontier}
-    else:
-        cfg = config["st2"]
-        plan = plan_from_config(cfg["plan"])
-        pairs = []
-        for case in cases:
-            if case.gold_evidence is None:
-                raise ConfigError(f"case {case.case_id} has no gold evidence; sweep needs dev gold")
-            shots = _st2_shots(few_shot_pool(pool_file, exclude_case_id=case.case_id), cfg)
-            tally = st2.run_ensemble(case, shots, plan, generator, max_workers=workers)
-            pairs.append((tally, case))
-        max_votes = max(t.total_runs for t, _ in pairs)
-        frontier = []
-        best, best_f1 = 1, -1.0
-        for k in range(1, max_votes + 1):
-            eval_pairs = []
-            for tally, case in pairs:
-                pred = {
-                    i
-                    for i, count in tally.votes.items()
-                    if count >= k and i in set(case.note_ids)
-                }
-                eval_pairs.append((pred, case.gold_evidence or set()))
-            prf = micro_prf(eval_pairs)
-            frontier.append(
-                {"k": k, "micro_p": prf.precision, "micro_r": prf.recall, "micro_f1": prf.f1}
-            )
-            if prf.f1 > best_f1:
-                best, best_f1 = k, prf.f1
+        dev_runs.append((tally, gold, case))
+
+    if subtask == "st2":
+        best, frontier = vote.sweep([(t, gold, c.note_ids) for t, gold, c in dev_runs], "k")
         atomic_write_text(out_dir / "best_k.txt", f"{best}\n")
         result = {"subtask": "st2", "best_k": best, "frontier": frontier}
-
+    else:
+        best, frontier = st4.sweep_threshold(dev_runs, out_path=out_dir / st4.THRESHOLD_FILENAME)
+        result = {"subtask": "st4", "best_threshold": best, "frontier": frontier}
     atomic_write_text(
         out_dir / f"{subtask}_sweep.json",
         json.dumps(result, ensure_ascii=False, indent=2, sort_keys=True) + "\n",

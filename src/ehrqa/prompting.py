@@ -188,7 +188,7 @@ def _shot_case(shot) -> Case:
     return shot.base if isinstance(shot, ContrastExample) else shot
 
 
-def _full_answer_block(paragraph: str | None) -> str:
+def full_answer_block(paragraph: str | None) -> str:
     if not paragraph:
         return ""
     return f"\nFull clinician answer (for context):\n{paragraph}\n"
@@ -238,7 +238,7 @@ def render_prompt(
                     f"st4 shot {shot_case.case_id} has no gold alignments"
                 )
             shot_extra = {
-                "full_answer_block": _full_answer_block(
+                "full_answer_block": full_answer_block(
                     shot_case.clinician_answer_paragraph
                 )
             }

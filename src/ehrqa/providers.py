@@ -300,7 +300,7 @@ class ResponseCache:
         """The ``field`` of the entry stored under ``key``, or None on a miss.
 
         An entry that does not parse, or has no ``field``, raises
-        ProviderError naming the key and ``what`` it was read for.
+        CacheMissError naming the key and ``what`` it was read for.
         """
         try:
             with open(self._path(key), "rb") as fh:
@@ -312,7 +312,7 @@ class ResponseCache:
         try:
             value = json.loads(data)[field]
         except (ValueError, KeyError, TypeError) as exc:
-            raise ProviderError(
+            raise CacheMissError(
                 f"unreadable cache entry {key} for {what}: no valid {field!r} ({exc})"
             ) from exc
         with self._lock:
@@ -425,7 +425,7 @@ class CachedEmbedder:
         vectors = self.cache.get(key, "vectors", what)
         if vectors is not None:
             if len(vectors) != len(texts):
-                raise ProviderError(
+                raise CacheMissError(
                     f"cache entry {key} for {what} holds {len(vectors)} vector(s)"
                 )
             return [np.asarray(v, dtype=float) for v in vectors]

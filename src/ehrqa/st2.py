@@ -3,43 +3,17 @@ by voting across ensemble runs.
 
 Each (member, sample) run contributes one parsed ID set; a sentence
 survives the merge when its vote count clears the policy threshold.
-Unparseable runs vote for nothing but still count toward the run total so
-majority thresholds stay honest about ensemble size.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .core import Case, ConfigError, MergePolicy, SamplingPlan, id_sort_key, resolve_threshold
 from .parsing import parse_id_array
 from .prompting import load_template, render_prompt
-from .providers import GenRequest, Generator, gather_responses
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SentenceVoteTally:
-    votes: dict[str, int]
-    total_runs: int
-
-    def __post_init__(self) -> None:
-        if self.total_runs < 1:
-            raise ConfigError("tally needs total_runs >= 1")
-        bad = {i: c for i, c in self.votes.items() if not 1 <= c <= self.total_runs}
-        if bad:
-            raise ConfigError(f"vote counts outside [1, total_runs]: {bad}")
-
-
-def tally_from_runs(runs: list[set[str]]) -> SentenceVoteTally:
-    """Count ID membership across runs (parse failures become empty sets)."""
-    votes: dict[str, int] = {}
-    for run in runs:
-        for sentence_id in run:
-            votes[sentence_id] = votes.get(sentence_id, 0) + 1
-    return SentenceVoteTally(votes=votes, total_runs=len(runs))
+from .providers import Generator, gather_responses
+from .vote import VoteTally, parse_runs, plan_requests, tally_from_runs
 
 
 def run_ensemble(
@@ -49,47 +23,20 @@ def run_ensemble(
     provider: Generator,
     clinician_question: str | None = None,
     max_workers: int = 4,
-) -> SentenceVoteTally:
+) -> VoteTally[str]:
     """One parsed ID set per (member, sample); failures count as empty."""
-    template = load_template("st2")
     extra = {}
     if clinician_question is not None:
         extra["clinician_question"] = clinician_question
-    messages = tuple(render_prompt(template, case, shots, extra=extra))
-    requests = [
-        GenRequest(
-            deployment_name=deployment,
-            messages=messages,
-            temperature=temperature,
-            request_tag=f"{case.case_id}/st2/{deployment}/{sample}",
-            sample_index=sample,
-        )
-        for deployment, temperature, sample in plan.runs()
-    ]
+    messages = tuple(render_prompt(load_template("st2"), case, shots, extra=extra))
+    requests = plan_requests(case.case_id, "st2", messages, plan)
     outcomes = gather_responses(provider, requests, max_workers=max_workers)
-    runs: list[set[str]] = []
-    parsed_any = False
-    for outcome in outcomes:
-        ids: set[str] = set()
-        if outcome.ok:
-            try:
-                ids = parse_id_array(outcome.response.text)
-                parsed_any = True
-            except Exception as exc:
-                logger.warning(
-                    "st2 run %s unparseable, counting as empty: %s",
-                    outcome.request.request_tag,
-                    exc,
-                )
-        runs.append(ids)
-    if not parsed_any:
-        logger.warning("case %s: every st2 run failed to parse", case.case_id)
-    return tally_from_runs(runs)
+    return tally_from_runs(parse_runs(outcomes, parse_id_array, case.case_id, "st2"))
 
 
-def merge_votes(tally: SentenceVoteTally, policy: MergePolicy) -> list[str]:
+def merge_votes(tally: VoteTally[str], policy: MergePolicy) -> list[str]:
     """IDs whose vote count clears the resolved threshold, numeric order."""
-    threshold = resolve_threshold(policy, tally.total_runs)
+    threshold = resolve_threshold(policy, tally.total_votes)
     kept = [i for i, count in tally.votes.items() if count >= threshold]
     return sorted(kept, key=id_sort_key)
 
@@ -105,7 +52,7 @@ def default_confidence_floor(total_runs: int) -> float | None:
 def postprocess_ids(
     ids,
     case: Case,
-    tally: SentenceVoteTally | None = None,
+    tally: VoteTally[str] | None = None,
     confidence_floor: float | None = None,
 ) -> list[str]:
     """Drop invalid IDs and duplicates, sort numerically, and optionally
@@ -119,7 +66,7 @@ def postprocess_ids(
         kept = [
             i
             for i in kept
-            if tally.votes.get(i, 0) / tally.total_runs >= confidence_floor
+            if tally.votes.get(i, 0) / tally.total_votes >= confidence_floor
         ]
     return kept
 
@@ -128,7 +75,7 @@ def postprocess_ids(
 class St2Result:
     case_id: str
     evidence_ids: list[str]
-    tally: SentenceVoteTally | None = None
+    tally: VoteTally[str] | None = None
 
 
 def run_case(
@@ -153,6 +100,6 @@ def run_case(
     merged = merge_votes(tally, policy)
     floor = confidence_floor
     if floor is None and use_default_floor:
-        floor = default_confidence_floor(tally.total_runs)
+        floor = default_confidence_floor(tally.total_votes)
     evidence = postprocess_ids(merged, case, tally=tally, confidence_floor=floor)
     return St2Result(case_id=case.case_id, evidence_ids=evidence, tally=tally)

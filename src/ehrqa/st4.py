@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import vote
 from .core import (
     Case,
     ConfigError,
@@ -25,10 +26,11 @@ from .core import (
     id_sort_key,
     resolve_threshold,
 )
-from .metrics import micro_prf
+from .metrics import flatten_links
 from .parsing import parse_alignment
-from .prompting import answer_block, load_template, render_prompt
-from .providers import Embedder, GenRequest, Generator, cosine, gather_responses
+from .prompting import answer_block, full_answer_block, load_template, render_prompt
+from .providers import Embedder, Generator, cosine, gather_responses
+from .vote import VoteTally, parse_runs, plan_requests
 
 logger = logging.getLogger(__name__)
 
@@ -37,18 +39,7 @@ AlignmentList = list[tuple[str, list[str]]]
 
 THRESHOLD_FILENAME = "best_vote_threshold.txt"
 
-
-@dataclass(frozen=True)
-class LinkVoteTally:
-    votes: dict[Link, int]
-    total_votes: int
-
-    def __post_init__(self) -> None:
-        if self.total_votes < 1:
-            raise ConfigError("tally needs total_votes >= 1")
-        bad = {k: c for k, c in self.votes.items() if not 1 <= c <= self.total_votes}
-        if bad:
-            raise ConfigError(f"vote counts outside [1, total_votes]: {bad}")
+LinkVoteTally = VoteTally[Link]
 
 
 @dataclass(frozen=True)
@@ -63,16 +54,10 @@ class RecallConfig:
 
 def tally_from_runs(runs: list[list[tuple[str, set[str]]]], valid_answer_ids=None) -> LinkVoteTally:
     """Count each (answer_id, evidence_id) link once per run."""
-    votes: dict[Link, int] = {}
-    for run in runs:
-        links: set[Link] = set()
-        for aid, ev_ids in run:
-            if valid_answer_ids is not None and aid not in valid_answer_ids:
-                continue
-            links.update((aid, eid) for eid in ev_ids)
-        for link in links:
-            votes[link] = votes.get(link, 0) + 1
-    return LinkVoteTally(votes=votes, total_votes=len(runs))
+    keep = valid_answer_ids
+    return vote.tally_from_runs(
+        [[(a, e) for a, ev_ids in run if keep is None or a in keep for e in ev_ids] for run in runs]
+    )
 
 
 def run_ensemble(
@@ -90,43 +75,15 @@ def run_ensemble(
     if not answer_sentences:
         raise EhrqaError(f"case {case.case_id}: no answer sentences to align")
     extra: dict[str, str] = {"answer_block": answer_block(answer_sentences)}
-    if full_answer_context and case.clinician_answer_paragraph:
-        extra["full_answer_block"] = (
-            f"\nFull clinician answer (for context):\n{case.clinician_answer_paragraph}\n"
-        )
+    if full_answer_context:
+        extra["full_answer_block"] = full_answer_block(case.clinician_answer_paragraph)
     if clinician_question is not None:
         extra["clinician_question"] = clinician_question
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
-    requests = [
-        GenRequest(
-            deployment_name=deployment,
-            messages=messages,
-            temperature=temperature,
-            request_tag=f"{case.case_id}/st4/{deployment}/{sample}",
-            sample_index=sample,
-        )
-        for deployment, temperature, sample in plan.runs()
-    ]
+    requests = plan_requests(case.case_id, "st4", messages, plan)
     outcomes = gather_responses(provider, requests, max_workers=max_workers)
-    runs: list[list[tuple[str, set[str]]]] = []
-    parsed_any = False
-    for outcome in outcomes:
-        alignment: list[tuple[str, set[str]]] = []
-        if outcome.ok:
-            try:
-                alignment = parse_alignment(outcome.response.text)
-                parsed_any = True
-            except Exception as exc:
-                logger.warning(
-                    "st4 run %s unparseable, counting as empty: %s",
-                    outcome.request.request_tag,
-                    exc,
-                )
-        runs.append(alignment)
-    if not parsed_any:
-        logger.warning("case %s: every st4 run failed to parse", case.case_id)
-    valid = {aid for aid, _ in answer_sentences}
-    return tally_from_runs(runs, valid_answer_ids=valid)
+    runs = parse_runs(outcomes, parse_alignment, case.case_id, "st4")
+    return tally_from_runs(runs, valid_answer_ids={aid for aid, _ in answer_sentences})
 
 
 def links_at_threshold(tally: LinkVoteTally, threshold: int, valid_note_ids) -> set[Link]:
@@ -162,36 +119,19 @@ def sweep_threshold(
     dev_runs: list[tuple[LinkVoteTally, AlignmentList, Case]],
     out_path: str | Path | None = None,
 ) -> tuple[int, list[dict]]:
-    """Exhaustively evaluate every threshold on dev gold and keep the best.
+    """Evaluate every threshold on dev gold and keep the best.
 
     Returns (best threshold, frontier rows); ties resolve to the smallest
     threshold. The winning integer is persisted bare, newline-terminated.
     """
-    if not dev_runs:
-        raise EhrqaError("threshold sweep needs at least one dev case")
     for _, gold, case in dev_runs:
         if gold is None:
             raise EhrqaError(f"case {case.case_id} has no gold alignments for the sweep")
-    max_votes = max(tally.total_votes for tally, _, _ in dev_runs)
-    frontier: list[dict] = []
-    best_theta, best_f1 = 1, -1.0
-    for theta in range(1, max_votes + 1):
-        pairs = []
-        for tally, gold, case in dev_runs:
-            pred = links_at_threshold(tally, theta, case.note_ids)
-            gold_links = {(aid, eid) for aid, ev in gold for eid in ev}
-            pairs.append((pred, gold_links))
-        prf = micro_prf(pairs)
-        frontier.append(
-            {
-                "theta": theta,
-                "micro_p": prf.precision,
-                "micro_r": prf.recall,
-                "micro_f1": prf.f1,
-            }
-        )
-        if prf.f1 > best_f1:
-            best_theta, best_f1 = theta, prf.f1
+    best_theta, frontier = vote.sweep(
+        [(tally, flatten_links(gold), case.note_ids) for tally, gold, case in dev_runs],
+        "theta",
+        note_id=lambda link: link[1],
+    )
     if out_path is not None:
         atomic_write_text(out_path, f"{best_theta}\n")
     return best_theta, frontier

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -65,7 +66,7 @@ class TestResolveConfig:
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
-    DEFAULT_HASH = "7bd60c7815877a03040ccea2b66e124c52c9530f32f145e6d8e3da294cb4009a"
+    DEFAULT_HASH = "aefac53d670c4fd55a9881671f4b10e148605decc7fdc4e14cd27c010080ec1e"
 
     def test_default_config_hash_pinned(self):
         assert config_hash(resolve_config({})) == self.DEFAULT_HASH
@@ -485,6 +486,29 @@ class TestCliCommands:
         assert "cached response(s)" in capsys.readouterr().out
         assert main(["cache", "prune", "--cache-dir", cache_dir]) == 0
         assert "removed" in capsys.readouterr().out
+
+    def test_replay_of_an_unreadable_cache_fails_the_run(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config = base_config(
+            tmp_path, subtasks=["st2"], provider_mode="record", record_source="mock"
+        )
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 0
+        st2_path = tmp_path / "out" / "st2.jsonl"
+        recorded = st2_path.read_bytes()
+        cache = tmp_path / "cache"
+        for entry in cache.glob("*.json"):
+            entry.write_bytes(entry.read_bytes()[:20])
+        capsys.readouterr()
+        args = ["run", "--config", str(config_path), "--provider-mode", "replay"]
+        assert main(args) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "CacheMissError"
+        match = re.search(
+            r"unreadable cache entry ([0-9a-f]{64}) for request '1/st2/o3/0'", error["error"]
+        )
+        assert match and (cache / f"{match.group(1)}.json").exists()
+        assert st2_path.read_bytes() == recorded  # the previous output is left as it was
 
     def test_sweep_command(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

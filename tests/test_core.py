@@ -139,7 +139,7 @@ class TestDomainTypes:
 
     def test_constraints_validate_band(self):
         with pytest.raises(ConfigError):
-            ConstraintConfig(st3_word_band_low=80, st3_max_words=75)
+            ConstraintConfig(st3_max_words=0)
 
     def test_first_person_detection(self):
         assert contains_first_person("Can I stop my meds?")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ehrqa.core import ConfigError, MergePolicy, PlanMember, SamplingPlan
 from ehrqa.providers import ScriptedProvider
 from ehrqa.st2 import (
-    SentenceVoteTally,
+    VoteTally,
     default_confidence_floor,
     merge_votes,
     postprocess_ids,
@@ -41,16 +41,16 @@ class TestTally:
     def test_hand_count(self):
         tally = tally_from_runs([{"2", "5"}, {"2", "5", "9"}, {"2"}])
         assert tally.votes == {"2": 3, "5": 2, "9": 1}
-        assert tally.total_runs == 3
+        assert tally.total_votes == 3
 
     def test_single_empty_run(self):
         tally = tally_from_runs([set()])
         assert tally.votes == {}
-        assert tally.total_runs == 1
+        assert tally.total_votes == 1
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
-            SentenceVoteTally(votes={"1": 5}, total_runs=3)
+            VoteTally(votes={"1": 5}, total_votes=3)
 
 
 class TestRunEnsemble:
@@ -58,7 +58,7 @@ class TestRunEnsemble:
         case = simple_case("c1")
         tally = run_ensemble(case, [], TRIO_PLAN, trace_provider())
         assert tally.votes == {"2": 3, "5": 2, "9": 1}
-        assert tally.total_runs == 3
+        assert tally.total_votes == 3
 
     def test_prose_run_counts_as_empty(self):
         case = simple_case("c1")
@@ -71,7 +71,7 @@ class TestRunEnsemble:
         )
         tally = run_ensemble(case, [], TRIO_PLAN, provider)
         assert tally.votes == {"2": 2}
-        assert tally.total_runs == 3  # the failed run still counts
+        assert tally.total_votes == 3  # the failed run still counts
 
     def test_all_unparseable_gives_empty_tally(self, caplog):
         case = simple_case("c1")
@@ -79,11 +79,11 @@ class TestRunEnsemble:
         with caplog.at_level("WARNING"):
             tally = run_ensemble(case, [], TRIO_PLAN, provider)
         assert tally.votes == {}
-        assert tally.total_runs == 3
+        assert tally.total_votes == 3
 
 
 class TestMergeVotes:
-    TALLY = SentenceVoteTally(votes={"2": 3, "5": 2, "9": 1}, total_runs=3)
+    TALLY = VoteTally(votes={"2": 3, "5": 2, "9": 1}, total_votes=3)
 
     def test_union(self):
         assert merge_votes(self.TALLY, MergePolicy.union()) == ["2", "5", "9"]
@@ -93,11 +93,11 @@ class TestMergeVotes:
         assert merge_votes(self.TALLY, MergePolicy.majority_st2()) == ["2"]
 
     def test_empty_tally(self):
-        empty = SentenceVoteTally(votes={}, total_runs=3)
+        empty = VoteTally(votes={}, total_votes=3)
         assert merge_votes(empty, MergePolicy.union()) == []
 
     def test_numeric_sort(self):
-        tally = SentenceVoteTally(votes={"10": 1, "2": 1}, total_runs=1)
+        tally = VoteTally(votes={"10": 1, "2": 1}, total_votes=1)
         assert merge_votes(tally, MergePolicy.union()) == ["2", "10"]
 
     @given(
@@ -110,7 +110,7 @@ class TestMergeVotes:
     )
     def test_monotone_in_threshold(self, votes, k):
         total = max([8] + list(votes.values()))
-        tally = SentenceVoteTally(votes=votes, total_runs=total)
+        tally = VoteTally(votes=votes, total_votes=total)
         at_k = set(merge_votes(tally, MergePolicy.manual(k)))
         at_k1 = set(merge_votes(tally, MergePolicy.manual(min(k + 1, total))))
         assert at_k1 <= at_k
@@ -148,7 +148,7 @@ class TestPostprocess:
 
     def test_confidence_floor(self):
         case = simple_case("c1", n_sentences=10)
-        tally = SentenceVoteTally(votes={"2": 3, "9": 1}, total_runs=3)
+        tally = VoteTally(votes={"2": 3, "9": 1}, total_votes=3)
         kept = postprocess_ids(["2", "9"], case, tally=tally, confidence_floor=0.34)
         assert kept == ["2"]  # 1/3 < 0.34
 
