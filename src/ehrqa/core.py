@@ -41,12 +41,22 @@ class ParseError(EhrqaError):
 
 
 class ProviderError(EhrqaError):
-    """A backend call failed after bounded retries."""
+    """A live backend call failed after bounded retries.
+
+    The one backend failure a subtask may degrade on, as the paper says
+    (an empty vote, a fallback answer, skipped recall). Cache and other
+    integrity errors are not ProviderErrors, so no handler of this class
+    can swallow them.
+    """
 
 
-class CacheMissError(ProviderError):
+class CacheMissError(EhrqaError):
     """The response cache cannot serve a request: replay found no entry,
-    or the entry cannot be read."""
+    or the entry cannot be read.
+
+    An integrity error, not a backend failure: it always fails the run,
+    because degrading on it would quietly change a replayed output.
+    """
 
 
 class SubtaskError(EhrqaError):

@@ -146,10 +146,6 @@ def _lcs_table(a: Sequence[str], b: Sequence[str]) -> list[list[int]]:
     return rows
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    return _lcs_table(a, b)[len(a)][len(b)]
-
-
 def _lcs_indices(a: Sequence[str], b: Sequence[str]) -> set[int]:
     """Indices into ``a`` of one longest common subsequence with ``b``."""
     table = _lcs_table(a, b)

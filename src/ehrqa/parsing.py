@@ -59,17 +59,23 @@ def _balanced_spans(text: str, open_ch: str, close_ch: str) -> list[str]:
     return spans
 
 
+# What decoding model output can raise: ValueError covers JSONDecodeError
+# and integers past the int-to-str digit limit; RecursionError comes from
+# arrays or objects nested too deep. Each only disqualifies its fragment.
+_UNDECODABLE = (ValueError, RecursionError)
+
+
 def _candidate_fragments(text: str, open_ch: str, close_ch: str):
     cleaned = _strip_fences(text)
     for fragment in _balanced_spans(cleaned, open_ch, close_ch):
         try:
             yield json.loads(fragment)
             continue
-        except json.JSONDecodeError:
+        except _UNDECODABLE:
             pass
         try:
             yield json.loads(_repair(fragment))
-        except json.JSONDecodeError:
+        except _UNDECODABLE:
             continue
 
 

@@ -23,6 +23,7 @@ from .core import (
     Case,
     ConfigError,
     ConstraintConfig,
+    EhrqaError,
     MergePolicy,
     PlanMember,
     SamplingPlan,
@@ -267,7 +268,7 @@ class DeploymentRouter:
         if provider is None:
             try:
                 provider = provider_from_env(request.deployment_name)
-            except Exception:
+            except EhrqaError:
                 provider = provider_from_env("default")
             self._providers[request.deployment_name] = provider
         return provider.generate(request)
@@ -345,7 +346,7 @@ def _st2_shots(pool: list[Case], cfg: dict) -> list:
         for shot in shots:
             try:
                 contrast.append(make_contrast_example(shot))
-            except Exception:
+            except EhrqaError:
                 contrast.append(shot)
         return contrast
     return shots

@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .prompting import Message
 logger = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,9 @@ class Generator(Protocol):
 
 
 class Embedder(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """One vector per text, in order."""
+        ...
 
 
 def request_cache_key(request: GenRequest) -> str:
@@ -460,8 +464,9 @@ class RetryPolicy:
             sleep(self.delay(attempt))
 
 
-class HttpChatProvider:
-    """Chat-completions-style HTTP client with bounded retries.
+class _HttpClient:
+    """What the chat and embedding clients share: endpoint, credentials,
+    and the one retry loop around the foreign HTTP transport.
 
     Credentials come from the environment, never from config files:
     EHRQA_<NAME>_ENDPOINT and EHRQA_<NAME>_API_KEY.
@@ -488,6 +493,47 @@ class HttpChatProvider:
 
         return requests.post(url, json=payload, headers=headers, timeout=self.timeout)
 
+    def _post(self, path: str, payload: dict, read: Callable[[dict], T]) -> T:
+        """POST ``payload`` and ``read`` the JSON body, retrying transport
+        errors and retryable statuses with backoff.
+
+        Every failure, a malformed body included, raises ProviderError
+        naming the URL.
+        """
+        url = f"{self.endpoint}/{path}"
+        headers = {
+            "Authorization": f"Bearer {self.api_key}",
+            "api-key": self.api_key,
+            "Content-Type": "application/json",
+        }
+        last_error = ""
+        for attempt in range(self.retry.max_attempts):
+            try:
+                response = self._transport(url, payload, headers)
+            except Exception as exc:  # foreign transport: any failure is a backend failure
+                last_error = f"{type(exc).__name__}: {exc}"
+                logger.warning("transport error from %s (attempt %d): %s", url, attempt + 1, exc)
+                self.retry.backoff(attempt, self._sleep)
+                continue
+            status = getattr(response, "status_code", 200)
+            if status in RETRYABLE_STATUS:
+                last_error = f"HTTP {status}"
+                self.retry.backoff(attempt, self._sleep)
+                continue
+            if status >= 400:
+                raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")
+            try:
+                return read(response.json())
+            except (ValueError, LookupError, TypeError) as exc:
+                raise ProviderError(f"malformed response from {url}: {exc!r}") from exc
+        raise ProviderError(
+            f"{url} failed after {self.retry.max_attempts} attempts: {last_error}"
+        )
+
+
+class HttpChatProvider(_HttpClient):
+    """Chat-completions-style HTTP client with bounded retries."""
+
     def generate(self, request: GenRequest) -> GenResponse:
         payload = {
             "model": request.deployment_name,
@@ -497,42 +543,20 @@ class HttpChatProvider:
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        headers = {
-            "Authorization": f"Bearer {self.api_key}",
-            "api-key": self.api_key,
-            "Content-Type": "application/json",
-        }
-        url = f"{self.endpoint}/chat/completions"
-        last_error: Exception | None = None
         start = time.monotonic()
-        for attempt in range(self.retry.max_attempts):
-            try:
-                response = self._transport(url, payload, headers)
-            except Exception as exc:  # connection-level failure
-                last_error = exc
-                logger.warning("transport error (attempt %d): %s", attempt + 1, exc)
-                self.retry.backoff(attempt, self._sleep)
-                continue
-            status = getattr(response, "status_code", 200)
-            if status in RETRYABLE_STATUS:
-                last_error = ProviderError(f"HTTP {status} from {url}")
-                self.retry.backoff(attempt, self._sleep)
-                continue
-            if status >= 400:
-                raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")
-            body = response.json()
-            text = body["choices"][0]["message"]["content"] or ""
-            latency = (time.monotonic() - start) * 1000.0
-            return GenResponse(
-                text=text, deployment_name=request.deployment_name, latency_ms=latency
-            )
-        raise ProviderError(
-            f"request {request.request_tag!r} failed after "
-            f"{self.retry.max_attempts} attempts: {last_error}"
-        )
+        text = self._post("chat/completions", payload, _chat_text)
+        latency = (time.monotonic() - start) * 1000.0
+        return GenResponse(text=text, deployment_name=request.deployment_name, latency_ms=latency)
 
 
-class HttpEmbeddingProvider:
+def _chat_text(body: dict) -> str:
+    text = body["choices"][0]["message"]["content"] or ""
+    if not isinstance(text, str):
+        raise TypeError(f"message content is {type(text).__name__}, not text")
+    return text
+
+
+class HttpEmbeddingProvider(_HttpClient):
     """Embeddings-endpoint HTTP client with the same retry behavior."""
 
     def __init__(
@@ -541,56 +565,28 @@ class HttpEmbeddingProvider:
         api_key: str,
         model: str = "text-embedding",
         timeout: float = 60.0,
-        retry: RetryPolicy | None = None,
-        transport: Callable | None = None,
-        sleep: Callable[[float], None] = time.sleep,
+        **kwargs,
     ):
-        self.endpoint = endpoint.rstrip("/")
-        self.api_key = api_key
+        super().__init__(endpoint, api_key, timeout, **kwargs)
         self.model = model
-        self.timeout = timeout
-        self.retry = retry or RetryPolicy()
-        self._transport = transport or self._default_transport
-        self._sleep = sleep
-
-    def _default_transport(self, url: str, payload: dict, headers: dict):
-        import requests
-
-        return requests.post(url, json=payload, headers=headers, timeout=self.timeout)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             raise EhrqaError("embed requires a non-empty input list")
         payload = {"model": self.model, "input": list(texts)}
-        headers = {
-            "Authorization": f"Bearer {self.api_key}",
-            "api-key": self.api_key,
-            "Content-Type": "application/json",
-        }
-        url = f"{self.endpoint}/embeddings"
-        last_error: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
-            try:
-                response = self._transport(url, payload, headers)
-            except Exception as exc:
-                last_error = exc
-                self.retry.backoff(attempt, self._sleep)
-                continue
-            status = getattr(response, "status_code", 200)
-            if status in RETRYABLE_STATUS:
-                last_error = ProviderError(f"HTTP {status} from {url}")
-                self.retry.backoff(attempt, self._sleep)
-                continue
-            if status >= 400:
-                raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")
-            body = response.json()
-            vectors = [np.asarray(d["embedding"], dtype=float) for d in body["data"]]
-            if len({v.shape for v in vectors}) > 1:
-                raise EhrqaError("embedding dimension mismatch within batch")
-            return vectors
-        raise ProviderError(
-            f"embedding request failed after {self.retry.max_attempts} attempts: {last_error}"
-        )
+        vectors = self._post("embeddings", payload, _embedding_vectors)
+        if len(vectors) != len(texts):
+            raise ProviderError(
+                f"{self.endpoint}/embeddings returned {len(vectors)} vectors for {len(texts)} texts"
+            )
+        return vectors
+
+
+def _embedding_vectors(body: dict) -> list[np.ndarray]:
+    vectors = [np.asarray(d["embedding"], dtype=float) for d in body["data"]]
+    if len({v.shape for v in vectors}) > 1:
+        raise ValueError("embedding dimension mismatch within batch")
+    return vectors
 
 
 def env_var_names(provider_name: str) -> tuple[str, str]:
@@ -617,7 +613,7 @@ def provider_from_env(provider_name: str) -> HttpChatProvider:
 class RequestOutcome:
     request: GenRequest
     response: GenResponse | None = None
-    error: Exception | None = None
+    error: ProviderError | None = None
 
     @property
     def ok(self) -> bool:
@@ -629,46 +625,33 @@ def gather_responses(
     requests: Sequence[GenRequest],
     max_workers: int = 4,
 ) -> list[RequestOutcome]:
-    """Run requests with at most ``max_workers`` in flight.
-
-    Outcomes come back in request order regardless of completion order, so
-    downstream aggregation never depends on scheduling. Failures are
-    captured per request, not raised.
-    """
+    """Run requests against one backend with at most ``max_workers`` in
+    flight; see gather_multi."""
     tags = [r.request_tag for r in requests]
     if len(set(tags)) != len(tags):
         raise EhrqaError("request_tag values must be unique within a batch")
-
-    outcomes = [RequestOutcome(request=r) for r in requests]
-
-    def _run(i: int) -> None:
-        try:
-            outcomes[i].response = generator.generate(requests[i])
-        except Exception as exc:
-            outcomes[i].error = exc
-            logger.warning("request %s failed: %s", requests[i].request_tag, exc)
-
-    if max_workers <= 1 or len(requests) <= 1:
-        for i in range(len(requests)):
-            _run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(_run, range(len(requests))))
-    return outcomes
+    return gather_multi([(generator, r) for r in requests], max_workers=max_workers)
 
 
 def gather_multi(
     pairs: Sequence[tuple[Generator, GenRequest]],
     max_workers: int = 4,
 ) -> list[RequestOutcome]:
-    """Like gather_responses but each request may target a different backend."""
+    """Run each request against its own backend, at most ``max_workers``
+    in flight.
+
+    Outcomes come back in request order regardless of completion order, so
+    downstream aggregation never depends on scheduling. A ProviderError is
+    captured in its outcome; any other error, a CacheMissError included,
+    propagates.
+    """
     outcomes = [RequestOutcome(request=req) for _, req in pairs]
 
     def _run(i: int) -> None:
         generator, request = pairs[i]
         try:
             outcomes[i].response = generator.generate(request)
-        except Exception as exc:
+        except ProviderError as exc:
             outcomes[i].error = exc
             logger.warning("request %s failed: %s", request.request_tag, exc)
 

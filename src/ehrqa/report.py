@@ -2,16 +2,12 @@
 
 Set/link subtasks report micro and macro PRF; generative subtasks report
 the native lexical metrics plus an overall mean over whatever metrics are
-available. Semantic scorers that need model weights (BERT-style similarity
-and friends) plug in through an external subprocess protocol: JSON records
-on stdin, one score per line on stdout.
+available.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import EhrqaError
@@ -145,15 +141,10 @@ def per_case_generation_rows(
     }
 
 
-def score_generation(
-    scores: dict[str, dict[str, float]],
-    external_scores: dict[str, dict[str, float]] | None = None,
-) -> dict:
+def score_generation(scores: dict[str, dict[str, float]]) -> dict:
     """Average the per-case values of ``generation_scores`` over cases.
 
     SARI is reported as unavailable when it was scored without sources.
-    ``external_scores`` merges per-metric corpus means from external
-    scorers into the overall Score.
     """
     if not scores:
         raise EhrqaError("no cases to score")
@@ -163,67 +154,12 @@ def score_generation(
         values = [scores[c][metric] for c in case_ids]
         columns[metric] = _scaled(metric, sum(values) / len(values))
     unavailable = [] if "SARI" in columns else ["SARI"]
-    for name, per_case in (external_scores or {}).items():
-        values = [per_case[c] for c in case_ids if c in per_case]
-        if values:
-            columns[name] = round(sum(values) / len(values), 2)
     score = leaderboard_mean(list(columns.values()))
     return {
         "Score": round(score, 2),
         **columns,
         "unavailable_metrics": unavailable,
     }
-
-
-@dataclass
-class ExternalScorer:
-    """Subprocess scorer: JSON records on stdin, one float per line out.
-
-    Each input line is {"case_id":..., "candidate":..., "reference":...};
-    the scorer must emit exactly one numeric score per input line, in
-    order.
-    """
-
-    command: Sequence[str]
-    name: str = "external"
-
-    def score_pairs(self, pairs: dict[str, tuple[str, str]]) -> dict[str, float]:
-        case_ids = sorted(pairs)
-        stdin = "\n".join(
-            json.dumps(
-                {
-                    "case_id": cid,
-                    "candidate": pairs[cid][0],
-                    "reference": pairs[cid][1],
-                },
-                ensure_ascii=False,
-            )
-            for cid in case_ids
-        )
-        proc = subprocess.run(
-            list(self.command),
-            input=stdin + "\n",
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-        if proc.returncode != 0:
-            raise EhrqaError(
-                f"external scorer {self.name!r} failed "
-                f"(exit {proc.returncode}): {proc.stderr[:300]}"
-            )
-        lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
-        if len(lines) != len(case_ids):
-            raise EhrqaError(
-                f"external scorer {self.name!r} returned {len(lines)} scores "
-                f"for {len(case_ids)} records"
-            )
-        try:
-            return {cid: float(ln) for cid, ln in zip(case_ids, lines)}
-        except ValueError as exc:
-            raise EhrqaError(
-                f"external scorer {self.name!r} emitted a non-numeric line"
-            ) from exc
 
 
 def format_table(title: str, rows: list[tuple[str, dict]]) -> str:

@@ -20,6 +20,7 @@ from .core import (
     Case,
     ConstraintConfig,
     ParseError,
+    ProviderError,
     SubtaskError,
     contains_first_person,
     count_words,
@@ -107,7 +108,7 @@ def extract_context(
     include_note: bool = False,
 ) -> ClinicalContext:
     """LLM pre-pass listing explicit clinical elements; non-verbatim spans
-    are dropped. Any provider or parse failure yields an empty context so
+    are dropped. A backend or parse failure yields an empty context so
     the pipeline keeps going."""
     sources = [case.patient_question]
     note_section = ""
@@ -127,7 +128,7 @@ def extract_context(
     try:
         response = provider.generate(request)
         raw = parse_json_object(response.text)
-    except Exception as exc:
+    except (ProviderError, ParseError) as exc:
         logger.warning("context extraction failed for %s: %s", case.case_id, exc)
         return EMPTY_CONTEXT
 
@@ -468,21 +469,16 @@ def run_case(
     constraints: ConstraintConfig = ConstraintConfig(),
     max_shots: int = 5,
     note_grounding: bool = False,
-    context_provider: Generator | None = None,
     max_workers: int = 4,
 ) -> St1Result:
     """Full reformulation pipeline for one case; ``case`` itself is left
-    out of the few-shot pool and of the gold style."""
+    out of the few-shot pool and of the gold style. The first provider
+    also extracts the clinical context."""
     pool = _as_pool(pool)
-    ctx_provider = context_provider or (providers[0][1] if providers else None)
     context = EMPTY_CONTEXT
-    if ctx_provider is not None:
-        context = extract_context(
-            case,
-            ctx_provider,
-            deployment=providers[0][0] if providers else "default",
-            include_note=note_grounding,
-        )
+    if providers:
+        deployment, provider = providers[0]
+        context = extract_context(case, provider, deployment=deployment, include_note=note_grounding)
     shots = retrieve_shots(case, pool, max_n=max_shots)
     candidates = generate_candidates(
         case, context, shots, providers, max_workers=max_workers

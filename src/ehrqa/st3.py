@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
 from .prompting import load_template, render_prompt
@@ -41,7 +40,9 @@ def extract_markers(text: str) -> list[str]:
 
 
 def strip_markers(text: str) -> str:
-    stripped = _MARKER_RE.sub("", text)
+    stripped, removed = _MARKER_RE.subn("", text)
+    while removed:  # a removal can join its neighbours into a new marker: "[[4]4]"
+        stripped, removed = _MARKER_RE.subn("", stripped)
     stripped = re.sub(r"[ \t]{2,}", " ", stripped)
     stripped = re.sub(r" +([.,;:!?])", r"\1", stripped)
     return stripped.strip()
@@ -98,14 +99,8 @@ def stage1_draft(
     )
     try:
         response = provider.generate(request)
-    except Exception:
-        # one retry before giving up on the case
-        try:
-            response = provider.generate(request)
-        except Exception as exc:
-            raise SubtaskError(
-                f"case {case.case_id}: stage-1 draft failed twice: {exc}"
-            ) from exc
+    except ProviderError as exc:  # the backend client has already retried it
+        raise SubtaskError(f"case {case.case_id}: stage-1 draft failed: {exc}") from exc
     markers = extract_markers(response.text)
     valid = [m for m in markers if m in supplied]
     invalid = [m for m in markers if m not in supplied]
@@ -149,7 +144,7 @@ def stage2_rewrite(
     text = ""
     try:
         text = provider.generate(request).text
-    except Exception as exc:
+    except ProviderError as exc:
         logger.warning(
             "case %s: stage-2 rewrite failed, falling back to stripped draft: %s",
             case.case_id,
@@ -168,38 +163,24 @@ def stage2_rewrite(
 def rerank_candidates(
     candidates: list[str],
     reference_text: str,
-    scorer: Callable[[str, str], float] | None = None,
-    embedder: Embedder | None = None,
+    embedder: Embedder,
 ) -> tuple[str, list[float]]:
-    """Highest semantic similarity to the reference wins; ties keep the
-    earlier candidate (ensemble member order). Without a scorer, the
-    reference and every candidate are embedded in one call."""
+    """Highest embedding similarity to the reference wins; ties keep the
+    earlier candidate (ensemble member order). The reference and every
+    candidate are embedded in one call."""
     if not candidates:
         raise SubtaskError("no candidates to rerank")
-    if scorer is None and embedder is None:
-        raise SubtaskError("rerank needs a scorer or an embedder")
     try:
-        if scorer is not None:
-            scores = [scorer(candidate, reference_text) for candidate in candidates]
-        else:
-            scores = _embedding_scores(embedder, candidates, reference_text)
-    except Exception as exc:
-        logger.warning("rerank scorer failed, keeping first candidate: %s", exc)
+        vec_r, *vectors = embedder.embed([reference_text, *candidates])
+    except ProviderError as exc:
+        logger.warning("rerank embedding failed, keeping first candidate: %s", exc)
         return candidates[0], []
+    scores = [cosine(vec_c, vec_r) for vec_c in vectors]
     best_idx = 0
     for i, score in enumerate(scores):
         if score > scores[best_idx]:
             best_idx = i
     return candidates[best_idx], scores
-
-
-def _embedding_scores(embedder: Embedder, candidates: list[str], reference: str) -> list[float]:
-    vec_r, *vectors = embedder.embed([reference, *candidates])
-    if len(vectors) != len(candidates):
-        raise ProviderError(
-            f"embedder returned {len(vectors) + 1} vectors for {len(candidates) + 1} texts"
-        )
-    return [cosine(vec_c, vec_r) for vec_c in vectors]
 
 
 @dataclass
@@ -221,7 +202,6 @@ def run_case(
     stage2_deployment: str | None = None,
     rerank: bool = True,
     embedder: Embedder | None = None,
-    scorer: Callable[[str, str], float] | None = None,
 ) -> St3Result:
     """Run the two-stage scaffold once per deployment; rerank when asked.
 
@@ -254,9 +234,9 @@ def run_case(
         chosen, scores = candidates[0], []
     else:
         reference = " ".join(s.text for s in case.note)
-        chosen, scores = rerank_candidates(
-            candidates, reference, scorer=scorer, embedder=embedder
-        )
+        if embedder is None:
+            raise SubtaskError(f"case {case.case_id}: rerank needs an embedder")
+        chosen, scores = rerank_candidates(candidates, reference, embedder)
     return St3Result(
         case_id=case.case_id,
         answer_text=chosen,

@@ -21,6 +21,7 @@ from .core import (
     ConfigError,
     EhrqaError,
     MergePolicy,
+    ProviderError,
     SamplingPlan,
     atomic_write_text,
     id_sort_key,
@@ -154,19 +155,19 @@ def recall_augment(
 ) -> AlignmentList:
     """Add (answer, note) links whose embedding cosine clears tau.
 
-    Never removes links; on embedding failure the input comes back
-    unchanged.
+    Never removes links; when the embedding backend fails the input comes
+    back unchanged.
     """
     if not config.enabled:
         return alignment
     answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
     if not answer_sentences or not case.note:
         return alignment
+    answer_texts = [text for _, text in answer_sentences]
+    note_texts = [s.text for s in case.note]
     try:
-        answer_texts = [text for _, text in answer_sentences]
-        note_texts = [s.text for s in case.note]
         vectors = embedder.embed(answer_texts + note_texts)
-    except Exception as exc:
+    except ProviderError as exc:
         logger.warning(
             "case %s: recall augmentation skipped (embedding failure): %s",
             case.case_id,

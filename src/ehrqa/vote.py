@@ -17,7 +17,7 @@ from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from .core import CacheMissError, ConfigError, EhrqaError, SamplingPlan
+from .core import ConfigError, EhrqaError, ParseError, SamplingPlan
 from .metrics import _prf_from_counts
 from .prompting import Message
 from .providers import GenRequest, RequestOutcome
@@ -74,22 +74,16 @@ def parse_runs(
     subtask: str,
 ) -> list[Iterable]:
     """Parse each outcome into one run; a failed call or an unparseable
-    response votes for nothing.
-
-    A cache that cannot serve a request raises instead: an empty vote
-    there would quietly change a replayed output.
-    """
+    response votes for nothing."""
     runs: list[Iterable] = []
     parsed_any = False
     for outcome in outcomes:
-        if isinstance(outcome.error, CacheMissError):
-            raise outcome.error
         run: Iterable = ()
         if outcome.ok:
             try:
                 run = parse(outcome.response.text)
                 parsed_any = True
-            except Exception as exc:
+            except ParseError as exc:
                 tag = outcome.request.request_tag
                 logger.warning("%s run %s unparseable, counting as empty: %s", subtask, tag, exc)
         runs.append(run)

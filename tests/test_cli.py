@@ -7,7 +7,7 @@ import pytest
 from ehrqa import report
 from ehrqa.cli import main
 from ehrqa.core import ConfigError
-from ehrqa.dataset import toy_dataset_path
+from ehrqa.dataset import load_cases, toy_dataset_path
 from ehrqa.pipeline import (
     PRESETS,
     config_hash,
@@ -15,6 +15,7 @@ from ehrqa.pipeline import (
     run_pipeline,
     run_sweep,
 )
+from ehrqa.providers import embed_cache_key
 
 
 def base_config(tmp_path, **overrides):
@@ -487,28 +488,62 @@ class TestCliCommands:
         assert main(["cache", "prune", "--cache-dir", cache_dir]) == 0
         assert "removed" in capsys.readouterr().out
 
-    def test_replay_of_an_unreadable_cache_fails_the_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind",
+        ["st1ctx", "st1", "st2", "st3s1", "st3s2", "st3-rerank", "st4", "st4-recall"],
+    )
+    def test_replay_of_an_unreadable_cache_fails_the_run(self, tmp_path, capsys, kind):
+        """Damage every cache entry of one kind: the replay must exit 1
+        naming the key and what it was read for, in every subtask."""
         config_path = tmp_path / "config.json"
         config = base_config(
-            tmp_path, subtasks=["st2"], provider_mode="record", record_source="mock"
+            tmp_path,
+            subtasks=["st1", "st2", "st3", "st4"],
+            provider_mode="record",
+            record_source="mock",
+            st3={"rerank": True},
+            st4={"recall": {"enabled": True}},
         )
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path)]) == 0
-        st2_path = tmp_path / "out" / "st2.jsonl"
-        recorded = st2_path.read_bytes()
+        out = tmp_path / "out"
+        recorded = tree_bytes(out)
+
+        # what each entry was read for, as the error names it
         cache = tmp_path / "cache"
+        readers = {}
         for entry in cache.glob("*.json"):
+            request = json.loads(entry.read_text()).get("request")
+            if request is not None:
+                stage = request["request_tag"].split("/")[1]
+                readers[entry.stem] = (stage, f"request {request['request_tag']!r}")
+        st3 = {
+            r["case_id"]: r
+            for r in map(json.loads, (out / "st3.jsonl").read_text().splitlines())
+        }
+        for case in load_cases(toy_dataset_path()).cases:
+            note = [s.text for s in case.note]
+            rerank = [" ".join(note), *(c["answer"] for c in st3[case.case_id]["candidate_scores"])]
+            recall = [text for _, text in case.clinician_answer_sentences] + note
+            for name, texts in (("st3-rerank", rerank), ("st4-recall", recall)):
+                key = embed_cache_key("embedder", texts)
+                readers[key] = (name, f"starting {texts[0][:60]!r}")
+        assert set(readers) == {p.stem for p in cache.glob("*.json")}
+
+        damaged = {key: what for key, (name, what) in readers.items() if name == kind}
+        assert damaged
+        for key in damaged:
+            entry = cache / f"{key}.json"
             entry.write_bytes(entry.read_bytes()[:20])
         capsys.readouterr()
         args = ["run", "--config", str(config_path), "--provider-mode", "replay"]
         assert main(args) == 1
         error = json.loads(capsys.readouterr().err)
         assert error["type"] == "CacheMissError"
-        match = re.search(
-            r"unreadable cache entry ([0-9a-f]{64}) for request '1/st2/o3/0'", error["error"]
-        )
-        assert match and (cache / f"{match.group(1)}.json").exists()
-        assert st2_path.read_bytes() == recorded  # the previous output is left as it was
+        match = re.match(r"unreadable cache entry ([0-9a-f]{64}) for ", error["error"])
+        assert match and match.group(1) in damaged
+        assert damaged[match.group(1)] in error["error"]
+        assert tree_bytes(out) == recorded  # the previous outputs are left as they were
 
     def test_sweep_command(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,3 +141,26 @@ class TestParseJsonObject:
     def test_no_object_raises(self):
         with pytest.raises(ParseError):
             parse_json_object("[1, 2]")
+
+
+DEEP = sys.getrecursionlimit() + 50
+
+
+@pytest.mark.parametrize(
+    "parse,text,expected",
+    [
+        (parse_id_array, "[" * DEEP + "x" + "]" * DEEP + ' Answer: ["2"]', {"2"}),
+        (
+            parse_alignment,
+            "[" * DEEP + "x" + "]" * DEEP + ' [{"answer_id": "1", "evidence_id": ["2"]}]',
+            [("1", {"2"})],
+        ),
+        (parse_json_object, '{"a":' * DEEP + "x" + "}" * DEEP + ' {"b": 1}', {"b": 1}),
+        (parse_id_array, "[" + "1" * 5000 + '] then ["2"]', {"2"}),
+    ],
+    ids=["ids-too-deep", "alignment-too-deep", "object-too-deep", "integer-too-long"],
+)
+def test_an_undecodable_fragment_is_skipped(parse, text, expected):
+    """Nesting past the recursion limit, or an integer past the digit
+    limit, disqualifies that fragment like any malformed JSON."""
+    assert parse(text) == expected

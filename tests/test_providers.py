@@ -192,7 +192,7 @@ class TestCacheFormat:
         (tmp_path / f"{key}.json").write_text(content, encoding="utf-8")
         for mode, inner in (("replay", None), ("record", FailingProvider())):
             generator = ReplayGenerator(ResponseCache(tmp_path), inner=inner, mode=mode)
-            with pytest.raises(ProviderError, match=rf"{key}.*'c7/st4/m2/0'"):
+            with pytest.raises(CacheMissError, match=rf"{key}.*'c7/st4/m2/0'"):
                 generator.generate(request)
 
     @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ class TestCacheFormat:
     def test_unreadable_embedding_entry_names_key(self, tmp_path, content):
         key = embed_cache_key("default", ["alpha", "beta"])
         (tmp_path / f"{key}.json").write_text(content, encoding="utf-8")
-        with pytest.raises(ProviderError, match=rf"{key}.*'alpha'"):
+        with pytest.raises(CacheMissError, match=rf"{key}.*'alpha'"):
             CachedEmbedder(ResponseCache(tmp_path)).embed(["alpha", "beta"])
 
     def test_put_leaves_no_temporary_file(self, tmp_path):
@@ -386,6 +386,45 @@ class TestHttpProvider:
                 provider.embed(["text"])
         assert slept == [0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "kind,payload",
+        [
+            ("chat", None),
+            ("chat", {"id": "x"}),
+            ("chat", {"choices": []}),
+            ("embedding", None),
+            ("embedding", {"id": "x"}),
+            ("embedding", {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [1.0]}]}),
+            ("embedding", {"data": [{"embedding": [1.0, 0.0]}]}),
+        ],
+        ids=[
+            "chat-not-json", "chat-no-choices", "chat-empty-choices",
+            "embedding-not-json", "embedding-no-data", "embedding-mixed-shapes",
+            "embedding-too-few-vectors",
+        ],
+    )
+    def test_malformed_body_raises_provider_error_naming_the_url(self, kind, payload):
+        class Body(FakeResponse):
+            def json(self):
+                if payload is None:
+                    raise json.JSONDecodeError("Expecting value", "<html>", 0)
+                return payload
+
+        calls = []
+
+        def transport(url, body, headers):
+            calls.append(url)
+            return Body()
+
+        cls = HttpChatProvider if kind == "chat" else HttpEmbeddingProvider
+        provider = cls("https://api.example/v1", "key", transport=transport, sleep=lambda s: None)
+        with pytest.raises(ProviderError, match="https://api.example/v1/"):
+            if kind == "chat":
+                provider.generate(req())
+            else:
+                provider.embed(["one", "two"])
+        assert len(calls) == 1  # a malformed body is an answer, not a transient failure
+
     def test_env_var_names(self):
         assert env_var_names("gpt-5.2") == ("EHRQA_GPT_5_2_ENDPOINT", "EHRQA_GPT_5_2_API_KEY")
 
@@ -414,6 +453,21 @@ class TestGatherResponses:
         assert outcomes[0].ok
         assert not outcomes[1].ok
         assert isinstance(outcomes[1].error, ProviderError)
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "error", [TypeError("bug in a generator"), CacheMissError("no cached response")]
+    )
+    def test_errors_other_than_provider_errors_propagate(self, error, max_workers):
+        def respond(request):
+            if request.request_tag == "b":
+                raise error
+            return "fine"
+
+        with pytest.raises(type(error), match=str(error)):
+            gather_responses(
+                ScriptedProvider(handler=respond), [req("a"), req("b")], max_workers=max_workers
+            )
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(EhrqaError, match="unique"):

@@ -1,10 +1,7 @@
-import sys
-
 import pytest
 
 from ehrqa.core import EhrqaError
 from ehrqa.report import (
-    ExternalScorer,
     format_table,
     generation_scores,
     id_set_scores,
@@ -67,48 +64,6 @@ class TestScoreGeneration:
         row = score_generation(generation_scores({"a": ("x y", "x z")}))
         assert "SARI" not in row
         assert row["unavailable_metrics"] == ["SARI"]
-
-    def test_external_scores_enter_mean(self):
-        pairs = {"a": ("x", "x")}
-        row = score_generation(
-            generation_scores(pairs, sources={"a": "x"}), external_scores={"BERT": {"a": 50.0}}
-        )
-        assert row["BERT"] == 50.0
-        expected = (row["R1"] + row["R2"] + row["RLsum"] + row["BLEU"] + row["SARI"] + 50.0) / 6
-        assert row["Score"] == pytest.approx(expected, abs=0.01)
-
-
-class TestExternalScorer:
-    def scorer(self):
-        # token-count scorer: proves the line protocol end to end
-        program = (
-            "import sys, json\n"
-            "for line in sys.stdin:\n"
-            "    line = line.strip()\n"
-            "    if not line:\n"
-            "        continue\n"
-            "    rec = json.loads(line)\n"
-            "    print(float(len(rec['candidate'].split())))\n"
-        )
-        return ExternalScorer(command=[sys.executable, "-c", program], name="toklen")
-
-    def test_roundtrip(self):
-        scores = self.scorer().score_pairs(
-            {"a": ("one two three", "ref"), "b": ("one", "ref")}
-        )
-        assert scores == {"a": 3.0, "b": 1.0}
-
-    def test_wrong_line_count_is_error(self):
-        scorer = ExternalScorer(command=[sys.executable, "-c", "print(1.0)"], name="bad")
-        with pytest.raises(EhrqaError, match="returned 1 scores for 2"):
-            scorer.score_pairs({"a": ("x", "y"), "b": ("x", "y")})
-
-    def test_nonzero_exit_is_error(self):
-        scorer = ExternalScorer(
-            command=[sys.executable, "-c", "import sys; sys.exit(3)"], name="crash"
-        )
-        with pytest.raises(EhrqaError, match="exit 3"):
-            scorer.score_pairs({"a": ("x", "y")})
 
 
 def test_format_table_shape():

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import ConstraintConfig, count_words
-from ehrqa.providers import FixedEmbedder, HashEmbedder, ScriptedProvider, cosine
+from ehrqa.core import ConstraintConfig, SubtaskError, count_words
+from ehrqa.providers import (
+    FailingProvider,
+    FixedEmbedder,
+    HashEmbedder,
+    ScriptedProvider,
+    cosine,
+)
 from ehrqa.st3 import (
     CitedDraft,
     extract_markers,
@@ -31,6 +37,9 @@ class TestMarkers:
 
     def test_strip_collapses_double_spaces(self):
         assert strip_markers("a [2] b") == "a b"
+
+    def test_strip_removes_markers_that_stripping_forms(self):
+        assert strip_markers("Done [[4]4].") == "Done."
 
 
 class TestTruncate:
@@ -81,6 +90,12 @@ class TestStage1:
         provider = ScriptedProvider({"c1/st3s1/d/0": "No markers at all."})
         draft = stage1_draft(self.make_case(), ["5", "2"], [], provider, deployment="d")
         assert draft.cited_ids == ("2", "5")
+
+    def test_backend_failure_is_one_call_and_a_subtask_error(self):
+        provider = FailingProvider("backend down")
+        with pytest.raises(SubtaskError, match="case c1: stage-1 draft failed: backend down"):
+            stage1_draft(self.make_case(), ["2"], [], provider, deployment="d")
+        assert provider.calls == 1  # the backend client retries; the draft does not
 
     def test_empty_evidence_uses_full_note(self):
         provider = ScriptedProvider({"c1/st3s1/d/0": "Draft [6]."})
@@ -161,14 +176,6 @@ class TestRerank:
         table = {"a": [1.0, 0.0], "b": [0.0, 1.0]}  # no vector for the reference
         chosen, scores = rerank_candidates(["a", "b"], "ref", embedder=FixedEmbedder(table))
         assert chosen == "a"
-        assert scores == []
-
-    def test_scorer_failure_keeps_first(self):
-        def broken(candidate, reference):
-            raise RuntimeError("no scorer")
-
-        chosen, scores = rerank_candidates(["first", "second"], "ref", scorer=broken)
-        assert chosen == "first"
         assert scores == []
 
 

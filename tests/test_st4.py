@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import ConfigError, EhrqaError, MergePolicy, PlanMember, SamplingPlan
+from ehrqa.core import (
+    ConfigError,
+    EhrqaError,
+    MergePolicy,
+    PlanMember,
+    ProviderError,
+    SamplingPlan,
+)
 from ehrqa.metrics import micro_prf
 from ehrqa.providers import FixedEmbedder, HashEmbedder, ScriptedProvider
 from ehrqa.st4 import (
@@ -293,7 +300,7 @@ class TestRecallAugment:
     def test_embedding_failure_returns_input(self):
         class Broken:
             def embed(self, texts):
-                raise RuntimeError("down")
+                raise ProviderError("down")
 
         alignment = [("1", ["3"])]
         out = recall_augment(

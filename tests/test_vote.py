@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from ehrqa.core import CacheMissError, EhrqaError, ProviderError
 from ehrqa.metrics import micro_prf
 from ehrqa.parsing import parse_id_array
-from ehrqa.providers import GenRequest, GenResponse, RequestOutcome
+from ehrqa.providers import (
+    GenRequest,
+    GenResponse,
+    RequestOutcome,
+    ScriptedProvider,
+    gather_responses,
+)
 from ehrqa.prompting import Message
 from ehrqa.vote import VoteTally, parse_runs, sweep
 
@@ -87,9 +93,16 @@ def test_failed_and_unparseable_runs_vote_for_nothing(caplog):
 
 
 def test_a_cache_that_cannot_serve_a_run_fails_it():
-    outcomes = [
-        outcome("c1/st2/m/0", '["2"]'),
-        outcome("c1/st2/m/1", error=CacheMissError("unreadable cache entry abc")),
-    ]
+    def respond(request):
+        if request.request_tag == "c1/st2/m/1":
+            raise CacheMissError("unreadable cache entry abc")
+        return '["2"]'
+
+    requests = [outcome(f"c1/st2/m/{i}").request for i in range(3)]
     with pytest.raises(CacheMissError, match="abc"):
-        parse_runs(outcomes, parse_id_array, "c1", "st2")
+        parse_runs(
+            gather_responses(ScriptedProvider(handler=respond), requests, max_workers=1),
+            parse_id_array,
+            "c1",
+            "st2",
+        )
