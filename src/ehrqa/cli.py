@@ -58,7 +58,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         overrides["provider_mode"] = args.provider_mode
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if getattr(args, "cases", None):
         overrides.setdefault("dataset", {})["cases"] = args.cases

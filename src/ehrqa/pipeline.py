@@ -10,12 +10,14 @@ reproduces its output tree byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 
 from . import st1, st2, st3, st4, vote
@@ -211,6 +213,12 @@ def validate_config(config: dict) -> None:
     for key in ("st2", "st3"):
         if config[key]["shots"] < 0:
             raise ConfigError(f"{key} shots must be >= 0")
+    deployments = config["st3"]["deployments"]
+    if len(set(deployments)) != len(deployments):
+        raise ConfigError(f"st3 deployments must be unique, got {deployments}")
+    workers = config["workers"]
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 # Where a run reads and writes, and how many threads it uses, never changes
@@ -257,21 +265,32 @@ class DeploymentRouter:
     """Route each request to the live backend for its deployment.
 
     Looks for EHRQA_<DEPLOYMENT>_ENDPOINT/_API_KEY first, then falls back
-    to EHRQA_DEFAULT_*.
+    to EHRQA_DEFAULT_* with one warning per deployment. Each deployment's
+    client is built once, under a lock, however many calls ask for it at
+    once.
     """
 
     def __init__(self):
         self._providers: dict[str, Generator] = {}
+        self._lock = threading.Lock()
+
+    def _provider(self, deployment: str) -> Generator:
+        with self._lock:
+            provider = self._providers.get(deployment)
+            if provider is None:
+                try:
+                    provider = provider_from_env(deployment)
+                except EhrqaError:
+                    provider = provider_from_env("default")
+                    logger.warning(
+                        "deployment %r has no credentials of its own; using EHRQA_DEFAULT_*",
+                        deployment,
+                    )
+                self._providers[deployment] = provider
+            return provider
 
     def generate(self, request):
-        provider = self._providers.get(request.deployment_name)
-        if provider is None:
-            try:
-                provider = provider_from_env(request.deployment_name)
-            except EhrqaError:
-                provider = provider_from_env("default")
-            self._providers[request.deployment_name] = provider
-        return provider.generate(request)
+        return self._provider(request.deployment_name).generate(request)
 
 
 def build_generator(config: dict) -> Generator:
@@ -361,7 +380,7 @@ def _case_chain(
     generator: Generator,
     embedder: Embedder | None,
     constraints: ConstraintConfig,
-    workers: int,
+    calls: Executor | None,
 ) -> dict[str, dict]:
     """Run every selected subtask for one case, chaining outputs forward.
 
@@ -385,7 +404,7 @@ def _case_chain(
             constraints=constraints,
             max_shots=cfg["shots"],
             note_grounding=bool(cfg.get("note_grounding", False)),
-            max_workers=workers,
+            calls=calls,
         )
         st1_question = result.clinician_question
         records["st1"] = {"case_id": case.case_id, "clinician_question": st1_question}
@@ -416,7 +435,7 @@ def _case_chain(
             clinician_question=clinician_question,
             confidence_floor=cfg.get("confidence_floor"),
             use_default_floor=bool(cfg.get("enhanced_postproc", False)),
-            max_workers=workers,
+            calls=calls,
         )
         st2_ids = result.evidence_ids
         records["st2"] = {"case_id": case.case_id, "evidence_ids": st2_ids}
@@ -436,6 +455,7 @@ def _case_chain(
             stage2_deployment=cfg.get("stage2_deployment"),
             rerank=bool(cfg.get("rerank", True)),
             embedder=embedder,
+            calls=calls,
         )
         st3_answer = result.answer_text
         records["st3"] = {
@@ -466,7 +486,7 @@ def _case_chain(
             full_answer_context=bool(cfg.get("full_answer_context", True)),
             answers=answers,
             clinician_question=clinician_question,
-            max_workers=workers,
+            calls=calls,
         )
         records["st4"] = {
             "case_id": case.case_id,
@@ -480,8 +500,10 @@ def _case_chain(
 def run_pipeline(config: dict) -> dict:
     """Execute the configured subtasks over every case; returns the manifest.
 
-    Cases run in parallel up to the worker bound; outputs are collected in
-    case order, so concurrency never changes the written files.
+    Up to ``workers`` cases run at once, and their generator calls share
+    one pool of ``workers**2`` threads, room for ``workers`` calls from each
+    case. Outputs are collected in case order, so concurrency never changes
+    the written files.
     """
     case_file, pool_file = load_dataset(config)
     generator = build_generator(config)
@@ -492,7 +514,7 @@ def run_pipeline(config: dict) -> dict:
     )
     embedder = build_embedder(config) if needs_embedder else None
     constraints = constraints_from_config(config["constraints"])
-    workers = int(config.get("workers", 4))
+    workers = config["workers"]
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -505,17 +527,21 @@ def run_pipeline(config: dict) -> dict:
         else None
     )
 
-    def chain(case: Case) -> dict[str, dict]:
-        return _case_chain(
-            case, config, subtasks, pool_cases, st1_pool, generator, embedder,
-            constraints, workers,
-        )
+    with _call_pool(workers * workers) as calls:
 
-    if workers <= 1 or len(cases) <= 1:
-        per_case = [chain(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(cases))) as pool:
-            per_case = list(pool.map(chain, cases))
+        def chain(case: Case) -> dict[str, dict]:
+            return _case_chain(
+                case, config, subtasks, pool_cases, st1_pool, generator, embedder,
+                constraints, calls,
+            )
+
+        if workers <= 1 or len(cases) <= 1:
+            per_case = [chain(c) for c in cases]
+        else:
+            with ThreadPoolExecutor(
+                max_workers=min(workers, len(cases)), thread_name_prefix="ehrqa-case"
+            ) as pool:
+                per_case = list(pool.map(chain, cases))
 
     outputs: dict[str, list[dict]] = {s: [] for s in subtasks}
     debug_candidates: list[dict] = []
@@ -554,6 +580,17 @@ def run_pipeline(config: dict) -> dict:
     return manifest
 
 
+CALL_THREAD_PREFIX = "ehrqa-call"
+
+
+def _call_pool(size: int) -> contextlib.AbstractContextManager[Executor | None]:
+    """The run's one pool of ``size`` threads for generator calls, or, at
+    size 1, no pool: the context yields None and every call runs inline."""
+    if size > 1:
+        return ThreadPoolExecutor(max_workers=size, thread_name_prefix=CALL_THREAD_PREFIX)
+    return contextlib.nullcontext()
+
+
 def _st4_shots(pool: list[Case], cfg: dict) -> list[Case]:
     """Leading shots of a leave-one-out pool, in case_id order, that have gold alignments."""
     return [
@@ -585,30 +622,31 @@ def run_sweep(config: dict, subtask: str) -> dict:
         raise ConfigError("sweep supports st2 and st4 only")
     case_file, pool_file = load_dataset(config)
     generator = build_generator(config)
-    workers = int(config.get("workers", 4))
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = config[subtask]
     plan = plan_from_config(cfg["plan"])
     dev_runs = []
-    for case in sorted(case_file.cases, key=case_sort_key):
-        gold = case.gold_evidence if subtask == "st2" else case.gold_alignments
-        if gold is None:
-            raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
-        pool = few_shot_pool(pool_file, exclude_case_id=case.case_id)
-        if subtask == "st2":
-            shots = _st2_shots(pool, cfg)
-            tally = st2.run_ensemble(case, shots, plan, generator, max_workers=workers)
-        else:
-            tally = st4.run_ensemble(
-                case,
-                _st4_shots(pool, cfg),
-                plan,
-                generator,
-                full_answer_context=bool(cfg.get("full_answer_context", True)),
-                max_workers=workers,
-            )
-        dev_runs.append((tally, gold, case))
+    # One case at a time: room for ``workers`` calls, not a run's ``workers**2``.
+    with _call_pool(config["workers"]) as calls:
+        for case in sorted(case_file.cases, key=case_sort_key):
+            gold = case.gold_evidence if subtask == "st2" else case.gold_alignments
+            if gold is None:
+                raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
+            pool = few_shot_pool(pool_file, exclude_case_id=case.case_id)
+            if subtask == "st2":
+                shots = _st2_shots(pool, cfg)
+                tally = st2.run_ensemble(case, shots, plan, generator, calls=calls)
+            else:
+                tally = st4.run_ensemble(
+                    case,
+                    _st4_shots(pool, cfg),
+                    plan,
+                    generator,
+                    full_answer_context=bool(cfg.get("full_answer_context", True)),
+                    calls=calls,
+                )
+            dev_runs.append((tally, gold, case))
 
     if subtask == "st2":
         best, frontier = vote.sweep([(t, gold, c.note_ids) for t, gold, c in dev_runs], "k")

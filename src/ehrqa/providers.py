@@ -17,7 +17,7 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
@@ -619,31 +619,38 @@ class RequestOutcome:
     def ok(self) -> bool:
         return self.response is not None
 
+    def result(self) -> GenResponse:
+        """The response, or the captured ProviderError raised."""
+        if self.error is not None:
+            raise self.error
+        assert self.response is not None
+        return self.response
+
 
 def gather_responses(
     generator: Generator,
     requests: Sequence[GenRequest],
-    max_workers: int = 4,
+    calls: Executor | None = None,
 ) -> list[RequestOutcome]:
-    """Run requests against one backend with at most ``max_workers`` in
-    flight; see gather_multi."""
+    """Run requests against one backend, on ``calls``; see gather_multi."""
     tags = [r.request_tag for r in requests]
     if len(set(tags)) != len(tags):
         raise EhrqaError("request_tag values must be unique within a batch")
-    return gather_multi([(generator, r) for r in requests], max_workers=max_workers)
+    return gather_multi([(generator, r) for r in requests], calls)
 
 
 def gather_multi(
     pairs: Sequence[tuple[Generator, GenRequest]],
-    max_workers: int = 4,
+    calls: Executor | None = None,
 ) -> list[RequestOutcome]:
-    """Run each request against its own backend, at most ``max_workers``
-    in flight.
+    """Run each request against its own backend as one batch on ``calls``,
+    or inline when it is None, and wait for all of them.
 
     Outcomes come back in request order regardless of completion order, so
     downstream aggregation never depends on scheduling. A ProviderError is
     captured in its outcome; any other error, a CacheMissError included,
-    propagates.
+    is re-raised: inline, at once; on ``calls``, once the whole batch is
+    done, the first one in request order.
     """
     outcomes = [RequestOutcome(request=req) for _, req in pairs]
 
@@ -655,10 +662,12 @@ def gather_multi(
             outcomes[i].error = exc
             logger.warning("request %s failed: %s", request.request_tag, exc)
 
-    if max_workers <= 1 or len(pairs) <= 1:
+    if calls is None:
         for i in range(len(pairs)):
             _run(i)
     else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(_run, range(len(pairs))))
+        futures = [calls.submit(_run, i) for i in range(len(pairs))]
+        wait(futures)
+        for future in futures:
+            future.result()
     return outcomes

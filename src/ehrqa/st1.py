@@ -14,6 +14,7 @@ import logging
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from .core import (
@@ -106,6 +107,7 @@ def extract_context(
     provider: Generator,
     deployment: str = "default",
     include_note: bool = False,
+    calls: Executor | None = None,
 ) -> ClinicalContext:
     """LLM pre-pass listing explicit clinical elements; non-verbatim spans
     are dropped. A backend or parse failure yields an empty context so
@@ -125,9 +127,9 @@ def extract_context(
         temperature=0.0,
         request_tag=f"{case.case_id}/st1ctx/0",
     )
+    [outcome] = gather_multi([(provider, request)], calls)
     try:
-        response = provider.generate(request)
-        raw = parse_json_object(response.text)
+        raw = parse_json_object(outcome.result().text)
     except (ProviderError, ParseError) as exc:
         logger.warning("context extraction failed for %s: %s", case.case_id, exc)
         return EMPTY_CONTEXT
@@ -403,7 +405,7 @@ def generate_candidates(
     context: ClinicalContext,
     shots: list[Case],
     providers: list[tuple[str, Generator]],
-    max_workers: int = 4,
+    calls: Executor | None = None,
 ) -> list[str]:
     """Pool candidates from all backends, deduplicated case-insensitively.
 
@@ -429,7 +431,7 @@ def generate_candidates(
         )
         for deployment, provider in providers
     ]
-    outcomes = gather_multi(pairs, max_workers=max_workers)
+    outcomes = gather_multi(pairs, calls)
     pooled: list[str] = []
     seen: set[str] = set()
     failures = 0
@@ -469,7 +471,7 @@ def run_case(
     constraints: ConstraintConfig = ConstraintConfig(),
     max_shots: int = 5,
     note_grounding: bool = False,
-    max_workers: int = 4,
+    calls: Executor | None = None,
 ) -> St1Result:
     """Full reformulation pipeline for one case; ``case`` itself is left
     out of the few-shot pool and of the gold style. The first provider
@@ -478,11 +480,11 @@ def run_case(
     context = EMPTY_CONTEXT
     if providers:
         deployment, provider = providers[0]
-        context = extract_context(case, provider, deployment=deployment, include_note=note_grounding)
+        context = extract_context(
+            case, provider, deployment=deployment, include_note=note_grounding, calls=calls
+        )
     shots = retrieve_shots(case, pool, max_n=max_shots)
-    candidates = generate_candidates(
-        case, context, shots, providers, max_workers=max_workers
-    )
+    candidates = generate_candidates(case, context, shots, providers, calls=calls)
     chosen, scored = select_candidate(
         candidates, pool.gold_style(exclude_case_id=case.case_id), constraints
     )

@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import logging
 import re
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
 from .prompting import load_template, render_prompt
-from .providers import Embedder, GenRequest, Generator, cosine
+from .providers import (
+    Embedder,
+    GenRequest,
+    Generator,
+    RequestOutcome,
+    cosine,
+    gather_responses,
+    request_cache_key,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,37 +80,45 @@ def evidence_block_for(case: Case, evidence_ids) -> str:
     return "\n".join(f"{i}. {case.note_text(i)}" for i in ordered if i in case.note_ids)
 
 
-def stage1_draft(
+def supplied_evidence(case: Case, evidence_ids) -> list[str]:
+    """The upstream evidence that is in the note, in ID order; empty
+    evidence falls back to the full note so the prompt always has
+    something to cite."""
+    supplied = sorted(set(evidence_ids) & set(case.note_ids), key=id_sort_key)
+    return supplied or list(case.note_ids)
+
+
+def stage1_request(
     case: Case,
-    evidence_ids,
+    supplied: list[str],
     shots,
-    provider: Generator,
-    deployment: str = "default",
+    deployment: str,
     clinician_question: str | None = None,
     sample_index: int = 0,
     temperature: float = 0.0,
-) -> CitedDraft:
-    """Draft a cited answer; empty upstream evidence falls back to the full
-    note so the prompt always has something to cite."""
-    supplied = sorted(set(evidence_ids) & set(case.note_ids), key=id_sort_key)
-    if not supplied:
-        supplied = list(case.note_ids)
+) -> GenRequest:
+    """The request for one member's cited draft over ``supplied`` evidence."""
     extra = {"evidence_block": evidence_block_for(case, supplied)}
     if clinician_question is not None:
         extra["clinician_question"] = clinician_question
     messages = tuple(render_prompt(load_template("st3_stage1"), case, shots, extra=extra))
-    request = GenRequest(
+    return GenRequest(
         deployment_name=deployment,
         messages=messages,
         temperature=temperature,
         request_tag=f"{case.case_id}/st3s1/{deployment}/{sample_index}",
         sample_index=sample_index,
     )
+
+
+def read_draft(case: Case, supplied: list[str], outcome: RequestOutcome) -> CitedDraft:
+    """The cited draft in a stage-1 outcome; citations outside ``supplied``
+    are dropped, and a draft that cites nothing cites all of it."""
     try:
-        response = provider.generate(request)
+        text = outcome.result().text
     except ProviderError as exc:  # the backend client has already retried it
         raise SubtaskError(f"case {case.case_id}: stage-1 draft failed: {exc}") from exc
-    markers = extract_markers(response.text)
+    markers = extract_markers(text)
     valid = [m for m in markers if m in supplied]
     invalid = [m for m in markers if m not in supplied]
     if invalid:
@@ -116,34 +133,59 @@ def stage1_draft(
             case.case_id,
         )
         valid = list(supplied)
-    return CitedDraft(text_with_citations=response.text, cited_ids=tuple(valid))
+    return CitedDraft(text_with_citations=text, cited_ids=tuple(valid))
 
 
-def stage2_rewrite(
+def stage1_draft(
+    case: Case,
+    evidence_ids,
+    shots,
+    provider: Generator,
+    deployment: str = "default",
+    clinician_question: str | None = None,
+    sample_index: int = 0,
+    temperature: float = 0.0,
+) -> CitedDraft:
+    """Draft one cited answer: stage1_request, one call, read_draft."""
+    supplied = supplied_evidence(case, evidence_ids)
+    request = stage1_request(
+        case, supplied, shots, deployment, clinician_question, sample_index, temperature
+    )
+    [outcome] = gather_responses(provider, [request])
+    return read_draft(case, supplied, outcome)
+
+
+def stage2_request(
     draft: CitedDraft,
     case: Case,
-    provider: Generator,
-    constraints: ConstraintConfig = ConstraintConfig(),
-    deployment: str = "default",
+    member: str,
+    deployment: str,
     sample_index: int = 0,
-) -> str:
-    """Rewrite onto the cited sentences only; output is marker-free,
-    truncated, and never empty (falls back to the stripped draft)."""
+) -> GenRequest:
+    """The request rewriting ``draft`` on ``deployment``, tagged by the
+    ensemble ``member`` that drafted it so every member's tag is unique."""
     extra = {
         "evidence_block": evidence_block_for(case, draft.cited_ids),
         "draft": draft.text_with_citations,
     }
     messages = tuple(render_prompt(load_template("st3_stage2"), case, (), extra=extra))
-    request = GenRequest(
+    return GenRequest(
         deployment_name=deployment,
         messages=messages,
         temperature=0.0,
-        request_tag=f"{case.case_id}/st3s2/{deployment}/{sample_index}",
+        request_tag=f"{case.case_id}/st3s2/{member}/{sample_index}",
         sample_index=sample_index,
     )
+
+
+def read_rewrite(
+    draft: CitedDraft, case: Case, outcome: RequestOutcome, constraints: ConstraintConfig
+) -> str:
+    """The rewrite in a stage-2 outcome: marker-free, truncated, and never
+    empty (falls back to the stripped draft)."""
     text = ""
     try:
-        text = provider.generate(request).text
+        text = outcome.result().text
     except ProviderError as exc:
         logger.warning(
             "case %s: stage-2 rewrite failed, falling back to stripped draft: %s",
@@ -158,6 +200,21 @@ def stage2_rewrite(
     if not text:
         text = " ".join(case.note_text(i) for i in draft.cited_ids if i in case.note_ids)
     return truncate_words(text, constraints.st3_max_words)
+
+
+def stage2_rewrite(
+    draft: CitedDraft,
+    case: Case,
+    provider: Generator,
+    constraints: ConstraintConfig = ConstraintConfig(),
+    deployment: str = "default",
+    sample_index: int = 0,
+) -> str:
+    """Rewrite onto the cited sentences only: stage2_request, one call,
+    read_rewrite."""
+    request = stage2_request(draft, case, deployment, deployment, sample_index)
+    [outcome] = gather_responses(provider, [request])
+    return read_rewrite(draft, case, outcome, constraints)
 
 
 def rerank_candidates(
@@ -202,32 +259,39 @@ def run_case(
     stage2_deployment: str | None = None,
     rerank: bool = True,
     embedder: Embedder | None = None,
+    calls: Executor | None = None,
 ) -> St3Result:
     """Run the two-stage scaffold once per deployment; rerank when asked.
 
-    Single-deployment runs skip reranking entirely.
+    Every member's draft is one batch on ``calls``, and every distinct
+    rewrite a second one. Single-deployment runs skip reranking entirely.
     """
     if not deployments:
         raise SubtaskError(f"case {case.case_id}: no deployments configured")
-    candidates: list[str] = []
+    supplied = supplied_evidence(case, evidence_ids)
+    drafted = gather_responses(
+        provider,
+        [stage1_request(case, supplied, shots, d, clinician_question) for d in deployments],
+        calls,
+    )
+    drafts = [read_draft(case, supplied, outcome) for outcome in drafted]
+    rewrites = [
+        stage2_request(draft, case, d, stage2_deployment or d)
+        for d, draft in zip(deployments, drafts)
+    ]
+    # With a shared stage2_deployment, members with the same draft ask the
+    # same request: send it once, for the first of them, and share its
+    # outcome, so one recording holds the one answer that replay serves.
+    keys = [request_cache_key(r) for r in rewrites]
+    unique: dict[str, GenRequest] = {}
+    for key, request in zip(keys, rewrites):
+        unique.setdefault(key, request)
+    sent = dict(zip(unique, gather_responses(provider, list(unique.values()), calls)))
+    candidates = [
+        read_rewrite(draft, case, sent[key], constraints) for draft, key in zip(drafts, keys)
+    ]
     cited: list[str] = []
-    for deployment in deployments:
-        draft = stage1_draft(
-            case,
-            evidence_ids,
-            shots,
-            provider,
-            deployment=deployment,
-            clinician_question=clinician_question,
-        )
-        answer = stage2_rewrite(
-            draft,
-            case,
-            provider,
-            constraints=constraints,
-            deployment=stage2_deployment or deployment,
-        )
-        candidates.append(answer)
+    for draft in drafts:
         cited.extend(i for i in draft.cited_ids if i not in cited)
 
     if len(candidates) == 1 or not rerank:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def run_ensemble(
     full_answer_context: bool = True,
     answers: list[tuple[str, str]] | None = None,
     clinician_question: str | None = None,
-    max_workers: int = 4,
+    calls: Executor | None = None,
 ) -> LinkVoteTally:
     """One parse per run; unparseable runs vote for nothing."""
     answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
@@ -82,7 +83,7 @@ def run_ensemble(
         extra["clinician_question"] = clinician_question
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st4", messages, plan)
-    outcomes = gather_responses(provider, requests, max_workers=max_workers)
+    outcomes = gather_responses(provider, requests, calls)
     runs = parse_runs(outcomes, parse_alignment, case.case_id, "st4")
     return tally_from_runs(runs, valid_answer_ids={aid for aid, _ in answer_sentences})
 
@@ -217,7 +218,7 @@ def run_case(
     full_answer_context: bool = True,
     answers: list[tuple[str, str]] | None = None,
     clinician_question: str | None = None,
-    max_workers: int = 4,
+    calls: Executor | None = None,
 ) -> St4Result:
     """Ensemble alignment for one case; with no plan this degrades to the
     embedding-only baseline (vote nothing, recall everything)."""
@@ -235,7 +236,7 @@ def run_case(
             full_answer_context=full_answer_context,
             answers=answers,
             clinician_question=clinician_question,
-            max_workers=max_workers,
+            calls=calls,
         )
         alignment = merge_links(tally, policy, case, answer_ids=answer_ids)
     if recall.enabled:

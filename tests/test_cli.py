@@ -64,6 +64,15 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="st4 shots"):
             resolve_config({"st4": {"shots": 21}})
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "4", True, None])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            resolve_config({"workers": workers})
+
+    def test_st3_deployments_must_be_unique(self):
+        with pytest.raises(ConfigError, match="st3 deployments"):
+            resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})
+
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
@@ -365,6 +374,14 @@ class TestCliCommands:
         config_path.write_text("{not json")
         assert main(["run", "--config", str(config_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_a_worker_count_below_one(self, tmp_path, capsys, workers):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(tmp_path)))
+        assert main(["run", "--config", str(config_path), "--workers", workers]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_missing_dataset_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,0 +1,180 @@
+"""Call scheduling: outputs never depend on the worker count or on the
+order in which calls complete, every generator call of a run goes through
+its one bounded call pool, and live clients are built once per deployment."""
+
+import json
+import logging
+import random
+import sys
+import threading
+import time
+
+from ehrqa import pipeline
+from ehrqa.dataset import toy_dataset_path
+from ehrqa.pipeline import (
+    CALL_THREAD_PREFIX,
+    DeploymentRouter,
+    resolve_config,
+    run_pipeline,
+    run_sweep,
+)
+from ehrqa.providers import PipelineMockProvider
+from tests.test_cli import base_config, tree_bytes
+from tests.test_providers import FakeResponse, req
+
+
+class FuzzGenerator:
+    """PipelineMockProvider behind a seeded random 0-5 ms wait per request,
+    so calls complete in a shuffled order. Records the peak number of calls
+    in flight and the name of every thread a call ran on."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.inner = PipelineMockProvider()
+        self._lock = threading.Lock()
+        self.inflight = 0
+        self.peak = 0
+        self.threads: list[str] = []
+
+    def generate(self, request):
+        wait = random.Random(f"{self.seed}/{request.request_tag}/{request.sample_index}")
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            self.threads.append(threading.current_thread().name)
+        try:
+            time.sleep(wait.uniform(0.0, 0.005))
+            return self.inner.generate(request)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+def nine_cases(path):
+    """The three toy cases three times over, as cases 1-9."""
+    toy = [json.loads(line) for line in toy_dataset_path().read_text("utf-8").splitlines()]
+    lines = [json.dumps({**case, "case_id": str(3 * i + j + 1)})
+             for i in range(3) for j, case in enumerate(toy)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, monkeypatch):
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    built: list[FuzzGenerator] = []
+    seeds = iter(range(100))
+
+    def build_generator(config):
+        built.append(FuzzGenerator(next(seeds)))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_generator", build_generator)
+    trees = {}
+    for workers in (1, 2, 8):
+        for fuzz in range(3):
+            out = tmp_path / f"out-w{workers}-f{fuzz}"
+            run_pipeline(resolve_config({
+                "dataset": {"cases": str(cases)},
+                "subtasks": ["st1", "st2", "st3", "st4"],
+                "provider_mode": "mock",
+                "out_dir": str(out),
+                "workers": workers,
+                "st3": {"rerank": True},
+                "st4": {"recall": {"enabled": True}},
+            }))
+            trees[workers, fuzz] = tree_bytes(out)
+            generator = built[-1]
+            assert generator.threads, "the run made no generator call"
+            assert generator.peak <= workers * workers
+            if workers == 1:
+                assert set(generator.threads) == {threading.current_thread().name}
+            else:
+                assert all(name.startswith(CALL_THREAD_PREFIX) for name in generator.threads)
+    reference = trees[1, 0]
+    assert {"st1.jsonl", "st2.jsonl", "st3.jsonl", "st4.jsonl"} <= set(reference)
+    assert all(tree == reference for tree in trees.values())
+    assert max(g.peak for g in built[3:6]) > 2  # workers=2 did overlap calls across cases
+
+
+def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
+    """A sweep runs one case at a time, so its pool is ``workers`` calls,
+    the bound its per-batch pools had, not the ``workers**2`` of a run."""
+    built: list[FuzzGenerator] = []
+
+    def build_generator(config):
+        built.append(FuzzGenerator(7))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_generator", build_generator)
+    results = {}
+    for workers in (1, 2):
+        config = resolve_config(
+            base_config(tmp_path / f"w{workers}", subtasks=["st2"], workers=workers)
+        )
+        for member in config["st2"]["plan"]["members"]:
+            member["samples"] = 3
+        results[workers] = run_sweep(config, "st2")
+        generator = built[-1]
+        assert generator.peak <= workers
+        if workers == 1:
+            assert set(generator.threads) == {threading.current_thread().name}
+        else:
+            assert all(name.startswith(CALL_THREAD_PREFIX) for name in generator.threads)
+    assert results[1] == results[2]
+
+
+class TestDeploymentRouter:
+    def test_one_client_per_deployment_under_concurrent_first_calls(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("EHRQA_DEFAULT_ENDPOINT", "https://default.example/v1")
+        monkeypatch.setenv("EHRQA_DEFAULT_API_KEY", "default-key")
+        monkeypatch.setenv("EHRQA_O3_ENDPOINT", "https://o3.example/v1")
+        monkeypatch.setenv("EHRQA_O3_API_KEY", "o3-key")
+        monkeypatch.delenv("EHRQA_GPT_5_1_ENDPOINT", raising=False)
+        monkeypatch.delenv("EHRQA_GPT_5_1_API_KEY", raising=False)
+        real = pipeline.provider_from_env
+        built: list[tuple[str, str]] = []
+
+        def provider_from_env(name):
+            client = real(name)  # raises for a deployment without credentials
+            time.sleep(0.01)  # widen the window in which a second client could be built
+            built.append((name, client.endpoint))
+            client._transport = lambda url, payload, headers: FakeResponse(
+                payload={"choices": [{"message": {"content": url}}]}
+            )
+            return client
+
+        monkeypatch.setattr(pipeline, "provider_from_env", provider_from_env)
+        router = DeploymentRouter()
+        start = threading.Barrier(8, timeout=10)
+        texts: dict[int, str] = {}
+
+        def call(i):
+            start.wait()
+            deployment = "o3" if i % 2 else "gpt-5.1"
+            texts[i] = router.generate(req(f"c{i}/st2/{deployment}/0", deployment=deployment)).text
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger="ehrqa.pipeline"):
+                threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(built) == [
+            ("default", "https://default.example/v1"), ("o3", "https://o3.example/v1")
+        ]
+        assert texts == {
+            i: ("https://o3.example/v1" if i % 2 else "https://default.example/v1")
+            + "/chat/completions"
+            for i in range(8)
+        }
+        fallbacks = [r for r in caplog.records if "EHRQA_DEFAULT_" in r.getMessage()]
+        assert len(fallbacks) == 1
+        assert "gpt-5.1" in fallbacks[0].getMessage()

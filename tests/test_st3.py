@@ -1,16 +1,22 @@
+import itertools
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import ConstraintConfig, SubtaskError, count_words
+from ehrqa.core import ConstraintConfig, ProviderError, SubtaskError, count_words
 from ehrqa.providers import (
     FailingProvider,
     FixedEmbedder,
     HashEmbedder,
+    ReplayGenerator,
+    ResponseCache,
     ScriptedProvider,
     cosine,
+    request_cache_key,
 )
 from ehrqa.st3 import (
     CitedDraft,
@@ -215,6 +221,98 @@ class TestRunCase:
             "Totally unrelated vocabulary here.",
         }
         assert len(result.candidate_scores) == 2
+
+    def test_stage2_requests_are_tagged_by_drafting_member(self):
+        seen = []
+
+        def respond(request):
+            seen.append(request)
+            return f"Draft from {request.request_tag.split('/')[2]} [2]."
+
+        result = run_case(
+            simple_case("c1"),
+            ["2", "5"],
+            [],
+            ScriptedProvider(handler=respond),
+            deployments=["d1", "d2", "d3"],
+            stage2_deployment="rewriter",
+            rerank=False,
+        )
+        rewrites = [r for r in seen if "/st3s2/" in r.request_tag]
+        assert [r.request_tag for r in rewrites] == [
+            "c1/st3s2/d1/0", "c1/st3s2/d2/0", "c1/st3s2/d3/0"
+        ]
+        assert {(r.deployment_name, r.sample_index) for r in rewrites} == {("rewriter", 0)}
+        assert len({request_cache_key(r) for r in rewrites}) == 3
+        assert result.answer_text == "Draft from d1."
+
+    def test_members_with_one_draft_share_one_recorded_rewrite(self, tmp_path):
+        """Three members that draft the same text ask one stage-2 request:
+        it is sent once, for the first member, and a replay of the recording
+        gives back the recorded result."""
+        numbers = itertools.count(1)
+
+        def respond(request):
+            if "/st3s1/" in request.request_tag:
+                return "Emergent catheterization revealed occlusion [2]."
+            return f"Rewrite number {next(numbers)}."
+
+        inner = ScriptedProvider(handler=respond)
+        cache = ResponseCache(tmp_path)
+        results = []
+        for generator in (ReplayGenerator(cache, inner=inner, mode="record"),
+                          ReplayGenerator(cache, mode="replay")):
+            with ThreadPoolExecutor(max_workers=4) as calls:
+                results.append(run_case(
+                    simple_case("c1"), ["2", "5"], [], generator,
+                    deployments=["d1", "d2", "d3"], stage2_deployment="rewriter",
+                    embedder=HashEmbedder(), calls=calls,
+                ))
+        recorded, replayed = results
+        assert sorted(inner.calls) == [
+            "c1/st3s1/d1/0", "c1/st3s1/d2/0", "c1/st3s1/d3/0", "c1/st3s2/d1/0"
+        ]
+        assert [c["answer"] for c in recorded.candidate_scores] == ["Rewrite number 1."] * 3
+        assert replayed == recorded
+        assert cache.stats() == {"hits": 4, "misses": 4, "entries": 4}
+
+    def test_each_stage_is_one_batch_in_flight_at_once(self):
+        """All three stage-1 drafts of a case wait on one barrier, and so do
+        all three stage-2 rewrites: the run completes only if each stage's
+        requests are in flight together."""
+        barriers = {stage: threading.Barrier(3, timeout=5) for stage in ("st3s1", "st3s2")}
+
+        def respond(request):
+            barriers[request.request_tag.split("/")[1]].wait()
+            return f"Draft from {request.deployment_name} [2]."
+
+        with ThreadPoolExecutor(max_workers=4) as calls:
+            result = run_case(
+                simple_case("c1"),
+                ["2", "5"],
+                [],
+                ScriptedProvider(handler=respond),
+                deployments=["d1", "d2", "d3"],
+                rerank=False,
+                calls=calls,
+            )
+        assert [c["deployment"] for c in result.candidate_scores] == ["d1", "d2", "d3"]
+        assert result.answer_text == "Draft from d1."
+
+    def test_a_failed_draft_fails_the_case_after_its_batch(self):
+        def respond(request):
+            if request.request_tag == "c1/st3s1/d2/0":
+                raise ProviderError("d2 down")
+            return "Draft [2]."
+
+        provider = ScriptedProvider(handler=respond)
+        with ThreadPoolExecutor(max_workers=4) as calls:
+            with pytest.raises(SubtaskError, match="case c1: stage-1 draft failed: d2 down"):
+                run_case(
+                    simple_case("c1"), ["2"], [], provider,
+                    deployments=["d1", "d2", "d3"], rerank=False, calls=calls,
+                )
+        assert sorted(provider.calls) == ["c1/st3s1/d1/0", "c1/st3s1/d2/0", "c1/st3s1/d3/0"]
 
 
 def test_grounding_smoke_content_words_stay_in_evidence():

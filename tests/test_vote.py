@@ -101,7 +101,7 @@ def test_a_cache_that_cannot_serve_a_run_fails_it():
     requests = [outcome(f"c1/st2/m/{i}").request for i in range(3)]
     with pytest.raises(CacheMissError, match="abc"):
         parse_runs(
-            gather_responses(ScriptedProvider(handler=respond), requests, max_workers=1),
+            gather_responses(ScriptedProvider(handler=respond), requests),
             parse_id_array,
             "c1",
             "st2",
