@@ -10,15 +10,15 @@ reproduces its output tree byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import hashlib
 import json
 import logging
 import os
 import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import st1, st2, st3, st4, vote
 from .core import (
@@ -48,6 +48,8 @@ from .providers import (
 from .st4 import RecallConfig
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 PROVIDER_MODES = ("live", "record", "replay", "mock")
 SUBTASK_ORDER = ("st1", "st2", "st3", "st4")
@@ -219,6 +221,23 @@ def validate_config(config: dict) -> None:
     workers = config["workers"]
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    # Build every object a case builds from the config now, so a bad value
+    # fails here, named by its config path, before any backend call.
+    builds = (
+        ("constraints", constraints_from_config, config["constraints"]),
+        ("st2.plan", plan_from_config, config["st2"]["plan"]),
+        ("st2.merge", policy_from_config, config["st2"]["merge"]),
+        ("st4.plan", plan_from_config, config["st4"]["plan"]),
+        ("st4.merge", policy_from_config, config["st4"]["merge"]),
+        ("st4.recall.tau", recall_from_config, config["st4"]["recall"]),
+    )
+    for path, build, section in builds:
+        try:
+            build(section)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing field {exc}") from exc
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 # Where a run reads and writes, and how many threads it uses, never changes
@@ -259,6 +278,10 @@ def constraints_from_config(cfg: dict) -> ConstraintConfig:
         st1_max_words=int(cfg.get("st1_max_words", 15)),
         st3_max_words=int(cfg.get("st3_max_words", 75)),
     )
+
+
+def recall_from_config(cfg: dict) -> RecallConfig:
+    return RecallConfig(enabled=bool(cfg.get("enabled", False)), tau=float(cfg.get("tau", 0.68)))
 
 
 class DeploymentRouter:
@@ -380,7 +403,6 @@ def _case_chain(
     generator: Generator,
     embedder: Embedder | None,
     constraints: ConstraintConfig,
-    calls: Executor | None,
 ) -> dict[str, dict]:
     """Run every selected subtask for one case, chaining outputs forward.
 
@@ -404,7 +426,6 @@ def _case_chain(
             constraints=constraints,
             max_shots=cfg["shots"],
             note_grounding=bool(cfg.get("note_grounding", False)),
-            calls=calls,
         )
         st1_question = result.clinician_question
         records["st1"] = {"case_id": case.case_id, "clinician_question": st1_question}
@@ -435,7 +456,6 @@ def _case_chain(
             clinician_question=clinician_question,
             confidence_floor=cfg.get("confidence_floor"),
             use_default_floor=bool(cfg.get("enhanced_postproc", False)),
-            calls=calls,
         )
         st2_ids = result.evidence_ids
         records["st2"] = {"case_id": case.case_id, "evidence_ids": st2_ids}
@@ -455,7 +475,6 @@ def _case_chain(
             stage2_deployment=cfg.get("stage2_deployment"),
             rerank=bool(cfg.get("rerank", True)),
             embedder=embedder,
-            calls=calls,
         )
         st3_answer = result.answer_text
         records["st3"] = {
@@ -478,15 +497,11 @@ def _case_chain(
             None if embedding_only else plan_from_config(cfg["plan"]),
             None if embedding_only else generator,
             _st4_policy(cfg),
-            recall=RecallConfig(
-                enabled=bool(cfg["recall"].get("enabled", False)),
-                tau=float(cfg["recall"].get("tau", 0.68)),
-            ),
+            recall=recall_from_config(cfg["recall"]),
             embedder=embedder,
             full_answer_context=bool(cfg.get("full_answer_context", True)),
             answers=answers,
             clinician_question=clinician_question,
-            calls=calls,
         )
         records["st4"] = {
             "case_id": case.case_id,
@@ -500,10 +515,10 @@ def _case_chain(
 def run_pipeline(config: dict) -> dict:
     """Execute the configured subtasks over every case; returns the manifest.
 
-    Up to ``workers`` cases run at once, and their generator calls share
-    one pool of ``workers**2`` threads, room for ``workers`` calls from each
-    case. Outputs are collected in case order, so concurrency never changes
-    the written files.
+    Up to ``workers**2`` cases run at once, each making its generator
+    calls one after another on its own thread, so no more than
+    ``workers**2`` calls are in flight. Outputs are collected in case
+    order, so concurrency never changes the written files.
     """
     case_file, pool_file = load_dataset(config)
     generator = build_generator(config)
@@ -527,21 +542,12 @@ def run_pipeline(config: dict) -> dict:
         else None
     )
 
-    with _call_pool(workers * workers) as calls:
+    def chain(case: Case) -> dict[str, dict]:
+        return _case_chain(
+            case, config, subtasks, pool_cases, st1_pool, generator, embedder, constraints
+        )
 
-        def chain(case: Case) -> dict[str, dict]:
-            return _case_chain(
-                case, config, subtasks, pool_cases, st1_pool, generator, embedder,
-                constraints, calls,
-            )
-
-        if workers <= 1 or len(cases) <= 1:
-            per_case = [chain(c) for c in cases]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(cases)), thread_name_prefix="ehrqa-case"
-            ) as pool:
-                per_case = list(pool.map(chain, cases))
+    per_case = _map_cases(chain, cases, workers * workers)
 
     outputs: dict[str, list[dict]] = {s: [] for s in subtasks}
     debug_candidates: list[dict] = []
@@ -580,15 +586,15 @@ def run_pipeline(config: dict) -> dict:
     return manifest
 
 
-CALL_THREAD_PREFIX = "ehrqa-call"
-
-
-def _call_pool(size: int) -> contextlib.AbstractContextManager[Executor | None]:
-    """The run's one pool of ``size`` threads for generator calls, or, at
-    size 1, no pool: the context yields None and every call runs inline."""
-    if size > 1:
-        return ThreadPoolExecutor(max_workers=size, thread_name_prefix=CALL_THREAD_PREFIX)
-    return contextlib.nullcontext()
+def _map_cases(fn: Callable[[Case], T], cases: list[Case], threads: int) -> list[T]:
+    """``fn`` over ``cases`` on up to ``threads`` threads, results in case
+    order. With one thread or one case no thread is started."""
+    if threads <= 1 or len(cases) <= 1:
+        return [fn(case) for case in cases]
+    with ThreadPoolExecutor(
+        max_workers=min(threads, len(cases)), thread_name_prefix="ehrqa-case"
+    ) as pool:
+        return list(pool.map(fn, cases))
 
 
 def _st4_shots(pool: list[Case], cfg: dict) -> list[Case]:
@@ -621,32 +627,33 @@ def run_sweep(config: dict, subtask: str) -> dict:
     if subtask not in ("st2", "st4"):
         raise ConfigError("sweep supports st2 and st4 only")
     case_file, pool_file = load_dataset(config)
+    cases = sorted(case_file.cases, key=case_sort_key)
+    golds = [c.gold_evidence if subtask == "st2" else c.gold_alignments for c in cases]
+    for case, gold in zip(cases, golds):
+        if gold is None:
+            raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
     generator = build_generator(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = config[subtask]
     plan = plan_from_config(cfg["plan"])
-    dev_runs = []
-    # One case at a time: room for ``workers`` calls, not a run's ``workers**2``.
-    with _call_pool(config["workers"]) as calls:
-        for case in sorted(case_file.cases, key=case_sort_key):
-            gold = case.gold_evidence if subtask == "st2" else case.gold_alignments
-            if gold is None:
-                raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
-            pool = few_shot_pool(pool_file, exclude_case_id=case.case_id)
-            if subtask == "st2":
-                shots = _st2_shots(pool, cfg)
-                tally = st2.run_ensemble(case, shots, plan, generator, calls=calls)
-            else:
-                tally = st4.run_ensemble(
-                    case,
-                    _st4_shots(pool, cfg),
-                    plan,
-                    generator,
-                    full_answer_context=bool(cfg.get("full_answer_context", True)),
-                    calls=calls,
-                )
-            dev_runs.append((tally, gold, case))
+
+    def tally(case: Case):
+        pool = few_shot_pool(pool_file, exclude_case_id=case.case_id)
+        if subtask == "st2":
+            return st2.run_ensemble(case, _st2_shots(pool, cfg), plan, generator)
+        return st4.run_ensemble(
+            case,
+            _st4_shots(pool, cfg),
+            plan,
+            generator,
+            full_answer_context=bool(cfg.get("full_answer_context", True)),
+        )
+
+    # A case makes its calls one after another, so ``workers`` threads hold
+    # a sweep to its bound of ``workers`` calls in flight, not a run's
+    # ``workers**2``.
+    dev_runs = list(zip(_map_cases(tally, cases, config["workers"]), golds, cases))
 
     if subtask == "st2":
         best, frontier = vote.sweep([(t, gold, c.note_ids) for t, gold, c in dev_runs], "k")

@@ -17,7 +17,6 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
@@ -606,7 +605,7 @@ def provider_from_env(provider_name: str) -> HttpChatProvider:
 
 
 # ---------------------------------------------------------------------------
-# Bounded-concurrency fan-out
+# Batches of calls, run inline
 
 
 @dataclass
@@ -630,44 +629,26 @@ class RequestOutcome:
 def gather_responses(
     generator: Generator,
     requests: Sequence[GenRequest],
-    calls: Executor | None = None,
 ) -> list[RequestOutcome]:
-    """Run requests against one backend, on ``calls``; see gather_multi."""
+    """Run requests against one backend; see gather_multi."""
     tags = [r.request_tag for r in requests]
     if len(set(tags)) != len(tags):
         raise EhrqaError("request_tag values must be unique within a batch")
-    return gather_multi([(generator, r) for r in requests], calls)
+    return gather_multi([(generator, r) for r in requests])
 
 
-def gather_multi(
-    pairs: Sequence[tuple[Generator, GenRequest]],
-    calls: Executor | None = None,
-) -> list[RequestOutcome]:
-    """Run each request against its own backend as one batch on ``calls``,
-    or inline when it is None, and wait for all of them.
+def gather_multi(pairs: Sequence[tuple[Generator, GenRequest]]) -> list[RequestOutcome]:
+    """Run each request against its own backend, one after another on the
+    caller's thread, in request order.
 
-    Outcomes come back in request order regardless of completion order, so
-    downstream aggregation never depends on scheduling. A ProviderError is
-    captured in its outcome; any other error, a CacheMissError included,
-    is re-raised: inline, at once; on ``calls``, once the whole batch is
-    done, the first one in request order.
+    A ProviderError is captured in its outcome and the batch goes on; any
+    other error, a CacheMissError included, is re-raised at once.
     """
     outcomes = [RequestOutcome(request=req) for _, req in pairs]
-
-    def _run(i: int) -> None:
-        generator, request = pairs[i]
+    for (generator, request), outcome in zip(pairs, outcomes):
         try:
-            outcomes[i].response = generator.generate(request)
+            outcome.response = generator.generate(request)
         except ProviderError as exc:
-            outcomes[i].error = exc
+            outcome.error = exc
             logger.warning("request %s failed: %s", request.request_tag, exc)
-
-    if calls is None:
-        for i in range(len(pairs)):
-            _run(i)
-    else:
-        futures = [calls.submit(_run, i) for i in range(len(pairs))]
-        wait(futures)
-        for future in futures:
-            future.result()
     return outcomes

@@ -14,7 +14,6 @@ import logging
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from .core import (
@@ -107,7 +106,6 @@ def extract_context(
     provider: Generator,
     deployment: str = "default",
     include_note: bool = False,
-    calls: Executor | None = None,
 ) -> ClinicalContext:
     """LLM pre-pass listing explicit clinical elements; non-verbatim spans
     are dropped. A backend or parse failure yields an empty context so
@@ -127,7 +125,7 @@ def extract_context(
         temperature=0.0,
         request_tag=f"{case.case_id}/st1ctx/0",
     )
-    [outcome] = gather_multi([(provider, request)], calls)
+    [outcome] = gather_multi([(provider, request)])
     try:
         raw = parse_json_object(outcome.result().text)
     except (ProviderError, ParseError) as exc:
@@ -405,7 +403,6 @@ def generate_candidates(
     context: ClinicalContext,
     shots: list[Case],
     providers: list[tuple[str, Generator]],
-    calls: Executor | None = None,
 ) -> list[str]:
     """Pool candidates from all backends, deduplicated case-insensitively.
 
@@ -431,7 +428,7 @@ def generate_candidates(
         )
         for deployment, provider in providers
     ]
-    outcomes = gather_multi(pairs, calls)
+    outcomes = gather_multi(pairs)
     pooled: list[str] = []
     seen: set[str] = set()
     failures = 0
@@ -471,7 +468,6 @@ def run_case(
     constraints: ConstraintConfig = ConstraintConfig(),
     max_shots: int = 5,
     note_grounding: bool = False,
-    calls: Executor | None = None,
 ) -> St1Result:
     """Full reformulation pipeline for one case; ``case`` itself is left
     out of the few-shot pool and of the gold style. The first provider
@@ -481,10 +477,10 @@ def run_case(
     if providers:
         deployment, provider = providers[0]
         context = extract_context(
-            case, provider, deployment=deployment, include_note=note_grounding, calls=calls
+            case, provider, deployment=deployment, include_note=note_grounding
         )
     shots = retrieve_shots(case, pool, max_n=max_shots)
-    candidates = generate_candidates(case, context, shots, providers, calls=calls)
+    candidates = generate_candidates(case, context, shots, providers)
     chosen, scored = select_candidate(
         candidates, pool.gold_style(exclude_case_id=case.case_id), constraints
     )

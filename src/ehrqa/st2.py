@@ -7,7 +7,6 @@ survives the merge when its vote count clears the policy threshold.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 from .core import Case, ConfigError, MergePolicy, SamplingPlan, id_sort_key, resolve_threshold
@@ -23,7 +22,6 @@ def run_ensemble(
     plan: SamplingPlan,
     provider: Generator,
     clinician_question: str | None = None,
-    calls: Executor | None = None,
 ) -> VoteTally[str]:
     """One parsed ID set per (member, sample); failures count as empty."""
     extra = {}
@@ -31,7 +29,7 @@ def run_ensemble(
         extra["clinician_question"] = clinician_question
     messages = tuple(render_prompt(load_template("st2"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st2", messages, plan)
-    outcomes = gather_responses(provider, requests, calls)
+    outcomes = gather_responses(provider, requests)
     return tally_from_runs(parse_runs(outcomes, parse_id_array, case.case_id, "st2"))
 
 
@@ -88,16 +86,8 @@ def run_case(
     clinician_question: str | None = None,
     confidence_floor: float | None = None,
     use_default_floor: bool = False,
-    calls: Executor | None = None,
 ) -> St2Result:
-    tally = run_ensemble(
-        case,
-        shots,
-        plan,
-        provider,
-        clinician_question=clinician_question,
-        calls=calls,
-    )
+    tally = run_ensemble(case, shots, plan, provider, clinician_question=clinician_question)
     merged = merge_votes(tally, policy)
     floor = confidence_floor
     if floor is None and use_default_floor:

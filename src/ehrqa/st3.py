@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
@@ -259,12 +258,13 @@ def run_case(
     stage2_deployment: str | None = None,
     rerank: bool = True,
     embedder: Embedder | None = None,
-    calls: Executor | None = None,
 ) -> St3Result:
     """Run the two-stage scaffold once per deployment; rerank when asked.
 
-    Every member's draft is one batch on ``calls``, and every distinct
-    rewrite a second one. Single-deployment runs skip reranking entirely.
+    Every member's draft is sent first, in member order, then every
+    distinct rewrite, all on the caller's thread. Single-deployment runs
+    skip reranking entirely. ``cited_ids`` are the chosen candidate's
+    citations.
     """
     if not deployments:
         raise SubtaskError(f"case {case.case_id}: no deployments configured")
@@ -272,7 +272,6 @@ def run_case(
     drafted = gather_responses(
         provider,
         [stage1_request(case, supplied, shots, d, clinician_question) for d in deployments],
-        calls,
     )
     drafts = [read_draft(case, supplied, outcome) for outcome in drafted]
     rewrites = [
@@ -281,19 +280,15 @@ def run_case(
     ]
     # With a shared stage2_deployment, members with the same draft ask the
     # same request: send it once, for the first of them, and share its
-    # outcome, so one recording holds the one answer that replay serves.
+    # outcome: a live run would otherwise pay for one answer once per member.
     keys = [request_cache_key(r) for r in rewrites]
     unique: dict[str, GenRequest] = {}
     for key, request in zip(keys, rewrites):
         unique.setdefault(key, request)
-    sent = dict(zip(unique, gather_responses(provider, list(unique.values()), calls)))
+    sent = dict(zip(unique, gather_responses(provider, list(unique.values()))))
     candidates = [
         read_rewrite(draft, case, sent[key], constraints) for draft, key in zip(drafts, keys)
     ]
-    cited: list[str] = []
-    for draft in drafts:
-        cited.extend(i for i in draft.cited_ids if i not in cited)
-
     if len(candidates) == 1 or not rerank:
         chosen, scores = candidates[0], []
     else:
@@ -301,6 +296,8 @@ def run_case(
         if embedder is None:
             raise SubtaskError(f"case {case.case_id}: rerank needs an embedder")
         chosen, scores = rerank_candidates(candidates, reference, embedder)
+    # Equal candidates score equally, and a tie keeps the earlier one.
+    cited = drafts[candidates.index(chosen)].cited_ids
     return St3Result(
         case_id=case.case_id,
         answer_text=chosen,

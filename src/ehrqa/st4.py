@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +69,6 @@ def run_ensemble(
     full_answer_context: bool = True,
     answers: list[tuple[str, str]] | None = None,
     clinician_question: str | None = None,
-    calls: Executor | None = None,
 ) -> LinkVoteTally:
     """One parse per run; unparseable runs vote for nothing."""
     answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
@@ -83,7 +81,7 @@ def run_ensemble(
         extra["clinician_question"] = clinician_question
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st4", messages, plan)
-    outcomes = gather_responses(provider, requests, calls)
+    outcomes = gather_responses(provider, requests)
     runs = parse_runs(outcomes, parse_alignment, case.case_id, "st4")
     return tally_from_runs(runs, valid_answer_ids={aid for aid, _ in answer_sentences})
 
@@ -218,7 +216,6 @@ def run_case(
     full_answer_context: bool = True,
     answers: list[tuple[str, str]] | None = None,
     clinician_question: str | None = None,
-    calls: Executor | None = None,
 ) -> St4Result:
     """Ensemble alignment for one case; with no plan this degrades to the
     embedding-only baseline (vote nothing, recall everything)."""
@@ -236,7 +233,6 @@ def run_case(
             full_answer_context=full_answer_context,
             answers=answers,
             clinician_question=clinician_question,
-            calls=calls,
         )
         alignment = merge_links(tally, policy, case, answer_ids=answer_ids)
     if recall.enabled:

@@ -69,6 +69,22 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="workers"):
             resolve_config({"workers": workers})
 
+    @pytest.mark.parametrize(
+        "overlay, path",
+        [
+            ({"st4": {"recall": {"tau": 5}}}, "st4.recall.tau"),
+            ({"st2": {"merge": {"mode": "bogus"}}}, "st2.merge"),
+            ({"st2": {"merge": {"mode": "manual"}}}, "st2.merge"),
+            ({"st4": {"merge": {"mode": "manual", "k": 0}}}, "st4.merge"),
+            ({"st2": {"plan": {"members": []}}}, "st2.plan"),
+            ({"st4": {"plan": {"members": [{"temperature": 0.0}]}}}, "st4.plan"),
+            ({"constraints": {"st1_max_words": 0}}, "constraints"),
+        ],
+    )
+    def test_bad_sections_are_rejected_with_their_config_path(self, overlay, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+            resolve_config(overlay)
+
     def test_st3_deployments_must_be_unique(self):
         with pytest.raises(ConfigError, match="st3 deployments"):
             resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})
@@ -344,21 +360,23 @@ class TestSweep:
         assert records  # manual-k merge executed without error
         assert k >= 1
 
-    def test_sweep_requires_gold(self, tmp_path):
-        # strip gold by writing a test-split copy without gold fields
-        cases = []
-        for line in toy_dataset_path().read_text().splitlines():
-            record = json.loads(line)
-            record["gold_alignments"] = None
-            record["gold_evidence"] = None
-            cases.append(record)
+    def test_sweep_requires_gold(self, tmp_path, monkeypatch):
+        """Every case is checked before the first call: only the last case
+        has no gold, and no case makes a call."""
+        from ehrqa import pipeline
+        from ehrqa.providers import ScriptedProvider
+
+        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        cases[-1]["gold_alignments"] = cases[-1]["gold_evidence"] = None
         stripped = tmp_path / "nogold.jsonl"
         stripped.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
-        config = resolve_config(
-            base_config(tmp_path, dataset={"cases": str(stripped), "split": "test"})
-        )
-        with pytest.raises(ConfigError, match="gold"):
-            run_sweep(config, "st4")
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        config = resolve_config(base_config(tmp_path, dataset={"cases": str(stripped)}))
+        for subtask in ("st2", "st4"):
+            with pytest.raises(ConfigError, match=f"case 3 has no dev gold for the {subtask}"):
+                run_sweep(config, subtask)
+        assert backend.calls == []
 
 
 class TestCliCommands:

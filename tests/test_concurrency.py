@@ -1,6 +1,7 @@
 """Call scheduling: outputs never depend on the worker count or on the
-order in which calls complete, every generator call of a run goes through
-its one bounded call pool, and live clients are built once per deployment."""
+order in which calls complete, each case makes its generator calls on its
+own thread in a fixed order, calls in flight stay within their bound, and
+live clients are built once per deployment."""
 
 import json
 import logging
@@ -8,16 +9,11 @@ import random
 import sys
 import threading
 import time
+from collections import defaultdict
 
 from ehrqa import pipeline
 from ehrqa.dataset import toy_dataset_path
-from ehrqa.pipeline import (
-    CALL_THREAD_PREFIX,
-    DeploymentRouter,
-    resolve_config,
-    run_pipeline,
-    run_sweep,
-)
+from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline, run_sweep
 from ehrqa.providers import PipelineMockProvider
 from tests.test_cli import base_config, tree_bytes
 from tests.test_providers import FakeResponse, req
@@ -26,7 +22,8 @@ from tests.test_providers import FakeResponse, req
 class FuzzGenerator:
     """PipelineMockProvider behind a seeded random 0-5 ms wait per request,
     so calls complete in a shuffled order. Records the peak number of calls
-    in flight and the name of every thread a call ran on."""
+    in flight and each case's calls, as (thread name, request tag), in the
+    order they were made."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -34,20 +31,31 @@ class FuzzGenerator:
         self._lock = threading.Lock()
         self.inflight = 0
         self.peak = 0
-        self.threads: list[str] = []
+        self.by_case: dict[str, list[tuple[str, str]]] = defaultdict(list)
 
     def generate(self, request):
         wait = random.Random(f"{self.seed}/{request.request_tag}/{request.sample_index}")
         with self._lock:
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
-            self.threads.append(threading.current_thread().name)
+            case_id = request.request_tag.split("/")[0]
+            self.by_case[case_id].append(
+                (threading.current_thread().name, request.request_tag)
+            )
         try:
             time.sleep(wait.uniform(0.0, 0.005))
             return self.inner.generate(request)
         finally:
             with self._lock:
                 self.inflight -= 1
+
+
+def check_calls(generator: FuzzGenerator, reference: FuzzGenerator) -> None:
+    """Each case made its calls on one thread, in the reference run's order."""
+    assert generator.by_case, "the run made no generator call"
+    for case_id, calls in generator.by_case.items():
+        assert len({thread for thread, _ in calls}) == 1, case_id
+        assert [tag for _, tag in calls] == [tag for _, tag in reference.by_case[case_id]]
 
 
 def nine_cases(path):
@@ -84,12 +92,11 @@ def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, mo
             }))
             trees[workers, fuzz] = tree_bytes(out)
             generator = built[-1]
-            assert generator.threads, "the run made no generator call"
+            check_calls(generator, built[0])
             assert generator.peak <= workers * workers
             if workers == 1:
-                assert set(generator.threads) == {threading.current_thread().name}
-            else:
-                assert all(name.startswith(CALL_THREAD_PREFIX) for name in generator.threads)
+                main = threading.current_thread().name
+                assert {t for calls in generator.by_case.values() for t, _ in calls} == {main}
     reference = trees[1, 0]
     assert {"st1.jsonl", "st2.jsonl", "st3.jsonl", "st4.jsonl"} <= set(reference)
     assert all(tree == reference for tree in trees.values())
@@ -97,8 +104,9 @@ def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, mo
 
 
 def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
-    """A sweep runs one case at a time, so its pool is ``workers`` calls,
-    the bound its per-batch pools had, not the ``workers**2`` of a run."""
+    """A sweep case makes one batch of calls, so the sweep maps its cases
+    over ``workers`` threads, and its calls in flight stay at ``workers``,
+    not the ``workers**2`` of a run."""
     built: list[FuzzGenerator] = []
 
     def build_generator(config):
@@ -107,19 +115,18 @@ def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_generator", build_generator)
     results = {}
+    cases = nine_cases(tmp_path / "cases.jsonl")
     for workers in (1, 2):
-        config = resolve_config(
-            base_config(tmp_path / f"w{workers}", subtasks=["st2"], workers=workers)
-        )
+        config = resolve_config(base_config(
+            tmp_path / f"w{workers}", dataset={"cases": str(cases)},
+            subtasks=["st2"], workers=workers,
+        ))
         for member in config["st2"]["plan"]["members"]:
             member["samples"] = 3
         results[workers] = run_sweep(config, "st2")
-        generator = built[-1]
-        assert generator.peak <= workers
-        if workers == 1:
-            assert set(generator.threads) == {threading.current_thread().name}
-        else:
-            assert all(name.startswith(CALL_THREAD_PREFIX) for name in generator.threads)
+        check_calls(built[-1], built[0])
+        assert built[-1].peak <= workers
+    assert built[1].peak > 1  # workers=2 did overlap calls across cases
     assert results[1] == results[2]
 
 

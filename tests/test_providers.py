@@ -1,14 +1,12 @@
-import contextlib
 import json
 import sys
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from ehrqa.core import CacheMissError, EhrqaError, ProviderError
+from ehrqa.pipeline import _map_cases
 from ehrqa.prompting import Message
 from ehrqa.providers import (
     CachedEmbedder,
@@ -25,7 +23,6 @@ from ehrqa.providers import (
     cosine,
     embed_cache_key,
     env_var_names,
-    gather_multi,
     gather_responses,
     request_cache_key,
 )
@@ -432,75 +429,49 @@ class TestHttpProvider:
         assert env_var_names("gpt-5.2") == ("EHRQA_GPT_5_2_ENDPOINT", "EHRQA_GPT_5_2_API_KEY")
 
 
-def calls_pool(size):
-    """``size`` call threads, or, for None, a context yielding None: inline."""
-    return ThreadPoolExecutor(max_workers=size) if size else contextlib.nullcontext()
-
-
 class TestGatherResponses:
     def test_results_in_request_order_despite_scheduling(self):
-        release = threading.Event()
-        released = []
-
-        class SlowFirst:
-            def generate(self, request):
-                if request.request_tag == "a":
-                    released.append(release.wait(timeout=5))
-                else:
-                    release.set()
-                return ScriptedProvider(handler=lambda r: r.request_tag).generate(request)
-
-        with ThreadPoolExecutor(max_workers=2) as calls:
-            outcomes = gather_responses(SlowFirst(), [req("a"), req("b")], calls)
-        assert released == [True]  # "b" ran while "a" was still in flight
-        assert [o.request.request_tag for o in outcomes] == ["a", "b"]
-        assert [o.response.text for o in outcomes] == ["a", "b"]
+        provider = ScriptedProvider(handler=lambda r: r.request_tag)
+        outcomes = gather_responses(provider, [req("b"), req("a"), req("c")])
+        assert provider.calls == ["b", "a", "c"]  # made inline, one after another
+        assert [o.request.request_tag for o in outcomes] == ["b", "a", "c"]
+        assert [o.response.text for o in outcomes] == ["b", "a", "c"]
 
     def test_failures_captured_not_raised(self):
         provider = ScriptedProvider({"ok": "fine"})
-        for size in (None, 1, 2):
-            with calls_pool(size) as calls:
-                outcomes = gather_responses(provider, [req("ok"), req("missing")], calls)
-            assert outcomes[0].ok
-            assert outcomes[0].result().text == "fine"
-            assert not outcomes[1].ok
-            assert isinstance(outcomes[1].error, ProviderError)
-            with pytest.raises(ProviderError, match="missing"):
-                outcomes[1].result()
+        outcomes = gather_responses(provider, [req("missing"), req("ok")])
+        assert not outcomes[0].ok
+        assert isinstance(outcomes[0].error, ProviderError)
+        with pytest.raises(ProviderError, match="missing"):
+            outcomes[0].result()
+        assert outcomes[1].ok  # the batch went on past the failure
+        assert outcomes[1].result().text == "fine"
 
-    @pytest.mark.parametrize("size", [None, 1, 2])
+    @pytest.mark.parametrize("threads", [None, 1, 2])
     @pytest.mark.parametrize(
         "error", [TypeError("bug in a generator"), CacheMissError("no cached response")]
     )
-    def test_errors_other_than_provider_errors_propagate(self, error, size):
+    def test_errors_other_than_provider_errors_propagate(self, error, threads):
+        """At once, whether the batch is called directly (None) or from the
+        cases of a run mapped over 1 or 2 threads."""
+
         def respond(request):
-            if request.request_tag == "b":
+            if request.request_tag.endswith("b"):
                 raise error
             return "fine"
 
-        with calls_pool(size) as calls:
-            with pytest.raises(type(error), match=str(error)):
-                gather_responses(ScriptedProvider(handler=respond), [req("a"), req("b")], calls)
+        provider = ScriptedProvider(handler=respond)
 
-    def test_pooled_batch_finishes_then_raises_the_first_error_in_request_order(self):
-        finished = []
+        def batch(case_id):
+            return gather_responses(provider, [req(f"{case_id}/{t}") for t in "abc"])
 
-        def respond(request):
-            if request.request_tag == "b":
-                time.sleep(0.05)  # fails last in time, first in request order
-                raise CacheMissError("first")
-            if request.request_tag == "c":
-                raise TypeError("second")
-            time.sleep(0.1)
-            finished.append(request.request_tag)
-            return "fine"
-
-        with ThreadPoolExecutor(max_workers=4) as calls:
-            with pytest.raises(CacheMissError, match="first"):
-                gather_multi(
-                    [(ScriptedProvider(handler=respond), req(t)) for t in "abcd"], calls
-                )
-        assert sorted(finished) == ["a", "d"]  # the batch waited for every request
+        with pytest.raises(type(error), match=str(error)):
+            if threads is None:
+                batch("1")
+            else:
+                _map_cases(batch, ["1", "2"], threads)
+        assert provider.calls
+        assert not any(tag.endswith("c") for tag in provider.calls)
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(EhrqaError, match="unique"):

@@ -1,7 +1,5 @@
 import itertools
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -222,6 +220,21 @@ class TestRunCase:
         }
         assert len(result.candidate_scores) == 2
 
+    def test_cited_ids_are_the_chosen_candidates_citations(self):
+        case = simple_case("c1")
+        reference = " ".join(s.text for s in case.note)
+        embedder = FixedEmbedder({
+            reference: [1.0, 0.0],
+            "Emergent catheterization revealed an occlusion.": [0.0, 1.0],
+            "Totally unrelated vocabulary here.": [1.0, 0.0],
+        })
+        result = run_case(
+            case, ["2", "5"], [], self.scripted_provider(), deployments=["d1", "d2"],
+            embedder=embedder,
+        )
+        assert result.answer_text == "Totally unrelated vocabulary here."
+        assert result.cited_ids == ["5"]  # d2's citation, not the members' union
+
     def test_stage2_requests_are_tagged_by_drafting_member(self):
         seen = []
 
@@ -248,8 +261,8 @@ class TestRunCase:
 
     def test_members_with_one_draft_share_one_recorded_rewrite(self, tmp_path):
         """Three members that draft the same text ask one stage-2 request:
-        it is sent once, for the first member, and a replay of the recording
-        gives back the recorded result."""
+        it is sent once, for the first member, so recording it is one live
+        call and one cache entry, and a replay gives back the recorded result."""
         numbers = itertools.count(1)
 
         def respond(request):
@@ -262,12 +275,11 @@ class TestRunCase:
         results = []
         for generator in (ReplayGenerator(cache, inner=inner, mode="record"),
                           ReplayGenerator(cache, mode="replay")):
-            with ThreadPoolExecutor(max_workers=4) as calls:
-                results.append(run_case(
-                    simple_case("c1"), ["2", "5"], [], generator,
-                    deployments=["d1", "d2", "d3"], stage2_deployment="rewriter",
-                    embedder=HashEmbedder(), calls=calls,
-                ))
+            results.append(run_case(
+                simple_case("c1"), ["2", "5"], [], generator,
+                deployments=["d1", "d2", "d3"], stage2_deployment="rewriter",
+                embedder=HashEmbedder(),
+            ))
         recorded, replayed = results
         assert sorted(inner.calls) == [
             "c1/st3s1/d1/0", "c1/st3s1/d2/0", "c1/st3s1/d3/0", "c1/st3s2/d1/0"
@@ -276,29 +288,6 @@ class TestRunCase:
         assert replayed == recorded
         assert cache.stats() == {"hits": 4, "misses": 4, "entries": 4}
 
-    def test_each_stage_is_one_batch_in_flight_at_once(self):
-        """All three stage-1 drafts of a case wait on one barrier, and so do
-        all three stage-2 rewrites: the run completes only if each stage's
-        requests are in flight together."""
-        barriers = {stage: threading.Barrier(3, timeout=5) for stage in ("st3s1", "st3s2")}
-
-        def respond(request):
-            barriers[request.request_tag.split("/")[1]].wait()
-            return f"Draft from {request.deployment_name} [2]."
-
-        with ThreadPoolExecutor(max_workers=4) as calls:
-            result = run_case(
-                simple_case("c1"),
-                ["2", "5"],
-                [],
-                ScriptedProvider(handler=respond),
-                deployments=["d1", "d2", "d3"],
-                rerank=False,
-                calls=calls,
-            )
-        assert [c["deployment"] for c in result.candidate_scores] == ["d1", "d2", "d3"]
-        assert result.answer_text == "Draft from d1."
-
     def test_a_failed_draft_fails_the_case_after_its_batch(self):
         def respond(request):
             if request.request_tag == "c1/st3s1/d2/0":
@@ -306,12 +295,10 @@ class TestRunCase:
             return "Draft [2]."
 
         provider = ScriptedProvider(handler=respond)
-        with ThreadPoolExecutor(max_workers=4) as calls:
-            with pytest.raises(SubtaskError, match="case c1: stage-1 draft failed: d2 down"):
-                run_case(
-                    simple_case("c1"), ["2"], [], provider,
-                    deployments=["d1", "d2", "d3"], rerank=False, calls=calls,
-                )
+        with pytest.raises(SubtaskError, match="case c1: stage-1 draft failed: d2 down"):
+            run_case(
+                simple_case("c1"), ["2"], [], provider, deployments=["d1", "d2", "d3"], rerank=False
+            )
         assert sorted(provider.calls) == ["c1/st3s1/d1/0", "c1/st3s1/d2/0", "c1/st3s1/d3/0"]
 
 
