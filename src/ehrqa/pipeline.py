@@ -200,7 +200,31 @@ def resolve_config(
     return config
 
 
+PLAN_MEMBER_KEYS = frozenset({"deployment", "temperature", "samples"})
+
+
+def unknown_keys(section: dict, shape: dict, path: str = "") -> list[str]:
+    """Config paths of the keys of ``section`` that ``shape``, the same part
+    of DEFAULT_CONFIG, does not have; a merge section also takes ``k``."""
+    known = set(shape) | ({"k"} if path.endswith("merge") else set())
+    found = []
+    for key, value in section.items():
+        where = f"{path}.{key}" if path else key
+        if key not in known:
+            found.append(where)
+        elif isinstance(value, dict) and isinstance(shape[key], dict):
+            found += unknown_keys(value, shape[key], where)
+        elif key == "members" and isinstance(value, list):
+            for i, member in enumerate(value):
+                if isinstance(member, dict):
+                    found += [f"{where}[{i}].{k}" for k in member if k not in PLAN_MEMBER_KEYS]
+    return found
+
+
 def validate_config(config: dict) -> None:
+    unknown = unknown_keys(config, DEFAULT_CONFIG)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     if config["provider_mode"] not in PROVIDER_MODES:
         raise ConfigError(f"unknown provider_mode {config['provider_mode']!r}")
     if not config.get("random_free", True):
@@ -403,6 +427,7 @@ def _case_chain(
     generator: Generator,
     embedder: Embedder | None,
     constraints: ConstraintConfig,
+    st4_policy: MergePolicy | None,
 ) -> dict[str, dict]:
     """Run every selected subtask for one case, chaining outputs forward.
 
@@ -496,7 +521,7 @@ def _case_chain(
             _st4_shots(pool, cfg),
             None if embedding_only else plan_from_config(cfg["plan"]),
             None if embedding_only else generator,
-            _st4_policy(cfg),
+            st4_policy,
             recall=recall_from_config(cfg["recall"]),
             embedder=embedder,
             full_answer_context=bool(cfg.get("full_answer_context", True)),
@@ -521,6 +546,9 @@ def run_pipeline(config: dict) -> dict:
     order, so concurrency never changes the written files.
     """
     case_file, pool_file = load_dataset(config)
+    # Read once, here, not in validate_config: a sweep's config may name
+    # the file that the sweep is about to write.
+    st4_policy = _st4_policy(config["st4"]) if "st4" in config["subtasks"] else None
     generator = build_generator(config)
     needs_embedder = (
         ("st3" in config["subtasks"] and config["st3"].get("rerank"))
@@ -544,7 +572,8 @@ def run_pipeline(config: dict) -> dict:
 
     def chain(case: Case) -> dict[str, dict]:
         return _case_chain(
-            case, config, subtasks, pool_cases, st1_pool, generator, embedder, constraints
+            case, config, subtasks, pool_cases, st1_pool, generator, embedder, constraints,
+            st4_policy,
         )
 
     per_case = _map_cases(chain, cases, workers * workers)
@@ -588,13 +617,35 @@ def run_pipeline(config: dict) -> dict:
 
 def _map_cases(fn: Callable[[Case], T], cases: list[Case], threads: int) -> list[T]:
     """``fn`` over ``cases`` on up to ``threads`` threads, results in case
-    order. With one thread or one case no thread is started."""
+    order. With one thread or one case no thread is started.
+
+    Once a case fails no later case starts; the running ones finish, and
+    the error of the first failed case in case order is raised, as a
+    one-thread run would raise it.
+    """
     if threads <= 1 or len(cases) <= 1:
         return [fn(case) for case in cases]
+    first_failed = len(cases)
+    lock = threading.Lock()
+
+    def run(index: int, case: Case):
+        # pool.map cancels the queued cases only once its iterator reaches
+        # the failed one, and a worker takes the next case as soon as it
+        # has failed one, so each case checks for an earlier failure.
+        nonlocal first_failed
+        if index > first_failed:
+            return None
+        try:
+            return fn(case)
+        except BaseException:
+            with lock:
+                first_failed = min(first_failed, index)
+            raise
+
     with ThreadPoolExecutor(
         max_workers=min(threads, len(cases)), thread_name_prefix="ehrqa-case"
     ) as pool:
-        return list(pool.map(fn, cases))
+        return list(pool.map(run, range(len(cases)), cases))
 
 
 def _st4_shots(pool: list[Case], cfg: dict) -> list[Case]:
@@ -605,10 +656,15 @@ def _st4_shots(pool: list[Case], cfg: dict) -> list[Case]:
 
 
 def _st4_policy(cfg: dict) -> MergePolicy:
-    if cfg.get("threshold_file"):
-        k = st4.read_best_threshold(cfg["threshold_file"])
-        return MergePolicy.manual(k)
-    return policy_from_config(cfg["merge"])
+    """st4's merge policy: a manual threshold read from ``threshold_file``
+    when one is named, else the ``merge`` section."""
+    path = cfg.get("threshold_file")
+    if not path:
+        return policy_from_config(cfg["merge"])
+    try:
+        return MergePolicy.manual(st4.read_best_threshold(path))
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"st4.threshold_file: {exc}") from exc
 
 
 def _st4_answers(case: Case, cfg: dict, st3_answer: str | None):

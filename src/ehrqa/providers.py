@@ -618,13 +618,6 @@ class RequestOutcome:
     def ok(self) -> bool:
         return self.response is not None
 
-    def result(self) -> GenResponse:
-        """The response, or the captured ProviderError raised."""
-        if self.error is not None:
-            raise self.error
-        assert self.response is not None
-        return self.response
-
 
 def gather_responses(
     generator: Generator,

@@ -125,9 +125,8 @@ def extract_context(
         temperature=0.0,
         request_tag=f"{case.case_id}/st1ctx/0",
     )
-    [outcome] = gather_multi([(provider, request)])
     try:
-        raw = parse_json_object(outcome.result().text)
+        raw = parse_json_object(provider.generate(request).text)
     except (ProviderError, ParseError) as exc:
         logger.warning("context extraction failed for %s: %s", case.case_id, exc)
         return EMPTY_CONTEXT

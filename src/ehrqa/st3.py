@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
 from .prompting import load_template, render_prompt
-from .providers import (
-    Embedder,
-    GenRequest,
-    Generator,
-    RequestOutcome,
-    cosine,
-    gather_responses,
-    request_cache_key,
-)
+from .providers import Embedder, GenRequest, Generator, cosine
 
 logger = logging.getLogger(__name__)
 
@@ -87,34 +79,28 @@ def supplied_evidence(case: Case, evidence_ids) -> list[str]:
     return supplied or list(case.note_ids)
 
 
-def stage1_request(
+def stage1_draft(
     case: Case,
-    supplied: list[str],
+    evidence_ids,
     shots,
-    deployment: str,
+    provider: Generator,
+    deployment: str = "default",
     clinician_question: str | None = None,
-    sample_index: int = 0,
-    temperature: float = 0.0,
-) -> GenRequest:
-    """The request for one member's cited draft over ``supplied`` evidence."""
+) -> CitedDraft:
+    """One member's cited draft over the supplied evidence. Citations
+    outside it are dropped, and a draft that cites nothing cites all of it."""
+    supplied = supplied_evidence(case, evidence_ids)
     extra = {"evidence_block": evidence_block_for(case, supplied)}
     if clinician_question is not None:
         extra["clinician_question"] = clinician_question
-    messages = tuple(render_prompt(load_template("st3_stage1"), case, shots, extra=extra))
-    return GenRequest(
+    request = GenRequest(
         deployment_name=deployment,
-        messages=messages,
-        temperature=temperature,
-        request_tag=f"{case.case_id}/st3s1/{deployment}/{sample_index}",
-        sample_index=sample_index,
+        messages=tuple(render_prompt(load_template("st3_stage1"), case, shots, extra=extra)),
+        temperature=0.0,
+        request_tag=f"{case.case_id}/st3s1/{deployment}/0",
     )
-
-
-def read_draft(case: Case, supplied: list[str], outcome: RequestOutcome) -> CitedDraft:
-    """The cited draft in a stage-1 outcome; citations outside ``supplied``
-    are dropped, and a draft that cites nothing cites all of it."""
     try:
-        text = outcome.result().text
+        text = provider.generate(request).text
     except ProviderError as exc:  # the backend client has already retried it
         raise SubtaskError(f"case {case.case_id}: stage-1 draft failed: {exc}") from exc
     markers = extract_markers(text)
@@ -135,56 +121,31 @@ def read_draft(case: Case, supplied: list[str], outcome: RequestOutcome) -> Cite
     return CitedDraft(text_with_citations=text, cited_ids=tuple(valid))
 
 
-def stage1_draft(
-    case: Case,
-    evidence_ids,
-    shots,
-    provider: Generator,
-    deployment: str = "default",
-    clinician_question: str | None = None,
-    sample_index: int = 0,
-    temperature: float = 0.0,
-) -> CitedDraft:
-    """Draft one cited answer: stage1_request, one call, read_draft."""
-    supplied = supplied_evidence(case, evidence_ids)
-    request = stage1_request(
-        case, supplied, shots, deployment, clinician_question, sample_index, temperature
-    )
-    [outcome] = gather_responses(provider, [request])
-    return read_draft(case, supplied, outcome)
-
-
-def stage2_request(
+def stage2_rewrite(
     draft: CitedDraft,
     case: Case,
-    member: str,
-    deployment: str,
-    sample_index: int = 0,
-) -> GenRequest:
-    """The request rewriting ``draft`` on ``deployment``, tagged by the
-    ensemble ``member`` that drafted it so every member's tag is unique."""
+    provider: Generator,
+    constraints: ConstraintConfig = ConstraintConfig(),
+    deployment: str = "default",
+    member: str | None = None,
+) -> str:
+    """Rewrite ``draft`` on ``deployment`` from its cited sentences only:
+    marker-free, truncated, and never empty (falls back to the stripped
+    draft). The tag names the ensemble ``member`` that drafted it
+    (default: ``deployment``), so every member's tag is unique."""
     extra = {
         "evidence_block": evidence_block_for(case, draft.cited_ids),
         "draft": draft.text_with_citations,
     }
-    messages = tuple(render_prompt(load_template("st3_stage2"), case, (), extra=extra))
-    return GenRequest(
+    request = GenRequest(
         deployment_name=deployment,
-        messages=messages,
+        messages=tuple(render_prompt(load_template("st3_stage2"), case, (), extra=extra)),
         temperature=0.0,
-        request_tag=f"{case.case_id}/st3s2/{member}/{sample_index}",
-        sample_index=sample_index,
+        request_tag=f"{case.case_id}/st3s2/{member or deployment}/0",
     )
-
-
-def read_rewrite(
-    draft: CitedDraft, case: Case, outcome: RequestOutcome, constraints: ConstraintConfig
-) -> str:
-    """The rewrite in a stage-2 outcome: marker-free, truncated, and never
-    empty (falls back to the stripped draft)."""
     text = ""
     try:
-        text = outcome.result().text
+        text = provider.generate(request).text
     except ProviderError as exc:
         logger.warning(
             "case %s: stage-2 rewrite failed, falling back to stripped draft: %s",
@@ -199,21 +160,6 @@ def read_rewrite(
     if not text:
         text = " ".join(case.note_text(i) for i in draft.cited_ids if i in case.note_ids)
     return truncate_words(text, constraints.st3_max_words)
-
-
-def stage2_rewrite(
-    draft: CitedDraft,
-    case: Case,
-    provider: Generator,
-    constraints: ConstraintConfig = ConstraintConfig(),
-    deployment: str = "default",
-    sample_index: int = 0,
-) -> str:
-    """Rewrite onto the cited sentences only: stage2_request, one call,
-    read_rewrite."""
-    request = stage2_request(draft, case, deployment, deployment, sample_index)
-    [outcome] = gather_responses(provider, [request])
-    return read_rewrite(draft, case, outcome, constraints)
 
 
 def rerank_candidates(
@@ -261,34 +207,29 @@ def run_case(
 ) -> St3Result:
     """Run the two-stage scaffold once per deployment; rerank when asked.
 
-    Every member's draft is sent first, in member order, then every
-    distinct rewrite, all on the caller's thread. Single-deployment runs
-    skip reranking entirely. ``cited_ids`` are the chosen candidate's
-    citations.
+    Every member's draft is made first, in member order, then every
+    distinct rewrite, all on the caller's thread; a failed draft fails
+    the case at once. Single-deployment runs skip reranking entirely.
+    ``cited_ids`` are the chosen candidate's citations.
     """
     if not deployments:
         raise SubtaskError(f"case {case.case_id}: no deployments configured")
-    supplied = supplied_evidence(case, evidence_ids)
-    drafted = gather_responses(
-        provider,
-        [stage1_request(case, supplied, shots, d, clinician_question) for d in deployments],
-    )
-    drafts = [read_draft(case, supplied, outcome) for outcome in drafted]
-    rewrites = [
-        stage2_request(draft, case, d, stage2_deployment or d)
-        for d, draft in zip(deployments, drafts)
+    drafts = [
+        stage1_draft(case, evidence_ids, shots, provider, d, clinician_question)
+        for d in deployments
     ]
-    # With a shared stage2_deployment, members with the same draft ask the
-    # same request: send it once, for the first of them, and share its
-    # outcome: a live run would otherwise pay for one answer once per member.
-    keys = [request_cache_key(r) for r in rewrites]
-    unique: dict[str, GenRequest] = {}
-    for key, request in zip(keys, rewrites):
-        unique.setdefault(key, request)
-    sent = dict(zip(unique, gather_responses(provider, list(unique.values()))))
-    candidates = [
-        read_rewrite(draft, case, sent[key], constraints) for draft, key in zip(drafts, keys)
-    ]
+    # A rewrite's request depends only on its draft and its deployment, so
+    # members with the same draft and rewriter share one rewrite, made for
+    # the first of them: a live run would otherwise pay for it per member.
+    rewrites: dict[tuple[CitedDraft, str], str] = {}
+    candidates = []
+    for d, draft in zip(deployments, drafts):
+        rewriter = stage2_deployment or d
+        if (draft, rewriter) not in rewrites:
+            rewrites[draft, rewriter] = stage2_rewrite(
+                draft, case, provider, constraints, rewriter, member=d
+            )
+        candidates.append(rewrites[draft, rewriter])
     if len(candidates) == 1 or not rerank:
         chosen, scores = candidates[0], []
     else:

@@ -89,6 +89,22 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="st3 deployments"):
             resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})
 
+    def test_unknown_keys_are_rejected_by_their_config_path(self):
+        overlay = {
+            "worker": 2,
+            "st2": {"plan": {"members": [{"deployment": "o3", "sample": 3}]}},
+            "st4": {"recal": {"enabled": True}},
+        }
+        with pytest.raises(ConfigError) as error:
+            resolve_config(overlay)
+        assert str(error.value) == (
+            "unknown config key(s): st2.plan.members[0].sample, st4.recal, worker"
+        )
+
+    def test_a_merge_section_takes_k(self):
+        config = resolve_config({"st4": {"merge": {"mode": "manual", "k": 2}}})
+        assert config["st4"]["merge"]["k"] == 2
+
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
@@ -359,6 +375,33 @@ class TestSweep:
         ]
         assert records  # manual-k merge executed without error
         assert k >= 1
+
+    @pytest.mark.parametrize("content", [None, "three\n", "0\n", b"\xff\n", "directory"])
+    def test_a_bad_threshold_file_fails_the_run_before_any_call(
+        self, tmp_path, monkeypatch, capsys, content
+    ):
+        from ehrqa import pipeline
+        from ehrqa.providers import ScriptedProvider
+
+        threshold = tmp_path / "best_vote_threshold.txt"
+        if content == "directory":
+            threshold.mkdir()
+        elif isinstance(content, bytes):
+            threshold.write_bytes(content)
+        elif content is not None:
+            threshold.write_text(content)
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(
+            tmp_path, subtasks=["st1", "st2", "st3", "st4"],
+            st4={"threshold_file": str(threshold)},
+        )))
+        assert main(["run", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "ConfigError"
+        assert error["error"].startswith("st4.threshold_file: ")
+        assert backend.calls == []
 
     def test_sweep_requires_gold(self, tmp_path, monkeypatch):
         """Every case is checked before the first call: only the last case

@@ -11,6 +11,8 @@ import threading
 import time
 from collections import defaultdict
 
+import pytest
+
 from ehrqa import pipeline
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline, run_sweep
@@ -128,6 +130,45 @@ def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
         assert built[-1].peak <= workers
     assert built[1].peak > 1  # workers=2 did overlap calls across cases
     assert results[1] == results[2]
+
+
+def test_no_case_queued_behind_a_failed_case_starts():
+    """Case 0 blocks until case 1 fails; the rest wait in the queue, and
+    none of them may start once case 1 has failed."""
+    released = threading.Event()
+    started = []
+
+    def fn(case):
+        started.append(case)
+        if case == 0:
+            released.wait()
+        elif case == 1:
+            released.set()
+            raise TypeError("bug in case 1")
+        return case
+
+    with pytest.raises(TypeError, match="bug in case 1"):
+        pipeline._map_cases(fn, list(range(9)), 2)
+    assert sorted(started) == [0, 1]
+
+
+def test_the_first_failed_case_in_case_order_raises():
+    """Case 1 fails while case 0 runs on; case 0 then fails too, and its
+    error is the one raised, as at one thread."""
+    failed_1 = threading.Event()
+
+    def fn(case):
+        if case == 0:
+            failed_1.wait()
+            raise ValueError("case 0")
+        if case == 1:
+            failed_1.set()
+            raise TypeError("case 1")
+        return case
+
+    with pytest.raises(ValueError, match="case 0"):
+        pipeline._map_cases(fn, list(range(5)), 2)
+    assert pipeline._map_cases(lambda case: 2 * case, list(range(5)), 2) == [0, 2, 4, 6, 8]
 
 
 class TestDeploymentRouter:
