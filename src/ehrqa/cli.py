@@ -90,23 +90,65 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def _read_predictions(path: Path, field: str, convert) -> dict:
+    """case_id -> ``convert(record[field])`` for each record of a prediction
+    JSONL file.
+
+    A file that cannot be read, a line that is not a JSON object with a
+    string case_id, a record without the field, a field ``convert``
+    rejects, or a case_id seen twice raises ``EhrqaError`` naming the file,
+    the case_id and the field.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EhrqaError(f"{path}: cannot read predictions: {exc}") from exc
+    preds: dict = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise EhrqaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        cid = record.get("case_id") if isinstance(record, dict) else None
+        if not isinstance(cid, str):
+            raise EhrqaError(f"{path}:{lineno}: not a JSON object with a string 'case_id'")
+        if cid in preds:
+            raise EhrqaError(f"{path}: case_id {cid!r} has more than one {field!r} record")
+        if field not in record:
+            raise EhrqaError(f"{path}: case_id {cid!r} has no {field!r}")
+        try:
+            preds[cid] = convert(record[field])
+        except (KeyError, TypeError) as exc:
+            raise EhrqaError(f"{path}: case_id {cid!r} has a malformed {field!r}: {exc}") from exc
+    return preds
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _id_set(value) -> set:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of IDs, got {type(value).__name__}")
+    return set(value)
+
+
+def _alignment(value) -> list[tuple[str, set]]:
+    return [(a["answer_id"], _id_set(a["evidence_id"])) for a in value]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     gold_file = load_cases(args.gold)
-    preds = _read_jsonl(Path(args.pred))
+    path = Path(args.pred)
     subtask = args.subtask
 
     if subtask == "st2":
-        pred = {r["case_id"]: set(r["evidence_ids"]) for r in preds}
+        pred = _read_predictions(path, "evidence_ids", _id_set)
         gold = {
             c.case_id: set(c.gold_evidence or set())
             for c in gold_file.cases
@@ -115,10 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = id_set_scores(pred, gold)
         row, per_case = score_id_sets(scores), per_case_id_rows(scores)
     elif subtask == "st4":
-        pred = {
-            r["case_id"]: [(a["answer_id"], list(a["evidence_id"])) for a in r["alignments"]]
-            for r in preds
-        }
+        pred = _read_predictions(path, "alignments", _alignment)
         gold = {
             c.case_id: [(aid, sorted(ev)) for aid, ev in c.gold_alignments]
             for c in gold_file.cases
@@ -127,7 +166,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = link_scores(pred, gold)
         row, per_case = score_alignments(scores), per_case_link_rows(scores)
     elif subtask == "st1":
-        pred_q = {r["case_id"]: r["clinician_question"] for r in preds}
+        pred_q = _read_predictions(path, "clinician_question", _text)
         gold_q = {
             c.case_id: c.clinician_question
             for c in gold_file.cases
@@ -139,7 +178,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = generation_scores(pairs, sources=sources)
         row, per_case = score_generation(scores), per_case_generation_rows(scores)
     elif subtask == "st3":
-        pred_a = {r["case_id"]: r["answer_text"] for r in preds}
+        pred_a = _read_predictions(path, "answer_text", _text)
         gold_a = {
             c.case_id: c.clinician_answer_paragraph
             for c in gold_file.cases

@@ -104,7 +104,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of the n-gram tuples of ``tokens``, keyed in first-occurrence
+    order."""
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _clipped_overlap(cand: Counter, ref: Counter) -> int:
@@ -224,34 +226,47 @@ def _sari_op_scores(
     Vacuous operations (nothing to keep/add/delete on either side) default
     to a perfect score, so an identity triple scores 1 everywhere.
     """
-    # keep: n-grams retained from source, good if the reference retains them
-    kept = src & cand
-    kept_good = kept & ref
-    kept_target = src & ref
-    keep_p = (
-        sum(kept_good[g] / kept[g] for g in kept_good) / len(kept) if kept else 1.0
-    )
-    keep_r = (
-        sum(kept_good.values()) / sum(kept_target.values()) if kept_target else 1.0
-    )
+    # keep and delete in one pass over the source n-grams. The pass runs in
+    # source key order, the order ``src & cand`` and ``src - cand`` visit
+    # them, and the terms go to ``sum`` as lists, not running totals, so each
+    # float sum sees the same sequence as that Counter algebra did and gives
+    # the same value (``sum`` compensates float rounding from Python 3.12).
+    cand_get, ref_get = cand.get, ref.get
+    kept = kept_good = kept_target = deleted = 0
+    keep_terms: list[float] = []
+    delete_terms: list[float] = []
+    for gram, s in src.items():
+        c = cand_get(gram, 0)
+        r = ref_get(gram, 0)
+        # kept_target: retained by the reference
+        kept_target += s if s < r else r
+        if c:
+            # kept: retained by the candidate; good if the reference retains it
+            k = s if s < c else c
+            kept += 1
+            if r:
+                good = k if k < r else r
+                keep_terms.append(good / k)
+                kept_good += good
+        if s > c:
+            # deleted: dropped by the candidate; good if the reference drops it
+            d = s - c
+            deleted += 1
+            if d > r:
+                delete_terms.append((d - r) / d)
+    keep_p = sum(keep_terms) / kept if kept else 1.0
+    keep_r = kept_good / kept_target if kept_target else 1.0
     keep_f1 = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p + keep_r > 0 else 0.0
+    del_p = sum(delete_terms) / deleted if deleted else 1.0
 
     # add: n-grams introduced by the candidate, good if the reference has them
-    added = set(cand) - set(src)
-    added_good = added & set(ref)
-    added_target = set(ref) - set(src)
-    add_p = len(added_good) / len(added) if added else 1.0
-    add_r = len(added_good) / len(added_target) if added_target else 1.0
+    src_keys = src.keys()
+    added = {gram for gram in cand if gram not in src_keys}
+    added_good = len(added & ref.keys())
+    added_target = sum(1 for gram in ref if gram not in src_keys)
+    add_p = added_good / len(added) if added else 1.0
+    add_r = added_good / added_target if added_target else 1.0
     add_f1 = 2 * add_p * add_r / (add_p + add_r) if add_p + add_r > 0 else 0.0
-
-    # delete: n-grams dropped from source, good if the reference drops them too
-    deleted = src - cand
-    deleted_good = deleted - ref
-    del_p = (
-        sum(deleted_good[g] / deleted[g] for g in deleted_good) / len(deleted)
-        if deleted
-        else 1.0
-    )
     return keep_f1, add_f1, del_p
 
 

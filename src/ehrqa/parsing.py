@@ -30,11 +30,20 @@ def _repair(fragment: str) -> str:
 
 
 def _balanced_spans(text: str, open_ch: str, close_ch: str) -> list[str]:
-    """Balanced bracket substrings in order of start position, string-aware."""
-    spans = []
+    """Balanced bracket substrings in order of start position, string-aware.
+
+    Each ``open_ch`` starts a scan that ends where its depth returns to zero.
+    A start that an enclosing scan reaches outside a string evolves exactly
+    as its own scan would, so that scan resolves its end with a stack. Only
+    a start that every earlier scan saw inside a string gets its own scan.
+    """
     starts = [i for i, ch in enumerate(text) if ch == open_ch]
+    ends: dict[int, int] = {}
+    reached: set[int] = set()
     for start in starts:
-        depth = 0
+        if start in reached:
+            continue
+        stack: list[int] = []
         in_string = False
         escaped = False
         for i in range(start, len(text)):
@@ -50,13 +59,13 @@ def _balanced_spans(text: str, open_ch: str, close_ch: str) -> list[str]:
             if ch == '"':
                 in_string = True
             elif ch == open_ch:
-                depth += 1
+                stack.append(i)
+                reached.add(i)
             elif ch == close_ch:
-                depth -= 1
-                if depth == 0:
-                    spans.append(text[start : i + 1])
+                ends[stack.pop()] = i
+                if not stack:
                     break
-    return spans
+    return [text[start : ends[start] + 1] for start in sorted(ends)]
 
 
 # What decoding model output can raise: ValueError covers JSONDecodeError

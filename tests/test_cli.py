@@ -499,6 +499,65 @@ class TestCliCommands:
         assert code == 1
         assert "999" in capsys.readouterr().err
 
+    def _eval_error(self, pred: Path, subtask: str, capsys) -> str:
+        """The one-line JSON error of an ``ehrqa eval`` of ``pred`` that exits 1."""
+        code = main(
+            ["eval", "--pred", str(pred), "--gold", str(toy_dataset_path()), "--subtask", subtask]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["type"] == "EhrqaError"
+        return error["error"]
+
+    def test_eval_a_repeated_case_id_is_an_error(self, tmp_path, capsys):
+        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        records = [{"case_id": c["case_id"], "evidence_ids": c["gold_evidence"]} for c in cases]
+        records.append({"case_id": cases[0]["case_id"], "evidence_ids": []})
+        pred = tmp_path / "st2.jsonl"
+        pred.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        message = self._eval_error(pred, "st2", capsys)
+        assert str(pred) in message
+        assert repr(cases[0]["case_id"]) in message
+        assert "'evidence_ids'" in message
+
+    @pytest.mark.parametrize(
+        "subtask,field",
+        [("st1", "clinician_question"), ("st2", "evidence_ids"),
+         ("st3", "answer_text"), ("st4", "alignments")],
+    )
+    def test_eval_a_record_missing_its_field_is_an_error(self, tmp_path, capsys, subtask, field):
+        pred = tmp_path / f"{subtask}.jsonl"
+        pred.write_text(json.dumps({"case_id": "2"}) + "\n")
+        message = self._eval_error(pred, subtask, capsys)
+        assert str(pred) in message
+        assert "'2'" in message
+        assert repr(field) in message
+
+    @pytest.mark.parametrize(
+        "subtask,line,expected",
+        [("st2", "{not json", ":1: not valid JSON"),
+         ("st2", '["2"]', ":1: not a JSON object with a string 'case_id'"),
+         ("st2", '{"case_id": ["2"], "evidence_ids": []}', ":1: not a JSON object with a string"),
+         ("st2", '{"case_id": "2", "evidence_ids": "2"}', "malformed 'evidence_ids'"),
+         ("st3", '{"case_id": "2", "answer_text": null}', "malformed 'answer_text'"),
+         ("st4", '{"case_id": "2", "alignments": [{"answer_id": "1", "evidence_id": "12"}]}',
+          "malformed 'alignments'"),
+         ("st4", '{"case_id": "2", "alignments": [{"answer_id": "1"}]}', "malformed 'alignments'")],
+    )
+    def test_eval_an_unreadable_record_is_an_error(self, tmp_path, capsys, subtask, line, expected):
+        pred = tmp_path / f"{subtask}.jsonl"
+        pred.write_text(line + "\n")
+        assert expected in self._eval_error(pred, subtask, capsys)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["missing", "not-utf8"])
+    def test_eval_an_unreadable_file_is_an_error(self, tmp_path, capsys, content):
+        pred = tmp_path / "st2.jsonl"
+        if content is not None:
+            pred.write_bytes(content)
+        assert f"{pred}: cannot read predictions" in self._eval_error(pred, "st2", capsys)
+
     def test_eval_st4_hand_fixture(self, tmp_path, capsys):
         pred = tmp_path / "st4.jsonl"
         records = []

@@ -1,8 +1,9 @@
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ehrqa.core import EhrqaError
@@ -202,6 +203,111 @@ class TestSari:
     def test_range(self):
         value = sari("a b c d", "a c e", "a b d")
         assert 0.0 <= value <= 100.0
+
+
+def reference_ngrams(tokens, n):
+    """The slice-based n-gram count that ``ngrams`` must equal, keys in order."""
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_sari_op_scores(src, cand, ref):
+    """The Counter-algebra SARI operation scores that ``_sari_op_scores``
+    must equal bit for bit: its float sums run in the key order of ``&``
+    and ``-``."""
+    kept = src & cand
+    kept_good = kept & ref
+    kept_target = src & ref
+    keep_p = (
+        sum(kept_good[g] / kept[g] for g in kept_good) / len(kept) if kept else 1.0
+    )
+    keep_r = (
+        sum(kept_good.values()) / sum(kept_target.values()) if kept_target else 1.0
+    )
+    keep_f1 = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p + keep_r > 0 else 0.0
+
+    added = set(cand) - set(src)
+    added_good = added & set(ref)
+    added_target = set(ref) - set(src)
+    add_p = len(added_good) / len(added) if added else 1.0
+    add_r = len(added_good) / len(added_target) if added_target else 1.0
+    add_f1 = 2 * add_p * add_r / (add_p + add_r) if add_p + add_r > 0 else 0.0
+
+    deleted = src - cand
+    deleted_good = deleted - ref
+    del_p = (
+        sum(deleted_good[g] / deleted[g] for g in deleted_good) / len(deleted)
+        if deleted
+        else 1.0
+    )
+    return keep_f1, add_f1, del_p
+
+
+def reference_sari(source, candidate, reference, max_n=4):
+    src, cand, ref = source.lower().split(), candidate.lower().split(), reference.lower().split()
+    total = 0.0
+    for n in range(1, max_n + 1):
+        keep_f1, add_f1, del_p = reference_sari_op_scores(
+            reference_ngrams(src, n), reference_ngrams(cand, n), reference_ngrams(ref, n)
+        )
+        total += (keep_f1 + add_f1 + del_p) / 3
+    return 100.0 * total / max_n
+
+
+# Five tokens, so that n-grams repeat within and across texts; sources run
+# to ten times the longest candidate, as a note does against an answer.
+_TOKENS = ["a", "b", "c", "d", "E"]
+_texts = st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join)
+_sources = st.lists(st.sampled_from(_TOKENS), max_size=400).map(" ".join)
+
+
+class TestReferenceEquivalence:
+    """The one-pass SARI and the zip n-grams against the Counter-algebra
+    and slice references, with ``==``."""
+
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=30), st.integers(1, 5))
+    def test_ngrams_keys_counts_and_order(self, tokens, n):
+        assert list(ngrams(tokens, n).items()) == list(reference_ngrams(tokens, n).items())
+
+    @given(_sources, _texts, _texts)
+    @example("", "", "")
+    @example("a b c d E " * 24, "a b", "c d")
+    @example("a a a b b", "", "a b")
+    def test_sari_op_scores_per_order(self, source, candidate, reference):
+        src, cand, ref = (text.lower().split() for text in (source, candidate, reference))
+        for n in range(1, 5):
+            grams = reference_ngrams(src, n), reference_ngrams(cand, n), reference_ngrams(ref, n)
+            assert _sari_op_scores(*grams) == reference_sari_op_scores(*grams)
+
+    @given(_sources, _texts, _texts)
+    @example("", "", "")
+    @example("a b c d E " * 24, "a b", "c d")
+    def test_sari(self, source, candidate, reference):
+        assert sari(source, candidate, reference) == reference_sari(source, candidate, reference)
+
+    def test_seeded_triples(self):
+        # About a quarter of these triples have keep or delete sums whose
+        # value depends on the order of their terms.
+        rng = random.Random(3)
+        for _ in range(300):
+            source, candidate, reference = (
+                " ".join(rng.choice(_TOKENS) for _ in range(rng.randint(0, size)))
+                for size in (200, 60, 60)
+            )
+            assert sari(source, candidate, reference) == reference_sari(
+                source, candidate, reference
+            )
+
+    def test_note_scale_source(self):
+        rng = random.Random(600)
+        words = [f"w{i}" for i in range(40)]
+        source, candidate, reference = (
+            " ".join(rng.choice(words) for _ in range(size)) for size in (600, 60, 60)
+        )
+        src, cand, ref = (text.split() for text in (source, candidate, reference))
+        for n in range(1, 5):
+            grams = reference_ngrams(src, n), reference_ngrams(cand, n), reference_ngrams(ref, n)
+            assert _sari_op_scores(*grams) == reference_sari_op_scores(*grams)
+        assert sari(source, candidate, reference) == reference_sari(source, candidate, reference)
 
 
 class TestLeaderboardMean:

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from ehrqa.core import ParseError
 from ehrqa.parsing import (
+    _balanced_spans,
     format_alignment,
     format_id_array,
     parse_alignment,
@@ -164,3 +166,50 @@ def test_an_undecodable_fragment_is_skipped(parse, text, expected):
     """Nesting past the recursion limit, or an integer past the digit
     limit, disqualifies that fragment like any malformed JSON."""
     assert parse(text) == expected
+
+
+def reference_balanced_spans(text, open_ch, close_ch):
+    """One scan per start: the quadratic definition ``_balanced_spans``
+    must equal."""
+    spans = []
+    starts = [i for i, ch in enumerate(text) if ch == open_ch]
+    for start in starts:
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+                continue
+            if ch == '"':
+                in_string = True
+            elif ch == open_ch:
+                depth += 1
+            elif ch == close_ch:
+                depth -= 1
+                if depth == 0:
+                    spans.append(text[start : i + 1])
+                    break
+    return spans
+
+
+class TestBalancedSpans:
+    @given(st.text(alphabet='[]{}"\\ a,1', max_size=60))
+    def test_matches_one_scan_per_start(self, text):
+        for open_ch, close_ch in (("[", "]"), ("{", "}")):
+            assert _balanced_spans(text, open_ch, close_ch) == reference_balanced_spans(
+                text, open_ch, close_ch
+            )
+
+    def test_unmatched_opens_take_linear_time(self):
+        # One scan per start took 1.8 s at 8,000 unmatched "[".
+        text = "[" * 16_000 + '["1"]'
+        start = time.perf_counter()
+        assert parse_id_array(text) == {"1"}
+        assert time.perf_counter() - start < 1.0
