@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .core import EhrqaError, atomic_write_text
-from .dataset import load_cases
+from .dataset import as_list, as_text, load_cases, read_records
 from .pipeline import PRESETS, resolve_config, run_pipeline, run_sweep
 from .providers import ResponseCache
 from .report import (
@@ -94,27 +94,13 @@ def _read_predictions(path: Path, field: str, convert) -> dict:
     """case_id -> ``convert(record[field])`` for each record of a prediction
     JSONL file.
 
-    A file that cannot be read, a line that is not a JSON object with a
-    string case_id, a record without the field, a field ``convert``
-    rejects, or a case_id seen twice raises ``EhrqaError`` naming the file,
-    the case_id and the field.
+    A file or line that ``read_records`` rejects, a record without the
+    field, a field ``convert`` rejects, or a case_id seen twice raises
+    ``EhrqaError`` naming the file, the case_id and the field.
     """
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EhrqaError(f"{path}: cannot read predictions: {exc}") from exc
     preds: dict = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise EhrqaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        cid = record.get("case_id") if isinstance(record, dict) else None
-        if not isinstance(cid, str):
-            raise EhrqaError(f"{path}:{lineno}: not a JSON object with a string 'case_id'")
+    for _, record in read_records(path, "predictions"):
+        cid = record["case_id"]
         if cid in preds:
             raise EhrqaError(f"{path}: case_id {cid!r} has more than one {field!r} record")
         if field not in record:
@@ -126,16 +112,8 @@ def _read_predictions(path: Path, field: str, convert) -> dict:
     return preds
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
 def _id_set(value) -> set:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of IDs, got {type(value).__name__}")
-    return set(value)
+    return set(as_list(value))
 
 
 def _alignment(value) -> list[tuple[str, set]]:
@@ -166,7 +144,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = link_scores(pred, gold)
         row, per_case = score_alignments(scores), per_case_link_rows(scores)
     elif subtask == "st1":
-        pred_q = _read_predictions(path, "clinician_question", _text)
+        pred_q = _read_predictions(path, "clinician_question", as_text)
         gold_q = {
             c.case_id: c.clinician_question
             for c in gold_file.cases
@@ -178,7 +156,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = generation_scores(pairs, sources=sources)
         row, per_case = score_generation(scores), per_case_generation_rows(scores)
     elif subtask == "st3":
-        pred_a = _read_predictions(path, "answer_text", _text)
+        pred_a = _read_predictions(path, "answer_text", as_text)
         gold_a = {
             c.case_id: c.clinician_answer_paragraph
             for c in gold_file.cases

@@ -82,53 +82,82 @@ def case_to_record(case: Case) -> dict:
     return {k: record[k] for k in _FIELDS}
 
 
+def as_text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def as_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _ids(value) -> frozenset[str]:
+    return frozenset(str(i) for i in as_list(value))
+
+
+def _note(value) -> tuple[NoteSentence, ...]:
+    return tuple(NoteSentence(id=str(s["id"]), text=as_text(s["text"])) for s in as_list(value))
+
+
+def _answers(value) -> tuple[tuple[str, str], ...]:
+    return tuple((str(a["answer_id"]), as_text(a["text"])) for a in as_list(value))
+
+
+def _alignments(value) -> tuple[tuple[str, frozenset[str]], ...]:
+    return tuple((str(a["answer_id"]), _ids(a["evidence_ids"])) for a in as_list(value))
+
+
 def case_from_record(record: dict, locus: str = "") -> Case:
-    try:
-        note = tuple(
-            NoteSentence(id=str(s["id"]), text=s["text"]) for s in record["note"]
-        )
-        answers = tuple(
-            (str(a["answer_id"]), a["text"])
-            for a in record.get("answer_sentences") or []
-        )
-        gold_evidence = record.get("gold_evidence")
-        gold_alignments = record.get("gold_alignments")
-        return Case(
-            case_id=str(record["case_id"]),
-            patient_question=record["patient_question"],
-            clinician_question=record.get("clinician_question"),
-            note=note,
-            clinician_answer_sentences=answers,
-            clinician_answer_paragraph=record.get("answer_paragraph"),
-            gold_evidence=(
-                frozenset(str(i) for i in gold_evidence)
-                if gold_evidence is not None
-                else None
-            ),
-            gold_alignments=(
-                tuple(
-                    (str(a["answer_id"]), frozenset(str(i) for i in a["evidence_ids"]))
-                    for a in gold_alignments
-                )
-                if gold_alignments is not None
-                else None
-            ),
-        )
-    except KeyError as exc:
-        raise CaseValidationError(f"{locus}: missing field {exc}") from exc
+    """The Case one canonical record holds. A required field that is
+    missing, or any field of the wrong JSON type, raises
+    CaseValidationError naming ``locus`` and the field."""
+
+    def read(field: str, convert, required: bool = False):
+        if record.get(field) is None and not required:
+            return None
+        if field not in record:
+            raise CaseValidationError(f"{locus}: missing field {field!r}")
+        try:
+            return convert(record[field])
+        except (KeyError, TypeError) as exc:
+            raise CaseValidationError(f"{locus}: malformed {field!r}: {exc!r}") from exc
+
+    return Case(
+        case_id=read("case_id", as_text, required=True),
+        patient_question=read("patient_question", as_text, required=True),
+        clinician_question=read("clinician_question", as_text),
+        note=read("note", _note, required=True),
+        clinician_answer_sentences=read("answer_sentences", _answers) or (),
+        clinician_answer_paragraph=read("answer_paragraph", as_text),
+        gold_evidence=read("gold_evidence", _ids),
+        gold_alignments=read("gold_alignments", _alignments),
+    )
 
 
-def _read_records(path: Path) -> list[dict]:
+def read_records(path: Path, what: str) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a UTF-8 JSONL file
+    of case, key or prediction records. A file that cannot be read or
+    decoded, a line that is not JSON, and a record that is not a JSON object
+    with a string case_id raise EhrqaError naming the file and the line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise EhrqaError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise EhrqaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                if not isinstance(record, dict) or not isinstance(record.get("case_id"), str):
+                    raise EhrqaError(f"{path}:{lineno}: not a JSON object with a string 'case_id'")
+                records.append((lineno, record))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EhrqaError(f"{path}: cannot read {what}: {exc}") from exc
     return records
 
 
@@ -147,7 +176,7 @@ def load_cases(
     path = Path(path)
     if not path.exists():
         raise EhrqaError(f"case file not found: {path}")
-    records = _read_records(path)
+    records = read_records(path, "cases")
 
     if format == "key_overlay":
         if key_path is None:
@@ -155,11 +184,10 @@ def load_cases(
         key_path = Path(key_path)
         if not key_path.exists():
             raise EhrqaError(f"key file not found: {key_path}")
-        keys = {str(r["case_id"]): r for r in _read_records(key_path)}
+        keys = {r["case_id"]: r for _, r in read_records(key_path, "answer key")}
         merged = []
-        for record in records:
-            cid = str(record["case_id"])
-            overlay = keys.get(cid, {})
+        for lineno, record in records:
+            overlay = keys.get(record["case_id"], {})
             combined = dict(record)
             for field in (
                 "clinician_question",
@@ -170,15 +198,12 @@ def load_cases(
             ):
                 if overlay.get(field) is not None:
                     combined[field] = overlay[field]
-            merged.append(combined)
+            merged.append((lineno, combined))
         records = merged
     elif format != "canonical":
         raise EhrqaError(f"unknown case file format {format!r}")
 
-    cases = tuple(
-        case_from_record(r, locus=f"{path}:record {i + 1}")
-        for i, r in enumerate(records)
-    )
+    cases = tuple(case_from_record(r, locus=f"{path}:{lineno}") for lineno, r in records)
     return CaseFile(cases=cases, split_label=split_label)
 
 
@@ -196,15 +221,9 @@ def case_sort_key(case: Case):
     return id_sort_key(case.case_id)
 
 
-def few_shot_pool(
-    case_file: CaseFile,
-    exclude_case_id: str | None = None,
-    require_nonempty_gold: bool = False,
-) -> list[Case]:
+def few_shot_pool(case_file: CaseFile, exclude_case_id: str | None = None) -> list[Case]:
     """Leave-one-out candidate pool, ordered by case_id."""
     pool = [c for c in case_file.cases if c.case_id != exclude_case_id]
-    if require_nonempty_gold:
-        pool = [c for c in pool if c.gold_evidence]
     return sorted(pool, key=case_sort_key)
 
 

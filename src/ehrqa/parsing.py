@@ -33,39 +33,43 @@ def _balanced_spans(text: str, open_ch: str, close_ch: str) -> list[str]:
     """Balanced bracket substrings in order of start position, string-aware.
 
     Each ``open_ch`` starts a scan that ends where its depth returns to zero.
-    A start that an enclosing scan reaches outside a string evolves exactly
-    as its own scan would, so that scan resolves its end with a stack. Only
-    a start that every earlier scan saw inside a string gets its own scan.
+    A scan's string state does not depend on its depth, so scans that share
+    one at a position share it from there on: one pass advances the three
+    groups of scans, each a stack of levels of equal depth, together.
     """
-    starts = [i for i, ch in enumerate(text) if ch == open_ch]
     ends: dict[int, int] = {}
-    reached: set[int] = set()
-    for start in starts:
-        if start in reached:
-            continue
-        stack: list[int] = []
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == open_ch:
-                stack.append(i)
-                reached.add(i)
-            elif ch == close_ch:
-                ends[stack.pop()] = i
-                if not stack:
-                    break
+    out: list[list[int]] = []  # outside a string; the top level is at depth 1
+    ins: list[list[int]] = []  # inside a string
+    esc: list[list[int]] = []  # inside a string, just after a backslash
+    for i, ch in enumerate(text):
+        if ch == '"':
+            if esc:
+                out, ins, esc = ins, _merge(out, esc), []
+            else:
+                out, ins = ins, out
+        elif ch == "\\":
+            ins, esc = esc, ins
+        else:
+            if esc:
+                ins, esc = _merge(ins, esc), []
+            if ch == open_ch:
+                out.append([i])
+            elif ch == close_ch and out:
+                for start in out.pop():
+                    ends[start] = i
     return [text[start : ends[start] + 1] for start in sorted(ends)]
+
+
+def _merge(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Two level stacks merged level by level from the top, the shorter
+    list of each level moved into the longer."""
+    if len(a) < len(b):
+        a, b = b, a
+    for k in range(1, len(b) + 1):
+        if len(a[-k]) < len(b[-k]):
+            a[-k], b[-k] = b[-k], a[-k]
+        a[-k] += b[-k]
+    return a
 
 
 # What decoding model output can raise: ValueError covers JSONDecodeError

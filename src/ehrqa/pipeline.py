@@ -17,6 +17,7 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -52,6 +53,13 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 PROVIDER_MODES = ("live", "record", "replay", "mock")
+# The values each of the config's enumerated fields may take.
+CHOICES = {
+    ("provider_mode",): PROVIDER_MODES,
+    ("record_source",): ("live", "mock"),
+    ("st4", "mode"): ("ensemble", "embedding_only"),
+    ("st4", "answers_from"): ("auto", "key", "st3"),
+}
 SUBTASK_ORDER = ("st1", "st2", "st3", "st4")
 
 DEFAULT_CONFIG: dict = {
@@ -225,25 +233,30 @@ def validate_config(config: dict) -> None:
     unknown = unknown_keys(config, DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    if config["provider_mode"] not in PROVIDER_MODES:
-        raise ConfigError(f"unknown provider_mode {config['provider_mode']!r}")
+    for path, allowed in CHOICES.items():
+        value = config
+        for key in path:
+            value = value[key]
+        if value not in allowed:
+            raise ConfigError(f"{'.'.join(path)}: {value!r} is not one of {', '.join(allowed)}")
     if not config.get("random_free", True):
         raise ConfigError("only random-free runs are supported")
     for subtask in config["subtasks"]:
         if subtask not in SUBTASK_ORDER:
             raise ConfigError(f"unknown subtask {subtask!r}")
-    if config["st1"]["shots"] < 0 or config["st1"]["shots"] > 5:
-        raise ConfigError("st1 shots must be in [0, 5]")
-    if config["st4"]["shots"] < 0 or config["st4"]["shots"] > 20:
-        raise ConfigError("st4 shots must be in [0, 20]")
-    for key in ("st2", "st3"):
-        if config[key]["shots"] < 0:
-            raise ConfigError(f"{key} shots must be >= 0")
+    for key, most in (("st1", 5), ("st2", None), ("st3", None), ("st4", 20)):
+        shots = config[key]["shots"]
+        if not _is_int(shots) or shots < 0 or (most is not None and shots > most):
+            bound = ">= 0" if most is None else f"in [0, {most}]"
+            raise ConfigError(f"{key} shots must be an integer {bound}, got {shots!r}")
+    floor = config["st2"]["confidence_floor"]
+    if floor is not None and (isinstance(floor, bool) or not isinstance(floor, (int, float))):
+        raise ConfigError(f"st2.confidence_floor: must be a number or null, got {floor!r}")
     deployments = config["st3"]["deployments"]
     if len(set(deployments)) != len(deployments):
         raise ConfigError(f"st3 deployments must be unique, got {deployments}")
     workers = config["workers"]
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     # Build every object a case builds from the config now, so a bad value
     # fails here, named by its config path, before any backend call.
@@ -262,6 +275,10 @@ def validate_config(config: dict) -> None:
             raise ConfigError(f"{path}: missing field {exc}") from exc
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Where a run reads and writes, and how many threads it uses, never changes
@@ -340,20 +357,24 @@ class DeploymentRouter:
         return self._provider(request.deployment_name).generate(request)
 
 
-def build_generator(config: dict) -> Generator:
+def _backend(config: dict, mock: Callable, live: Callable, recorded: Callable):
+    """The backend ``provider_mode`` selects: ``mock()``, ``live()``, or
+    ``recorded(cache, inner, mode)``, whose inner backend in record mode is
+    the one ``record_source`` names."""
     mode = config["provider_mode"]
     if mode == "mock":
-        return PipelineMockProvider()
+        return mock()
+    if mode == "live":
+        return live()
     cache = ResponseCache(Path(config["cache_dir"]))
-    if mode == "replay":
-        return ReplayGenerator(cache, mode="replay")
+    inner = None
     if mode == "record":
-        if config.get("record_source", "live") == "mock":
-            inner: Generator = PipelineMockProvider()
-        else:
-            inner = DeploymentRouter()
-        return ReplayGenerator(cache, inner=inner, mode="record")
-    return DeploymentRouter()
+        inner = mock() if config["record_source"] == "mock" else live()
+    return recorded(cache, inner, mode)
+
+
+def build_generator(config: dict) -> Generator:
+    return _backend(config, PipelineMockProvider, DeploymentRouter, ReplayGenerator)
 
 
 def _live_embedder(model: str) -> HttpEmbeddingProvider:
@@ -365,21 +386,9 @@ def _live_embedder(model: str) -> HttpEmbeddingProvider:
 
 
 def build_embedder(config: dict) -> Embedder:
-    mode = config["provider_mode"]
-    dim = int(config["embedding"].get("dim", 32))
-    if mode == "mock":
-        return HashEmbedder(dim=dim)
-    cache = ResponseCache(Path(config["cache_dir"]))
     model = config["embedding"].get("deployment", "embedder")
-    if mode == "replay":
-        return CachedEmbedder(cache, mode="replay", model=model)
-    if mode == "record":
-        if config.get("record_source", "live") == "mock":
-            inner: Embedder = HashEmbedder(dim=dim)
-        else:
-            inner = _live_embedder(model)
-        return CachedEmbedder(cache, inner=inner, mode="record", model=model)
-    return _live_embedder(model)
+    mock = partial(HashEmbedder, dim=int(config["embedding"].get("dim", 32)))
+    return _backend(config, mock, partial(_live_embedder, model), partial(CachedEmbedder, model=model))
 
 
 def write_jsonl(path: Path, records: list[dict]) -> None:

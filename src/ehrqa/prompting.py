@@ -37,7 +37,6 @@ class PromptTemplate:
     subtask: str
     user_scaffold: str
     system_block: str | None = None
-    few_shot_style: str = "inline_in_user"
 
 
 def _asset(name: str) -> str:
@@ -57,7 +56,6 @@ def load_template(subtask: str) -> PromptTemplate:
             subtask="st4",
             user_scaffold=_asset("st4_user.txt"),
             system_block=_asset("st4_system.txt").strip(),
-            few_shot_style="interleaved_turns",
         )
     return PromptTemplate(subtask=subtask, user_scaffold=_asset(f"{subtask}.txt"))
 

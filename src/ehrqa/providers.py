@@ -342,105 +342,105 @@ class ResponseCache:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self.entries())}
 
 
-class ReplayGenerator:
-    """Record/replay wrapper around another generator.
+class _RecordReplay:
+    """Record/replay wrapper around an inner backend, one entry per call.
 
-    Both modes serve a cached response when there is one. On a miss, record
-    calls the inner backend and persists the response before returning, so
-    an interrupted recording resumes where it stopped; replay raises an
-    error naming the request tag. An entry holds the response and the
+    Both modes serve a cached entry when there is one. On a miss, record
+    calls the inner backend and persists the result before returning it,
+    so an interrupted recording resumes where it stopped; replay raises
+    CacheMissError naming what was asked. A subclass names the entry
+    ``field`` a hit is served from, the kind of ``backend`` it wraps and
+    the noun a replay miss puts before what was asked (``missing``), and
+    converts between its backend's results and its entries.
+    """
+
+    field = backend = missing = ""
+
+    def __init__(self, cache: ResponseCache, inner=None, mode: str = "replay"):
+        if mode not in ("record", "replay"):
+            raise EhrqaError(f"unknown replay mode {mode!r}")
+        if mode == "record" and inner is None:
+            raise EhrqaError(f"record mode requires an inner {self.backend}")
+        self.cache = cache
+        self.inner = inner
+        self.mode = mode
+
+    def _serve(self, key: str, what: str, asked):
+        value = self.cache.get(key, self.field, what)
+        if value is not None:
+            return self._from_entry(value, asked, key, what)
+        if self.mode == "replay":
+            raise CacheMissError(f"no cached {self.missing}{what} (key {key[:12]})")
+        result = self._call(asked)
+        self.cache.put(key, self._to_entry(asked, result))
+        return result
+
+
+class ReplayGenerator(_RecordReplay):
+    """Record/replay generator. An entry holds the response and the
     request's metadata, not its messages: the key already stands for them.
     """
 
-    def __init__(self, cache: ResponseCache, inner: Generator | None = None, mode: str = "replay"):
-        if mode not in ("record", "replay"):
-            raise EhrqaError(f"unknown replay mode {mode!r}")
-        if mode == "record" and inner is None:
-            raise EhrqaError("record mode requires an inner generator")
-        self.cache = cache
-        self.inner = inner
-        self.mode = mode
+    field, backend, missing = "response", "generator", "response for "
 
     def generate(self, request: GenRequest) -> GenResponse:
-        key = request_cache_key(request)
-        resp = self.cache.get(key, "response", f"request {request.request_tag!r}")
-        if resp is not None:
-            return GenResponse(
-                text=resp["text"],
-                deployment_name=resp["deployment_name"],
-                latency_ms=resp.get("latency_ms", 0.0),
-                from_cache=True,
-            )
-        if self.mode == "replay":
-            raise CacheMissError(
-                f"no cached response for request {request.request_tag!r} (key {key[:12]})"
-            )
-        assert self.inner is not None
-        response = self.inner.generate(request)
-        self.cache.put(
-            key,
-            {
-                "request": {
-                    "deployment_name": request.deployment_name,
-                    "request_tag": request.request_tag,
-                    "sample_index": request.sample_index,
-                    "temperature": request.temperature,
-                    "max_output_tokens": request.max_output_tokens,
-                },
-                "response": {
-                    "text": response.text,
-                    "deployment_name": response.deployment_name,
-                    "latency_ms": response.latency_ms,
-                },
-            },
+        return self._serve(request_cache_key(request), f"request {request.request_tag!r}", request)
+
+    def _call(self, request: GenRequest) -> GenResponse:
+        return self.inner.generate(request)
+
+    def _from_entry(self, resp: dict, request, key, what) -> GenResponse:
+        return GenResponse(
+            text=resp["text"],
+            deployment_name=resp["deployment_name"],
+            latency_ms=resp.get("latency_ms", 0.0),
+            from_cache=True,
         )
-        return response
+
+    def _to_entry(self, request: GenRequest, response: GenResponse) -> dict:
+        return {
+            "request": {
+                "deployment_name": request.deployment_name,
+                "request_tag": request.request_tag,
+                "sample_index": request.sample_index,
+                "temperature": request.temperature,
+                "max_output_tokens": request.max_output_tokens,
+            },
+            "response": {
+                "text": response.text,
+                "deployment_name": response.deployment_name,
+                "latency_ms": response.latency_ms,
+            },
+        }
 
 
-class CachedEmbedder:
-    """Record/replay wrapper for an embedder, one cache entry per embed() call.
+class CachedEmbedder(_RecordReplay):
+    """Record/replay embedder. An entry is keyed on the model and the
+    ordered text list and holds the vectors in that order."""
 
-    The entry is keyed on the model and the ordered text list and holds the
-    vectors in that order. Hits and misses behave as in ReplayGenerator.
-    """
+    field, backend = "vectors", "embedder"
 
-    def __init__(
-        self,
-        cache: ResponseCache,
-        inner: Embedder | None = None,
-        mode: str = "replay",
-        model: str = "default",
-    ):
-        if mode not in ("record", "replay"):
-            raise EhrqaError(f"unknown replay mode {mode!r}")
-        if mode == "record" and inner is None:
-            raise EhrqaError("record mode requires an inner embedder")
-        self.cache = cache
-        self.inner = inner
-        self.mode = mode
+    def __init__(self, cache: ResponseCache, inner: Embedder | None = None,
+                 mode: str = "replay", model: str = "default"):
+        super().__init__(cache, inner, mode)
         self.model = model
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             raise EhrqaError("embed requires a non-empty input list")
-        key = embed_cache_key(self.model, texts)
         what = f"embedding of {len(texts)} text(s) starting {texts[0][:60]!r}"
-        vectors = self.cache.get(key, "vectors", what)
-        if vectors is not None:
-            if len(vectors) != len(texts):
-                raise CacheMissError(
-                    f"cache entry {key} for {what} holds {len(vectors)} vector(s)"
-                )
-            return [np.asarray(v, dtype=float) for v in vectors]
-        if self.mode == "replay":
-            raise CacheMissError(f"no cached {what} (key {key[:12]})")
-        assert self.inner is not None
-        vectors = self.inner.embed(texts)
-        self.cache.put(
-            key,
-            {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]},
-        )
-        return vectors
+        return self._serve(embed_cache_key(self.model, texts), what, texts)
+
+    def _call(self, texts: Sequence[str]) -> list[np.ndarray]:
+        return self.inner.embed(texts)
+
+    def _from_entry(self, vectors: list, texts, key: str, what: str) -> list[np.ndarray]:
+        if len(vectors) != len(texts):
+            raise CacheMissError(f"cache entry {key} for {what} holds {len(vectors)} vector(s)")
+        return [np.asarray(v, dtype=float) for v in vectors]
+
+    def _to_entry(self, texts, vectors: list[np.ndarray]) -> dict:
+        return {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]}
 
 
 # ---------------------------------------------------------------------------

@@ -208,15 +208,6 @@ def _weighted(type_match: float, lexical: float, type_weight: float) -> float:
     return type_weight * type_match + (1.0 - type_weight) * lexical
 
 
-def hybrid_score(case: Case, candidate: Case, type_weight: float = TYPE_WEIGHT) -> float:
-    type_match = 1.0 if (
-        classify_question_type(case.patient_question)
-        == classify_question_type(candidate.patient_question)
-    ) else 0.0
-    lexical = token_overlap_f1(case.patient_question, candidate.patient_question)
-    return type_weight * type_match + (1.0 - type_weight) * lexical
-
-
 @dataclass(frozen=True)
 class QuestionFeatures:
     """What every st1 similarity reads of a question: its type and token set."""
@@ -281,8 +272,8 @@ def _as_pool(pool: St1Pool | Iterable[Case]) -> St1Pool:
 
 
 def retrieve_shots(case: Case, pool: St1Pool | Iterable[Case], max_n: int = 5) -> list[Case]:
-    """Top few-shot cases by hybrid question-type + lexical similarity
-    (``hybrid_score``), leaving ``case`` itself out."""
+    """Top few-shot cases by hybrid question-type + lexical similarity of
+    the patient questions, leaving ``case`` itself out."""
     pool = _as_pool(pool)
     query = QuestionFeatures.of(case.patient_question)
 

@@ -85,6 +85,20 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
             resolve_config(overlay)
 
+    @pytest.mark.parametrize(
+        "overlay, path",
+        [
+            ({"record_source": "Mock"}, "record_source"),
+            ({"st4": {"mode": "ensembel"}}, "st4.mode"),
+            ({"st4": {"answers_from": "keys"}}, "st4.answers_from"),
+            ({"st2": {"shots": "3"}}, "st2 shots"),
+            ({"st2": {"confidence_floor": "high"}}, "st2.confidence_floor"),
+        ],
+    )
+    def test_typos_are_rejected_with_their_config_path(self, overlay, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
+            resolve_config(overlay)
+
     def test_st3_deployments_must_be_unique(self):
         with pytest.raises(ConfigError, match="st3 deployments"):
             resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})
@@ -557,6 +571,18 @@ class TestCliCommands:
         if content is not None:
             pred.write_bytes(content)
         assert f"{pred}: cannot read predictions" in self._eval_error(pred, "st2", capsys)
+
+    def test_eval_a_malformed_gold_case_is_an_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        record = json.loads(toy_dataset_path().read_text().splitlines()[0])
+        gold.write_text(json.dumps(dict(record, gold_evidence=5)) + "\n")
+        pred = tmp_path / "st2.jsonl"
+        pred.write_text(json.dumps({"case_id": record["case_id"], "evidence_ids": []}) + "\n")
+        code = main(["eval", "--pred", str(pred), "--gold", str(gold), "--subtask", "st2"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "CaseValidationError"
+        assert error["error"].startswith(f"{gold}:1: malformed 'gold_evidence': ")
 
     def test_eval_st4_hand_fixture(self, tmp_path, capsys):
         pred = tmp_path / "st4.jsonl"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -118,25 +119,43 @@ class TestLoadCases:
             load_cases(path)
 
 
+class TestMalformedRecords:
+    """Each error names the file, the record's line and, for a case, the field."""
+
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_bytes(json.dumps(canonical_record("a")).encode("utf-8") + b"\n\xff\n")
+        with pytest.raises(EhrqaError, match=rf"^{re.escape(str(path))}: cannot read cases"):
+            load_cases(path)
+
+    def test_a_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [canonical_record("a"), ["b"]])
+        with pytest.raises(EhrqaError, match=rf"^{re.escape(str(path))}:2: not a JSON object"):
+            load_cases(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("note", "1. Chest pain."), ("gold_evidence", 2), ("patient_question", 7)],
+    )
+    def test_a_field_of_the_wrong_type(self, tmp_path, field, value):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [canonical_record("a"), canonical_record("b", **{field: value})])
+        with pytest.raises(CaseValidationError, match=rf"^{re.escape(str(path))}:2: malformed '{field}'"):
+            load_cases(path)
+
+
 class TestFewShotPool:
-    def make_file(self, n=20, empty_gold_ids=()):
-        cases = []
-        for i in range(1, n + 1):
-            cid = str(i)
-            gold = set() if cid in empty_gold_ids else {"1"}
-            cases.append(simple_case(case_id=cid, n_sentences=3, gold_evidence=gold))
-        return CaseFile(cases=tuple(cases), split_label="dev")
+    def make_file(self, n=20):
+        cases = tuple(
+            simple_case(case_id=str(i), n_sentences=3, gold_evidence={"1"}) for i in range(1, n + 1)
+        )
+        return CaseFile(cases=cases, split_label="dev")
 
     def test_leave_one_out_of_twenty(self):
         pool = few_shot_pool(self.make_file(20), exclude_case_id="7")
         assert len(pool) == 19
         assert "7" not in [c.case_id for c in pool]
-
-    def test_gold_filter_drops_empty(self):
-        file = self.make_file(10, empty_gold_ids={"2", "5", "9"})
-        pool = few_shot_pool(file, exclude_case_id=None, require_nonempty_gold=True)
-        assert len(pool) == 7
-        assert {"2", "5", "9"}.isdisjoint({c.case_id for c in pool})
 
     def test_absent_exclusion_returns_full_pool(self):
         pool = few_shot_pool(self.make_file(5), exclude_case_id="zzz")
@@ -149,7 +168,7 @@ class TestFewShotPool:
     def test_does_not_mutate_file(self):
         file = self.make_file(5)
         before = file.case_ids()
-        few_shot_pool(file, exclude_case_id="1", require_nonempty_gold=True)
+        few_shot_pool(file, exclude_case_id="1")
         assert file.case_ids() == before
 
 

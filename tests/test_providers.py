@@ -161,6 +161,40 @@ class TestRecordReplay:
         assert cache.entries() == []
 
 
+@pytest.mark.parametrize(
+    "wrapper, inner, ask, asked",
+    [
+        (ReplayGenerator, ScriptedProvider(handler=lambda r: "reply"),
+         lambda w: w.generate(req()).text, "'c1/st2/0'"),
+        (CachedEmbedder, HashEmbedder(),
+         lambda w: [v.tolist() for v in w.embed(["alpha", "beta"])], "'alpha'"),
+    ],
+    ids=["generator", "embedder"],
+)
+class TestRecordReplayContract:
+    """What both cache wrappers promise, from their one shared protocol."""
+
+    def test_unknown_mode_is_rejected(self, tmp_path, wrapper, inner, ask, asked):
+        with pytest.raises(EhrqaError, match="unknown replay mode 'Record'"):
+            wrapper(ResponseCache(tmp_path), inner, "Record")
+
+    def test_record_mode_needs_an_inner_backend(self, tmp_path, wrapper, inner, ask, asked):
+        with pytest.raises(EhrqaError, match="record mode requires an inner"):
+            wrapper(ResponseCache(tmp_path), None, "record")
+
+    def test_replay_miss_names_what_was_asked(self, tmp_path, wrapper, inner, ask, asked):
+        with pytest.raises(CacheMissError, match=rf"^no cached .*{asked}.*\(key [0-9a-f]{{12}}\)$"):
+            ask(wrapper(ResponseCache(tmp_path), None, "replay"))
+
+    def test_resumed_recording_makes_no_inner_call(self, tmp_path, wrapper, inner, ask, asked):
+        recorded = ask(wrapper(ResponseCache(tmp_path), inner, "record"))
+        backend = FailingProvider()
+        resumed = wrapper(ResponseCache(tmp_path), backend, "record")
+        assert ask(resumed) == recorded
+        assert backend.calls == 0
+        assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+
+
 class TestCacheFormat:
     @pytest.mark.parametrize("prompt_chars", [1_000, 200_000])
     def test_entry_size_independent_of_prompt(self, tmp_path, prompt_chars):

@@ -19,7 +19,6 @@ from ehrqa.st1 import (
     classify_question_type,
     extract_context,
     generate_candidates,
-    hybrid_score,
     repair_candidate,
     retrieve_shots,
     run_case,
@@ -28,6 +27,17 @@ from ehrqa.st1 import (
     token_overlap_f1,
 )
 from tests.conftest import simple_case
+
+
+def hybrid_score(case, candidate, type_weight=st1_module.TYPE_WEIGHT):
+    """Per-pair reference of the similarity ``retrieve_shots`` ranks by."""
+    type_match = 1.0 if (
+        classify_question_type(case.patient_question)
+        == classify_question_type(candidate.patient_question)
+    ) else 0.0
+    lexical = token_overlap_f1(case.patient_question, candidate.patient_question)
+    return type_weight * type_match + (1.0 - type_weight) * lexical
+
 
 CONSTRAINTS = ConstraintConfig()
 
