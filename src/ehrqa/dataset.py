@@ -110,31 +110,34 @@ def _alignments(value) -> tuple[tuple[str, frozenset[str]], ...]:
     return tuple((str(a["answer_id"]), _ids(a["evidence_ids"])) for a in as_list(value))
 
 
-def case_from_record(record: dict, locus: str = "") -> Case:
+def case_from_record(record: dict, locus: str) -> Case:
     """The Case one canonical record holds. A required field that is
-    missing, or any field of the wrong JSON type, raises
-    CaseValidationError naming ``locus`` and the field."""
+    missing, any field of the wrong JSON type, and a broken case invariant
+    raise CaseValidationError prefixed with ``locus`` (file:line)."""
 
     def read(field: str, convert, required: bool = False):
         if record.get(field) is None and not required:
             return None
         if field not in record:
-            raise CaseValidationError(f"{locus}: missing field {field!r}")
+            raise CaseValidationError(f"missing field {field!r}")
         try:
             return convert(record[field])
         except (KeyError, TypeError) as exc:
-            raise CaseValidationError(f"{locus}: malformed {field!r}: {exc!r}") from exc
+            raise CaseValidationError(f"malformed {field!r}: {exc!r}") from exc
 
-    return Case(
-        case_id=read("case_id", as_text, required=True),
-        patient_question=read("patient_question", as_text, required=True),
-        clinician_question=read("clinician_question", as_text),
-        note=read("note", _note, required=True),
-        clinician_answer_sentences=read("answer_sentences", _answers) or (),
-        clinician_answer_paragraph=read("answer_paragraph", as_text),
-        gold_evidence=read("gold_evidence", _ids),
-        gold_alignments=read("gold_alignments", _alignments),
-    )
+    try:
+        return Case(
+            case_id=read("case_id", as_text, required=True),
+            patient_question=read("patient_question", as_text, required=True),
+            clinician_question=read("clinician_question", as_text),
+            note=read("note", _note, required=True),
+            clinician_answer_sentences=read("answer_sentences", _answers) or (),
+            clinician_answer_paragraph=read("answer_paragraph", as_text),
+            gold_evidence=read("gold_evidence", _ids),
+            gold_alignments=read("gold_alignments", _alignments),
+        )
+    except CaseValidationError as exc:
+        raise CaseValidationError(f"{locus}: {exc}") from exc
 
 
 def read_records(path: Path, what: str) -> list[tuple[int, dict]]:
@@ -204,7 +207,10 @@ def load_cases(
         raise EhrqaError(f"unknown case file format {format!r}")
 
     cases = tuple(case_from_record(r, locus=f"{path}:{lineno}") for lineno, r in records)
-    return CaseFile(cases=cases, split_label=split_label)
+    try:
+        return CaseFile(cases=cases, split_label=split_label)
+    except CaseValidationError as exc:
+        raise CaseValidationError(f"{path}: {exc}") from exc
 
 
 def save_cases(case_file: CaseFile, path: str | Path) -> None:

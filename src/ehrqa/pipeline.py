@@ -11,6 +11,7 @@ reproduces its output tree byte for byte.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import logging
@@ -465,16 +466,7 @@ def _case_chain(
         records["st1"] = {"case_id": case.case_id, "clinician_question": st1_question}
         records["st1_debug"] = {
             "case_id": case.case_id,
-            "candidates": [
-                {
-                    "candidate": s.candidate,
-                    "type_match": s.type_match,
-                    "lexical": s.lexical,
-                    "total": s.total,
-                    "constraint_ok": s.constraint_ok,
-                }
-                for s in result.candidates
-            ],
+            "candidates": [dataclasses.asdict(s) for s in result.candidates],
         }
 
     clinician_question = st1_question or case.clinician_question

@@ -1,10 +1,11 @@
 """Prompt templates and rendering.
 
-Each subtask has a fixed instruction scaffold shipped as a package asset
-with $name slots. Rendering is a pure function of (template, case, shots,
-extra): same inputs, same bytes. Few-shot examples are embedded in the
-single user message for all subtasks except the alignment subtask, which
-uses a system block plus interleaved user/assistant turns.
+Every prompt is a template shipped as a package asset with $name slots.
+Rendering is a pure function of (template, case, shots, extra): same
+inputs, same bytes. Each slot is filled by one rule: ``shots_block`` from
+the shots, then ``extra``, then the case. Few-shot examples are embedded in
+the single user message, except for a template with a system block (the
+alignment subtask), which takes them as user/assistant turns.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from string import Template
 from .core import Case, EhrqaError, id_sort_key
 from .parsing import format_alignment, format_id_array
 
-SUBTASKS = ("st1", "st2", "st3_stage1", "st3_stage2", "st4")
+SUBTASKS = ("st1_context", "st1", "st2", "st3_stage1", "st3_stage2", "st4")
 
 NOT_PROVIDED = "(not provided)"
 
 
 class RenderError(EhrqaError):
-    """A template slot could not be resolved, or shots are malformed."""
+    """A template slot could not be filled, or shots are malformed."""
 
 
 @dataclass(frozen=True)
@@ -60,26 +61,16 @@ def load_template(subtask: str) -> PromptTemplate:
     return PromptTemplate(subtask=subtask, user_scaffold=_asset(f"{subtask}.txt"))
 
 
-def scaffold_slots(scaffold: str) -> set[str]:
-    """Names of all $slots referenced by a scaffold."""
+@cache
+def scaffold_slots(scaffold: str) -> frozenset[str]:
+    """Names of all $slots referenced by a scaffold (memoised: there is one
+    scaffold per template asset)."""
     names = set()
     for match in Template.pattern.finditer(scaffold):
         name = match.group("named") or match.group("braced")
         if name:
             names.add(name)
-    return names
-
-
-def _substitute(scaffold: str, slots: dict[str, str], subtask: str) -> str:
-    referenced = scaffold_slots(scaffold)
-    provided = set(slots)
-    if referenced != provided:
-        missing = sorted(referenced - provided)
-        unused = sorted(provided - referenced)
-        raise RenderError(
-            f"{subtask}: slot mismatch (missing={missing}, unused={unused})"
-        )
-    return Template(scaffold).substitute(slots)
+    return frozenset(names)
 
 
 @dataclass(frozen=True)
@@ -130,13 +121,25 @@ def answer_block(answers) -> str:
     return "\n".join(f"{aid}. {text}" for aid, text in answers)
 
 
-def _clinician_question(case: Case, extra: dict[str, str]) -> str:
-    if "clinician_question" in extra:
-        return extra["clinician_question"]
-    return case.clinician_question or NOT_PROVIDED
+def full_answer_block(paragraph: str | None) -> str:
+    if not paragraph:
+        return ""
+    return f"\nFull clinician answer (for context):\n{paragraph}\n"
 
 
-def _st1_shot(shot: Case) -> str:
+# The value a slot takes from the case when neither the shots nor ``extra``
+# fill it.
+_CASE_SLOTS = {
+    "patient_question": lambda case: case.patient_question,
+    "clinician_question": lambda case: case.clinician_question or NOT_PROVIDED,
+    "note_block": note_block,
+    "answer_block": lambda case: answer_block(case.clinician_answer_sentences),
+    "full_answer_block": lambda case: "",
+    "context_block": lambda case: "(none)",
+}
+
+
+def _shot_header(shot: Case) -> str:
     return (
         "Example:\n"
         f"Patient question: {shot.patient_question}\n"
@@ -146,138 +149,75 @@ def _st1_shot(shot: Case) -> str:
 
 def _st2_shot(shot) -> str:
     if isinstance(shot, ContrastExample):
-        case = shot.base
         return (
-            "Example:\n"
-            f"Patient question: {case.patient_question}\n"
-            f"Clinician-interpreted question: {case.clinician_question or NOT_PROVIDED}\n"
-            f"GOOD evidence sentence IDs: {format_id_array(shot.good_ids)}\n"
+            _shot_header(shot.base)
+            + f"GOOD evidence sentence IDs: {format_id_array(shot.good_ids)}\n"
             f"BAD evidence sentence IDs (over-inclusive): {format_id_array(shot.bad_ids)}\n"
         )
     return (
-        "Example:\n"
-        f"Patient question: {shot.patient_question}\n"
-        f"Clinician-interpreted question: {shot.clinician_question or NOT_PROVIDED}\n"
-        f"Evidence sentence IDs: {format_id_array(shot.gold_evidence or ())}\n"
+        _shot_header(shot)
+        + f"Evidence sentence IDs: {format_id_array(shot.gold_evidence or ())}\n"
     )
 
 
 def _st3_shot(shot: Case) -> str:
-    return (
-        "Example:\n"
-        f"Patient question: {shot.patient_question}\n"
-        f"Clinician-interpreted question: {shot.clinician_question or NOT_PROVIDED}\n"
-        f"Evidence sentence IDs: {format_id_array(shot.gold_evidence or ())}\n"
-        f"Answer: {shot.clinician_answer_paragraph or NOT_PROVIDED}\n"
-    )
+    return _st2_shot(shot) + f"Answer: {shot.clinician_answer_paragraph or NOT_PROVIDED}\n"
 
 
-_SHOT_RENDERERS = {"st1": _st1_shot, "st2": _st2_shot, "st3_stage1": _st3_shot}
-
-
-def _shots_block(subtask: str, shots) -> str:
-    if not shots:
-        return ""
-    render_one = _SHOT_RENDERERS[subtask]
-    return "\n".join(render_one(s) for s in shots)
+_SHOT_RENDERERS = {"st1": _shot_header, "st2": _st2_shot, "st3_stage1": _st3_shot}
 
 
 def _shot_case(shot) -> Case:
     return shot.base if isinstance(shot, ContrastExample) else shot
 
 
-def full_answer_block(paragraph: str | None) -> str:
-    if not paragraph:
-        return ""
-    return f"\nFull clinician answer (for context):\n{paragraph}\n"
-
-
-def _st4_user_turn(
-    template: PromptTemplate, case: Case, extra: dict[str, str]
-) -> str:
-    answers = extra.get("answer_block")
-    if answers is None:
-        answers = answer_block(case.clinician_answer_sentences)
-    slots = {
-        "patient_question": case.patient_question,
-        "clinician_question": _clinician_question(case, extra),
-        "note_block": note_block(case),
-        "answer_block": answers,
-        "full_answer_block": extra.get("full_answer_block", ""),
-    }
-    return _substitute(template.user_scaffold, slots, "st4")
+def _fill(template: PromptTemplate, case: Case, values: dict[str, str]) -> str:
+    slots = {}
+    for name in sorted(scaffold_slots(template.user_scaffold)):
+        if name in values:
+            slots[name] = values[name]
+        elif name in _CASE_SLOTS:
+            slots[name] = _CASE_SLOTS[name](case)
+        else:
+            raise RenderError(f"{template.subtask}: nothing fills the slot ${name}")
+    return Template(template.user_scaffold).substitute(slots)
 
 
 def render_prompt(
     template: PromptTemplate,
     case: Case,
     shots=(),
-    extra: dict[str, str] | None = None,
+    extra: dict[str, str | None] | None = None,
 ) -> list[Message]:
     """Render the full message list for one case.
 
-    ``extra`` supplies subtask-specific slot values (clinical context,
-    evidence block, stage-1 draft, full-answer context, ...). Shots must
+    ``extra`` supplies slot values the case does not hold (clinical
+    context, evidence block, stage-1 draft, ...) or overrides its own (the
+    st1 clinician question); a value of None counts as absent. Shots must
     never include the target case.
     """
-    extra = dict(extra or {})
     for shot in shots:
         if _shot_case(shot).case_id == case.case_id:
-            raise RenderError(
-                f"shot list contains the target case {case.case_id}"
-            )
+            raise RenderError(f"shot list contains the target case {case.case_id}")
+    values = {name: value for name, value in (extra or {}).items() if value is not None}
 
-    if template.subtask == "st4":
-        messages = [Message("system", template.system_block or "")]
+    if template.system_block is not None:
+        messages = [Message("system", template.system_block)]
         for shot in shots:
             shot_case = _shot_case(shot)
             if shot_case.gold_alignments is None:
                 raise RenderError(
-                    f"st4 shot {shot_case.case_id} has no gold alignments"
+                    f"{template.subtask} shot {shot_case.case_id} has no gold alignments"
                 )
-            shot_extra = {
-                "full_answer_block": full_answer_block(
-                    shot_case.clinician_answer_paragraph
-                )
-            }
-            messages.append(
-                Message("user", _st4_user_turn(template, shot_case, shot_extra))
-            )
-            messages.append(
-                Message("assistant", format_alignment(shot_case.gold_alignments))
-            )
-        messages.append(Message("user", _st4_user_turn(template, case, extra)))
+            turn = {"full_answer_block": full_answer_block(shot_case.clinician_answer_paragraph)}
+            messages.append(Message("user", _fill(template, shot_case, turn)))
+            messages.append(Message("assistant", format_alignment(shot_case.gold_alignments)))
+        messages.append(Message("user", _fill(template, case, values)))
         return messages
 
-    slots: dict[str, str] = {}
-    if template.subtask == "st1":
-        slots = {
-            "patient_question": case.patient_question,
-            "context_block": extra.get("context_block", "(none)"),
-            "shots_block": _shots_block("st1", shots),
-        }
-    elif template.subtask == "st2":
-        slots = {
-            "patient_question": case.patient_question,
-            "clinician_question": _clinician_question(case, extra),
-            "note_block": note_block(case),
-            "shots_block": _shots_block("st2", shots),
-        }
-    elif template.subtask == "st3_stage1":
-        if "evidence_block" not in extra:
-            raise RenderError("st3_stage1 requires an evidence_block slot")
-        slots = {
-            "patient_question": case.patient_question,
-            "clinician_question": _clinician_question(case, extra),
-            "evidence_block": extra["evidence_block"],
-            "note_block": note_block(case),
-            "shots_block": _shots_block("st3_stage1", shots),
-        }
-    elif template.subtask == "st3_stage2":
-        if shots:
-            raise RenderError("the rewrite stage takes no few-shot examples")
-        for key in ("evidence_block", "draft"):
-            if key not in extra:
-                raise RenderError(f"st3_stage2 requires a {key} slot")
-        slots = {"evidence_block": extra["evidence_block"], "draft": extra["draft"]}
-    return [Message("user", _substitute(template.user_scaffold, slots, template.subtask))]
+    if "shots_block" in scaffold_slots(template.user_scaffold):
+        render_one = _SHOT_RENDERERS[template.subtask]
+        values["shots_block"] = "\n".join(render_one(s) for s in shots)
+    elif shots:
+        raise RenderError(f"{template.subtask} takes no few-shot examples")
+    return [Message("user", _fill(template, case, values))]

@@ -147,6 +147,7 @@ _ANSWER_SECTION_RE = re.compile(
     r"Answer sentences:\n(.*?)(?:\n\n|\Z)", re.DOTALL
 )
 _EVIDENCE_SECTION_RE = re.compile(r"Evidence sentences:\n(.*?)(?:\n\n|\Z)", re.DOTALL)
+_MOCK_STAGES = frozenset({"st1ctx", "st1", "st2", "st3s1", "st3s2", "st4"})
 
 
 class PipelineMockProvider:
@@ -165,8 +166,9 @@ class PipelineMockProvider:
 
     @staticmethod
     def _stage(tag: str) -> str:
-        parts = tag.split("/")
-        return parts[1] if len(parts) > 1 else ""
+        # The first segment after the case_id that names a stage, since a
+        # case_id may itself contain "/".
+        return next((part for part in tag.split("/")[1:] if part in _MOCK_STAGES), "")
 
     @staticmethod
     def _prompt_text(request: GenRequest) -> str:

@@ -27,7 +27,7 @@ from .core import (
     strip_token_punct,
 )
 from .parsing import parse_json_object, parse_st1_candidates
-from .prompting import Message, load_template, render_prompt
+from .prompting import load_template, render_prompt
 from .providers import GenRequest, Generator, gather_multi
 
 logger = logging.getLogger(__name__)
@@ -89,18 +89,6 @@ def context_block(context: ClinicalContext) -> str:
     return "\n".join(lines)
 
 
-_EXTRACT_INSTRUCTION = """\
-Identify key clinical elements explicitly stated in the inputs below.
-Copy each element verbatim from the inputs. Do not infer or introduce new clinical facts.
-Return a JSON object with exactly these keys, each mapping to a list of strings:
-"procedures", "medications", "diagnoses", "findings", "temporal_urgency_cues".
-Use [] for a category with no explicit mention.
-
-Patient question:
-{question}
-{note_section}"""
-
-
 def extract_context(
     case: Case,
     provider: Generator,
@@ -115,13 +103,13 @@ def extract_context(
     if include_note:
         note_text = " ".join(s.text for s in case.note)
         sources.append(note_text)
-        note_section = f"\nNote excerpt:\n{note_text}\n"
-    prompt = _EXTRACT_INSTRUCTION.format(
-        question=case.patient_question, note_section=note_section
+        note_section = f"\n\nNote excerpt:\n{note_text}"
+    messages = render_prompt(
+        load_template("st1_context"), case, extra={"note_section": note_section}
     )
     request = GenRequest(
         deployment_name=deployment,
-        messages=(Message("user", prompt),),
+        messages=tuple(messages),
         temperature=0.0,
         request_tag=f"{case.case_id}/st1ctx/0",
     )
@@ -172,24 +160,6 @@ def _split_rough_sentences(text: str) -> list[str]:
     return re.split(r"[.!?]+", text)
 
 
-def token_overlap_f1(a: str, b: str) -> float:
-    """Set-based F1 over lowercase punctuation-stripped tokens.
-
-    The per-pair reference definition: the per-run path (``St1Pool``)
-    computes the same floats from cached token sets, and tests hold it to
-    this function exactly.
-    """
-    tokens_a = {strip_token_punct(t).lower() for t in a.split()} - {""}
-    tokens_b = {strip_token_punct(t).lower() for t in b.split()} - {""}
-    if not tokens_a or not tokens_b:
-        return 0.0
-    overlap = len(tokens_a & tokens_b)
-    if overlap == 0:
-        return 0.0
-    p, r = overlap / len(tokens_a), overlap / len(tokens_b)
-    return 2 * p * r / (p + r)
-
-
 def _token_set(text: str) -> frozenset[str]:
     return frozenset({strip_token_punct(t).lower() for t in text.split()} - {""})
 
@@ -202,6 +172,13 @@ def _set_f1(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
         return 0.0
     p, r = overlap / len(tokens_a), overlap / len(tokens_b)
     return 2 * p * r / (p + r)
+
+
+def token_overlap_f1(a: str, b: str) -> float:
+    """Set-based F1 over lowercase punctuation-stripped tokens, the
+    similarity the per-run path (``St1Pool``) computes from cached token
+    sets."""
+    return _set_f1(_token_set(a), _token_set(b))
 
 
 def _weighted(type_match: float, lexical: float, type_weight: float) -> float:

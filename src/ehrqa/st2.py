@@ -24,9 +24,7 @@ def run_ensemble(
     clinician_question: str | None = None,
 ) -> VoteTally[str]:
     """One parsed ID set per (member, sample); failures count as empty."""
-    extra = {}
-    if clinician_question is not None:
-        extra["clinician_question"] = clinician_question
+    extra = {"clinician_question": clinician_question}
     messages = tuple(render_prompt(load_template("st2"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st2", messages, plan)
     outcomes = gather_responses(provider, requests)

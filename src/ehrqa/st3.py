@@ -90,9 +90,10 @@ def stage1_draft(
     """One member's cited draft over the supplied evidence. Citations
     outside it are dropped, and a draft that cites nothing cites all of it."""
     supplied = supplied_evidence(case, evidence_ids)
-    extra = {"evidence_block": evidence_block_for(case, supplied)}
-    if clinician_question is not None:
-        extra["clinician_question"] = clinician_question
+    extra = {
+        "evidence_block": evidence_block_for(case, supplied),
+        "clinician_question": clinician_question,
+    }
     request = GenRequest(
         deployment_name=deployment,
         messages=tuple(render_prompt(load_template("st3_stage1"), case, shots, extra=extra)),

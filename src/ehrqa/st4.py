@@ -74,11 +74,12 @@ def run_ensemble(
     answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
     if not answer_sentences:
         raise EhrqaError(f"case {case.case_id}: no answer sentences to align")
-    extra: dict[str, str] = {"answer_block": answer_block(answer_sentences)}
+    extra = {
+        "answer_block": answer_block(answer_sentences),
+        "clinician_question": clinician_question,
+    }
     if full_answer_context:
         extra["full_answer_block"] = full_answer_block(case.clinician_answer_paragraph)
-    if clinician_question is not None:
-        extra["clinician_question"] = clinician_question
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st4", messages, plan)
     outcomes = gather_responses(provider, requests)

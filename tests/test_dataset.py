@@ -144,6 +144,32 @@ class TestMalformedRecords:
         with pytest.raises(CaseValidationError, match=rf"^{re.escape(str(path))}:2: malformed '{field}'"):
             load_cases(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"note": [{"id": "x", "text": "Chest pain."}]}, "invalid note sentence id 'x'"),
+            ({"gold_evidence": ["999"]}, "case b: gold_evidence ids ['999'] not in note"),
+            (
+                {"note": [{"id": "2", "text": "Stent placed."}, {"id": "1", "text": "Pain."}]},
+                "case b: note sentence ids must be strictly increasing",
+            ),
+        ],
+        ids=["note-id", "gold-evidence", "note-order"],
+    )
+    def test_a_broken_case_names_its_line_once(self, tmp_path, overrides, message):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [canonical_record("a"), canonical_record("b", **overrides)])
+        with pytest.raises(CaseValidationError) as raised:
+            load_cases(path)
+        assert str(raised.value) == f"{path}:2: {message}"
+
+    def test_a_repeated_case_id_names_the_file_once(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [canonical_record("1"), canonical_record("1")])
+        with pytest.raises(CaseValidationError) as raised:
+            load_cases(path)
+        assert str(raised.value) == f"{path}: duplicate case_ids: ['1']"
+
 
 class TestFewShotPool:
     def make_file(self, n=20):

@@ -13,6 +13,8 @@ from ehrqa.prompting import (
     render_prompt,
     scaffold_slots,
 )
+from ehrqa.providers import ScriptedProvider
+from ehrqa.st1 import extract_context
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -102,6 +104,21 @@ def test_rendered_bytes_match_golden(name):
     assert serialize(render_fixture(name)) == golden
 
 
+@pytest.mark.parametrize(
+    "name, include_note", [("st1_context", False), ("st1_context_note", True)]
+)
+def test_context_request_matches_golden(name, include_note):
+    requests = []
+
+    def respond(request):
+        requests.append(request)
+        return "{}"
+
+    extract_context(target_case(), ScriptedProvider(handler=respond), include_note=include_note)
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert serialize(requests[0].messages) == golden
+
+
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_render_is_pure(name):
     assert serialize(render_fixture(name)) == serialize(render_fixture(name))
@@ -167,6 +184,48 @@ class TestRenderStructure:
     def test_missing_slot_raises_named_error(self):
         with pytest.raises(RenderError, match="evidence_block"):
             render_prompt(load_template("st3_stage1"), target_case(), ())
+
+    def test_a_slot_nothing_fills_is_named(self):
+        with pytest.raises(RenderError, match=r"^st3_stage2: nothing fills the slot \$draft$"):
+            render_prompt(load_template("st3_stage2"), target_case(), extra={"evidence_block": "x"})
+
+    def test_none_in_extra_counts_as_absent(self):
+        template, case = load_template("st2"), target_case()
+        assert render_prompt(template, case, extra={"clinician_question": None}) == (
+            render_prompt(template, case)
+        )
+        with pytest.raises(RenderError, match=r"\$draft"):
+            render_prompt(
+                load_template("st3_stage2"), case, extra={"evidence_block": "x", "draft": None}
+            )
+
+    def test_extra_fills_before_the_case(self):
+        case = target_case()
+        content = render_prompt(
+            load_template("st2"), case, extra={"clinician_question": "Was a stent placed?"}
+        )[0].content
+        assert "Was a stent placed?" in content
+        assert case.clinician_question not in content
+
+    def test_case_defaults_fill_the_rest(self):
+        bare = Case(case_id="b", patient_question="q?", note=target_case().note)
+        content = render_prompt(load_template("st1"), bare)[0].content
+        assert "Clinical context (explicitly stated elements only):\n(none)\n" in content
+        content = render_prompt(load_template("st2"), bare)[0].content
+        assert "Clinician-interpreted question:\n(not provided)\n" in content
+
+    def test_st4_shot_without_gold_alignments_rejected(self):
+        shot = shot_case()
+        bare = Case(case_id="s9", patient_question="q?", note=shot.note)
+        with pytest.raises(RenderError, match="s9 has no gold alignments"):
+            render_prompt(load_template("st4"), target_case(), [bare])
+
+    def test_context_template_rejects_shots(self):
+        with pytest.raises(RenderError, match="st1_context takes no few-shot examples"):
+            render_prompt(
+                load_template("st1_context"), target_case(), [shot_case()],
+                extra={"note_section": ""},
+            )
 
     def test_stage2_rejects_shots(self):
         with pytest.raises(RenderError, match="no few-shot"):

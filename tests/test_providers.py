@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ehrqa.core import CacheMissError, EhrqaError, ProviderError
-from ehrqa.pipeline import _map_cases
+from ehrqa.dataset import toy_dataset_path
+from ehrqa.pipeline import _map_cases, resolve_config, run_pipeline
 from ehrqa.prompting import Message
 from ehrqa.providers import (
     CachedEmbedder,
@@ -529,3 +530,27 @@ class TestPipelineMock:
         )
         mock = PipelineMockProvider()
         assert mock.generate(request).text == mock.generate(request).text
+
+    def test_a_case_id_with_a_slash_gets_the_same_answers(self, tmp_path):
+        """The stage is the first tag segment after the case_id that names one."""
+        renamed = tmp_path / "ward.jsonl"
+        records = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        renamed.write_text(
+            "".join(json.dumps(dict(r, case_id=f"ward/{r['case_id']}")) + "\n" for r in records)
+        )
+        outputs = {}
+        for name, cases in (("plain", toy_dataset_path()), ("ward", renamed)):
+            run_pipeline(resolve_config({
+                "dataset": {"cases": str(cases), "split": "dev"},
+                "provider_mode": "mock",
+                "subtasks": ["st1", "st2", "st3", "st4"],
+                "out_dir": str(tmp_path / name),
+                "cache_dir": str(tmp_path / "cache"),
+            }))
+            outputs[name] = {
+                sub: (tmp_path / name / f"{sub}.jsonl").read_text()
+                for sub in ("st1", "st2", "st3", "st4")
+            }
+        assert '"evidence_ids": []' not in outputs["plain"]["st2"]
+        for sub, text in outputs["ward"].items():
+            assert text.replace('"ward/', '"') == outputs["plain"][sub]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehrqa import st1 as st1_module
-from ehrqa.core import ConstraintConfig, SubtaskError, count_words
+from ehrqa.core import ConstraintConfig, SubtaskError, count_words, strip_token_punct
 from ehrqa.dataset import CaseFile, save_cases
 from ehrqa.pipeline import resolve_config, run_pipeline
 from ehrqa.providers import ScriptedProvider
@@ -29,13 +29,27 @@ from ehrqa.st1 import (
 from tests.conftest import simple_case
 
 
+def reference_token_f1(a, b):
+    """Per-pair reference of the st1 lexical similarity: set-based F1 over
+    lowercase punctuation-stripped tokens."""
+    tokens_a = {strip_token_punct(t).lower() for t in a.split()} - {""}
+    tokens_b = {strip_token_punct(t).lower() for t in b.split()} - {""}
+    if not tokens_a or not tokens_b:
+        return 0.0
+    overlap = len(tokens_a & tokens_b)
+    if overlap == 0:
+        return 0.0
+    p, r = overlap / len(tokens_a), overlap / len(tokens_b)
+    return 2 * p * r / (p + r)
+
+
 def hybrid_score(case, candidate, type_weight=st1_module.TYPE_WEIGHT):
     """Per-pair reference of the similarity ``retrieve_shots`` ranks by."""
     type_match = 1.0 if (
         classify_question_type(case.patient_question)
         == classify_question_type(candidate.patient_question)
     ) else 0.0
-    lexical = token_overlap_f1(case.patient_question, candidate.patient_question)
+    lexical = reference_token_f1(case.patient_question, candidate.patient_question)
     return type_weight * type_match + (1.0 - type_weight) * lexical
 
 
@@ -331,6 +345,13 @@ class TestPoolFeatures:
     """The per-run feature path against the per-pair reference definitions."""
 
     @given(
+        a=st.one_of(_questions, st.text(max_size=30)),
+        b=st.one_of(_questions, st.text(max_size=30)),
+    )
+    def test_token_overlap_f1_is_the_reference(self, a, b):
+        assert token_overlap_f1(a, b) == reference_token_f1(a, b)
+
+    @given(
         pool_spec=st.lists(st.tuples(_questions, _templates), min_size=1, max_size=8),
         query=st.one_of(st.integers(min_value=0, max_value=7), _questions),
         candidates=st.lists(_questions, min_size=1, max_size=4),
@@ -367,7 +388,7 @@ class TestPoolFeatures:
         expected_scores = []
         for candidate in candidates:
             type_match = 1.0 if classify_question_type(candidate) == target else 0.0
-            lexical = max((token_overlap_f1(candidate, t) for t in templates), default=0.0)
+            lexical = max((reference_token_f1(candidate, t) for t in templates), default=0.0)
             expected_scores.append(
                 CandidateScore(
                     candidate=candidate,
