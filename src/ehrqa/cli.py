@@ -215,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--subtask", choices=["st1", "st2", "st3", "st4"])
     run_p.add_argument("--provider-mode", dest="provider_mode", choices=["live", "record", "replay", "mock"])
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--workers", type=int)
+    run_p.add_argument(
+        "--workers", type=int,
+        help="up to WORKERS**2 cases at once when calls can wait; replay runs on one thread",
+    )
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="vote-threshold sweep on dev gold")
@@ -225,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--subtask", choices=["st2", "st4"], required=True)
     sweep_p.add_argument("--provider-mode", dest="provider_mode", choices=["live", "record", "replay", "mock"])
     sweep_p.add_argument("--out", help="output directory")
-    sweep_p.add_argument("--workers", type=int)
+    sweep_p.add_argument(
+        "--workers", type=int,
+        help="up to WORKERS cases at once when calls can wait; replay runs on one thread",
+    )
     sweep_p.set_defaults(func=cmd_sweep)
 
     eval_p = sub.add_parser("eval", help="score predictions against gold")

@@ -543,8 +543,9 @@ def run_pipeline(config: dict) -> dict:
 
     Up to ``workers**2`` cases run at once, each making its generator
     calls one after another on its own thread, so no more than
-    ``workers**2`` calls are in flight. Outputs are collected in case
-    order, so concurrency never changes the written files.
+    ``workers**2`` calls are in flight. A replay, whose calls only read
+    the cache, runs its cases on the calling thread. Outputs are collected
+    in case order, so concurrency never changes the written files.
     """
     case_file, pool_file = load_dataset(config)
     # Read once, here, not in validate_config: a sweep's config may name
@@ -577,7 +578,7 @@ def run_pipeline(config: dict) -> dict:
             st4_policy,
         )
 
-    per_case = _map_cases(chain, cases, workers * workers)
+    per_case = _map_cases(chain, cases, _case_threads(config, workers * workers))
 
     outputs: dict[str, list[dict]] = {s: [] for s in subtasks}
     debug_candidates: list[dict] = []
@@ -614,6 +615,13 @@ def run_pipeline(config: dict) -> dict:
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
     return manifest
+
+
+def _case_threads(config: dict, threads: int) -> int:
+    """``threads``, or 1 in a replay: every replayed call is a read of the
+    local cache that no network wait can hold up, so more case threads
+    would only contend for the GIL."""
+    return 1 if config["provider_mode"] == "replay" else threads
 
 
 def _map_cases(fn: Callable[[Case], T], cases: list[Case], threads: int) -> list[T]:
@@ -680,7 +688,10 @@ def _st4_answers(case: Case, cfg: dict, st3_answer: str | None):
 
 
 def run_sweep(config: dict, subtask: str) -> dict:
-    """Dev-gold threshold sweep for the voting subtasks."""
+    """Dev-gold threshold sweep for the voting subtasks.
+
+    Cases run on up to ``workers`` threads; a replay runs them on the
+    calling thread."""
     if subtask not in ("st2", "st4"):
         raise ConfigError("sweep supports st2 and st4 only")
     case_file, pool_file = load_dataset(config)
@@ -710,7 +721,8 @@ def run_sweep(config: dict, subtask: str) -> dict:
     # A case makes its calls one after another, so ``workers`` threads hold
     # a sweep to its bound of ``workers`` calls in flight, not a run's
     # ``workers**2``.
-    dev_runs = list(zip(_map_cases(tally, cases, config["workers"]), golds, cases))
+    threads = _case_threads(config, config["workers"])
+    dev_runs = list(zip(_map_cases(tally, cases, threads), golds, cases))
 
     if subtask == "st2":
         best, frontier = vote.sweep([(t, gold, c.note_ids) for t, gold, c in dev_runs], "k")

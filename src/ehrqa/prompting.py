@@ -209,7 +209,9 @@ def render_prompt(
                 raise RenderError(
                     f"{template.subtask} shot {shot_case.case_id} has no gold alignments"
                 )
-            turn = {"full_answer_block": full_answer_block(shot_case.clinician_answer_paragraph)}
+            turn = {}
+            if "full_answer_block" in values:
+                turn["full_answer_block"] = full_answer_block(shot_case.clinician_answer_paragraph)
             messages.append(Message("user", _fill(template, shot_case, turn)))
             messages.append(Message("assistant", format_alignment(shot_case.gold_alignments)))
         messages.append(Message("user", _fill(template, case, values)))

@@ -1,7 +1,8 @@
 """Call scheduling: outputs never depend on the worker count or on the
 order in which calls complete, each case makes its generator calls on its
-own thread in a fixed order, calls in flight stay within their bound, and
-live clients are built once per deployment."""
+own thread in a fixed order, calls in flight stay within their bound, a
+replay reads its cache on the calling thread, and live clients are built
+once per deployment."""
 
 import json
 import logging
@@ -16,7 +17,7 @@ import pytest
 from ehrqa import pipeline
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline, run_sweep
-from ehrqa.providers import PipelineMockProvider
+from ehrqa.providers import PipelineMockProvider, ResponseCache
 from tests.test_cli import base_config, tree_bytes
 from tests.test_providers import FakeResponse, req
 
@@ -130,6 +131,85 @@ def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
         assert built[-1].peak <= workers
     assert built[1].peak > 1  # workers=2 did overlap calls across cases
     assert results[1] == results[2]
+
+
+def replay_config(tmp_path, cases, mode, workers, out, **overrides):
+    return resolve_config({
+        "dataset": {"cases": str(cases)},
+        "provider_mode": mode,
+        "record_source": "mock",
+        "cache_dir": str(tmp_path / "cache"),
+        "out_dir": str(tmp_path / out),
+        "workers": workers,
+        **overrides,
+    })
+
+
+ALL_SUBTASKS = {
+    "subtasks": ["st1", "st2", "st3", "st4"],
+    "st3": {"rerank": True},
+    "st4": {"recall": {"enabled": True}},
+}
+
+
+@pytest.fixture
+def cache_reads(monkeypatch):
+    """The name of the thread of every cache read, generator and embedder."""
+    threads: list[str] = []
+    real = ResponseCache.get
+
+    def get(self, key, field, what):
+        threads.append(threading.current_thread().name)
+        return real(self, key, field, what)
+
+    monkeypatch.setattr(ResponseCache, "get", get)
+    return threads
+
+
+def test_a_replay_runs_its_cases_on_the_calling_thread(tmp_path, cache_reads):
+    """Every replayed call reads the local cache, so whatever ``workers``
+    says no case thread is started, and the tree is the same."""
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    run_pipeline(replay_config(tmp_path, cases, "record", 2, "record", **ALL_SUBTASKS))
+    recorded = len(cache_reads)
+    trees = {}
+    for workers in (1, 2, 8):
+        del cache_reads[:]
+        out = f"w{workers}"
+        run_pipeline(replay_config(tmp_path, cases, "replay", workers, out, **ALL_SUBTASKS))
+        assert len(cache_reads) == recorded
+        assert set(cache_reads) == {threading.current_thread().name}
+        trees[workers] = tree_bytes(tmp_path / out)
+    assert {"st1.jsonl", "st4.jsonl", "manifest.json"} <= set(trees[1])
+    assert trees[1] == trees[2] == trees[8]
+
+
+def test_a_replay_sweep_runs_its_cases_on_the_calling_thread(tmp_path, cache_reads):
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    run_sweep(replay_config(tmp_path, cases, "record", 2, "record", subtasks=["st2"]), "st2")
+    results = {}
+    for workers in (1, 2):
+        del cache_reads[:]
+        config = replay_config(tmp_path, cases, "replay", workers, f"w{workers}", subtasks=["st2"])
+        results[workers] = run_sweep(config, "st2")
+        assert cache_reads and set(cache_reads) == {threading.current_thread().name}
+    assert results[1] == results[2]
+
+
+def test_a_recording_still_overlaps_its_calls(tmp_path, monkeypatch):
+    """A record run waits on the backend it records, so its cases keep
+    their threads."""
+    built: list[FuzzGenerator] = []
+
+    def mock():
+        built.append(FuzzGenerator(3))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "PipelineMockProvider", mock)
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    run_pipeline(replay_config(tmp_path, cases, "record", 2, "out", **ALL_SUBTASKS))
+    assert len(built) == 1
+    assert built[0].peak > 1
 
 
 def test_no_case_queued_behind_a_failed_case_starts():

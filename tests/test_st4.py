@@ -111,6 +111,25 @@ class TestRunEnsemble:
         run_ensemble(align_case(), [], TRIO_PLAN, ScriptedProvider(handler=handler))
         assert "Full clinician answer (for context):" in seen["prompt"]
 
+    @pytest.mark.parametrize("full_answer_context", [True, False])
+    def test_shot_turns_carry_the_full_answer_only_when_the_query_does(
+        self, full_answer_context
+    ):
+        seen = []
+
+        def handler(request):
+            seen.append([m.content for m in request.messages if m.role == "user"])
+            return "[]"
+
+        run_ensemble(
+            align_case("c1"), [align_case("c2")], TRIO_PLAN, ScriptedProvider(handler=handler),
+            full_answer_context=full_answer_context,
+        )
+        turns = seen[0]
+        assert len(turns) == 2  # the shot's turn and the query's
+        carried = ["Full clinician answer (for context):" in turn for turn in turns]
+        assert carried == [full_answer_context] * 2
+
     def test_no_answer_sentences_is_error(self):
         case = simple_case("c1")
         with pytest.raises(EhrqaError, match="answer sentences"):
