@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .core import EhrqaError, atomic_write_text
 from .dataset import as_list, as_text, load_cases, read_records
-from .pipeline import PRESETS, resolve_config, run_pipeline, run_sweep
+from .pipeline import PRESETS, PROVIDER_MODES, SUBTASK_ORDER, resolve_config
+from .pipeline import run_pipeline, run_sweep
 from .providers import ResponseCache
 from .report import (
     check_same_cases,
@@ -54,19 +55,17 @@ def _load_config_file(path: str | None) -> dict:
 
 def _config_from_args(args: argparse.Namespace) -> dict:
     overrides: dict = {}
-    if getattr(args, "provider_mode", None):
+    if args.provider_mode:
         overrides["provider_mode"] = args.provider_mode
-    if getattr(args, "out", None):
+    if args.out:
         overrides["out_dir"] = args.out
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         overrides["workers"] = args.workers
-    if getattr(args, "cases", None):
-        overrides.setdefault("dataset", {})["cases"] = args.cases
-    if getattr(args, "subtask", None):
+    if args.cases:
+        overrides["dataset"] = {"cases": args.cases}
+    if args.subtask:
         overrides["subtasks"] = [args.subtask]
-    return resolve_config(
-        _load_config_file(args.config), preset=getattr(args, "preset", None), overrides=overrides
-    )
+    return resolve_config(_load_config_file(args.config), preset=args.preset, overrides=overrides)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -208,36 +207,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ehrqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run configured subtasks over a case file")
-    run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--preset", choices=sorted(PRESETS), help="named built-in configuration")
-    run_p.add_argument("--cases", help="case file path (overrides config)")
-    run_p.add_argument("--subtask", choices=["st1", "st2", "st3", "st4"])
-    run_p.add_argument("--provider-mode", dest="provider_mode", choices=["live", "record", "replay", "mock"])
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument(
+    # The options run and sweep share; each overrides the config.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--preset", choices=sorted(PRESETS), help="named built-in configuration")
+    common.add_argument("--cases", help="case file path (overrides config)")
+    common.add_argument("--provider-mode", choices=PROVIDER_MODES)
+    common.add_argument("--out", help="output directory")
+    common.add_argument(
         "--workers", type=int,
-        help="up to WORKERS**2 cases at once when calls can wait; replay runs on one thread",
+        help="cases at once when calls can wait: up to WORKERS**2 for run, WORKERS for sweep; "
+        "replay runs on one thread",
     )
+
+    run_p = sub.add_parser("run", parents=[common], help="run configured subtasks over a case file")
+    run_p.add_argument("--subtask", choices=SUBTASK_ORDER)
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="vote-threshold sweep on dev gold")
-    sweep_p.add_argument("--config", help="JSON config file")
-    sweep_p.add_argument("--preset", choices=sorted(PRESETS))
-    sweep_p.add_argument("--cases", help="case file path (overrides config)")
+    sweep_p = sub.add_parser("sweep", parents=[common], help="vote-threshold sweep on dev gold")
     sweep_p.add_argument("--subtask", choices=["st2", "st4"], required=True)
-    sweep_p.add_argument("--provider-mode", dest="provider_mode", choices=["live", "record", "replay", "mock"])
-    sweep_p.add_argument("--out", help="output directory")
-    sweep_p.add_argument(
-        "--workers", type=int,
-        help="up to WORKERS cases at once when calls can wait; replay runs on one thread",
-    )
     sweep_p.set_defaults(func=cmd_sweep)
 
     eval_p = sub.add_parser("eval", help="score predictions against gold")
     eval_p.add_argument("--pred", required=True, help="prediction JSONL file")
     eval_p.add_argument("--gold", required=True, help="gold case file (canonical)")
-    eval_p.add_argument("--subtask", choices=["st1", "st2", "st3", "st4"], required=True)
+    eval_p.add_argument("--subtask", choices=SUBTASK_ORDER, required=True)
     eval_p.add_argument("--out", help="directory for report files")
     eval_p.set_defaults(func=cmd_eval)
 

@@ -182,7 +182,8 @@ class SamplingPlan:
     """Ensemble membership and per-member self-consistency sampling.
 
     ``extra_zero_temp_run`` adds one extra temperature-0 run per member on
-    top of the configured samples.
+    top of the configured samples. A deployment is one member at most: a
+    run's request tag names its deployment and sample, not its member.
     """
 
     members: tuple[PlanMember, ...]
@@ -191,6 +192,9 @@ class SamplingPlan:
     def __post_init__(self) -> None:
         if not self.members:
             raise ConfigError("sampling plan needs at least one member")
+        deployments = [m.deployment_name for m in self.members]
+        if len(set(deployments)) != len(deployments):
+            raise ConfigError(f"sampling plan deployments must be unique, got {deployments}")
 
     def total_votes(self) -> int:
         total = sum(m.samples for m in self.members)

@@ -19,6 +19,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -230,18 +231,34 @@ def unknown_keys(section: dict, shape: dict, path: str = "") -> list[str]:
     return found
 
 
-def validate_config(config: dict) -> None:
+def _at(config: dict, path: tuple[str, ...]):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def _bool_fields(shape: dict, path: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
+    """Paths of the fields of ``shape``, a part of DEFAULT_CONFIG, whose
+    default is a boolean."""
+    found = []
+    for key, value in shape.items():
+        if isinstance(value, bool):
+            found.append((*path, key))
+        elif isinstance(value, dict):
+            found += _bool_fields(value, (*path, key))
+    return found
+
+
+def validate_config(config: dict) -> dict:
+    """Check ``config``; return the objects it describes, keyed by the
+    config path that an error in one names."""
     unknown = unknown_keys(config, DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     for path, allowed in CHOICES.items():
-        value = config
-        for key in path:
-            value = value[key]
+        value = _at(config, path)
         if value not in allowed:
             raise ConfigError(f"{'.'.join(path)}: {value!r} is not one of {', '.join(allowed)}")
-    if not config.get("random_free", True):
-        raise ConfigError("only random-free runs are supported")
     for subtask in config["subtasks"]:
         if subtask not in SUBTASK_ORDER:
             raise ConfigError(f"unknown subtask {subtask!r}")
@@ -259,7 +276,7 @@ def validate_config(config: dict) -> None:
     workers = config["workers"]
     if not _is_int(workers) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    # Build every object a case builds from the config now, so a bad value
+    # Build every object a run builds from the config now, so a bad value
     # fails here, named by its config path, before any backend call.
     builds = (
         ("constraints", constraints_from_config, config["constraints"]),
@@ -269,13 +286,23 @@ def validate_config(config: dict) -> None:
         ("st4.merge", policy_from_config, config["st4"]["merge"]),
         ("st4.recall.tau", recall_from_config, config["st4"]["recall"]),
     )
+    built = {}
     for path, build, section in builds:
         try:
-            build(section)
+            built[path] = build(section)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing field {exc}") from exc
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    # Checked after the builds, which have named a plan or recall section
+    # that is not an object by its path.
+    for path in _bool_fields(DEFAULT_CONFIG):
+        value = _at(config, path)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{'.'.join(path)}: must be true or false, got {value!r}")
+    if not config["random_free"]:
+        raise ConfigError("only random-free runs are supported")
+    return built
 
 
 def _is_int(value) -> bool:
@@ -303,9 +330,7 @@ def plan_from_config(plan_cfg: dict) -> SamplingPlan:
         )
         for m in plan_cfg["members"]
     )
-    return SamplingPlan(
-        members=members, extra_zero_temp_run=bool(plan_cfg.get("extra_zero_temp_run", False))
-    )
+    return SamplingPlan(members=members, extra_zero_temp_run=plan_cfg["extra_zero_temp_run"])
 
 
 def policy_from_config(merge_cfg: dict) -> MergePolicy:
@@ -317,13 +342,12 @@ def policy_from_config(merge_cfg: dict) -> MergePolicy:
 
 def constraints_from_config(cfg: dict) -> ConstraintConfig:
     return ConstraintConfig(
-        st1_max_words=int(cfg.get("st1_max_words", 15)),
-        st3_max_words=int(cfg.get("st3_max_words", 75)),
+        st1_max_words=int(cfg["st1_max_words"]), st3_max_words=int(cfg["st3_max_words"])
     )
 
 
 def recall_from_config(cfg: dict) -> RecallConfig:
-    return RecallConfig(enabled=bool(cfg.get("enabled", False)), tau=float(cfg.get("tau", 0.68)))
+    return RecallConfig(enabled=cfg["enabled"], tau=float(cfg["tau"]))
 
 
 class DeploymentRouter:
@@ -387,8 +411,8 @@ def _live_embedder(model: str) -> HttpEmbeddingProvider:
 
 
 def build_embedder(config: dict) -> Embedder:
-    model = config["embedding"].get("deployment", "embedder")
-    mock = partial(HashEmbedder, dim=int(config["embedding"].get("dim", 32)))
+    model = config["embedding"]["deployment"]
+    mock = partial(HashEmbedder, dim=int(config["embedding"]["dim"]))
     return _backend(config, mock, partial(_live_embedder, model), partial(CachedEmbedder, model=model))
 
 
@@ -399,219 +423,192 @@ def write_jsonl(path: Path, records: list[dict]) -> None:
 
 def load_dataset(config: dict) -> tuple[CaseFile, CaseFile]:
     ds = config["dataset"]
-    if not ds.get("cases"):
+    if not ds["cases"]:
         raise ConfigError("config has no dataset.cases path")
-    cases_path = Path(ds["cases"])
     case_file = load_cases(
-        cases_path,
-        format=ds.get("format", "canonical"),
-        key_path=ds.get("key"),
-        split_label=ds.get("split", "dev"),
+        Path(ds["cases"]), format=ds["format"], key_path=ds["key"], split_label=ds["split"]
     )
     pool_file = case_file
-    if ds.get("dev_cases"):
+    if ds["dev_cases"]:
         pool_file = load_cases(Path(ds["dev_cases"]), split_label="dev")
     return case_file, pool_file
 
 
-def _st2_shots(pool: list[Case], cfg: dict) -> list:
-    """Leading shots of a leave-one-out pool, in case_id order, that have gold evidence."""
-    shots = [c for c in pool if c.gold_evidence][: cfg["shots"]]
-    if cfg.get("contrast_shots"):
-        contrast = []
-        for shot in shots:
-            try:
-                contrast.append(make_contrast_example(shot))
-            except EhrqaError:
-                contrast.append(shot)
-        return contrast
-    return shots
+@dataclasses.dataclass(frozen=True)
+class RunSetup:
+    """What every case of a run or a sweep shares, built once per run from
+    a ``resolve_config`` result: ``built`` holds the objects
+    ``validate_config`` builds, and ``cases`` and ``pool``, the few-shot
+    pool, are in case_id order."""
+
+    config: dict
+    built: dict
+    cases: list[Case]
+    pool: list[Case]
+    generator: Generator
+    out_dir: Path
 
 
-def _case_chain(
-    case: Case,
-    config: dict,
-    subtasks: list[str],
-    pool_cases: tuple[Case, ...],
-    st1_pool: st1.St1Pool | None,
-    generator: Generator,
-    embedder: Embedder | None,
-    constraints: ConstraintConfig,
-    st4_policy: MergePolicy | None,
-) -> dict[str, dict]:
+def _setup(config: dict) -> RunSetup:
+    built = validate_config(config)
+    case_file, pool_file = load_dataset(config)
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cases = sorted(case_file.cases, key=case_sort_key)
+    return RunSetup(config, built, cases, few_shot_pool(pool_file), build_generator(config), out_dir)
+
+
+# Which pool cases can be a few-shot example of each subtask that takes them.
+SHOT_ELIGIBLE: dict[str, Callable[[Case], bool]] = {
+    "st2": lambda c: bool(c.gold_evidence),
+    "st3": lambda c: bool(c.clinician_answer_paragraph),
+    "st4": lambda c: c.gold_alignments is not None and bool(c.clinician_answer_sentences),
+}
+
+
+def _shots(run: RunSetup, case: Case, subtask: str) -> list:
+    """The first ``shots`` pool cases, in case_id order, that can be
+    ``subtask`` examples, ``case`` itself left out; with st2's
+    ``contrast_shots`` each that can be is made a contrast example."""
+    cfg, eligible = run.config[subtask], SHOT_ELIGIBLE[subtask]
+    pool = (c for c in run.pool if c.case_id != case.case_id and eligible(c))
+    shots = list(islice(pool, cfg["shots"]))
+    if subtask != "st2" or not cfg["contrast_shots"]:
+        return shots
+    contrast = []
+    for shot in shots:
+        try:
+            contrast.append(make_contrast_example(shot))
+        except EhrqaError:
+            contrast.append(shot)
+    return contrast
+
+
+def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, dict]:
     """Run every selected subtask for one case, chaining outputs forward.
 
-    ``pool_cases`` is the few-shot pool sorted by case_id; ``st1_pool``
-    holds st1's features of its cases that have a clinician question.
-    Both are built once per run, and each case is left out of them here.
+    ``args`` holds, for each selected subtask, the ``run_case`` arguments
+    that every case of the run shares; a case adds its leave-one-out shots
+    and what the subtasks before it produced.
     """
-    pool = [c for c in pool_cases if c.case_id != case.case_id]
+    cid = case.case_id
     records: dict[str, dict] = {}
-    st1_question: str | None = None
+    question = case.clinician_question
     st2_ids: list[str] | None = None
     st3_answer: str | None = None
 
-    if "st1" in subtasks:
-        cfg = config["st1"]
-        providers = [(d, generator) for d in cfg["deployments"]]
-        result = st1.run_case(
-            case,
-            st1_pool,
-            providers,
-            constraints=constraints,
-            max_shots=cfg["shots"],
-            note_grounding=bool(cfg.get("note_grounding", False)),
-        )
-        st1_question = result.clinician_question
-        records["st1"] = {"case_id": case.case_id, "clinician_question": st1_question}
-        records["st1_debug"] = {
-            "case_id": case.case_id,
+    if "st1" in args:
+        result = st1.run_case(case, **args["st1"])
+        records["st1"] = {"case_id": cid, "clinician_question": result.clinician_question}
+        records["st1_candidates"] = {
+            "case_id": cid,
             "candidates": [dataclasses.asdict(s) for s in result.candidates],
         }
+        question = result.clinician_question or question
 
-    clinician_question = st1_question or case.clinician_question
-
-    if "st2" in subtasks:
-        cfg = config["st2"]
-        result = st2.run_case(
-            case,
-            _st2_shots(pool, cfg),
-            plan_from_config(cfg["plan"]),
-            generator,
-            policy_from_config(cfg["merge"]),
-            clinician_question=clinician_question,
-            confidence_floor=cfg.get("confidence_floor"),
-            use_default_floor=bool(cfg.get("enhanced_postproc", False)),
-        )
+    if "st2" in args:
+        shots = _shots(run, case, "st2")
+        result = st2.run_case(case, shots, clinician_question=question, **args["st2"])
         st2_ids = result.evidence_ids
-        records["st2"] = {"case_id": case.case_id, "evidence_ids": st2_ids}
+        records["st2"] = {"case_id": cid, "evidence_ids": st2_ids}
 
-    if "st3" in subtasks:
-        cfg = config["st3"]
+    if "st3" in args:
         evidence_ids = st2_ids if st2_ids is not None else sorted(case.gold_evidence or [])
-        shots = [c for c in pool if c.clinician_answer_paragraph][: cfg["shots"]]
-        result = st3.run_case(
-            case,
-            evidence_ids,
-            shots,
-            generator,
-            deployments=list(cfg["deployments"]),
-            constraints=constraints,
-            clinician_question=clinician_question,
-            stage2_deployment=cfg.get("stage2_deployment"),
-            rerank=bool(cfg.get("rerank", True)),
-            embedder=embedder,
-        )
+        shots = _shots(run, case, "st3")
+        result = st3.run_case(case, evidence_ids, shots, clinician_question=question, **args["st3"])
         st3_answer = result.answer_text
         records["st3"] = {
-            "case_id": case.case_id,
+            "case_id": cid,
             "answer_text": st3_answer,
             "cited_ids": result.cited_ids,
             "candidate_scores": result.candidate_scores,
         }
 
-    if "st4" in subtasks:
-        cfg = config["st4"]
-        answers = _st4_answers(case, cfg, st3_answer)
-        if not answers:
-            records["st4"] = {"case_id": case.case_id, "alignments": []}
-            return records
-        embedding_only = cfg.get("mode") == "embedding_only"
-        result = st4.run_case(
-            case,
-            _st4_shots(pool, cfg),
-            None if embedding_only else plan_from_config(cfg["plan"]),
-            None if embedding_only else generator,
-            st4_policy,
-            recall=recall_from_config(cfg["recall"]),
-            embedder=embedder,
-            full_answer_context=bool(cfg.get("full_answer_context", True)),
-            answers=answers,
-            clinician_question=clinician_question,
-        )
-        records["st4"] = {
-            "case_id": case.case_id,
-            "alignments": [
-                {"answer_id": aid, "evidence_id": ev} for aid, ev in result.alignments
-            ],
-        }
+    if "st4" in args:
+        answers = _st4_answers(case, run.config["st4"]["answers_from"], st3_answer)
+        alignments = []
+        if answers:
+            shots = _shots(run, case, "st4")
+            result = st4.run_case(
+                case, shots, answers=answers, clinician_question=question, **args["st4"]
+            )
+            alignments = [{"answer_id": aid, "evidence_id": ev} for aid, ev in result.alignments]
+        records["st4"] = {"case_id": cid, "alignments": alignments}
     return records
 
 
 def run_pipeline(config: dict) -> dict:
     """Execute the configured subtasks over every case; returns the manifest.
 
-    Up to ``workers**2`` cases run at once, each making its generator
-    calls one after another on its own thread, so no more than
-    ``workers**2`` calls are in flight. A replay, whose calls only read
-    the cache, runs its cases on the calling thread. Outputs are collected
-    in case order, so concurrency never changes the written files.
+    ``config`` is a ``resolve_config`` result. Up to ``workers**2`` cases
+    run at once, each making its generator calls one after another on its
+    own thread, so no more than ``workers**2`` calls are in flight. A
+    replay, whose calls only read the cache, runs its cases on the calling
+    thread. Outputs are collected in case order, so concurrency never
+    changes the written files.
     """
-    case_file, pool_file = load_dataset(config)
+    run = _setup(config)
+    subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
+    built, generator = run.built, run.generator
+    st1_cfg, st2_cfg, st3_cfg, st4_cfg = (config[s] for s in SUBTASK_ORDER)
     # Read once, here, not in validate_config: a sweep's config may name
     # the file that the sweep is about to write.
-    st4_policy = _st4_policy(config["st4"]) if "st4" in config["subtasks"] else None
-    generator = build_generator(config)
-    needs_embedder = (
-        ("st3" in config["subtasks"] and config["st3"].get("rerank"))
-        or ("st4" in config["subtasks"] and config["st4"]["recall"].get("enabled"))
-        or ("st4" in config["subtasks"] and config["st4"].get("mode") == "embedding_only")
+    st4_policy = _st4_policy(st4_cfg, built["st4.merge"]) if "st4" in subtasks else None
+    embedding_only = st4_cfg["mode"] == "embedding_only"
+    needs_embedder = ("st3" in subtasks and st3_cfg["rerank"]) or (
+        "st4" in subtasks and (st4_cfg["recall"]["enabled"] or embedding_only)
     )
     embedder = build_embedder(config) if needs_embedder else None
-    constraints = constraints_from_config(config["constraints"])
-    workers = config["workers"]
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args = {
+        "st1": {
+            "pool": st1.St1Pool(c for c in run.pool if c.clinician_question)
+            if "st1" in subtasks
+            else None,
+            "providers": [(d, generator) for d in st1_cfg["deployments"]],
+            "constraints": built["constraints"],
+            "max_shots": st1_cfg["shots"],
+            "note_grounding": st1_cfg["note_grounding"],
+        },
+        "st2": {
+            "plan": built["st2.plan"],
+            "provider": generator,
+            "policy": built["st2.merge"],
+            "confidence_floor": st2_cfg["confidence_floor"],
+            "use_default_floor": st2_cfg["enhanced_postproc"],
+        },
+        "st3": {
+            "provider": generator,
+            "deployments": list(st3_cfg["deployments"]),
+            "constraints": built["constraints"],
+            "stage2_deployment": st3_cfg["stage2_deployment"],
+            "rerank": st3_cfg["rerank"],
+            "embedder": embedder,
+        },
+        "st4": {
+            "plan": None if embedding_only else built["st4.plan"],
+            "provider": None if embedding_only else generator,
+            "policy": st4_policy,
+            "recall": built["st4.recall.tau"],
+            "embedder": embedder,
+            "full_answer_context": st4_cfg["full_answer_context"],
+        },
+    }
+    chain = partial(_case_chain, run=run, args={s: args[s] for s in subtasks})
+    per_case = _map_cases(chain, run.cases, _case_threads(config, config["workers"] ** 2))
 
-    subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
-    cases = sorted(case_file.cases, key=case_sort_key)
-    pool_cases = tuple(sorted(pool_file.cases, key=case_sort_key))
-    st1_pool = (
-        st1.St1Pool(c for c in pool_cases if c.clinician_question)
-        if "st1" in subtasks
-        else None
-    )
-
-    def chain(case: Case) -> dict[str, dict]:
-        return _case_chain(
-            case, config, subtasks, pool_cases, st1_pool, generator, embedder, constraints,
-            st4_policy,
-        )
-
-    per_case = _map_cases(chain, cases, _case_threads(config, workers * workers))
-
-    outputs: dict[str, list[dict]] = {s: [] for s in subtasks}
-    debug_candidates: list[dict] = []
-    for records in per_case:
-        for subtask in subtasks:
-            if subtask in records:
-                outputs[subtask].append(records[subtask])
-        if "st1_debug" in records:
-            debug_candidates.append(records["st1_debug"])
-
-    written: list[str] = []
-    for subtask in subtasks:
-        path = out_dir / f"{subtask}.jsonl"
-        write_jsonl(path, outputs[subtask])
-        written.append(path.name)
-    if "st1" in subtasks:
-        path = out_dir / "st1_candidates.jsonl"
-        write_jsonl(path, debug_candidates)
-        written.append(path.name)
-
-    cache_stats = {}
-    if isinstance(generator, ReplayGenerator):
-        cache_stats = generator.cache.stats()
+    outputs = subtasks + ["st1_candidates"] * ("st1" in subtasks)
+    for name in outputs:
+        write_jsonl(run.out_dir / f"{name}.jsonl", [records[name] for records in per_case])
     manifest = {
         "config_hash": config_hash(config),
         "provider_mode": config["provider_mode"],
         "subtasks": subtasks,
-        "cases": [c.case_id for c in cases],
-        "outputs": sorted(written),
-        "cache": cache_stats,
+        "cases": [c.case_id for c in run.cases],
+        "outputs": sorted(f"{name}.jsonl" for name in outputs),
+        "cache": generator.cache.stats() if isinstance(generator, ReplayGenerator) else {},
     }
     atomic_write_text(
-        out_dir / "manifest.json",
+        run.out_dir / "manifest.json",
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
     return manifest
@@ -657,27 +654,18 @@ def _map_cases(fn: Callable[[Case], T], cases: list[Case], threads: int) -> list
         return list(pool.map(run, range(len(cases)), cases))
 
 
-def _st4_shots(pool: list[Case], cfg: dict) -> list[Case]:
-    """Leading shots of a leave-one-out pool, in case_id order, that have gold alignments."""
-    return [
-        c for c in pool if c.gold_alignments is not None and c.clinician_answer_sentences
-    ][: cfg["shots"]]
-
-
-def _st4_policy(cfg: dict) -> MergePolicy:
+def _st4_policy(cfg: dict, merge: MergePolicy) -> MergePolicy:
     """st4's merge policy: a manual threshold read from ``threshold_file``
-    when one is named, else the ``merge`` section."""
-    path = cfg.get("threshold_file")
-    if not path:
-        return policy_from_config(cfg["merge"])
+    when one is named, else ``merge``, the policy of its ``merge`` section."""
+    if not cfg["threshold_file"]:
+        return merge
     try:
-        return MergePolicy.manual(st4.read_best_threshold(path))
+        return MergePolicy.manual(st4.read_best_threshold(cfg["threshold_file"]))
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"st4.threshold_file: {exc}") from exc
 
 
-def _st4_answers(case: Case, cfg: dict, st3_answer: str | None):
-    source = cfg.get("answers_from", "auto")
+def _st4_answers(case: Case, source: str, st3_answer: str | None):
     if source == "key":
         return list(case.clinician_answer_sentences)
     if source == "st3":
@@ -690,40 +678,33 @@ def _st4_answers(case: Case, cfg: dict, st3_answer: str | None):
 def run_sweep(config: dict, subtask: str) -> dict:
     """Dev-gold threshold sweep for the voting subtasks.
 
-    Cases run on up to ``workers`` threads; a replay runs them on the
-    calling thread."""
+    ``config`` is a ``resolve_config`` result. Cases run on up to
+    ``workers`` threads; a replay runs them on the calling thread."""
     if subtask not in ("st2", "st4"):
         raise ConfigError("sweep supports st2 and st4 only")
-    case_file, pool_file = load_dataset(config)
-    cases = sorted(case_file.cases, key=case_sort_key)
-    golds = [c.gold_evidence if subtask == "st2" else c.gold_alignments for c in cases]
-    for case, gold in zip(cases, golds):
+    run = _setup(config)
+    golds = [c.gold_evidence if subtask == "st2" else c.gold_alignments for c in run.cases]
+    for case, gold in zip(run.cases, golds):
         if gold is None:
             raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
-    generator = build_generator(config)
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = config[subtask]
-    plan = plan_from_config(cfg["plan"])
+    plan = run.built[f"{subtask}.plan"]
+    full_answer_context = config["st4"]["full_answer_context"]
 
     def tally(case: Case):
-        pool = few_shot_pool(pool_file, exclude_case_id=case.case_id)
+        shots = _shots(run, case, subtask)
         if subtask == "st2":
-            return st2.run_ensemble(case, _st2_shots(pool, cfg), plan, generator)
+            return st2.run_ensemble(case, shots, plan, run.generator)
         return st4.run_ensemble(
-            case,
-            _st4_shots(pool, cfg),
-            plan,
-            generator,
-            full_answer_context=bool(cfg.get("full_answer_context", True)),
+            case, shots, plan, run.generator, full_answer_context=full_answer_context
         )
 
     # A case makes its calls one after another, so ``workers`` threads hold
     # a sweep to its bound of ``workers`` calls in flight, not a run's
     # ``workers**2``.
     threads = _case_threads(config, config["workers"])
-    dev_runs = list(zip(_map_cases(tally, cases, threads), golds, cases))
+    dev_runs = list(zip(_map_cases(tally, run.cases, threads), golds, run.cases))
 
+    out_dir = run.out_dir
     if subtask == "st2":
         best, frontier = vote.sweep([(t, gold, c.note_ids) for t, gold, c in dev_runs], "k")
         atomic_write_text(out_dir / "best_k.txt", f"{best}\n")

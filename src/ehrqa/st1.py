@@ -3,9 +3,9 @@ short clinician-interpreted question.
 
 Pipeline per case: extract explicit clinical context, retrieve few-shot
 examples by a hybrid question-type/lexical score, generate candidates from
-one or more backends in parallel, then select the candidate that best
-matches the style of the gold dev questions under hard constraints
-(word limit, terminal "?", no first person).
+one or more backends, one after another on the case's thread, then select
+the candidate that best matches the style of the gold dev questions under
+hard constraints (word limit, terminal "?", no first person).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from ehrqa.cli import main
 from ehrqa.core import ConfigError
 from ehrqa.dataset import load_cases, toy_dataset_path
 from ehrqa.pipeline import (
+    DEFAULT_CONFIG,
     PRESETS,
     config_hash,
     resolve_config,
@@ -102,6 +103,47 @@ class TestResolveConfig:
     def test_st3_deployments_must_be_unique(self):
         with pytest.raises(ConfigError, match="st3 deployments"):
             resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})
+
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_a_plan_lists_each_deployment_once(self, subtask):
+        members = [
+            {"deployment": "o3", "temperature": 0.0, "samples": 1},
+            {"deployment": "o3", "temperature": 1.0, "samples": 2},
+        ]
+        with pytest.raises(ConfigError, match=rf"^{subtask}\.plan: .*unique"):
+            resolve_config({subtask: {"plan": {"members": members}}})
+
+    BOOL_FIELDS = [
+        "random_free",
+        "st1.note_grounding",
+        "st2.plan.extra_zero_temp_run",
+        "st2.contrast_shots",
+        "st2.enhanced_postproc",
+        "st3.rerank",
+        "st4.plan.extra_zero_temp_run",
+        "st4.full_answer_context",
+        "st4.recall.enabled",
+    ]
+
+    def test_the_boolean_fields_are_those_of_default_config(self):
+        def bools(section, path=()):
+            for key, value in section.items():
+                if isinstance(value, bool):
+                    yield ".".join((*path, key))
+                elif isinstance(value, dict):
+                    yield from bools(value, (*path, key))
+
+        assert sorted(bools(DEFAULT_CONFIG)) == sorted(self.BOOL_FIELDS)
+
+    @pytest.mark.parametrize("path", BOOL_FIELDS)
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_a_boolean_field_takes_only_true_or_false(self, path, value):
+        overlay = value
+        for key in reversed(path.split(".")):
+            overlay = {key: overlay}
+        with pytest.raises(ConfigError) as error:
+            resolve_config(overlay)
+        assert str(error.value) == f"{path}: must be true or false, got {value!r}"
 
     def test_unknown_keys_are_rejected_by_their_config_path(self):
         overlay = {
