@@ -17,6 +17,7 @@ from pathlib import Path
 from .core import Case, CaseValidationError, EhrqaError, NoteSentence, id_sort_key
 
 SPLITS = ("dev", "test", "custom")
+FORMATS = ("canonical", "key_overlay")
 
 # Canonical field order for serialization
 _FIELDS = (
@@ -203,7 +204,7 @@ def load_cases(
                     combined[field] = overlay[field]
             merged.append((lineno, combined))
         records = merged
-    elif format != "canonical":
+    elif format not in FORMATS:
         raise EhrqaError(f"unknown case file format {format!r}")
 
     cases = tuple(case_from_record(r, locus=f"{path}:{lineno}") for lineno, r in records)

@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -34,7 +33,7 @@ from .core import (
     SamplingPlan,
     atomic_write_text,
 )
-from .dataset import CaseFile, case_sort_key, few_shot_pool, load_cases
+from .dataset import FORMATS, SPLITS, CaseFile, case_sort_key, few_shot_pool, load_cases
 from .prompting import make_contrast_example
 from .providers import (
     CachedEmbedder,
@@ -45,7 +44,6 @@ from .providers import (
     PipelineMockProvider,
     ReplayGenerator,
     ResponseCache,
-    env_var_names,
     provider_from_env,
 )
 from .st4 import RecallConfig
@@ -55,14 +53,18 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 PROVIDER_MODES = ("live", "record", "replay", "mock")
-# The values each of the config's enumerated fields may take.
-CHOICES = {
-    ("provider_mode",): PROVIDER_MODES,
-    ("record_source",): ("live", "mock"),
-    ("st4", "mode"): ("ensemble", "embedding_only"),
-    ("st4", "answers_from"): ("auto", "key", "st3"),
-}
 SUBTASK_ORDER = ("st1", "st2", "st3", "st4")
+# The values each of the config's enumerated fields may take, by config
+# path; ``[]`` stands for each element of a list.
+CHOICES = {
+    "dataset.format": FORMATS,
+    "dataset.split": SPLITS,
+    "subtasks[]": SUBTASK_ORDER,
+    "provider_mode": PROVIDER_MODES,
+    "record_source": ("live", "mock"),
+    "st4.mode": ("ensemble", "embedding_only"),
+    "st4.answers_from": ("auto", "key", "st3"),
+}
 
 DEFAULT_CONFIG: dict = {
     "dataset": {"cases": None, "dev_cases": None, "format": "canonical", "key": None, "split": "dev"},
@@ -197,6 +199,9 @@ def deep_merge(base: dict, overlay: dict) -> dict:
 def resolve_config(
     raw: dict | None = None, preset: str | None = None, overrides: dict | None = None
 ) -> dict:
+    """DEFAULT_CONFIG overlaid with ``raw``, then the named ``preset``,
+    then ``overrides``, and checked by ``validate_config``: a bad field
+    raises a ``ConfigError`` that names its config path."""
     config = deep_merge(DEFAULT_CONFIG, raw or {})
     if preset is not None:
         if preset not in PRESETS:
@@ -210,72 +215,76 @@ def resolve_config(
     return config
 
 
-PLAN_MEMBER_KEYS = frozenset({"deployment", "temperature", "samples"})
+# Each kind of value that DEFAULT_CONFIG holds: the type of a default, the
+# words an error uses for what its field takes, and the values it takes.
+# bool comes before int, its subclass.
+KINDS: tuple[tuple[type, str, Callable[[object], bool]], ...] = (
+    (bool, "true or false", lambda v: isinstance(v, bool)),
+    (int, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    (float, "a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    (str, "a string", lambda v: isinstance(v, str)),
+    (list, "a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
+    (dict, "an object", lambda v: isinstance(v, dict)),
+)
+# A field whose default is null takes a string or null; one named here
+# takes a number or null.
+NUMBER_OR_NULL = frozenset({"st2.confidence_floor"})
 
 
-def unknown_keys(section: dict, shape: dict, path: str = "") -> list[str]:
-    """Config paths of the keys of ``section`` that ``shape``, the same part
-    of DEFAULT_CONFIG, does not have; a merge section also takes ``k``."""
-    known = set(shape) | ({"k"} if path.endswith("merge") else set())
-    found = []
-    for key, value in section.items():
-        where = f"{path}.{key}" if path else key
-        if key not in known:
-            found.append(where)
-        elif isinstance(value, dict) and isinstance(shape[key], dict):
-            found += unknown_keys(value, shape[key], where)
-        elif key == "members" and isinstance(value, list):
-            for i, member in enumerate(value):
-                if isinstance(member, dict):
-                    found += [f"{where}[{i}].{k}" for k in member if k not in PLAN_MEMBER_KEYS]
-    return found
-
-
-def _at(config: dict, path: tuple[str, ...]):
-    for key in path:
-        config = config[key]
-    return config
-
-
-def _bool_fields(shape: dict, path: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
-    """Paths of the fields of ``shape``, a part of DEFAULT_CONFIG, whose
-    default is a boolean."""
-    found = []
-    for key, value in shape.items():
-        if isinstance(value, bool):
-            found.append((*path, key))
-        elif isinstance(value, dict):
-            found += _bool_fields(value, (*path, key))
-    return found
+def _check_fields(value, default, path: str, field: str, unknown: list[str]) -> None:
+    """Check ``value``, at config path ``path``, against ``default``, its
+    part of DEFAULT_CONFIG: its kind, its choices and, for an object or a
+    list, each of its fields or elements, a list's against the default's
+    first element. ``field`` is ``path`` with ``[]`` for each list index.
+    Keys that the default lacks are added to ``unknown``."""
+    kind_of, or_null = default, ""
+    if default is None:
+        if value is None:
+            return
+        # A stand-in default of the kind that the field takes besides null.
+        kind_of = 0.0 if field in NUMBER_OR_NULL else ""
+        or_null = " or null"
+    kind, takes = next((kind, takes) for t, kind, takes in KINDS if isinstance(kind_of, t))
+    if not takes(value):
+        raise ConfigError(f"{path}: must be {kind}{or_null}, got {value!r}")
+    if field in CHOICES and value not in CHOICES[field]:
+        raise ConfigError(f"{path}: must be one of {', '.join(CHOICES[field])}, got {value!r}")
+    if isinstance(default, dict):
+        # A merge section may also hold ``k``, the threshold of the manual mode.
+        shape = {**default, "k": 1} if field.endswith("merge") else default
+        dot = "." if path else ""
+        for key, item in value.items():
+            if key in shape:
+                _check_fields(item, shape[key], f"{path}{dot}{key}", f"{field}{dot}{key}", unknown)
+            else:
+                unknown.append(f"{path}{dot}{key}")
+    elif isinstance(default, list):
+        for i, item in enumerate(value):
+            _check_fields(item, default[0], f"{path}[{i}]", f"{field}[]", unknown)
 
 
 def validate_config(config: dict) -> dict:
     """Check ``config``; return the objects it describes, keyed by the
-    config path that an error in one names."""
-    unknown = unknown_keys(config, DEFAULT_CONFIG)
+    config path that an error in one names.
+
+    ``_check_fields`` checks every field against its DEFAULT_CONFIG default
+    and ``CHOICES``, raising ``<path>: must be <kind>, got <value>``; then
+    come the bounds that a type cannot state, the builds of the objects
+    and the random-free check."""
+    unknown: list[str] = []
+    _check_fields(config, DEFAULT_CONFIG, "", "", unknown)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    for path, allowed in CHOICES.items():
-        value = _at(config, path)
-        if value not in allowed:
-            raise ConfigError(f"{'.'.join(path)}: {value!r} is not one of {', '.join(allowed)}")
-    for subtask in config["subtasks"]:
-        if subtask not in SUBTASK_ORDER:
-            raise ConfigError(f"unknown subtask {subtask!r}")
     for key, most in (("st1", 5), ("st2", None), ("st3", None), ("st4", 20)):
         shots = config[key]["shots"]
-        if not _is_int(shots) or shots < 0 or (most is not None and shots > most):
+        if shots < 0 or (most is not None and shots > most):
             bound = ">= 0" if most is None else f"in [0, {most}]"
-            raise ConfigError(f"{key} shots must be an integer {bound}, got {shots!r}")
-    floor = config["st2"]["confidence_floor"]
-    if floor is not None and (isinstance(floor, bool) or not isinstance(floor, (int, float))):
-        raise ConfigError(f"st2.confidence_floor: must be a number or null, got {floor!r}")
+            raise ConfigError(f"{key} shots must be {bound}, got {shots!r}")
     deployments = config["st3"]["deployments"]
     if len(set(deployments)) != len(deployments):
         raise ConfigError(f"st3 deployments must be unique, got {deployments}")
-    workers = config["workers"]
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    if config["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {config['workers']!r}")
     # Build every object a run builds from the config now, so a bad value
     # fails here, named by its config path, before any backend call.
     builds = (
@@ -292,21 +301,11 @@ def validate_config(config: dict) -> dict:
             built[path] = build(section)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing field {exc}") from exc
-        except (ConfigError, TypeError, ValueError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    # Checked after the builds, which have named a plan or recall section
-    # that is not an object by its path.
-    for path in _bool_fields(DEFAULT_CONFIG):
-        value = _at(config, path)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{'.'.join(path)}: must be true or false, got {value!r}")
     if not config["random_free"]:
         raise ConfigError("only random-free runs are supported")
     return built
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Where a run reads and writes, and how many threads it uses, never changes
@@ -326,7 +325,7 @@ def plan_from_config(plan_cfg: dict) -> SamplingPlan:
         PlanMember(
             deployment_name=m["deployment"],
             temperature=float(m.get("temperature", 0.0)),
-            samples=int(m.get("samples", 1)),
+            samples=m.get("samples", 1),
         )
         for m in plan_cfg["members"]
     )
@@ -336,14 +335,12 @@ def plan_from_config(plan_cfg: dict) -> SamplingPlan:
 def policy_from_config(merge_cfg: dict) -> MergePolicy:
     mode = merge_cfg["mode"]
     if mode == "manual":
-        return MergePolicy.manual(int(merge_cfg["k"]))
+        return MergePolicy.manual(merge_cfg["k"])
     return MergePolicy(mode=mode)
 
 
 def constraints_from_config(cfg: dict) -> ConstraintConfig:
-    return ConstraintConfig(
-        st1_max_words=int(cfg["st1_max_words"]), st3_max_words=int(cfg["st3_max_words"])
-    )
+    return ConstraintConfig(st1_max_words=cfg["st1_max_words"], st3_max_words=cfg["st3_max_words"])
 
 
 def recall_from_config(cfg: dict) -> RecallConfig:
@@ -402,18 +399,11 @@ def build_generator(config: dict) -> Generator:
     return _backend(config, PipelineMockProvider, DeploymentRouter, ReplayGenerator)
 
 
-def _live_embedder(model: str) -> HttpEmbeddingProvider:
-    endpoint_var, key_var = env_var_names(model)
-    endpoint, key = os.environ.get(endpoint_var), os.environ.get(key_var)
-    if not endpoint or not key:
-        raise ConfigError(f"live embedder needs {endpoint_var} and {key_var}")
-    return HttpEmbeddingProvider(endpoint, key, model=model)
-
-
 def build_embedder(config: dict) -> Embedder:
     model = config["embedding"]["deployment"]
-    mock = partial(HashEmbedder, dim=int(config["embedding"]["dim"]))
-    return _backend(config, mock, partial(_live_embedder, model), partial(CachedEmbedder, model=model))
+    mock = partial(HashEmbedder, dim=config["embedding"]["dim"])
+    live = partial(provider_from_env, model, partial(HttpEmbeddingProvider, model=model))
+    return _backend(config, mock, live, partial(CachedEmbedder, model=model))
 
 
 def write_jsonl(path: Path, records: list[dict]) -> None:

@@ -595,7 +595,11 @@ def env_var_names(provider_name: str) -> tuple[str, str]:
     return f"EHRQA_{stem}_ENDPOINT", f"EHRQA_{stem}_API_KEY"
 
 
-def provider_from_env(provider_name: str) -> HttpChatProvider:
+def provider_from_env(
+    provider_name: str, client: Callable[[str, str], _HttpClient] = HttpChatProvider
+) -> _HttpClient:
+    """``client``, a chat client by default, built from the endpoint and
+    the key that the environment holds for ``provider_name``."""
     endpoint_var, key_var = env_var_names(provider_name)
     endpoint = os.environ.get(endpoint_var)
     api_key = os.environ.get(key_var)
@@ -603,7 +607,7 @@ def provider_from_env(provider_name: str) -> HttpChatProvider:
         raise EhrqaError(
             f"live provider {provider_name!r} needs {endpoint_var} and {key_var} set"
         )
-    return HttpChatProvider(endpoint=endpoint, api_key=api_key)
+    return client(endpoint, api_key)
 
 
 # ---------------------------------------------------------------------------

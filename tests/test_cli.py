@@ -1,10 +1,11 @@
+import copy
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from ehrqa import report
+from ehrqa import pipeline, report
 from ehrqa.cli import main
 from ehrqa.core import ConfigError
 from ehrqa.dataset import load_cases, toy_dataset_path
@@ -16,7 +17,9 @@ from ehrqa.pipeline import (
     run_pipeline,
     run_sweep,
 )
-from ehrqa.providers import embed_cache_key
+from ehrqa.prompting import Message
+from ehrqa.providers import embed_cache_key, request_cache_key
+from ehrqa.vote import plan_requests
 
 
 def base_config(tmp_path, **overrides):
@@ -29,6 +32,53 @@ def base_config(tmp_path, **overrides):
     }
     config.update(overrides)
     return config
+
+
+def config_leaves(value, path=""):
+    """(config path, default) of each field of DEFAULT_CONFIG that is not
+    an object; a list's first element and its fields are fields too."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from config_leaves(item, f"{path}.{key}" if path else key)
+        return
+    yield path, value
+    if isinstance(value, list):
+        yield from config_leaves(value[0], f"{path}[0]")
+
+
+def with_field(path: str, value) -> dict:
+    """DEFAULT_CONFIG with the field at config path ``path`` set to ``value``."""
+    config = section = copy.deepcopy(DEFAULT_CONFIG)
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    return config
+
+
+# What a field takes, by the type of its default, and values it does not
+# take; the boolean fields have a test of their own.
+WRONG_VALUES = {
+    int: ("an integer", [2.5, "4", True, None]),
+    float: ("a number", ["0.5", True, None]),
+    str: ("a string", [5, None, ["x"]]),
+    list: ("a non-empty list", ["x", {}, [], None]),
+    type(None): ("a string or null", [5, Path("x.jsonl"), False]),
+}
+NUMBER_OR_NULL = ("a number or null", ["high", True, [0.5]])
+
+
+def wrong_fields():
+    for path, default in config_leaves(DEFAULT_CONFIG):
+        if isinstance(default, bool):
+            continue
+        kind, values = (
+            NUMBER_OR_NULL if path == "st2.confidence_floor" else WRONG_VALUES[type(default)]
+        )
+        for value in values:
+            yield pytest.param(
+                path, value, f"{path}: must be {kind}, got {value!r}", id=f"{path}-{value!r}"
+            )
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -77,7 +127,7 @@ class TestResolveConfig:
             ({"st2": {"merge": {"mode": "bogus"}}}, "st2.merge"),
             ({"st2": {"merge": {"mode": "manual"}}}, "st2.merge"),
             ({"st4": {"merge": {"mode": "manual", "k": 0}}}, "st4.merge"),
-            ({"st2": {"plan": {"members": []}}}, "st2.plan"),
+            ({"st2": {"plan": {"members": []}}}, "st2.plan.members"),
             ({"st4": {"plan": {"members": [{"temperature": 0.0}]}}}, "st4.plan"),
             ({"constraints": {"st1_max_words": 0}}, "constraints"),
         ],
@@ -92,7 +142,7 @@ class TestResolveConfig:
             ({"record_source": "Mock"}, "record_source"),
             ({"st4": {"mode": "ensembel"}}, "st4.mode"),
             ({"st4": {"answers_from": "keys"}}, "st4.answers_from"),
-            ({"st2": {"shots": "3"}}, "st2 shots"),
+            ({"st2": {"shots": "3"}}, "st2.shots"),
             ({"st2": {"confidence_floor": "high"}}, "st2.confidence_floor"),
         ],
     )
@@ -144,6 +194,82 @@ class TestResolveConfig:
         with pytest.raises(ConfigError) as error:
             resolve_config(overlay)
         assert str(error.value) == f"{path}: must be true or false, got {value!r}"
+
+    @pytest.mark.parametrize("path, value, error", wrong_fields())
+    def test_a_field_takes_only_the_json_type_of_its_default(self, path, value, error):
+        with pytest.raises(ConfigError) as raised:
+            resolve_config(with_field(path, value))
+        assert str(raised.value) == error
+
+    @pytest.mark.parametrize(
+        "overlay, error",
+        [
+            ({"st3": 5}, "st3: must be an object, got 5"),
+            ({"dataset": "x"}, "dataset: must be an object, got 'x'"),
+            ({"subtasks": "st2"}, "subtasks: must be a non-empty list, got 'st2'"),
+            ({"subtasks": []}, "subtasks: must be a non-empty list, got []"),
+            ({"subtasks": ["st5"]}, "subtasks[0]: must be one of st1, st2, st3, st4, got 'st5'"),
+            ({"st1": {"deployments": []}}, "st1.deployments: must be a non-empty list, got []"),
+            ({"st3": {"deployments": []}}, "st3.deployments: must be a non-empty list, got []"),
+            (
+                {"st3": {"deployments": "o3"}},
+                "st3.deployments: must be a non-empty list, got 'o3'",
+            ),
+            (
+                {"st2": {"plan": {"members": [{"deployment": "o3", "samples": 2.9}]}}},
+                "st2.plan.members[0].samples: must be an integer, got 2.9",
+            ),
+            (
+                {"st2": {"merge": {"mode": "manual", "k": 2.5}}},
+                "st2.merge.k: must be an integer, got 2.5",
+            ),
+            ({"st4": {"recall": {"tau": "0.5"}}}, "st4.recall.tau: must be a number, got '0.5'"),
+            ({"embedding": {"dim": "32"}}, "embedding.dim: must be an integer, got '32'"),
+            ({"cache_dir": 5}, "cache_dir: must be a string, got 5"),
+            (
+                {"dataset": {"cases": Path("x.jsonl")}},
+                f"dataset.cases: must be a string or null, got {Path('x.jsonl')!r}",
+            ),
+            (
+                {"dataset": {"format": "csv"}},
+                "dataset.format: must be one of canonical, key_overlay, got 'csv'",
+            ),
+            (
+                {"dataset": {"split": "train"}},
+                "dataset.split: must be one of dev, test, custom, got 'train'",
+            ),
+        ],
+    )
+    def test_a_misread_overlay_is_an_error_naming_its_field(self, overlay, error):
+        with pytest.raises(ConfigError) as raised:
+            resolve_config(overlay)
+        assert str(raised.value) == error
+
+    def test_a_section_of_the_wrong_type_fails_the_cli_in_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_backend(config):
+            raise AssertionError("no backend may be built for a bad config")
+
+        monkeypatch.setattr(pipeline, "build_generator", no_backend)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"st3": 5}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--cases", str(toy_dataset_path())]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "st3: must be an object, got 5", "type": "ConfigError"}
+        ]
+
+    def test_an_integer_temperature_keys_the_cache_as_its_float(self):
+        messages = (Message("user", "q"),)
+        keys = set()
+        for temperature in (1, 1.0):
+            member = {"deployment": "o3", "temperature": temperature, "samples": 1}
+            config = resolve_config({"st2": {"plan": {"members": [member]}}})
+            plan = pipeline.validate_config(config)["st2.plan"]
+            keys |= {request_cache_key(r) for r in plan_requests("1", "st2", messages, plan)}
+        assert len(keys) == 1
 
     def test_unknown_keys_are_rejected_by_their_config_path(self):
         overlay = {

@@ -7,7 +7,7 @@ import pytest
 
 from ehrqa.core import CacheMissError, EhrqaError, ProviderError
 from ehrqa.dataset import toy_dataset_path
-from ehrqa.pipeline import _map_cases, resolve_config, run_pipeline
+from ehrqa.pipeline import _map_cases, build_embedder, resolve_config, run_pipeline
 from ehrqa.prompting import Message
 from ehrqa.providers import (
     CachedEmbedder,
@@ -554,3 +554,17 @@ class TestPipelineMock:
         assert '"evidence_ids": []' not in outputs["plain"]["st2"]
         for sub, text in outputs["ward"].items():
             assert text.replace('"ward/', '"') == outputs["plain"][sub]
+
+
+def test_the_live_embedder_takes_its_credentials_from_the_environment(monkeypatch):
+    monkeypatch.setenv("EHRQA_EMBEDDER_ENDPOINT", "https://embed.example/v1/")
+    monkeypatch.setenv("EHRQA_EMBEDDER_API_KEY", "embed-key")
+    config = resolve_config({"provider_mode": "live"})
+    embedder = build_embedder(config)
+    assert isinstance(embedder, HttpEmbeddingProvider)
+    assert (embedder.endpoint, embedder.api_key, embedder.model) == (
+        "https://embed.example/v1", "embed-key", "embedder"
+    )
+    monkeypatch.delenv("EHRQA_EMBEDDER_API_KEY")
+    with pytest.raises(EhrqaError, match="EHRQA_EMBEDDER_ENDPOINT and EHRQA_EMBEDDER_API_KEY"):
+        build_embedder(config)
