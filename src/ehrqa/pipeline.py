@@ -285,6 +285,11 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"st3 deployments must be unique, got {deployments}")
     if config["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {config['workers']!r}")
+    # A floor compares with a vote fraction, so above 1 it empties every
+    # answer and at 0 or below it keeps every ID.
+    floor = config["st2"]["confidence_floor"]
+    if floor is not None and not 0.0 < floor <= 1.0:
+        raise ConfigError(f"st2.confidence_floor must be in (0, 1], got {floor!r}")
     # Build every object a run builds from the config now, so a bad value
     # fails here, named by its config path, before any backend call.
     builds = (

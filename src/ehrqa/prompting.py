@@ -6,12 +6,19 @@ inputs, same bytes. Each slot is filled by one rule: ``shots_block`` from
 the shots, then ``extra``, then the case. Few-shot examples are embedded in
 the single user message, except for a template with a system block (the
 alignment subtask), which takes them as user/assistant turns.
+
+The shots are the run's few-shot pool cases, shared by every case of the
+run, so what is rendered from a shot alone (its text in a shots block, its
+user/assistant turn) is memoised on the shot object itself, as is the
+JSON text of each message: it lives as long as the object and no two
+objects share it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from string import Template
 
@@ -31,6 +38,13 @@ class RenderError(EhrqaError):
 class Message:
     role: str  # system | user | assistant
     content: str
+
+    @cached_property
+    def json_text(self) -> str:
+        """``[role, content]`` as ``json.dumps(..., ensure_ascii=False)``
+        writes it, encoded once per message: the request cache key splices
+        it in for every request that carries the message."""
+        return json.dumps([self.role, self.content], ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,31 @@ def _shot_case(shot) -> Case:
     return shot.base if isinstance(shot, ContrastExample) else shot
 
 
+def _memo(owner, key, make):
+    """``make()``, computed once per ``key`` and kept on ``owner``, the
+    object it is rendered from. The memo is no dataclass field, so the
+    owner's equality, hash, repr and ``asdict`` are unchanged; two threads
+    that race on a key both get the value stored first."""
+    memo = vars(owner).setdefault("_render_memo", {})
+    try:
+        return memo[key]
+    except KeyError:
+        return memo.setdefault(key, make())
+
+
+def _shot_turn(
+    template: PromptTemplate, shot_case: Case, full_answer: bool
+) -> tuple[Message, Message]:
+    """The user/assistant turn that shows ``shot_case`` as an example."""
+    turn = {}
+    if full_answer:
+        turn["full_answer_block"] = full_answer_block(shot_case.clinician_answer_paragraph)
+    return (
+        Message("user", _fill(template, shot_case, turn)),
+        Message("assistant", format_alignment(shot_case.gold_alignments)),
+    )
+
+
 def _fill(template: PromptTemplate, case: Case, values: dict[str, str]) -> str:
     slots = {}
     for name in sorted(scaffold_slots(template.user_scaffold)):
@@ -202,24 +241,29 @@ def render_prompt(
     values = {name: value for name, value in (extra or {}).items() if value is not None}
 
     if template.system_block is not None:
-        messages = [Message("system", template.system_block)]
+        messages = [_memo(template, "system", lambda: Message("system", template.system_block))]
+        full_answer = "full_answer_block" in values
         for shot in shots:
             shot_case = _shot_case(shot)
             if shot_case.gold_alignments is None:
                 raise RenderError(
                     f"{template.subtask} shot {shot_case.case_id} has no gold alignments"
                 )
-            turn = {}
-            if "full_answer_block" in values:
-                turn["full_answer_block"] = full_answer_block(shot_case.clinician_answer_paragraph)
-            messages.append(Message("user", _fill(template, shot_case, turn)))
-            messages.append(Message("assistant", format_alignment(shot_case.gold_alignments)))
+            messages.extend(
+                _memo(
+                    shot_case,
+                    (template, full_answer),
+                    lambda: _shot_turn(template, shot_case, full_answer),
+                )
+            )
         messages.append(Message("user", _fill(template, case, values)))
         return messages
 
     if "shots_block" in scaffold_slots(template.user_scaffold):
         render_one = _SHOT_RENDERERS[template.subtask]
-        values["shots_block"] = "\n".join(render_one(s) for s in shots)
+        values["shots_block"] = "\n".join(
+            _memo(s, template.subtask, lambda s=s: render_one(s)) for s in shots
+        )
     elif shots:
         raise RenderError(f"{template.subtask} takes no few-shot examples")
     return [Message("user", _fill(template, case, values))]

@@ -68,16 +68,29 @@ class Embedder(Protocol):
         ...
 
 
+# json.dumps(obj, sort_keys=True, ensure_ascii=False), without building an
+# encoder per call.
+_encode_sorted = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def request_cache_key(request: GenRequest) -> str:
-    """Content hash of the semantic request; ignores request_tag and clock."""
-    payload = {
-        "deployment_name": request.deployment_name,
-        "messages": [[m.role, m.content] for m in request.messages],
-        "temperature": request.temperature,
-        "max_output_tokens": request.max_output_tokens,
-        "sample_index": request.sample_index,
-    }
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    """Content hash of the semantic request; ignores request_tag and clock.
+
+    The hashed text is ``json.dumps(payload, sort_keys=True,
+    ensure_ascii=False)`` of ``{"deployment_name", "max_output_tokens",
+    "messages": [[role, content], ...], "sample_index", "temperature"}``.
+    It is spliced together from each message's ``json_text``, which a
+    message encodes once however many requests carry it; ``messages``
+    sorts between ``max_output_tokens`` and ``sample_index``.
+    """
+    head = _encode_sorted(
+        {"deployment_name": request.deployment_name, "max_output_tokens": request.max_output_tokens}
+    )
+    tail = _encode_sorted(
+        {"sample_index": request.sample_index, "temperature": request.temperature}
+    )
+    messages = ", ".join(m.json_text for m in request.messages)
+    canonical = f'{head[:-1]}, "messages": [{messages}], {tail[1:]}'
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -87,16 +100,40 @@ def embed_cache_key(model: str, texts: Sequence[str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity of two equal-length non-zero vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+def cosine(u, v) -> float | np.ndarray:
+    """Cosine similarity of two equal-length non-zero vectors; given two
+    matrices, the matrix of the similarity of each row of ``u`` with each
+    row of ``v``.
+
+    The matrix form rounds differently from the vector form, in the last
+    digits: a caller that compares its entries with a threshold rescores
+    the pairs that land next to it with the vector form.
+    """
+    u, v = _array(u), _array(v)
+    if u.ndim == 2 and v.ndim == 2:
+        if u.shape[1] != v.shape[1]:
+            raise EhrqaError(f"vector dimension mismatch: {u.shape} vs {v.shape}")
+        nu, nv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+        if not (nu.all() and nv.all()):
+            raise EhrqaError("cosine similarity undefined for a zero vector")
+        # einsum rather than ``@``: a BLAS product allocates thread buffers
+        # on first use, about 0.5 MB resident, for no gain at these sizes.
+        return np.einsum("ik,jk->ij", u, v) / np.outer(nu, nv)
     if u.shape != v.shape:
         raise EhrqaError(f"vector dimension mismatch: {u.shape} vs {v.shape}")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise EhrqaError("cosine similarity undefined for a zero vector")
     return float(np.dot(u, v) / (nu * nv))
+
+
+def _array(x) -> np.ndarray:
+    """``x`` as a float array; a list of rows of unequal length raises."""
+    if isinstance(x, (list, tuple)):
+        shapes = {np.shape(row) for row in x}
+        if len(shapes) > 1:
+            raise EhrqaError(f"vector dimension mismatch: rows of shapes {sorted(shapes)}")
+    return np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import vote
 from .core import (
     Case,
@@ -39,6 +41,10 @@ Link = tuple[str, str]
 AlignmentList = list[tuple[str, list[str]]]
 
 THRESHOLD_FILENAME = "best_vote_threshold.txt"
+
+# Far wider than the rounding gap between the matrix and vector forms of
+# cosine (about 1e-16 per dimension), far narrower than any real margin.
+RECHECK_BAND = 1e-9
 
 LinkVoteTally = VoteTally[Link]
 
@@ -177,12 +183,19 @@ def recall_augment(
     answer_vecs = vectors[: len(answer_texts)]
     note_vecs = vectors[len(answer_texts) :]
     existing = {aid: set(ev) for aid, ev in alignment}
-    for (aid, _), avec in zip(answer_sentences, answer_vecs):
-        for sentence, nvec in zip(case.note, note_vecs):
-            if sentence.id in existing.get(aid, set()):
-                continue
-            if cosine(avec, nvec) >= config.tau:
-                existing.setdefault(aid, set()).add(sentence.id)
+    # One matrix product scores every pair; a pair that lands within
+    # RECHECK_BAND of tau is scored again by the vector form, whose
+    # rounding decides, so no link depends on the matrix form's rounding.
+    sims = cosine(answer_vecs, note_vecs)
+    for i, j in zip(*np.nonzero(sims >= config.tau - RECHECK_BAND)):
+        aid, note_id = answer_sentences[i][0], case.note[j].id
+        if note_id in existing.get(aid, ()):
+            continue
+        sim = sims[i, j]
+        if abs(sim - config.tau) <= RECHECK_BAND:
+            sim = cosine(answer_vecs[i], note_vecs[j])
+        if sim >= config.tau:
+            existing.setdefault(aid, set()).add(note_id)
     return [
         (aid, sorted(ev, key=id_sort_key))
         for aid, ev in sorted(existing.items(), key=lambda kv: id_sort_key(kv[0]))

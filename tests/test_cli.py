@@ -150,6 +150,27 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             resolve_config(overlay)
 
+    @pytest.mark.parametrize("floor", [1.5, 0.0, -0.2, float("nan"), float("inf")])
+    def test_confidence_floor_must_be_a_vote_fraction(self, floor):
+        with pytest.raises(ConfigError, match=r"^st2\.confidence_floor must be in \(0, 1\]"):
+            resolve_config({"st2": {"confidence_floor": floor}})
+
+    @pytest.mark.parametrize("floor", [None, 1e-9, 0.34, 1, 1.0])
+    def test_confidence_floor_in_range_resolves(self, floor):
+        config = resolve_config({"st2": {"confidence_floor": floor}})
+        assert config["st2"]["confidence_floor"] == floor
+
+    def test_a_bad_confidence_floor_fails_before_any_backend_call(self, tmp_path, monkeypatch):
+        def no_backend(config):
+            raise AssertionError("a backend was built")
+
+        monkeypatch.setattr(pipeline, "build_generator", no_backend)
+        config = pipeline.deep_merge(
+            resolve_config(base_config(tmp_path)), {"st2": {"confidence_floor": 2}}
+        )
+        with pytest.raises(ConfigError, match=r"^st2\.confidence_floor"):
+            pipeline.run_pipeline(config)
+
     def test_st3_deployments_must_be_unique(self):
         with pytest.raises(ConfigError, match="st3 deployments"):
             resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})

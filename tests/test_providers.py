@@ -338,6 +338,41 @@ class TestCosine:
         with pytest.raises(EhrqaError, match="mismatch"):
             cosine([1.0], [1.0, 0.0])
 
+    def test_matrix_form_scores_each_row_pair(self):
+        rng = np.random.default_rng(3)
+        u, v = rng.normal(size=(4, 7)), rng.normal(size=(5, 7))
+        sims = cosine(u, v)
+        assert sims.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                assert sims[i, j] == pytest.approx(cosine(u[i], v[j]), abs=1e-12)
+
+    def test_matrix_form_takes_lists_of_vectors(self):
+        rows = HashEmbedder().embed(["a", "b", "c"])
+        assert np.array_equal(cosine(rows[:1], rows), cosine(np.array(rows[:1]), np.array(rows)))
+
+    def test_matrix_rows_of_unequal_width_rejected(self):
+        with pytest.raises(EhrqaError, match=r"^vector dimension mismatch"):
+            cosine([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("ragged_side", ["u", "v"])
+    def test_matrix_ragged_rows_rejected(self, ragged_side):
+        ragged, whole = [np.ones(2), np.ones(3)], [np.ones(2)]
+        u, v = (ragged, whole) if ragged_side == "u" else (whole, ragged)
+        with pytest.raises(EhrqaError, match=r"^vector dimension mismatch"):
+            cosine(u, v)
+
+    @pytest.mark.parametrize("zero_side", ["u", "v"])
+    def test_matrix_zero_row_rejected(self, zero_side):
+        with_zero, whole = [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]
+        u, v = (with_zero, whole) if zero_side == "u" else (whole, with_zero)
+        with pytest.raises(EhrqaError, match=r"undefined for a zero vector$"):
+            cosine(u, v)
+
+    def test_a_matrix_against_a_vector_is_a_mismatch(self):
+        with pytest.raises(EhrqaError, match=r"^vector dimension mismatch"):
+            cosine([[1.0, 0.0]], [1.0, 0.0])
+
 
 class FakeResponse:
     def __init__(self, status_code=200, text="ok", payload=None):
