@@ -53,8 +53,7 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
+def _config_from_args(args: argparse.Namespace, **overrides) -> dict:
     if args.provider_mode:
         overrides["provider_mode"] = args.provider_mode
     if args.out:
@@ -63,13 +62,12 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         overrides["workers"] = args.workers
     if args.cases:
         overrides["dataset"] = {"cases": args.cases}
-    if args.subtask:
-        overrides["subtasks"] = [args.subtask]
     return resolve_config(_load_config_file(args.config), preset=args.preset, overrides=overrides)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    subtasks = {"subtasks": [args.subtask]} if args.subtask else {}
+    config = _config_from_args(args, **subtasks)
     manifest = run_pipeline(config)
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
@@ -221,11 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_p = sub.add_parser("run", parents=[common], help="run configured subtasks over a case file")
-    run_p.add_argument("--subtask", choices=SUBTASK_ORDER)
+    run_p.add_argument("--subtask", choices=SUBTASK_ORDER, help="run this subtask alone")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", parents=[common], help="vote-threshold sweep on dev gold")
-    sweep_p.add_argument("--subtask", choices=["st2", "st4"], required=True)
+    sweep_p.add_argument(
+        "--subtask", choices=["st2", "st4"], required=True,
+        help="the subtask to sweep; st1 runs first when the config lists it",
+    )
     sweep_p.set_defaults(func=cmd_sweep)
 
     eval_p = sub.add_parser("eval", help="score predictions against gold")

@@ -479,15 +479,59 @@ def _shots(run: RunSetup, case: Case, subtask: str) -> list:
     return contrast
 
 
-def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, dict]:
-    """Run every selected subtask for one case, chaining outputs forward.
+def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
+    """For each of ``subtasks``, the ``run_case`` arguments that every case
+    of ``run`` shares; ``_case_chain`` adds each case's own."""
+    config, built, generator = run.config, run.built, run.generator
+    st1_cfg, st2_cfg, st3_cfg, st4_cfg = (config[s] for s in SUBTASK_ORDER)
+    embedding_only = st4_cfg["mode"] == "embedding_only"
+    embeds = {"st3": st3_cfg["rerank"], "st4": st4_cfg["recall"]["enabled"] or embedding_only}
+    embedder = build_embedder(config) if any(embeds[s] for s in embeds if s in subtasks) else None
+    # Built only for a subtask that runs; st4's threshold file is read here,
+    # not when the config is resolved, for a sweep may write it in between.
+    args = {
+        "st1": lambda: {
+            "pool": st1.St1Pool(c for c in run.pool if c.clinician_question),
+            "providers": [(d, generator) for d in st1_cfg["deployments"]],
+            "constraints": built["constraints"],
+            "max_shots": st1_cfg["shots"],
+            "note_grounding": st1_cfg["note_grounding"],
+        },
+        "st2": lambda: {
+            "plan": built["st2.plan"],
+            "provider": generator,
+            "policy": built["st2.merge"],
+            "confidence_floor": st2_cfg["confidence_floor"],
+            "use_default_floor": st2_cfg["enhanced_postproc"],
+        },
+        "st3": lambda: {
+            "provider": generator,
+            "deployments": list(st3_cfg["deployments"]),
+            "constraints": built["constraints"],
+            "stage2_deployment": st3_cfg["stage2_deployment"],
+            "rerank": st3_cfg["rerank"],
+            "embedder": embedder,
+        },
+        "st4": lambda: {
+            "plan": None if embedding_only else built["st4.plan"],
+            "provider": None if embedding_only else generator,
+            "policy": _st4_policy(st4_cfg, built["st4.merge"]),
+            "recall": built["st4.recall.tau"],
+            "embedder": embedder,
+            "full_answer_context": st4_cfg["full_answer_context"],
+        },
+    }
+    return {s: args[s]() for s in subtasks}
 
-    ``args`` holds, for each selected subtask, the ``run_case`` arguments
-    that every case of the run shares; a case adds its leave-one-out shots
-    and what the subtasks before it produced.
-    """
+
+def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> tuple[dict, dict]:
+    """Run every subtask of ``args``, a run's ``_chain_args``, for one case,
+    chaining outputs forward: the case adds its leave-one-out shots and what
+    the subtasks before it produced. Returns its records and its st2 and st4
+    vote tallies."""
     cid = case.case_id
     records: dict[str, dict] = {}
+    tallies: dict[str, vote.VoteTally] = {}
     question = case.clinician_question
     st2_ids: list[str] | None = None
     st3_answer: str | None = None
@@ -506,6 +550,7 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, d
         result = st2.run_case(case, shots, clinician_question=question, **args["st2"])
         st2_ids = result.evidence_ids
         records["st2"] = {"case_id": cid, "evidence_ids": st2_ids}
+        tallies["st2"] = result.tally
 
     if "st3" in args:
         evidence_ids = st2_ids if st2_ids is not None else sorted(case.gold_evidence or [])
@@ -520,7 +565,11 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, d
         }
 
     if "st4" in args:
-        answers = _st4_answers(case, run.config["st4"]["answers_from"], st3_answer)
+        # The key's answer sentences, or st3's when asked for or when auto finds none.
+        source = run.config["st4"]["answers_from"]
+        answers = list(case.clinician_answer_sentences)
+        if source == "st3" or (source == "auto" and not answers):
+            answers = st4.segment_answer(st3_answer or "")
         alignments = []
         if answers:
             shots = _shots(run, case, "st4")
@@ -528,8 +577,9 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, d
                 case, shots, answers=answers, clinician_question=question, **args["st4"]
             )
             alignments = [{"answer_id": aid, "evidence_id": ev} for aid, ev in result.alignments]
+            tallies["st4"] = result.tally
         records["st4"] = {"case_id": cid, "alignments": alignments}
-    return records
+    return records, tallies
 
 
 def run_pipeline(config: dict) -> dict:
@@ -544,52 +594,10 @@ def run_pipeline(config: dict) -> dict:
     """
     run = _setup(config)
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
-    built, generator = run.built, run.generator
-    st1_cfg, st2_cfg, st3_cfg, st4_cfg = (config[s] for s in SUBTASK_ORDER)
-    # Read once, here, not in validate_config: a sweep's config may name
-    # the file that the sweep is about to write.
-    st4_policy = _st4_policy(st4_cfg, built["st4.merge"]) if "st4" in subtasks else None
-    embedding_only = st4_cfg["mode"] == "embedding_only"
-    needs_embedder = ("st3" in subtasks and st3_cfg["rerank"]) or (
-        "st4" in subtasks and (st4_cfg["recall"]["enabled"] or embedding_only)
-    )
-    embedder = build_embedder(config) if needs_embedder else None
-    args = {
-        "st1": {
-            "pool": st1.St1Pool(c for c in run.pool if c.clinician_question)
-            if "st1" in subtasks
-            else None,
-            "providers": [(d, generator) for d in st1_cfg["deployments"]],
-            "constraints": built["constraints"],
-            "max_shots": st1_cfg["shots"],
-            "note_grounding": st1_cfg["note_grounding"],
-        },
-        "st2": {
-            "plan": built["st2.plan"],
-            "provider": generator,
-            "policy": built["st2.merge"],
-            "confidence_floor": st2_cfg["confidence_floor"],
-            "use_default_floor": st2_cfg["enhanced_postproc"],
-        },
-        "st3": {
-            "provider": generator,
-            "deployments": list(st3_cfg["deployments"]),
-            "constraints": built["constraints"],
-            "stage2_deployment": st3_cfg["stage2_deployment"],
-            "rerank": st3_cfg["rerank"],
-            "embedder": embedder,
-        },
-        "st4": {
-            "plan": None if embedding_only else built["st4.plan"],
-            "provider": None if embedding_only else generator,
-            "policy": st4_policy,
-            "recall": built["st4.recall.tau"],
-            "embedder": embedder,
-            "full_answer_context": st4_cfg["full_answer_context"],
-        },
-    }
-    chain = partial(_case_chain, run=run, args={s: args[s] for s in subtasks})
-    per_case = _map_cases(chain, run.cases, _case_threads(config, config["workers"] ** 2))
+    chain = partial(_case_chain, run=run, args=_chain_args(run, subtasks))
+    threads = _case_threads(config, config["workers"] ** 2)
+    # A run keeps each case's records; the tallies are for a sweep.
+    per_case = _map_cases(lambda case: chain(case)[0], run.cases, threads)
 
     outputs = subtasks + ["st1_candidates"] * ("st1" in subtasks)
     for name in outputs:
@@ -600,7 +608,7 @@ def run_pipeline(config: dict) -> dict:
         "subtasks": subtasks,
         "cases": [c.case_id for c in run.cases],
         "outputs": sorted(f"{name}.jsonl" for name in outputs),
-        "cache": generator.cache.stats() if isinstance(generator, ReplayGenerator) else {},
+        "cache": run.generator.cache.stats() if isinstance(run.generator, ReplayGenerator) else {},
     }
     atomic_write_text(
         run.out_dir / "manifest.json",
@@ -660,55 +668,44 @@ def _st4_policy(cfg: dict, merge: MergePolicy) -> MergePolicy:
         raise ConfigError(f"st4.threshold_file: {exc}") from exc
 
 
-def _st4_answers(case: Case, source: str, st3_answer: str | None):
-    if source == "key":
-        return list(case.clinician_answer_sentences)
-    if source == "st3":
-        return st4.segment_answer(st3_answer or "")
-    if case.clinician_answer_sentences:
-        return list(case.clinician_answer_sentences)
-    return st4.segment_answer(st3_answer or "")
-
-
 def run_sweep(config: dict, subtask: str) -> dict:
-    """Dev-gold threshold sweep for the voting subtasks.
+    """Dev-gold threshold sweep of a voting subtask: a dev run of the run's
+    own chain, st1 when ``subtasks`` lists it and then ``subtask``, whose
+    vote tallies are swept against the dev gold.
 
     ``config`` is a ``resolve_config`` result. Cases run on up to
     ``workers`` threads; a replay runs them on the calling thread."""
     if subtask not in ("st2", "st4"):
         raise ConfigError("sweep supports st2 and st4 only")
+    if subtask == "st4" and config["st4"]["answers_from"] == "st3":
+        raise ConfigError("st4.answers_from: the dev gold aligns the key's answers, not st3's")
+    if subtask == "st4" and config["st4"]["mode"] == "embedding_only":
+        raise ConfigError("st4.mode: embedding_only casts no votes to sweep")
+    # A threshold file and recall change no tally; the sweep writes the file.
+    config = deep_merge(config, {"st4": {"threshold_file": None, "recall": {"enabled": False}}})
     run = _setup(config)
-    golds = [c.gold_evidence if subtask == "st2" else c.gold_alignments for c in run.cases]
-    for case, gold in zip(run.cases, golds):
-        if gold is None:
+    # An st4 case also needs answer sentences to align, as an st4 shot does.
+    has_gold = SHOT_ELIGIBLE["st4"] if subtask == "st4" else lambda c: c.gold_evidence is not None
+    for case in run.cases:
+        if not has_gold(case):
             raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
-    plan = run.built[f"{subtask}.plan"]
-    full_answer_context = config["st4"]["full_answer_context"]
-
-    def tally(case: Case):
-        shots = _shots(run, case, subtask)
-        if subtask == "st2":
-            return st2.run_ensemble(case, shots, plan, run.generator)
-        return st4.run_ensemble(
-            case, shots, plan, run.generator, full_answer_context=full_answer_context
-        )
-
+    subtasks = ["st1"] * ("st1" in config["subtasks"]) + [subtask]
+    chain = partial(_case_chain, run=run, args=_chain_args(run, subtasks))
     # A case makes its calls one after another, so ``workers`` threads hold
-    # a sweep to its bound of ``workers`` calls in flight, not a run's
-    # ``workers**2``.
-    threads = _case_threads(config, config["workers"])
-    dev_runs = list(zip(_map_cases(tally, run.cases, threads), golds, run.cases))
+    # a sweep to ``workers`` calls in flight, not a run's ``workers**2``.
+    per_case = _map_cases(chain, run.cases, _case_threads(config, config["workers"]))
+    dev_runs = [(tallies[subtask], c) for (_, tallies), c in zip(per_case, run.cases)]
 
-    out_dir = run.out_dir
     if subtask == "st2":
-        best, frontier = vote.sweep([(t, gold, c.note_ids) for t, gold, c in dev_runs], "k")
-        atomic_write_text(out_dir / "best_k.txt", f"{best}\n")
-        result = {"subtask": "st2", "best_k": best, "frontier": frontier}
+        best, frontier = vote.sweep([(t, c.gold_evidence, c.note_ids) for t, c in dev_runs], "k")
+        best_key, best_file = "best_k", "best_k.txt"
     else:
-        best, frontier = st4.sweep_threshold(dev_runs, out_path=out_dir / st4.THRESHOLD_FILENAME)
-        result = {"subtask": "st4", "best_threshold": best, "frontier": frontier}
+        best, frontier = st4.sweep_threshold([(t, c.gold_alignments, c) for t, c in dev_runs])
+        best_key, best_file = "best_threshold", st4.THRESHOLD_FILENAME
+    atomic_write_text(run.out_dir / best_file, f"{best}\n")
+    result = {"subtask": subtask, best_key: best, "frontier": frontier}
     atomic_write_text(
-        out_dir / f"{subtask}_sweep.json",
+        run.out_dir / f"{subtask}_sweep.json",
         json.dumps(result, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
     return result

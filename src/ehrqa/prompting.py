@@ -174,8 +174,9 @@ def _st2_shot(shot) -> str:
     )
 
 
-def _st3_shot(shot: Case) -> str:
-    return _st2_shot(shot) + f"Answer: {shot.clinician_answer_paragraph or NOT_PROVIDED}\n"
+def _st3_shot(shot) -> str:
+    answer = _shot_case(shot).clinician_answer_paragraph
+    return _st2_shot(shot) + f"Answer: {answer or NOT_PROVIDED}\n"
 
 
 _SHOT_RENDERERS = {"st1": _shot_header, "st2": _st2_shot, "st3_stage1": _st3_shot}

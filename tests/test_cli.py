@@ -624,6 +624,36 @@ class TestSweep:
                 run_sweep(config, subtask)
         assert backend.calls == []
 
+    def test_an_st4_sweep_needs_answer_sentences_to_align(self, tmp_path, monkeypatch):
+        from ehrqa.providers import ScriptedProvider
+
+        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        cases[-1]["answer_sentences"] = cases[-1]["gold_alignments"] = []
+        bare = tmp_path / "noanswers.jsonl"
+        bare.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        config = resolve_config(base_config(tmp_path, dataset={"cases": str(bare)}))
+        with pytest.raises(ConfigError, match="case 3 has no dev gold for the st4 sweep"):
+            run_sweep(config, "st4")
+        assert backend.calls == []
+
+    @pytest.mark.parametrize("field, value", [("answers_from", "st3"), ("mode", "embedding_only")])
+    def test_an_st4_sweep_with_nothing_to_sweep_fails_before_any_call(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        """The gold alignments are keyed on the key's answer sentences, and
+        an embedding_only st4 casts no votes."""
+        from ehrqa.providers import ScriptedProvider
+
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        config = resolve_config(base_config(tmp_path, subtasks=["st1", "st4"], st4={field: value}))
+        with pytest.raises(ConfigError) as error:
+            run_sweep(config, "st4")
+        assert str(error.value).startswith(f"st4.{field}:")
+        assert backend.calls == []
+
 
 class TestCliCommands:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -902,3 +932,15 @@ class TestCliCommands:
         config_path.write_text(json.dumps(base_config(tmp_path)))
         assert main(["sweep", "--config", str(config_path), "--subtask", "st4"]) == 0
         assert "best_threshold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_sweep_command_keeps_the_configs_subtasks(self, tmp_path, subtask):
+        """``sweep --subtask`` names the subtask to sweep; st1, which the
+        config lists, still runs first, so the sweep replays the run."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(
+            tmp_path, subtasks=["st1", "st2", "st3", "st4"], record_source="mock",
+        )))
+        assert main(["run", "--config", str(config_path), "--provider-mode", "record"]) == 0
+        args = ["sweep", "--config", str(config_path), "--provider-mode", "replay"]
+        assert main(args + ["--subtask", subtask]) == 0

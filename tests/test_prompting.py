@@ -263,3 +263,11 @@ class TestContrastExample:
         shot = shot_case()
         with pytest.raises(EhrqaError, match="strict superset"):
             ContrastExample(base=shot, good_ids=shot.gold_evidence, bad_ids=shot.gold_evidence)
+
+    def test_an_st3_shot_shows_the_answer_of_its_case(self):
+        shot = shot_case()
+        extra = {"evidence_block": "1. x"}
+        [message] = render_prompt(
+            load_template("st3_stage1"), target_case(), [make_contrast_example(shot)], extra=extra
+        )
+        assert f"Answer: {shot.clinician_answer_paragraph}\n" in message.content

@@ -2,6 +2,7 @@
 few-shot pool are built once per run, and each case only picks its
 leave-one-out shots from that pool."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -78,3 +79,51 @@ def test_a_sweep_replays_a_runs_recording(monkeypatch, tmp_path, subtask, hits):
     assert (stats["hits"], stats["misses"]) == (hits, 0)
     sweep_file = tmp_path / "sweep" / f"{subtask}_sweep.json"
     assert json.loads(sweep_file.read_text(encoding="utf-8")) == result
+
+
+ST1_TO_ST4 = ["st1", "st2", "st3", "st4"]
+
+
+@pytest.mark.parametrize("subtask, hits", [("st2", 3 * (3 + 3)), ("st4", 3 * (3 + 2))])
+def test_a_sweep_replays_an_st1_runs_recording(monkeypatch, tmp_path, subtask, hits):
+    """With st1 configured a sweep runs st1 before the subtask it sweeps,
+    so its prompts carry st1's question as the run's do: it replays the
+    run's recording without a miss, st1's 3 calls a case included."""
+    cases = toy_dataset_path()
+    run_pipeline(config(
+        tmp_path, cases, "run", subtasks=ST1_TO_ST4,
+        provider_mode="record", record_source="mock",
+    ))
+    generators = []
+    build = pipeline.build_generator
+    monkeypatch.setattr(
+        pipeline, "build_generator", lambda cfg: generators.append(build(cfg)) or generators[-1]
+    )
+    sweep_cfg = config(tmp_path, cases, "sweep", subtasks=ST1_TO_ST4, provider_mode="replay")
+    run_sweep(sweep_cfg, subtask)
+    stats = generators[0].cache.stats()
+    assert (stats["hits"], stats["misses"]) == (hits, 0)
+
+
+# sha256 of each file that a mock sweep of the toy set writes for an
+# st2-st4 config: the run's chain, cut after the swept subtask, gives the
+# tallies of the ensemble alone.
+SWEEP_SHA256 = {
+    "st2": {
+        "best_k.txt": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "st2_sweep.json": "b5c745a1d4857fcbfd4b2172bacc6c6589fc0bc9bdd28387235eebfb9a7ec489",
+    },
+    "st4": {
+        "best_vote_threshold.txt":
+            "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "st4_sweep.json": "9dc61842e275ad10ac4433cadd287436abf10c82cc76c0487552af26b7805ff8",
+    },
+}
+
+
+@pytest.mark.parametrize("subtask", ["st2", "st4"])
+def test_a_sweep_without_st1_writes_its_pinned_bytes(tmp_path, subtask):
+    run_sweep(config(tmp_path, toy_dataset_path(), "sweep", subtasks=ST1_TO_ST4[1:]), subtask)
+    out = tmp_path / "sweep"
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == SWEEP_SHA256[subtask]
