@@ -308,9 +308,21 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"{path}: missing field {exc}") from exc
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    for key in ("st2", "st4"):
+        _check_manual_k(f"{key}.merge.k", built[f"{key}.merge"], built[f"{key}.plan"])
     if not config["random_free"]:
         raise ConfigError("only random-free runs are supported")
     return built
+
+
+def _check_manual_k(path: str, policy: MergePolicy, plan: SamplingPlan) -> None:
+    """Every tally counts each run of ``plan``, so a manual threshold above
+    that count would fail each case; fail at ``path`` before any call."""
+    if policy.mode == "manual" and policy.k > plan.total_votes():
+        raise ConfigError(
+            f"{path}: manual threshold k={policy.k} exceeds the plan's "
+            f"total_votes={plan.total_votes()}"
+        )
 
 
 # Where a run reads and writes, and how many threads it uses, never changes
@@ -515,7 +527,7 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
         "st4": lambda: {
             "plan": None if embedding_only else built["st4.plan"],
             "provider": None if embedding_only else generator,
-            "policy": _st4_policy(st4_cfg, built["st4.merge"]),
+            "policy": _st4_policy(st4_cfg, built["st4.merge"], built["st4.plan"]),
             "recall": built["st4.recall.tau"],
             "embedder": embedder,
             "full_answer_context": st4_cfg["full_answer_context"],
@@ -657,15 +669,17 @@ def _map_cases(fn: Callable[[Case], T], cases: list[Case], threads: int) -> list
         return list(pool.map(run, range(len(cases)), cases))
 
 
-def _st4_policy(cfg: dict, merge: MergePolicy) -> MergePolicy:
+def _st4_policy(cfg: dict, merge: MergePolicy, plan: SamplingPlan) -> MergePolicy:
     """st4's merge policy: a manual threshold read from ``threshold_file``
     when one is named, else ``merge``, the policy of its ``merge`` section."""
     if not cfg["threshold_file"]:
         return merge
     try:
-        return MergePolicy.manual(st4.read_best_threshold(cfg["threshold_file"]))
+        policy = MergePolicy.manual(st4.read_best_threshold(cfg["threshold_file"]))
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"st4.threshold_file: {exc}") from exc
+    _check_manual_k("st4.threshold_file", policy, plan)
+    return policy
 
 
 def run_sweep(config: dict, subtask: str) -> dict:

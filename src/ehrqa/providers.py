@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -184,6 +185,7 @@ _ANSWER_SECTION_RE = re.compile(
     r"Answer sentences:\n(.*?)(?:\n\n|\Z)", re.DOTALL
 )
 _EVIDENCE_SECTION_RE = re.compile(r"Evidence sentences:\n(.*?)(?:\n\n|\Z)", re.DOTALL)
+_NOTE_HEADERS = ("Full note:\n", "Note sentences:\n")
 _MOCK_STAGES = frozenset({"st1ctx", "st1", "st2", "st3s1", "st3s2", "st4"})
 
 
@@ -265,8 +267,18 @@ class PipelineMockProvider:
         return _NOTE_ID_RE.findall(match.group(1))
 
     def _note_ids(self, prompt: str) -> list[str]:
-        match = re.search(r"(?:Full note|Note sentences):\n(.*?)(?:\n\n|\Z)", prompt, re.DOTALL)
-        return _NOTE_ID_RE.findall(match.group(1)) if match else []
+        """The sentence IDs of the note section: from the first note header
+        to the next blank line or the end of the prompt. It is the match of
+        ``(?:Full note|Note sentences):\\n(.*?)(?:\\n\\n|\\Z)``, found by
+        ``str.find``, since the regex engine cannot skip ahead to an
+        alternation of prefixes."""
+        found = [(at, len(h)) for h in _NOTE_HEADERS if (at := prompt.find(h)) >= 0]
+        if not found:
+            return []
+        at, length = min(found)
+        start = at + length
+        end = prompt.find("\n\n", start)
+        return _NOTE_ID_RE.findall(prompt[start:] if end < 0 else prompt[start:end])
 
     def _evidence_ids(self, prompt: str) -> list[str]:
         return self._section_ids(prompt, _EVIDENCE_SECTION_RE)
@@ -275,8 +287,18 @@ class PipelineMockProvider:
         return self._section_ids(prompt, _ANSWER_SECTION_RE)
 
 
+_TWOPI = 2.0 * math.pi  # random.TWOPI
+
+
 class HashEmbedder:
-    """Deterministic mock embedder: identical text, identical vector."""
+    """Deterministic mock embedder: identical text, identical vector.
+
+    A text's vector is ``dim`` draws of ``random.gauss(0, 1)`` from a
+    ``random.Random`` seeded by the text's SHA-256, normalised. The draws
+    are made by ``gauss``'s own Box-Muller steps, inline and with the same
+    scalar ``math`` functions, so every vector equals the ``gauss`` one
+    byte for byte.
+    """
 
     def __init__(self, dim: int = 32):
         if dim < 2:
@@ -292,8 +314,14 @@ class HashEmbedder:
         seed = int.from_bytes(
             hashlib.sha256(text.encode("utf-8")).digest()[:8], "big"
         )
-        rng = random.Random(seed)
-        vec = np.array([rng.gauss(0, 1) for _ in range(self.dim)])
+        draw = random.Random(seed).random
+        normals = []
+        for _ in range(0, self.dim, 2):  # gauss makes its normals in pairs
+            x2pi = draw() * _TWOPI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - draw()))
+            normals += (math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad)
+        # gauss returns mu + z * sigma, which turns a -0.0 into 0.0.
+        vec = 0.0 + np.array(normals[: self.dim]) * 1.0
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             vec[0] = 1.0

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import (
     Case,
@@ -164,25 +166,58 @@ def _token_set(text: str) -> frozenset[str]:
     return frozenset({strip_token_punct(t).lower() for t in text.split()} - {""})
 
 
+def _f1(p, r):
+    """Harmonic mean of ``p`` and ``r``: two floats, or two arrays taken
+    elementwise in the same operation order, so each float is the same."""
+    return 2 * p * r / (p + r)
+
+
 def _set_f1(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
     if not tokens_a or not tokens_b:
         return 0.0
     overlap = len(tokens_a & tokens_b)
     if overlap == 0:
         return 0.0
-    p, r = overlap / len(tokens_a), overlap / len(tokens_b)
-    return 2 * p * r / (p + r)
+    return _f1(overlap / len(tokens_a), overlap / len(tokens_b))
 
 
 def token_overlap_f1(a: str, b: str) -> float:
     """Set-based F1 over lowercase punctuation-stripped tokens, the
-    similarity the per-run path (``St1Pool``) computes from cached token
-    sets."""
+    similarity that ``TokenIndex.f1`` computes for a whole pool at once."""
     return _set_f1(_token_set(a), _token_set(b))
 
 
-def _weighted(type_match: float, lexical: float, type_weight: float) -> float:
+def _weighted(type_match, lexical, type_weight: float):
     return type_weight * type_match + (1.0 - type_weight) * lexical
+
+
+class TokenIndex:
+    """Inverted index over a sequence of token sets: each token maps to the
+    array of rows that contain it, so one ``np.bincount`` gives the overlap
+    of a query set with every row."""
+
+    def __init__(self, token_sets: Iterable[frozenset[str]]):
+        rows: dict[str, list[int]] = defaultdict(list)
+        sizes = []
+        for row, tokens in enumerate(token_sets):
+            sizes.append(len(tokens))
+            for token in tokens:
+                rows[token].append(row)
+        self.rows = {token: np.array(r, dtype=np.intp) for token, r in rows.items()}
+        self.sizes = np.array(sizes, dtype=np.intp)
+
+    def f1(self, tokens: frozenset[str]) -> np.ndarray:
+        """``_set_f1(tokens, row)`` of every row, equal float for float:
+        the counts are exact integers, and ``p``, ``r`` and their F1 are
+        taken in ``_set_f1``'s order on the rows that share a token."""
+        lexical = np.zeros(len(self.sizes))
+        hits = [self.rows[t] for t in tokens if t in self.rows]
+        if hits:
+            overlap = np.bincount(np.concatenate(hits), minlength=len(self.sizes))
+            shared = np.flatnonzero(overlap)
+            counts = overlap[shared]
+            lexical[shared] = _f1(counts / len(tokens), counts / self.sizes[shared])
+        return lexical
 
 
 @dataclass(frozen=True)
@@ -199,49 +234,69 @@ class QuestionFeatures:
 
 @dataclass(frozen=True)
 class GoldStyle:
-    """The gold clinician questions candidates are scored against: their
-    token sets and one histogram of their question types, duplicates
-    counted."""
+    """The gold clinician questions candidates are scored against: an index
+    of their token sets, the rows of it that are left out, and one
+    histogram of the question types of the rest, duplicates counted."""
 
-    token_sets: tuple[frozenset[str], ...]
+    index: TokenIndex
     type_counts: Mapping[str, int]
+    left_out: tuple[int, ...] = ()
 
     @classmethod
     def of(cls, templates: Iterable[str]) -> GoldStyle:
         features = [QuestionFeatures.of(t) for t in templates]
-        return cls(tuple(f.tokens for f in features), Counter(f.qtype for f in features))
+        return cls(TokenIndex(f.tokens for f in features), Counter(f.qtype for f in features))
+
+    def lexical(self, tokens: frozenset[str]) -> float:
+        """The best ``_set_f1`` of ``tokens`` with a gold question, 0.0 when
+        there is none. F1 is never negative, so a left-out row read as 0.0
+        cannot change the maximum."""
+        scores = self.index.f1(tokens)
+        scores[list(self.left_out)] = 0.0
+        return float(scores.max(initial=0.0))
 
 
 class St1Pool:
     """Few-shot pool with the question features of every case, built once.
 
-    Per case it holds the features of the patient question and, when the
-    case has one, of the clinician question, plus the clinician-question
-    type histogram of the whole pool. Leave-one-out is a filter on
-    case_id and a decrement of the left-out case's type.
+    Per case it holds the type of the patient question and, when the case
+    has one, of the clinician question, an index of each kind's token sets,
+    and the clinician-question type histogram of the whole pool.
+    Leave-one-out masks the left-out case's rows and decrements its type.
     """
 
     def __init__(self, cases: Iterable[Case]):
         self.cases = tuple(cases)
-        self.patient = tuple(QuestionFeatures.of(c.patient_question) for c in self.cases)
-        self.clinician = tuple(
+        patient = [QuestionFeatures.of(c.patient_question) for c in self.cases]
+        clinician = [
             QuestionFeatures.of(c.clinician_question) if c.clinician_question else None
             for c in self.cases
+        ]
+        self.patient_index = TokenIndex(f.tokens for f in patient)
+        self.patient_types = np.array(
+            [QUESTION_TYPES.index(f.qtype) for f in patient], dtype=np.intp
         )
-        self.type_counts = Counter(f.qtype for f in self.clinician if f is not None)
+        self.clinician_index = TokenIndex(f.tokens if f else frozenset() for f in clinician)
+        self.clinician_types = tuple(f.qtype if f else None for f in clinician)
+        self.type_counts = Counter(t for t in self.clinician_types if t is not None)
+        self.rows_of: dict[str, list[int]] = defaultdict(list)
+        for row, case in enumerate(self.cases):
+            self.rows_of[case.case_id].append(row)
+        rank = {case_id: r for r, case_id in enumerate(sorted(self.rows_of))}
+        self.id_rank = np.array([rank[c.case_id] for c in self.cases], dtype=np.intp)
 
     def gold_style(self, exclude_case_id: str | None = None) -> GoldStyle:
+        left_out = tuple(
+            row
+            for row in self.rows_of.get(exclude_case_id, ())
+            if self.clinician_types[row] is not None
+        )
         counts = self.type_counts
-        token_sets = []
-        for case, features in zip(self.cases, self.clinician):
-            if features is None:
-                continue
-            if case.case_id == exclude_case_id:
-                counts = counts.copy()
-                counts[features.qtype] -= 1
-            else:
-                token_sets.append(features.tokens)
-        return GoldStyle(tuple(token_sets), counts)
+        if left_out:
+            counts = counts.copy()
+            for row in left_out:
+                counts[self.clinician_types[row]] -= 1
+        return GoldStyle(self.clinician_index, counts, left_out)
 
 
 def _as_pool(pool: St1Pool | Iterable[Case]) -> St1Pool:
@@ -250,19 +305,15 @@ def _as_pool(pool: St1Pool | Iterable[Case]) -> St1Pool:
 
 def retrieve_shots(case: Case, pool: St1Pool | Iterable[Case], max_n: int = 5) -> list[Case]:
     """Top few-shot cases by hybrid question-type + lexical similarity of
-    the patient questions, leaving ``case`` itself out."""
+    the patient questions, leaving ``case`` itself out; ties go to the
+    smaller case_id, then to the earlier pool row."""
     pool = _as_pool(pool)
     query = QuestionFeatures.of(case.patient_question)
-
-    def key(i: int):
-        other = pool.patient[i]
-        type_match = 1.0 if query.qtype == other.qtype else 0.0
-        lexical = _set_f1(query.tokens, other.tokens)
-        return (-_weighted(type_match, lexical, TYPE_WEIGHT), pool.cases[i].case_id)
-
-    ranked = sorted(
-        (i for i, c in enumerate(pool.cases) if c.case_id != case.case_id), key=key
-    )
+    type_match = (pool.patient_types == QUESTION_TYPES.index(query.qtype)).astype(float)
+    score = _weighted(type_match, pool.patient_index.f1(query.tokens), TYPE_WEIGHT)
+    rows = np.delete(np.arange(len(pool.cases)), pool.rows_of.get(case.case_id, []))
+    # A stable sort, so equal case_ids keep their pool order.
+    ranked = rows[np.lexsort((pool.id_rank[rows], -score[rows]))]
     return [pool.cases[i] for i in ranked[:max_n]]
 
 
@@ -305,9 +356,7 @@ def score_candidates(
     for candidate in candidates:
         features = QuestionFeatures.of(candidate)
         type_match = 1.0 if features.qtype == target_type else 0.0
-        lexical = max(
-            (_set_f1(features.tokens, t) for t in style.token_sets), default=0.0
-        )
+        lexical = style.lexical(features.tokens)
         scored.append(
             CandidateScore(
                 candidate=candidate,

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
-from .prompting import load_template, render_prompt
+from .prompting import Message, load_template, render_prompt
 from .providers import Embedder, GenRequest, Generator, cosine
 
 logger = logging.getLogger(__name__)
@@ -79,6 +79,18 @@ def supplied_evidence(case: Case, evidence_ids) -> list[str]:
     return supplied or list(case.note_ids)
 
 
+def stage1_messages(
+    case: Case, evidence_ids, shots, clinician_question: str | None = None
+) -> tuple[Message, ...]:
+    """The stage-1 prompt, which names no deployment: every member's draft
+    of a case sends the same messages."""
+    extra = {
+        "evidence_block": evidence_block_for(case, supplied_evidence(case, evidence_ids)),
+        "clinician_question": clinician_question,
+    }
+    return tuple(render_prompt(load_template("st3_stage1"), case, shots, extra=extra))
+
+
 def stage1_draft(
     case: Case,
     evidence_ids,
@@ -86,17 +98,17 @@ def stage1_draft(
     provider: Generator,
     deployment: str = "default",
     clinician_question: str | None = None,
+    *,
+    messages: tuple[Message, ...] | None = None,
 ) -> CitedDraft:
     """One member's cited draft over the supplied evidence. Citations
-    outside it are dropped, and a draft that cites nothing cites all of it."""
+    outside it are dropped, and a draft that cites nothing cites all of it.
+    An ensemble passes ``messages``, the case's ``stage1_messages``,
+    rendered once for all its members."""
     supplied = supplied_evidence(case, evidence_ids)
-    extra = {
-        "evidence_block": evidence_block_for(case, supplied),
-        "clinician_question": clinician_question,
-    }
     request = GenRequest(
         deployment_name=deployment,
-        messages=tuple(render_prompt(load_template("st3_stage1"), case, shots, extra=extra)),
+        messages=messages or stage1_messages(case, evidence_ids, shots, clinician_question),
         temperature=0.0,
         request_tag=f"{case.case_id}/st3s1/{deployment}/0",
     )
@@ -215,8 +227,9 @@ def run_case(
     """
     if not deployments:
         raise SubtaskError(f"case {case.case_id}: no deployments configured")
+    messages = stage1_messages(case, evidence_ids, shots, clinician_question)
     drafts = [
-        stage1_draft(case, evidence_ids, shots, provider, d, clinician_question)
+        stage1_draft(case, evidence_ids, shots, provider, d, clinician_question, messages=messages)
         for d in deployments
     ]
     # A rewrite's request depends only on its draft and its deployment, so

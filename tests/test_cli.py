@@ -308,6 +308,46 @@ class TestResolveConfig:
         config = resolve_config({"st4": {"merge": {"mode": "manual", "k": 2}}})
         assert config["st4"]["merge"]["k"] == 2
 
+    @pytest.mark.parametrize("subtask, votes", [("st2", 3), ("st4", 2)])
+    def test_a_manual_k_above_the_plans_votes_fails_before_any_call(
+        self, tmp_path, monkeypatch, subtask, votes
+    ):
+        from ehrqa.providers import ScriptedProvider
+
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        resolve_config({subtask: {"merge": {"mode": "manual", "k": votes}}})
+        overlay = {subtask: {"merge": {"mode": "manual", "k": votes + 1}}}
+        error = rf"^{subtask}\.merge\.k: manual threshold k={votes + 1} exceeds .*={votes}$"
+        with pytest.raises(ConfigError, match=error):
+            resolve_config(overlay)
+        config = pipeline.deep_merge(
+            resolve_config(base_config(tmp_path, subtasks=[subtask])), overlay
+        )
+        with pytest.raises(ConfigError, match=error):
+            run_pipeline(config)
+        with pytest.raises(ConfigError, match=error):
+            run_sweep(config, subtask)
+        assert backend.calls == []
+
+    def test_a_threshold_file_above_the_plans_votes_fails_before_any_call(
+        self, tmp_path, monkeypatch
+    ):
+        from ehrqa.providers import ScriptedProvider
+
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        threshold = tmp_path / "best_vote_threshold.txt"
+        threshold.write_text("3\n")
+        config = resolve_config(base_config(
+            tmp_path, subtasks=["st1", "st2", "st3", "st4"],
+            st4={"threshold_file": str(threshold)},
+        ))
+        error = r"^st4\.threshold_file: manual threshold k=3 exceeds .*=2$"
+        with pytest.raises(ConfigError, match=error):
+            run_pipeline(config)
+        assert backend.calls == []
+
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate

@@ -1,12 +1,16 @@
-"""The fast forms of the replay path's prompt work, held with ``==`` to the
-plain forms they replaced, which are kept here as references: the request
-cache key spliced from memoised message JSON, st4 recall scored by one
-matrix product, vector cosine, and rendering with per-shot memos."""
+"""The fast forms of the hot paths, held with ``==`` to the plain forms
+they replaced, which are kept here as references: the request cache key
+spliced from memoised message JSON, st4 recall scored by one matrix
+product, vector cosine, rendering with per-shot memos, st1 retrieval and
+candidate scoring through a token index, the mock backend's note section
+found by ``str.find``, and the mock embedder's inline normal draws."""
 
 import hashlib
 import json
 import math
+import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +18,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrqa import prompting
-from ehrqa.core import Case, EhrqaError, NoteSentence, id_sort_key
+from ehrqa.core import Case, ConstraintConfig, EhrqaError, NoteSentence, id_sort_key
 from ehrqa.prompting import Message, load_template, make_contrast_example, render_prompt
-from ehrqa.providers import FixedEmbedder, GenRequest, cosine, request_cache_key
+from ehrqa.providers import (
+    FixedEmbedder,
+    GenRequest,
+    HashEmbedder,
+    PipelineMockProvider,
+    cosine,
+    request_cache_key,
+)
+from ehrqa.st1 import (
+    TYPE_WEIGHT,
+    CandidateScore,
+    QuestionFeatures,
+    St1Pool,
+    _plurality_type,
+    check_constraints,
+    retrieve_shots,
+    score_candidates,
+)
 from ehrqa.st4 import RecallConfig, recall_augment
+from tests.conftest import simple_case
 from tests.test_prompting import shot_case, target_case
 
 # -- references -------------------------------------------------------------
@@ -67,6 +89,87 @@ def reference_recall_augment(alignment, case, embedder, config, answers=None):
         (aid, sorted(ev, key=id_sort_key))
         for aid, ev in sorted(existing.items(), key=lambda kv: id_sort_key(kv[0]))
     ]
+
+
+def reference_set_f1(tokens_a, tokens_b) -> float:
+    if not tokens_a or not tokens_b:
+        return 0.0
+    overlap = len(tokens_a & tokens_b)
+    if overlap == 0:
+        return 0.0
+    p, r = overlap / len(tokens_a), overlap / len(tokens_b)
+    return 2 * p * r / (p + r)
+
+
+def reference_weighted(type_match: float, lexical: float) -> float:
+    return TYPE_WEIGHT * type_match + (1.0 - TYPE_WEIGHT) * lexical
+
+
+def reference_retrieve_shots(case, cases, max_n):
+    """One set F1 per pool case, then a sort by (-score, case_id)."""
+    query = QuestionFeatures.of(case.patient_question)
+
+    def key(other):
+        features = QuestionFeatures.of(other.patient_question)
+        type_match = 1.0 if query.qtype == features.qtype else 0.0
+        lexical = reference_set_f1(query.tokens, features.tokens)
+        return (-reference_weighted(type_match, lexical), other.case_id)
+
+    return sorted((c for c in cases if c.case_id != case.case_id), key=key)[:max_n]
+
+
+def reference_gold_style(cases, exclude_case_id):
+    """The pool's clinician token sets, copied without the left-out case's,
+    and the type histogram less the left-out case's types."""
+    features = [
+        QuestionFeatures.of(c.clinician_question) if c.clinician_question else None
+        for c in cases
+    ]
+    counts = Counter(f.qtype for f in features if f is not None)
+    token_sets = []
+    for case, f in zip(cases, features):
+        if f is None:
+            continue
+        if case.case_id == exclude_case_id:
+            counts = counts.copy()
+            counts[f.qtype] -= 1
+        else:
+            token_sets.append(f.tokens)
+    return token_sets, counts
+
+
+def reference_score_candidates(candidates, token_sets, type_counts, constraints):
+    """The best set F1 over the gold token sets, one pair at a time."""
+    target = _plurality_type(type_counts)
+    scored = []
+    for candidate in candidates:
+        features = QuestionFeatures.of(candidate)
+        type_match = 1.0 if features.qtype == target else 0.0
+        lexical = max((reference_set_f1(features.tokens, t) for t in token_sets), default=0.0)
+        scored.append(CandidateScore(
+            candidate=candidate,
+            type_match=type_match,
+            lexical=lexical,
+            total=reference_weighted(type_match, lexical),
+            constraint_ok=check_constraints(candidate, constraints),
+        ))
+    return scored
+
+
+def reference_note_ids(prompt: str) -> list[str]:
+    match = re.search(r"(?:Full note|Note sentences):\n(.*?)(?:\n\n|\Z)", prompt, re.DOTALL)
+    return re.findall(r"^(\d+)\. ", match.group(1), re.MULTILINE) if match else []
+
+
+def reference_vector(text: str, dim: int) -> np.ndarray:
+    seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+    rng = random.Random(seed)
+    vec = np.array([rng.gauss(0, 1) for _ in range(dim)])
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm
 
 
 def render_without_memos(*args, **kwargs):
@@ -282,3 +385,98 @@ def test_shot_memos_are_per_template_and_flag():
         for subtask in ("st1", "st2", "st3_stage1", "st4"):
             args = (load_template(subtask), target_case(), [shot])
             assert render_prompt(*args, extra=extra) == render_without_memos(*args, extra=extra)
+
+
+# -- st1 token index -----------------------------------------------------------
+
+# A small vocabulary, so that token sets repeat and scores tie; "." and ""
+# give empty token sets.
+ST1_WORDS = [
+    "why", "what", "was", "is", "the", "stent", "dose", "it", "my", "How", ".", "é",
+    "scan", "fever", "done", "so", "soon", "needed",
+]
+QUESTIONS = st.lists(st.sampled_from(ST1_WORDS), max_size=12).map(" ".join)
+CANDIDATES = st.lists(st.sampled_from(ST1_WORDS), max_size=12).map(lambda ws: " ".join(ws) + "?")
+
+
+@st.composite
+def st1_pools(draw):
+    """Up to 40 cases with ids from a small set, so that ids repeat and
+    ties are broken by case_id and then by pool order."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    return [
+        simple_case(
+            draw(st.sampled_from([f"c{i}" for i in range(12)])),
+            n_sentences=1,
+            patient_question=draw(QUESTIONS),
+            clinician_question=draw(st.none() | st.just("") | QUESTIONS),
+        )
+        for _ in range(n)
+    ]
+
+
+@given(
+    st1_pools(),
+    st.integers(min_value=0, max_value=50),
+    st.booleans(),
+    st.lists(CANDIDATES, min_size=1, max_size=4),
+    st.integers(min_value=-2, max_value=45),
+)
+@example(  # the left-out case has no clinician question
+    [simple_case("a", clinician_question=None), simple_case("b", clinician_question="Why?")],
+    0, False, ["Why?"], 5,
+)
+def test_st1_index_matches_the_per_pair_forms(cases, pick, outside, candidates, max_n):
+    """Shots, gold style and candidate scores through the token index equal
+    the per-pair forms, leaving out a pool case or a case from outside."""
+    if outside or not cases:
+        case = simple_case("q", patient_question="Why was the stent done?")
+    else:
+        case = cases[pick % len(cases)]
+    pool = St1Pool(cases)
+    expected = reference_retrieve_shots(case, cases, max_n)
+    assert [id(c) for c in retrieve_shots(case, pool, max_n=max_n)] == [id(c) for c in expected]
+
+    token_sets, counts = reference_gold_style(cases, case.case_id)
+    style = pool.gold_style(exclude_case_id=case.case_id)
+    assert style.type_counts == counts
+    constraints = ConstraintConfig()
+    expected_scores = reference_score_candidates(candidates, token_sets, counts, constraints)
+    assert score_candidates(candidates, style, constraints) == expected_scores
+    templates = [
+        c.clinician_question for c in cases if c.case_id != case.case_id and c.clinician_question
+    ]
+    assert score_candidates(candidates, templates, constraints) == expected_scores
+
+
+# -- mock note section ---------------------------------------------------------
+
+PROMPT_PARTS = st.sampled_from([
+    "Full note:\n", "Note sentences:\n", "Full note:", "Note sentences", "\n\n", "\n",
+    "1. ", "12. ", "3.", " 4. ", "text", "é", "Evidence sentences:\n",
+])
+
+
+@given(st.lists(PROMPT_PARTS, max_size=14).map("".join))
+@example("Full note:\n1. a\n2. b\n\nNote sentences:\n3. c")
+@example("Note sentences:\n3. c\n\nFull note:\n1. a\n2. b\n\n")
+@example("Question\n\nNote sentences:\n1. a\n2. b")  # the section ends the prompt
+@example("Full note:\n\n1. a")  # a blank line right after the header
+@example("Full note:\n\n\n1. a")
+@example("Note sentences:\n")
+@example("1. a\n2. b\n\nno header")
+def test_note_section_matches_the_regex(prompt):
+    assert PipelineMockProvider()._note_ids(prompt) == reference_note_ids(prompt)
+
+
+# -- mock embedder --------------------------------------------------------------
+
+
+@given(
+    st.sampled_from([2, 3, 5, 32]),
+    st.lists(st.text(max_size=20), min_size=1, max_size=4),
+)
+@example(32, ["", "é漢😀", "The note documents the findings."])
+def test_hash_embedder_matches_gauss_byte_for_byte(dim, texts):
+    vectors = HashEmbedder(dim=dim).embed(texts)
+    assert [v.tobytes() for v in vectors] == [reference_vector(t, dim).tobytes() for t in texts]

@@ -403,8 +403,9 @@ class TestPoolFeatures:
         assert score_candidates(candidates, templates, CONSTRAINTS) == expected_scores
 
 
-def _st1_work(tmp_path, n: int, monkeypatch) -> int:
-    """Calls to st1's token-punctuation stripper in one st1 run over n cases."""
+def _st1_work(tmp_path, n: int, monkeypatch) -> tuple[int, int]:
+    """Calls to st1's token-punctuation stripper and to its per-pair
+    Python scorer ``_set_f1`` in one st1 run over n cases."""
     openers = ["Why was", "What is", "How long was", "Was", "When did"]
     topics = ["the stent", "my dose", "the scan", "it done", "the fever", "the rash"]
     cases = tuple(
@@ -424,23 +425,26 @@ def _st1_work(tmp_path, n: int, monkeypatch) -> int:
         "out_dir": str(tmp_path / f"out-{n}"),
         "workers": 1,
     })
-    calls = 0
-    strip = st1_module.strip_token_punct
+    calls = Counter()
 
-    def counting(token):
-        nonlocal calls
-        calls += 1
-        return strip(token)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(st1_module, "strip_token_punct", counting)
+        for name in ("strip_token_punct", "_set_f1"):
+            patch.setattr(st1_module, name, counting(name, getattr(st1_module, name)))
         run_pipeline(config)
-    return calls
+    return calls["strip_token_punct"], calls["_set_f1"]
 
 
 def test_st1_work_grows_linearly_with_cases(tmp_path, monkeypatch):
-    # Counts, not timings: per-pair retrieval and scoring would make the
+    # Counts, not timings: per-pair retrieval and scoring would make each
     # ratio about 4 when the case count doubles.
-    small = _st1_work(tmp_path, 20, monkeypatch)
-    large = _st1_work(tmp_path, 40, monkeypatch)
-    assert large <= 2.5 * small
+    small_strips, small_pairs = _st1_work(tmp_path, 20, monkeypatch)
+    large_strips, large_pairs = _st1_work(tmp_path, 40, monkeypatch)
+    assert large_strips <= 2.5 * small_strips
+    assert large_pairs <= 2.5 * small_pairs

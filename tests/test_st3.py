@@ -16,8 +16,10 @@ from ehrqa.providers import (
     cosine,
     request_cache_key,
 )
+from ehrqa.prompting import load_template, render_prompt
 from ehrqa.st3 import (
     CitedDraft,
+    evidence_block_for,
     extract_markers,
     rerank_candidates,
     run_case,
@@ -287,6 +289,40 @@ class TestRunCase:
         assert [c["answer"] for c in recorded.candidate_scores] == ["Rewrite number 1."] * 3
         assert replayed == recorded
         assert cache.stats() == {"hits": 4, "misses": 4, "entries": 4}
+
+    def test_an_ensemble_renders_its_stage1_prompt_once(self, monkeypatch):
+        """The stage-1 prompt names no deployment: one render serves every
+        member's draft, and each draft's request is what its own render
+        would have made."""
+        from ehrqa import st3 as st3_module
+
+        renders = []
+
+        def counting(template, *args, **kwargs):
+            renders.append(template.subtask)
+            return render_prompt(template, *args, **kwargs)
+
+        monkeypatch.setattr(st3_module, "render_prompt", counting)
+        requests = []
+
+        def respond(request):
+            requests.append(request)
+            return "Draft [2]."
+
+        case, shots = simple_case("c1"), [simple_case("s1", gold_evidence=["1"])]
+        run_case(
+            case, ["2", "3"], shots, ScriptedProvider(handler=respond),
+            deployments=["d1", "d2", "d3"], clinician_question="Why?", rerank=False,
+        )
+        assert renders.count("st3_stage1") == 1
+        drafts = [r for r in requests if "/st3s1/" in r.request_tag]
+        assert [r.request_tag for r in drafts] == [f"c1/st3s1/d{i}/0" for i in (1, 2, 3)]
+        own = render_prompt(
+            load_template("st3_stage1"), case, shots,
+            extra={"evidence_block": evidence_block_for(case, ["2", "3"]),
+                   "clinician_question": "Why?"},
+        )
+        assert all(r.messages == tuple(own) for r in drafts)
 
     def test_a_failed_draft_fails_the_case_at_that_draft(self):
         def respond(request):
