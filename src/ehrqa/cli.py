@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .core import EhrqaError, atomic_write_text
-from .dataset import as_list, as_text, load_cases, read_records
+from .dataset import as_ids, as_list, as_text, load_cases, read_records
+from .metrics import flatten_links
 from .pipeline import PRESETS, PROVIDER_MODES, SUBTASK_ORDER, resolve_config
 from .pipeline import run_pipeline, run_sweep
 from .providers import ResponseCache
@@ -28,7 +29,6 @@ from .report import (
     format_table,
     generation_scores,
     id_set_scores,
-    link_scores,
     per_case_generation_rows,
     per_case_id_rows,
     per_case_link_rows,
@@ -109,67 +109,54 @@ def _read_predictions(path: Path, field: str, convert) -> dict:
     return preds
 
 
-def _id_set(value) -> set:
-    return set(as_list(value))
+def _links(value) -> set[tuple[str, str]]:
+    """An st4 record's alignments as (answer_id, evidence_id) links."""
+    return flatten_links((str(a["answer_id"]), as_ids(a["evidence_id"])) for a in as_list(value))
 
 
-def _alignment(value) -> list[tuple[str, set]]:
-    return [(a["answer_id"], _id_set(a["evidence_id"])) for a in value]
+# One row per subtask: the prediction field and its reader, a case's gold
+# (None when the case has none), a case's SARI source text (text subtasks
+# only; the others score as ID sets), and the corpus-row and per-case-row
+# scorers. The lambdas look the scorers up in this module when they run.
+EVAL_ROWS = {
+    "st1": (
+        "clinician_question", as_text, lambda c: c.clinician_question or None,
+        lambda c: c.patient_question,
+        lambda s: score_generation(s), lambda s: per_case_generation_rows(s),
+    ),
+    "st2": (
+        "evidence_ids", as_ids, lambda c: c.gold_evidence, None,
+        lambda s: score_id_sets(s), lambda s: per_case_id_rows(s),
+    ),
+    "st3": (
+        "answer_text", as_text, lambda c: c.clinician_answer_paragraph or None,
+        lambda c: " ".join(s.text for s in c.note),
+        lambda s: score_generation(s), lambda s: per_case_generation_rows(s),
+    ),
+    "st4": (
+        "alignments", _links,
+        lambda c: None if c.gold_alignments is None else flatten_links(c.gold_alignments), None,
+        lambda s: score_alignments(s), lambda s: per_case_link_rows(s),
+    ),
+}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold_file = load_cases(args.gold)
-    path = Path(args.pred)
     subtask = args.subtask
-
-    if subtask == "st2":
-        pred = _read_predictions(path, "evidence_ids", _id_set)
-        gold = {
-            c.case_id: set(c.gold_evidence or set())
-            for c in gold_file.cases
-            if c.gold_evidence is not None
-        }
-        scores = id_set_scores(pred, gold)
-        row, per_case = score_id_sets(scores), per_case_id_rows(scores)
-    elif subtask == "st4":
-        pred = _read_predictions(path, "alignments", _alignment)
-        gold = {
-            c.case_id: [(aid, sorted(ev)) for aid, ev in c.gold_alignments]
-            for c in gold_file.cases
-            if c.gold_alignments is not None
-        }
-        scores = link_scores(pred, gold)
-        row, per_case = score_alignments(scores), per_case_link_rows(scores)
-    elif subtask == "st1":
-        pred_q = _read_predictions(path, "clinician_question", as_text)
-        gold_q = {
-            c.case_id: c.clinician_question
-            for c in gold_file.cases
-            if c.clinician_question
-        }
-        check_same_cases(pred_q, gold_q)
-        pairs = {cid: (pred_q[cid], gold_q[cid]) for cid in gold_q}
-        sources = {c.case_id: c.patient_question for c in gold_file.cases if c.case_id in gold_q}
-        scores = generation_scores(pairs, sources=sources)
-        row, per_case = score_generation(scores), per_case_generation_rows(scores)
-    elif subtask == "st3":
-        pred_a = _read_predictions(path, "answer_text", as_text)
-        gold_a = {
-            c.case_id: c.clinician_answer_paragraph
-            for c in gold_file.cases
-            if c.clinician_answer_paragraph
-        }
-        check_same_cases(pred_a, gold_a)
-        pairs = {cid: (pred_a[cid], gold_a[cid]) for cid in gold_a}
-        sources = {
-            c.case_id: " ".join(s.text for s in c.note)
-            for c in gold_file.cases
-            if c.case_id in gold_a
-        }
-        scores = generation_scores(pairs, sources=sources)
-        row, per_case = score_generation(scores), per_case_generation_rows(scores)
-    else:
+    if subtask not in EVAL_ROWS:
         raise EhrqaError(f"unknown subtask {subtask!r}")
+    field, read, gold_of, source_of, corpus_row, case_rows = EVAL_ROWS[subtask]
+    cases = load_cases(args.gold).cases
+    pred = _read_predictions(Path(args.pred), field, read)
+    gold = {c.case_id: g for c in cases if (g := gold_of(c)) is not None}
+    check_same_cases(pred, gold)
+    if source_of is None:
+        scores = id_set_scores(pred, gold)
+    else:
+        pairs = {cid: (pred[cid], gold[cid]) for cid in gold}
+        sources = {c.case_id: source_of(c) for c in cases if c.case_id in gold}
+        scores = generation_scores(pairs, sources=sources)
+    row, per_case = corpus_row(scores), case_rows(scores)
 
     table = format_table(f"{subtask} ({args.pred})", [(subtask, row)])
     print(table, end="")
@@ -181,9 +168,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             out_dir / f"{subtask}_report.json",
             json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
         )
-        per_case_table = format_table(
-            f"{subtask} per case", sorted(per_case.items())
-        )
+        per_case_table = format_table(f"{subtask} per case", sorted(per_case.items()))
         atomic_write_text(out_dir / f"{subtask}_report.txt", table + "\n" + per_case_table)
     return 0
 

@@ -197,10 +197,7 @@ class SamplingPlan:
             raise ConfigError(f"sampling plan deployments must be unique, got {deployments}")
 
     def total_votes(self) -> int:
-        total = sum(m.samples for m in self.members)
-        if self.extra_zero_temp_run:
-            total += len(self.members)
-        return total
+        return len(self.runs())
 
     def runs(self) -> list[tuple[str, float, int]]:
         """Deterministic run order as (deployment, temperature, sample_index)."""

@@ -95,7 +95,8 @@ def as_list(value) -> list:
     return value
 
 
-def _ids(value) -> frozenset[str]:
+def as_ids(value) -> frozenset[str]:
+    """A list of sentence IDs as strings, so ``2`` and ``"2"`` are one ID."""
     return frozenset(str(i) for i in as_list(value))
 
 
@@ -108,7 +109,7 @@ def _answers(value) -> tuple[tuple[str, str], ...]:
 
 
 def _alignments(value) -> tuple[tuple[str, frozenset[str]], ...]:
-    return tuple((str(a["answer_id"]), _ids(a["evidence_ids"])) for a in as_list(value))
+    return tuple((str(a["answer_id"]), as_ids(a["evidence_ids"])) for a in as_list(value))
 
 
 def case_from_record(record: dict, locus: str) -> Case:
@@ -134,7 +135,7 @@ def case_from_record(record: dict, locus: str) -> Case:
             note=read("note", _note, required=True),
             clinician_answer_sentences=read("answer_sentences", _answers) or (),
             clinician_answer_paragraph=read("answer_paragraph", as_text),
-            gold_evidence=read("gold_evidence", _ids),
+            gold_evidence=read("gold_evidence", as_ids),
             gold_alignments=read("gold_alignments", _alignments),
         )
     except CaseValidationError as exc:

@@ -74,7 +74,6 @@ DEFAULT_CONFIG: dict = {
     "cache_dir": "cache",
     "out_dir": "out",
     "workers": 4,
-    "random_free": True,
     "constraints": {"st1_max_words": 15, "st3_max_words": 75},
     "embedding": {"deployment": "embedder", "dim": 32},
     "st1": {
@@ -269,8 +268,8 @@ def validate_config(config: dict) -> dict:
 
     ``_check_fields`` checks every field against its DEFAULT_CONFIG default
     and ``CHOICES``, raising ``<path>: must be <kind>, got <value>``; then
-    come the bounds that a type cannot state, the builds of the objects
-    and the random-free check."""
+    come the bounds that a type cannot state and the builds of the
+    objects."""
     unknown: list[str] = []
     _check_fields(config, DEFAULT_CONFIG, "", "", unknown)
     if unknown:
@@ -310,8 +309,6 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"{path}: {exc}") from exc
     for key in ("st2", "st4"):
         _check_manual_k(f"{key}.merge.k", built[f"{key}.merge"], built[f"{key}.plan"])
-    if not config["random_free"]:
-        raise ConfigError("only random-free runs are supported")
     return built
 
 

@@ -181,10 +181,6 @@ class FailingProvider:
 
 
 _NOTE_ID_RE = re.compile(r"^(\d+)\. ", re.MULTILINE)
-_ANSWER_SECTION_RE = re.compile(
-    r"Answer sentences:\n(.*?)(?:\n\n|\Z)", re.DOTALL
-)
-_EVIDENCE_SECTION_RE = re.compile(r"Evidence sentences:\n(.*?)(?:\n\n|\Z)", re.DOTALL)
 _NOTE_HEADERS = ("Full note:\n", "Note sentences:\n")
 _MOCK_STAGES = frozenset({"st1ctx", "st1", "st2", "st3s1", "st3s2", "st4"})
 
@@ -232,11 +228,14 @@ class PipelineMockProvider:
                 "CANDIDATE_3: What led to the recorded clinical intervention?\n"
             )
         if stage == "st2":
-            note_ids = self._note_ids(prompt)
+            note_ids = self._section_ids(prompt, *_NOTE_HEADERS)
             keep = 2 if request.sample_index % 2 == 0 else 1
             return json.dumps(note_ids[:keep])
         if stage == "st3s1":
-            ev_ids = self._evidence_ids(prompt) or self._note_ids(prompt)
+            ev_ids = (
+                self._section_ids(prompt, "Evidence sentences:\n")
+                or self._section_ids(prompt, *_NOTE_HEADERS)
+            )
             markers = "".join(f"[{i}]" for i in ev_ids[:2])
             return (
                 "The note documents the findings that answer the question "
@@ -248,8 +247,8 @@ class PipelineMockProvider:
                 "The recorded course supports this summary."
             )
         if stage == "st4":
-            answer_ids = self._answer_ids(prompt)
-            note_ids = self._note_ids(prompt)
+            answer_ids = self._section_ids(prompt, "Answer sentences:\n")
+            note_ids = self._section_ids(prompt, *_NOTE_HEADERS)
             take = 1 if request.sample_index % 2 == 0 else min(2, len(note_ids))
             return json.dumps(
                 [
@@ -260,31 +259,17 @@ class PipelineMockProvider:
         return "[]"
 
     @staticmethod
-    def _section_ids(prompt: str, section_re: re.Pattern) -> list[str]:
-        match = section_re.search(prompt)
-        if not match:
-            return []
-        return _NOTE_ID_RE.findall(match.group(1))
-
-    def _note_ids(self, prompt: str) -> list[str]:
-        """The sentence IDs of the note section: from the first note header
-        to the next blank line or the end of the prompt. It is the match of
-        ``(?:Full note|Note sentences):\\n(.*?)(?:\\n\\n|\\Z)``, found by
-        ``str.find``, since the regex engine cannot skip ahead to an
-        alternation of prefixes."""
-        found = [(at, len(h)) for h in _NOTE_HEADERS if (at := prompt.find(h)) >= 0]
+    def _section_ids(prompt: str, *headers: str) -> list[str]:
+        """The sentence IDs from the earliest of ``headers`` to the next blank
+        line or the end of the prompt: the DOTALL match of
+        ``(?:<header>|...)(.*?)(?:\\n\\n|\\Z)``, found by ``str.find``."""
+        found = [(at, len(h)) for h in headers if (at := prompt.find(h)) >= 0]
         if not found:
             return []
         at, length = min(found)
         start = at + length
         end = prompt.find("\n\n", start)
         return _NOTE_ID_RE.findall(prompt[start:] if end < 0 else prompt[start:end])
-
-    def _evidence_ids(self, prompt: str) -> list[str]:
-        return self._section_ids(prompt, _EVIDENCE_SECTION_RE)
-
-    def _answer_ids(self, prompt: str) -> list[str]:
-        return self._section_ids(prompt, _ANSWER_SECTION_RE)
 
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI

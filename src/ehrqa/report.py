@@ -19,7 +19,6 @@ from .metrics import (  # noqa: F401
     PRF,
     bleu,
     case_prf,
-    flatten_links,
     leaderboard_mean,
     link_prf,
     macro_prf,
@@ -55,24 +54,11 @@ class SetScores:
     cases: dict[str, PRF]
 
 
-def _set_scores(pairs: dict[str, tuple[set, set]]) -> SetScores:
+def id_set_scores(pred: dict[str, Iterable], gold: dict[str, Iterable]) -> SetScores:
+    """Per-case scores over ID sets: st2's evidence IDs, st4's links."""
+    check_same_cases(pred, gold)
+    pairs = {cid: (set(pred[cid]), set(gold[cid])) for cid in sorted(gold)}
     return SetScores(pairs, {cid: case_prf(p, g) for cid, (p, g) in pairs.items()})
-
-
-def id_set_scores(
-    pred: dict[str, Iterable[str]], gold: dict[str, Iterable[str]]
-) -> SetScores:
-    """Per-case scores over ID sets."""
-    check_same_cases(pred, gold)
-    return _set_scores({cid: (set(pred[cid]), set(gold[cid])) for cid in sorted(gold)})
-
-
-def link_scores(pred: dict, gold: dict) -> SetScores:
-    """Per-case scores over alignments flattened to (answer_id, evidence_id) links."""
-    check_same_cases(pred, gold)
-    return _set_scores(
-        {cid: (flatten_links(pred[cid]), flatten_links(gold[cid])) for cid in sorted(gold)}
-    )
 
 
 def score_id_sets(scores: SetScores) -> dict[str, float]:
@@ -97,7 +83,7 @@ def per_case_id_rows(scores: SetScores) -> dict[str, dict[str, float]]:
     }
 
 
-# Alignments score as ID sets of their links (see ``link_scores``).
+# Alignments score as ID sets of their links.
 score_alignments = score_id_sets
 per_case_link_rows = per_case_id_rows
 

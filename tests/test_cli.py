@@ -106,7 +106,7 @@ class TestResolveConfig:
             resolve_config({"dataset": {"cases": "x.jsonl"}}, preset=name)
 
     def test_non_random_free_rejected(self):
-        with pytest.raises(ConfigError, match="random-free"):
+        with pytest.raises(ConfigError, match="unknown config key.*random_free"):
             resolve_config({"random_free": False})
 
     def test_shot_caps(self):
@@ -185,7 +185,6 @@ class TestResolveConfig:
             resolve_config({subtask: {"plan": {"members": members}}})
 
     BOOL_FIELDS = [
-        "random_free",
         "st1.note_grounding",
         "st2.plan.extra_zero_temp_run",
         "st2.contrast_shots",
@@ -351,7 +350,7 @@ class TestResolveConfig:
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
-    DEFAULT_HASH = "aefac53d670c4fd55a9881671f4b10e148605decc7fdc4e14cd27c010080ec1e"
+    DEFAULT_HASH = "d1fc84cfebe2379d5d750391057795489d964fb70923c01f46c31150fdcdc12f"
 
     def test_default_config_hash_pinned(self):
         assert config_hash(resolve_config({})) == self.DEFAULT_HASH
@@ -740,6 +739,33 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "100.00" in out
 
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_eval_reads_integer_ids_as_the_case_file_does(self, tmp_path, capsys, subtask):
+        """The exact gold, written with integer IDs, scores 100 on every column."""
+        records = []
+        for line in toy_dataset_path().read_text().splitlines():
+            case = json.loads(line)
+            if subtask == "st2":
+                value = {"evidence_ids": [int(i) for i in case["gold_evidence"]]}
+            else:
+                value = {"alignments": [
+                    {"answer_id": int(a["answer_id"]),
+                     "evidence_id": [int(i) for i in a["evidence_ids"]]}
+                    for a in case["gold_alignments"]
+                ]}
+            records.append({"case_id": case["case_id"], **value})
+        pred = tmp_path / f"{subtask}.jsonl"
+        pred.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        out_dir = tmp_path / "report"
+        code = main([
+            "eval", "--pred", str(pred), "--gold", str(toy_dataset_path()),
+            "--subtask", subtask, "--out", str(out_dir),
+        ])
+        assert code == 0
+        report = json.loads((out_dir / f"{subtask}_report.json").read_text())
+        assert set(report["corpus"].values()) == {100.0}
+        assert all(set(row.values()) == {100.0} for row in report["per_case"].values())
+
     def test_eval_empty_predictions_zero_recall(self, tmp_path, capsys):
         pred = tmp_path / "st2.jsonl"
         records = []
@@ -771,6 +797,18 @@ class TestCliCommands:
         )
         assert code == 1
         assert "999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subtask,field,value",
+        [("st1", "clinician_question", "Why?"), ("st2", "evidence_ids", []),
+         ("st3", "answer_text", "Because."), ("st4", "alignments", [])],
+    )
+    def test_eval_every_subtask_checks_its_case_ids(self, tmp_path, capsys, subtask, field, value):
+        pred = tmp_path / f"{subtask}.jsonl"
+        pred.write_text(json.dumps({"case_id": "999", field: value}) + "\n")
+        message = self._eval_error(pred, subtask, capsys)
+        assert message.startswith("case_id mismatch between predictions and gold")
+        assert "missing=['1', '2', '3'], unexpected=['999']" in message
 
     def _eval_error(self, pred: Path, subtask: str, capsys) -> str:
         """The one-line JSON error of an ``ehrqa eval`` of ``pred`` that exits 1."""

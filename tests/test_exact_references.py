@@ -2,7 +2,7 @@
 they replaced, which are kept here as references: the request cache key
 spliced from memoised message JSON, st4 recall scored by one matrix
 product, vector cosine, rendering with per-shot memos, st1 retrieval and
-candidate scoring through a token index, the mock backend's note section
+candidate scoring through a token index, the mock backend's prompt sections
 found by ``str.find``, and the mock embedder's inline normal draws."""
 
 import hashlib
@@ -156,8 +156,17 @@ def reference_score_candidates(candidates, token_sets, type_counts, constraints)
     return scored
 
 
-def reference_note_ids(prompt: str) -> list[str]:
-    match = re.search(r"(?:Full note|Note sentences):\n(.*?)(?:\n\n|\Z)", prompt, re.DOTALL)
+# The mock backend's section regexes, each with the headers that
+# ``PipelineMockProvider._section_ids`` is given for that section.
+SECTION_REFERENCES = {
+    r"(?:Full note|Note sentences):\n(.*?)(?:\n\n|\Z)": ("Full note:\n", "Note sentences:\n"),
+    r"Evidence sentences:\n(.*?)(?:\n\n|\Z)": ("Evidence sentences:\n",),
+    r"Answer sentences:\n(.*?)(?:\n\n|\Z)": ("Answer sentences:\n",),
+}
+
+
+def reference_section_ids(pattern: str, prompt: str) -> list[str]:
+    match = re.search(pattern, prompt, re.DOTALL)
     return re.findall(r"^(\d+)\. ", match.group(1), re.MULTILINE) if match else []
 
 
@@ -449,24 +458,30 @@ def test_st1_index_matches_the_per_pair_forms(cases, pick, outside, candidates, 
     assert score_candidates(candidates, templates, constraints) == expected_scores
 
 
-# -- mock note section ---------------------------------------------------------
+# -- mock prompt sections ------------------------------------------------------
 
 PROMPT_PARTS = st.sampled_from([
     "Full note:\n", "Note sentences:\n", "Full note:", "Note sentences", "\n\n", "\n",
-    "1. ", "12. ", "3.", " 4. ", "text", "é", "Evidence sentences:\n",
+    "1. ", "12. ", "3.", " 4. ", "text", "é", "Evidence sentences:\n", "Answer sentences:\n",
+    "Answer sentences:",
 ])
 
 
 @given(st.lists(PROMPT_PARTS, max_size=14).map("".join))
 @example("Full note:\n1. a\n2. b\n\nNote sentences:\n3. c")
 @example("Note sentences:\n3. c\n\nFull note:\n1. a\n2. b\n\n")
-@example("Question\n\nNote sentences:\n1. a\n2. b")  # the section ends the prompt
-@example("Full note:\n\n1. a")  # a blank line right after the header
+@example("Question\n\nNote sentences:\n1. a\n2. b")  # a section that ends the prompt
+@example("Evidence sentences:\n2. b\n\nAnswer sentences:\n1. a")
+@example("Full note:\n\n1. a")  # a blank line right after a header
 @example("Full note:\n\n\n1. a")
+@example("Answer sentences:\n\n\n1. a")
+@example("Evidence sentences:\n")  # a header with nothing after it
 @example("Note sentences:\n")
 @example("1. a\n2. b\n\nno header")
-def test_note_section_matches_the_regex(prompt):
-    assert PipelineMockProvider()._note_ids(prompt) == reference_note_ids(prompt)
+def test_mock_sections_match_their_regexes(prompt):
+    for pattern, headers in SECTION_REFERENCES.items():
+        expected = reference_section_ids(pattern, prompt)
+        assert PipelineMockProvider._section_ids(prompt, *headers) == expected
 
 
 # -- mock embedder --------------------------------------------------------------

@@ -1,11 +1,11 @@
 import pytest
 
 from ehrqa.core import EhrqaError
+from ehrqa.metrics import flatten_links
 from ehrqa.report import (
     format_table,
     generation_scores,
     id_set_scores,
-    link_scores,
     score_alignments,
     score_generation,
     score_id_sets,
@@ -42,7 +42,9 @@ class TestScoreAlignments:
             "a": [("1", ["3", "7"])],
             "b": [("1", ["2"]), ("2", ["5"])],
         }
-        row = score_alignments(link_scores(pred, gold))
+        links = {cid: flatten_links(alignment) for cid, alignment in pred.items()}
+        gold_links = {cid: flatten_links(alignment) for cid, alignment in gold.items()}
+        row = score_alignments(id_set_scores(links, gold_links))
         # pooled: TP=2 (a:1-3, b:1-2), FP=1 (b:1-4), FN=2 (a:1-7, b:2-5)
         assert row["μP"] == pytest.approx(66.67, abs=0.01)
         assert row["μR"] == pytest.approx(50.0, abs=0.01)
