@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .core import EhrqaError, atomic_write_text
-from .dataset import as_ids, as_list, as_text, load_cases, read_records
+from .dataset import as_alignments, as_ids, as_text, load_cases, read_records
 from .metrics import flatten_links
 from .pipeline import PRESETS, PROVIDER_MODES, SUBTASK_ORDER, resolve_config
 from .pipeline import run_pipeline, run_sweep
@@ -93,25 +93,26 @@ def _read_predictions(path: Path, field: str, convert) -> dict:
 
     A file or line that ``read_records`` rejects, a record without the
     field, a field ``convert`` rejects, or a case_id seen twice raises
-    ``EhrqaError`` naming the file, the case_id and the field.
+    ``EhrqaError`` naming the file, the line, the case_id and the field.
     """
     preds: dict = {}
-    for _, record in read_records(path, "predictions"):
+    for lineno, record in read_records(path, "predictions"):
         cid = record["case_id"]
+        where = f"{path}:{lineno}: case_id {cid!r}"
         if cid in preds:
-            raise EhrqaError(f"{path}: case_id {cid!r} has more than one {field!r} record")
+            raise EhrqaError(f"{where} has more than one {field!r} record")
         if field not in record:
-            raise EhrqaError(f"{path}: case_id {cid!r} has no {field!r}")
+            raise EhrqaError(f"{where} has no {field!r}")
         try:
             preds[cid] = convert(record[field])
         except (KeyError, TypeError) as exc:
-            raise EhrqaError(f"{path}: case_id {cid!r} has a malformed {field!r}: {exc}") from exc
+            raise EhrqaError(f"{where} has a malformed {field!r}: {exc}") from exc
     return preds
 
 
 def _links(value) -> set[tuple[str, str]]:
     """An st4 record's alignments as (answer_id, evidence_id) links."""
-    return flatten_links((str(a["answer_id"]), as_ids(a["evidence_id"])) for a in as_list(value))
+    return flatten_links(as_alignments(value, "evidence_id"))
 
 
 # One row per subtask: the prediction field and its reader, a case's gold

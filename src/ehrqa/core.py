@@ -63,12 +63,19 @@ class SubtaskError(EhrqaError):
     """A subtask could not produce output for a case."""
 
 
-_ID_RE = re.compile(r"^[1-9][0-9]*$")
+# A note sentence ID: a base-10 integer string from 1, no leading zeros.
+_ID_RE = re.compile(r"[1-9][0-9]*")
 
 
-def is_valid_sentence_id(sentence_id: str) -> bool:
-    """Sentence IDs are base-10 integer strings starting at 1, no leading zeros."""
-    return bool(_ID_RE.match(sentence_id))
+def as_id(value) -> str | None:
+    """The one rule for what a sentence or answer ID is, in files and in
+    model output: a string as it is, an integer that is not a bool as its
+    decimal string, and None for anything else (``2.0``, ``true``, ``[2]``)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return None
 
 
 def id_sort_key(sentence_id: str) -> tuple[int, int | str]:
@@ -86,7 +93,7 @@ class NoteSentence:
     text: str
 
     def __post_init__(self) -> None:
-        if not is_valid_sentence_id(self.id):
+        if not _ID_RE.fullmatch(self.id):
             raise CaseValidationError(f"invalid note sentence id {self.id!r}")
         if not self.text.strip():
             raise CaseValidationError(f"note sentence {self.id} has empty text")
@@ -113,11 +120,10 @@ class Case:
         if not self.case_id:
             raise CaseValidationError("case_id must be non-empty")
         note_ids = [s.id for s in self.note]
-        if len(set(note_ids)) != len(note_ids):
-            dupes = sorted({i for i in note_ids if note_ids.count(i) > 1}, key=id_sort_key)
-            raise CaseValidationError(
-                f"case {self.case_id}: duplicate note sentence ids {dupes}"
-            )
+        for what, ids in (("note sentence", note_ids), ("answer_sentences", self.answer_ids)):
+            if len(set(ids)) != len(ids):
+                dupes = sorted({i for i in ids if ids.count(i) > 1}, key=id_sort_key)
+                raise CaseValidationError(f"case {self.case_id}: duplicate {what} ids {dupes}")
         numeric = [int(i) for i in note_ids]
         if any(b <= a for a, b in zip(numeric, numeric[1:])):
             raise CaseValidationError(
@@ -129,7 +135,7 @@ class Case:
             raise CaseValidationError(
                 f"case {self.case_id}: gold_evidence ids {bad} not in note"
             )
-        answer_ids = {aid for aid, _ in self.clinician_answer_sentences}
+        answer_ids = set(self.answer_ids)
         if self.gold_alignments is not None:
             for aid, ev_ids in self.gold_alignments:
                 if aid not in answer_ids:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Case, CaseValidationError, EhrqaError, NoteSentence, id_sort_key
+from .core import Case, CaseValidationError, EhrqaError, NoteSentence, as_id, id_sort_key
 
 SPLITS = ("dev", "test", "custom")
 FORMATS = ("canonical", "key_overlay")
@@ -30,6 +30,8 @@ _FIELDS = (
     "gold_evidence",
     "gold_alignments",
 )
+# The fields a key_overlay answer key supplies
+_KEY_FIELDS = ("clinician_question",) + _FIELDS[4:]
 
 
 @dataclass(frozen=True)
@@ -95,21 +97,30 @@ def as_list(value) -> list:
     return value
 
 
+def read_id(value) -> str:
+    """A file's sentence or answer ID by ``core.as_id``, else TypeError."""
+    if (sid := as_id(value)) is None:
+        raise TypeError(f"an ID must be a string or an integer, got {value!r}")
+    return sid
+
+
 def as_ids(value) -> frozenset[str]:
-    """A list of sentence IDs as strings, so ``2`` and ``"2"`` are one ID."""
-    return frozenset(str(i) for i in as_list(value))
+    """A list of IDs, each read by ``read_id``, so ``2`` and ``"2"`` are one ID."""
+    return frozenset(map(read_id, as_list(value)))
 
 
 def _note(value) -> tuple[NoteSentence, ...]:
-    return tuple(NoteSentence(id=str(s["id"]), text=as_text(s["text"])) for s in as_list(value))
+    return tuple(NoteSentence(id=read_id(s["id"]), text=as_text(s["text"])) for s in as_list(value))
 
 
 def _answers(value) -> tuple[tuple[str, str], ...]:
-    return tuple((str(a["answer_id"]), as_text(a["text"])) for a in as_list(value))
+    return tuple((read_id(a["answer_id"]), as_text(a["text"])) for a in as_list(value))
 
 
-def _alignments(value) -> tuple[tuple[str, frozenset[str]], ...]:
-    return tuple((str(a["answer_id"]), as_ids(a["evidence_ids"])) for a in as_list(value))
+def as_alignments(value, evidence_key="evidence_ids") -> tuple[tuple[str, frozenset[str]], ...]:
+    """(answer_id, evidence IDs) for each alignment object of a list. Case
+    files name the evidence ``evidence_ids``; st4 predictions ``evidence_id``."""
+    return tuple((read_id(a["answer_id"]), as_ids(a[evidence_key])) for a in as_list(value))
 
 
 def case_from_record(record: dict, locus: str) -> Case:
@@ -136,7 +147,7 @@ def case_from_record(record: dict, locus: str) -> Case:
             clinician_answer_sentences=read("answer_sentences", _answers) or (),
             clinician_answer_paragraph=read("answer_paragraph", as_text),
             gold_evidence=read("gold_evidence", as_ids),
-            gold_alignments=read("gold_alignments", _alignments),
+            gold_alignments=read("gold_alignments", as_alignments),
         )
     except CaseValidationError as exc:
         raise CaseValidationError(f"{locus}: {exc}") from exc
@@ -193,17 +204,8 @@ def load_cases(
         merged = []
         for lineno, record in records:
             overlay = keys.get(record["case_id"], {})
-            combined = dict(record)
-            for field in (
-                "clinician_question",
-                "answer_sentences",
-                "answer_paragraph",
-                "gold_evidence",
-                "gold_alignments",
-            ):
-                if overlay.get(field) is not None:
-                    combined[field] = overlay[field]
-            merged.append((lineno, combined))
+            gold = {f: overlay[f] for f in _KEY_FIELDS if overlay.get(f) is not None}
+            merged.append((lineno, {**record, **gold}))
         records = merged
     elif format not in FORMATS:
         raise EhrqaError(f"unknown case file format {format!r}")

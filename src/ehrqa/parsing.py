@@ -13,7 +13,7 @@ import json
 import logging
 import re
 
-from .core import ParseError, id_sort_key
+from .core import ParseError, as_id, id_sort_key
 
 logger = logging.getLogger(__name__)
 
@@ -99,16 +99,14 @@ def format_id_array(ids) -> str:
 
 
 def parse_id_array(text: str) -> set[str]:
-    """Extract the first well-formed string-array in the text as an ID set.
-
-    Bare integers are tolerated and coerced to strings; a literal empty
-    array parses to the empty set.
-    """
+    """The first JSON array in the text whose every element is an ID by
+    ``core.as_id``, as an ID set; arrays holding ``2.0``, ``true`` or ``[2]``
+    are passed over, and a literal empty array parses to the empty set."""
     for value in _candidate_fragments(text, "[", "]"):
-        if isinstance(value, list) and all(
-            isinstance(v, (str, int)) and not isinstance(v, bool) for v in value
-        ):
-            return {str(v) for v in value}
+        if isinstance(value, list):
+            ids = set(map(as_id, value))
+            if None not in ids:
+                return ids
     raise ParseError("no sentence-ID array found in model output", raw_text=text)
 
 
@@ -121,20 +119,14 @@ def format_alignment(alignment) -> str:
     return json.dumps(items, separators=(",", ":"))
 
 
-def _coerce_id(value) -> str | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (str, int)):
-        return str(value)
-    return None
-
-
 def parse_alignment(text: str) -> list[tuple[str, set[str]]]:
     """Extract the first alignment array: objects with answer_id/evidence_id.
 
-    Elements missing a required key are dropped with a warning; duplicate
-    answer_ids merge their evidence by union; output is ordered by numeric
-    answer_id.
+    IDs follow ``core.as_id``, and a lone evidence ID stands for a list of
+    one. An element that lacks a key, or whose answer_id is no ID, or whose
+    evidence_id is neither an ID nor a list, is dropped with a warning; a
+    non-ID item of an evidence list is dropped alone. Duplicate answer_ids
+    merge their evidence by union; output is ordered by numeric answer_id.
     """
     for value in _candidate_fragments(text, "[", "]"):
         if not isinstance(value, list):
@@ -147,15 +139,14 @@ def parse_alignment(text: str) -> list[tuple[str, set[str]]]:
             if "answer_id" not in element or "evidence_id" not in element:
                 dropped += 1
                 continue
-            aid = _coerce_id(element["answer_id"])
+            aid = as_id(element["answer_id"])
             raw_ev = element["evidence_id"]
-            if isinstance(raw_ev, (str, int)) and not isinstance(raw_ev, bool):
+            if as_id(raw_ev) is not None:
                 raw_ev = [raw_ev]
             if aid is None or not isinstance(raw_ev, list):
                 dropped += 1
                 continue
-            ev_ids = {e for e in (_coerce_id(v) for v in raw_ev) if e is not None}
-            merged.setdefault(aid, set()).update(ev_ids)
+            merged.setdefault(aid, set()).update(e for e in map(as_id, raw_ev) if e is not None)
         if dropped:
             logger.warning("parse_alignment: dropped %d malformed element(s)", dropped)
         return sorted(merged.items(), key=lambda kv: id_sort_key(kv[0]))

@@ -116,10 +116,13 @@ def merge_links(
     by_answer: dict[str, list[str]] = {aid: [] for aid in all_answers}
     for aid, eid in kept:
         by_answer.setdefault(aid, []).append(eid)
-    return [
-        (aid, sorted(ev, key=id_sort_key))
-        for aid, ev in sorted(by_answer.items(), key=lambda kv: id_sort_key(kv[0]))
-    ]
+    return _ordered(by_answer)
+
+
+def _ordered(by_answer: dict) -> AlignmentList:
+    """An alignment ordered by answer_id, each evidence list by id_sort_key."""
+    order = sorted(by_answer, key=id_sort_key)
+    return [(aid, sorted(by_answer[aid], key=id_sort_key)) for aid in order]
 
 
 def sweep_threshold(
@@ -196,10 +199,7 @@ def recall_augment(
             sim = cosine(answer_vecs[i], note_vecs[j])
         if sim >= config.tau:
             existing.setdefault(aid, set()).add(note_id)
-    return [
-        (aid, sorted(ev, key=id_sort_key))
-        for aid, ev in sorted(existing.items(), key=lambda kv: id_sort_key(kv[0]))
-    ]
+    return _ordered(existing)
 
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")

@@ -75,7 +75,7 @@ class TestCountWords:
 
 class TestDomainTypes:
     def test_note_sentence_rejects_bad_ids(self):
-        for bad in ("0", "01", "", "x1", "-1"):
+        for bad in ("0", "01", "", "x1", "-1", "2\n"):
             with pytest.raises(CaseValidationError):
                 NoteSentence(bad, "text")
 
