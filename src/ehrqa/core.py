@@ -13,6 +13,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 
@@ -119,7 +120,7 @@ class Case:
     def __post_init__(self) -> None:
         if not self.case_id:
             raise CaseValidationError("case_id must be non-empty")
-        note_ids = [s.id for s in self.note]
+        note_ids = self.note_ids
         for what, ids in (("note sentence", note_ids), ("answer_sentences", self.answer_ids)):
             if len(set(ids)) != len(ids):
                 dupes = sorted({i for i in ids if ids.count(i) > 1}, key=id_sort_key)
@@ -150,19 +151,22 @@ class Case:
                         f"ids {bad} not in note"
                     )
 
-    @property
+    # Built once per case; a frozen dataclass still lets cached_property
+    # write to the instance dict, and == and hash still see only the fields.
+    @cached_property
     def note_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.note)
 
-    @property
+    @cached_property
     def answer_ids(self) -> tuple[str, ...]:
         return tuple(aid for aid, _ in self.clinician_answer_sentences)
 
+    @cached_property
+    def _note_texts(self) -> dict[str, str]:
+        return {s.id: s.text for s in self.note}
+
     def note_text(self, sentence_id: str) -> str:
-        for s in self.note:
-            if s.id == sentence_id:
-                return s.text
-        raise KeyError(sentence_id)
+        return self._note_texts[sentence_id]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ replay byte-identically with zero network access.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -164,22 +165,6 @@ class ScriptedProvider:
         return GenResponse(text=text, deployment_name=request.deployment_name)
 
 
-class FailingProvider:
-    """Raises on every call; used to prove replay makes zero backend calls."""
-
-    def __init__(self, message: str = "backend must not be reached"):
-        self.message = message
-        self.calls = 0
-
-    def generate(self, request: GenRequest) -> GenResponse:
-        self.calls += 1
-        raise ProviderError(f"{self.message} (tag {request.request_tag})")
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        self.calls += 1
-        raise ProviderError(self.message)
-
-
 _NOTE_ID_RE = re.compile(r"^(\d+)\. ", re.MULTILINE)
 _NOTE_HEADERS = ("Full note:\n", "Note sentences:\n")
 _MOCK_STAGES = frozenset({"st1ctx", "st1", "st2", "st3s1", "st3s2", "st4"})
@@ -312,21 +297,6 @@ class HashEmbedder:
             vec[0] = 1.0
             norm = 1.0
         return vec / norm
-
-
-class FixedEmbedder:
-    """Embedder backed by an explicit text -> vector table (tests)."""
-
-    def __init__(self, table: dict[str, Sequence[float]]):
-        self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if not texts:
-            raise EhrqaError("embed requires a non-empty input list")
-        try:
-            return [self.table[t] for t in texts]
-        except KeyError as exc:
-            raise ProviderError(f"no fixed vector for text {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +438,10 @@ class ReplayGenerator(_RecordReplay):
 
 class CachedEmbedder(_RecordReplay):
     """Record/replay embedder. An entry is keyed on the model and the
-    ordered text list and holds the vectors in that order."""
+    ordered text list and holds the vectors in that order: the base64 of
+    one row-major little-endian float64 array, a row per text. Entries
+    written before that hold a JSON list of rows; they are read, never
+    written."""
 
     field, backend = "vectors", "embedder"
 
@@ -486,13 +459,29 @@ class CachedEmbedder(_RecordReplay):
     def _call(self, texts: Sequence[str]) -> list[np.ndarray]:
         return self.inner.embed(texts)
 
-    def _from_entry(self, vectors: list, texts, key: str, what: str) -> list[np.ndarray]:
-        if len(vectors) != len(texts):
-            raise CacheMissError(f"cache entry {key} for {what} holds {len(vectors)} vector(s)")
-        return [np.asarray(v, dtype=float) for v in vectors]
+    def _from_entry(self, vectors: str | list, texts, key: str, what: str) -> list[np.ndarray]:
+        """One writable float64 vector per text, all of one positive length;
+        anything else raises CacheMissError naming the key."""
+        n = len(texts)
+        try:
+            if isinstance(vectors, str):
+                raw = base64.b64decode(vectors, validate=True)
+                if not raw or len(raw) % (8 * n):
+                    raise ValueError(f"{len(raw)} bytes for {n} vector(s)")
+                rows = np.frombuffer(raw, dtype="<f8").reshape(n, -1).astype(float)
+            elif isinstance(vectors, list) and len(vectors) == n and all(
+                isinstance(v, list) and v and all(type(x) in (float, int) for x in v) for v in vectors
+            ):  # the list form
+                rows = np.array(vectors, dtype=float)  # rows of unequal length raise
+            else:
+                raise ValueError(f"not {n} non-empty list(s) of numbers")
+        except (ValueError, OverflowError) as exc:  # binascii.Error is a ValueError
+            raise CacheMissError(f"cache entry {key} for {what} holds no valid vectors ({exc})") from exc
+        return list(rows)
 
     def _to_entry(self, texts, vectors: list[np.ndarray]) -> dict:
-        return {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]}
+        raw = np.asarray(vectors, dtype="<f8").tobytes()
+        return {"model": self.model, "vectors": base64.b64encode(raw).decode("ascii")}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,41 @@
+from typing import Sequence
+
+import numpy as np
 import pytest
 
-from ehrqa.core import Case, NoteSentence
+from ehrqa.core import Case, EhrqaError, NoteSentence, ProviderError
+from ehrqa.providers import GenRequest, GenResponse
+
+
+class FailingProvider:
+    """Raises on every call; used to prove replay makes zero backend calls."""
+
+    def __init__(self, message: str = "backend must not be reached"):
+        self.message = message
+        self.calls = 0
+
+    def generate(self, request: GenRequest) -> GenResponse:
+        self.calls += 1
+        raise ProviderError(f"{self.message} (tag {request.request_tag})")
+
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        self.calls += 1
+        raise ProviderError(self.message)
+
+
+class FixedEmbedder:
+    """Embedder backed by an explicit text -> vector table."""
+
+    def __init__(self, table: dict[str, Sequence[float]]):
+        self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
+
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        if not texts:
+            raise EhrqaError("embed requires a non-empty input list")
+        try:
+            return [self.table[t] for t in texts]
+        except KeyError as exc:
+            raise ProviderError(f"no fixed vector for text {exc}") from exc
 
 
 def make_note(*texts_by_id):

@@ -424,7 +424,7 @@ class TestRunPipeline:
 
     def test_second_record_pass_resumes_from_cache(self, tmp_path, monkeypatch):
         from ehrqa import pipeline
-        from ehrqa.providers import FailingProvider
+        from tests.conftest import FailingProvider
 
         def record(out):
             config = base_config(

@@ -118,6 +118,23 @@ class TestDomainTypes:
                 gold_alignments=(("2", frozenset({"1"})),),
             )
 
+    def test_case_id_tuples_are_built_once_and_leave_equality_alone(self):
+        def make():
+            return Case(
+                case_id="c",
+                patient_question="q",
+                note=(NoteSentence("1", "a"), NoteSentence("4", "b")),
+                clinician_answer_sentences=(("1", "ans"),),
+            )
+
+        case, fresh = make(), make()
+        assert case.note_ids is case.note_ids == ("1", "4")
+        assert case.answer_ids is case.answer_ids == ("1",)
+        assert (case.note_text("4"), case.note_text("1")) == ("b", "a")
+        with pytest.raises(KeyError):
+            case.note_text("2")
+        assert case == fresh and hash(case) == hash(fresh)
+
     def test_plan_total_votes(self):
         plan = SamplingPlan(
             members=(

@@ -21,7 +21,6 @@ from ehrqa import prompting
 from ehrqa.core import Case, ConstraintConfig, EhrqaError, NoteSentence, id_sort_key
 from ehrqa.prompting import Message, load_template, make_contrast_example, render_prompt
 from ehrqa.providers import (
-    FixedEmbedder,
     GenRequest,
     HashEmbedder,
     PipelineMockProvider,
@@ -39,7 +38,7 @@ from ehrqa.st1 import (
     score_candidates,
 )
 from ehrqa.st4 import RecallConfig, recall_augment
-from tests.conftest import simple_case
+from tests.conftest import FixedEmbedder, simple_case
 from tests.test_prompting import shot_case, target_case
 
 # -- references -------------------------------------------------------------

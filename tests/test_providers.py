@@ -1,9 +1,15 @@
+import hashlib
 import json
+import math
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrqa.core import CacheMissError, EhrqaError, ProviderError
 from ehrqa.dataset import toy_dataset_path
@@ -11,7 +17,6 @@ from ehrqa.pipeline import _map_cases, build_embedder, resolve_config, run_pipel
 from ehrqa.prompting import Message
 from ehrqa.providers import (
     CachedEmbedder,
-    FailingProvider,
     GenRequest,
     HashEmbedder,
     HttpChatProvider,
@@ -27,6 +32,8 @@ from ehrqa.providers import (
     gather_responses,
     request_cache_key,
 )
+from tests.conftest import FailingProvider
+from tests.test_cli import tree_bytes
 
 
 def req(tag="c1/st2/0", content="prompt", deployment="m1", temperature=0.0, sample=0):
@@ -232,14 +239,29 @@ class TestCacheFormat:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"vectors": [[0.1, 0.', '{"model": "default"}', '{"vectors": [[1.0, 0.0]]}'],
-        ids=["truncated", "no-vectors", "wrong-count"],
+        [
+            '{"vectors": [[0.1, 0.', '{"model": "default"}', '{"vectors": [[1.0, 0.0]]}',
+            '{"vectors": [[1.0], [0.0, 1.0]]}', '{"vectors": [[], []]}',
+            '{"vectors": [null, null]}', '{"vectors": [[1.0, "x"], [0.0, 1.0]]}',
+            '{"vectors": [[true], [false]]}', '{"vectors": [[1%s], [1.0]]}' % ("0" * 400),
+            '{"vectors": {"a": 1, "b": 2}}',
+            '{"vectors": "AAAA AAAAAAAAAAAAAAAAAAA="}', '{"vectors": "AAAAAAAAAAA="}',
+            '{"vectors": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}', '{"vectors": ""}',
+        ],
+        ids=[
+            "truncated", "no-vectors", "wrong-count", "list-ragged", "list-empty-rows",
+            "list-nulls", "list-text-value", "list-bools", "list-huge-int", "not-a-list",
+            "invalid-base64", "base64-one-vector-for-two", "base64-wrong-byte-count",
+            "base64-empty",
+        ],
     )
     def test_unreadable_embedding_entry_names_key(self, tmp_path, content):
         key = embed_cache_key("default", ["alpha", "beta"])
         (tmp_path / f"{key}.json").write_text(content, encoding="utf-8")
-        with pytest.raises(CacheMissError, match=rf"{key}.*'alpha'"):
-            CachedEmbedder(ResponseCache(tmp_path)).embed(["alpha", "beta"])
+        for mode, inner in (("replay", None), ("record", FailingProvider())):
+            embedder = CachedEmbedder(ResponseCache(tmp_path), inner=inner, mode=mode)
+            with pytest.raises(CacheMissError, match=rf"{key}.*'alpha'"):
+                embedder.embed(["alpha", "beta"])
 
     def test_put_leaves_no_temporary_file(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -318,6 +340,101 @@ class TestEmbedders:
         resumed = CachedEmbedder(ResponseCache(tmp_path), inner=backend, mode="record")
         assert np.array_equal(resumed.embed(["a"])[0], HashEmbedder().embed(["a"])[0])
         assert backend.calls == 0
+
+
+# Float64 values whose decimal text is easy to get wrong: signed zeros,
+# subnormals, the extremes and the infinities.
+_AWKWARD = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                            math.inf, -math.inf])
+_ROWS = st.integers(1, 6).flatmap(lambda n: st.integers(1, 64).flatmap(
+    lambda dim: st.lists(
+        st.lists(st.one_of(_AWKWARD, st.floats(allow_nan=False)), min_size=dim, max_size=dim),
+        min_size=n, max_size=n,
+    )
+))
+
+
+def _list_form_entry(self, texts, vectors):
+    """An embedding entry as written before vectors were stored as bytes."""
+    return {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]}
+
+
+def _record_toy(tmp_path, name):
+    """Record st1-st4, with st3 rerank and st4 recall, on the toy set."""
+    out, cache = tmp_path / f"out-{name}", tmp_path / f"cache-{name}"
+    config = {
+        "dataset": {"cases": str(toy_dataset_path()), "split": "dev"},
+        "subtasks": ["st1", "st2", "st3", "st4"],
+        "provider_mode": "record",
+        "record_source": "mock",
+        "out_dir": str(out),
+        "cache_dir": str(cache),
+        "workers": 1,
+        "st3": {"rerank": True},
+        "st4": {"recall": {"enabled": True}},
+    }
+    run_pipeline(resolve_config(config))
+    return config, out, cache
+
+
+def _entries(cache):
+    return {p.name: json.loads(p.read_bytes()) for p in sorted(cache.glob("*.json"))}
+
+
+class TestEmbeddingEntryForm:
+    @settings(max_examples=80, deadline=None)
+    @given(_ROWS)
+    def test_vectors_round_trip_bit_for_bit(self, rows):
+        texts = [f"text {i}" for i in range(len(rows))]
+        inner = SimpleNamespace(embed=lambda asked: [np.array(r, dtype=float) for r in rows])
+        with tempfile.TemporaryDirectory() as root:
+            CachedEmbedder(ResponseCache(root), inner=inner, mode="record").embed(texts)
+            replayed = CachedEmbedder(ResponseCache(root)).embed(texts)
+        assert [v.tobytes() for v in replayed] == [np.array(r, dtype=float).tobytes() for r in rows]
+        assert all(v.dtype == np.float64 and v.flags.writeable for v in replayed)
+
+    def test_an_entry_holds_base64_of_little_endian_float64_rows(self, tmp_path):
+        rows = [[1.0, -0.0], [5e-324, -math.inf]]
+        inner = SimpleNamespace(embed=lambda asked: [np.array(r) for r in rows])
+        CachedEmbedder(ResponseCache(tmp_path), inner=inner, mode="record", model="m").embed(["a", "b"])
+        (entry,) = _entries(tmp_path).values()
+        assert entry == {
+            "model": "m",
+            "vectors": "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAA8P8=",
+        }
+
+    def test_a_list_form_recording_replays_to_the_same_outputs(self, tmp_path, monkeypatch):
+        config, out, _ = _record_toy(tmp_path, "bytes")
+        with monkeypatch.context() as patch:
+            patch.setattr(CachedEmbedder, "_to_entry", _list_form_entry)
+            old_config, _, old_cache = _record_toy(tmp_path, "lists")
+        embedding_entries = [e for e in _entries(old_cache).values() if "vectors" in e]
+        assert embedding_entries and all(isinstance(e["vectors"], list) for e in embedding_entries)
+        before = _entries(old_cache)
+
+        replay_out = tmp_path / "replayed"
+        manifest = run_pipeline(resolve_config(
+            {**old_config, "provider_mode": "replay", "out_dir": str(replay_out)}
+        ))
+        assert manifest["cache"]["misses"] == 0
+        replayed = {k: v for k, v in tree_bytes(replay_out).items() if k.startswith("st")}
+        recorded = {k: v for k, v in tree_bytes(out).items() if k.startswith("st")}
+        assert replayed == recorded and "st4.jsonl" in replayed
+        assert _entries(old_cache) == before  # replay rewrites no entry
+
+    def test_generator_entries_are_those_of_earlier_versions(self, tmp_path):
+        _, _, cache = _record_toy(tmp_path, "pin")
+        digest, generator_entries = hashlib.sha256(), 0
+        for path in sorted(cache.glob("*.json")):
+            data = path.read_bytes()
+            if "vectors" in json.loads(data):
+                continue
+            generator_entries += 1
+            digest.update(path.name.encode() + b"\0" + data + b"\0")
+        assert generator_entries == 42
+        assert digest.hexdigest() == (
+            "b0b2456cc82f605da0545a0e826b99d8cef7fa64dbf6395bdc73a21b24105658"
+        )
 
 
 class TestCosine:

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from ehrqa.core import ConstraintConfig, ProviderError, SubtaskError, count_words
 from ehrqa.providers import (
-    FailingProvider,
-    FixedEmbedder,
     HashEmbedder,
     ReplayGenerator,
     ResponseCache,
@@ -28,7 +26,7 @@ from ehrqa.st3 import (
     strip_markers,
     truncate_words,
 )
-from tests.conftest import simple_case
+from tests.conftest import FailingProvider, FixedEmbedder, simple_case
 
 CONSTRAINTS = ConstraintConfig()
 MARKER_RE = re.compile(r"\[\d+\]")

@@ -14,7 +14,7 @@ from ehrqa.core import (
     SamplingPlan,
 )
 from ehrqa.metrics import micro_prf
-from ehrqa.providers import FixedEmbedder, HashEmbedder, ScriptedProvider
+from ehrqa.providers import HashEmbedder, ScriptedProvider
 from ehrqa.st4 import (
     LinkVoteTally,
     RecallConfig,
@@ -28,7 +28,7 @@ from ehrqa.st4 import (
     sweep_threshold,
     tally_from_runs,
 )
-from tests.conftest import simple_case
+from tests.conftest import FixedEmbedder, simple_case
 
 
 def align_case(case_id="c1"):
