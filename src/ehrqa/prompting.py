@@ -10,7 +10,7 @@ alignment subtask), which takes them as user/assistant turns.
 The shots are the run's few-shot pool cases, shared by every case of the
 run, so what is rendered from a shot alone (its text in a shots block, its
 user/assistant turn) is memoised on the shot object itself, as is the
-JSON text of each message: it lives as long as the object and no two
+UTF-8 JSON of each message: it lives as long as the object and no two
 objects share it.
 """
 
@@ -40,11 +40,11 @@ class Message:
     content: str
 
     @cached_property
-    def json_text(self) -> str:
+    def json_bytes(self) -> bytes:
         """``[role, content]`` as ``json.dumps(..., ensure_ascii=False)``
-        writes it, encoded once per message: the request cache key splices
-        it in for every request that carries the message."""
-        return json.dumps([self.role, self.content], ensure_ascii=False)
+        writes it, in UTF-8, encoded once per message: the request cache key
+        hashes it for every request that carries the message."""
+        return json.dumps([self.role, self.content], ensure_ascii=False).encode("utf-8")
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from .core import CacheMissError, EhrqaError, ProviderError, atomic_write_text
-from .prompting import Message
+from .prompting import Message, _memo
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +71,10 @@ class Embedder(Protocol):
         ...
 
 
-# json.dumps(obj, sort_keys=True, ensure_ascii=False), without building an
-# encoder per call.
+# json.dumps(obj, sort_keys=True, ensure_ascii=False) and json.dumps(obj,
+# ensure_ascii=False), without building an encoder per call.
 _encode_sorted = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def request_cache_key(request: GenRequest) -> str:
@@ -80,25 +82,69 @@ def request_cache_key(request: GenRequest) -> str:
 
     The hashed text is ``json.dumps(payload, sort_keys=True,
     ensure_ascii=False)`` of ``{"deployment_name", "max_output_tokens",
-    "messages": [[role, content], ...], "sample_index", "temperature"}``.
-    It is spliced together from each message's ``json_text``, which a
-    message encodes once however many requests carry it; ``messages``
-    sorts between ``max_output_tokens`` and ``sample_index``.
+    "messages": [[role, content], ...], "sample_index", "temperature"}``,
+    in UTF-8. It is fed to SHA-256 in pieces, never joined: the head up to
+    ``"messages": [``, each message's ``json_bytes`` (encoded once per
+    message), and the tail. The hash state after the head and every
+    message but the last is memoised on the last of those messages, so
+    requests that share their leading messages (the st4 system message
+    and shot turns) hash them once per deployment in a run.
     """
+    messages = request.messages
+    head = _head_bytes(
+        request.deployment_name, request.max_output_tokens,
+        _json_kind(request.deployment_name), _json_kind(request.max_output_tokens),
+    )
+    lead = tuple(messages[:-1])
+    if lead:
+        # Kept on lead[-1], so the key leaves it out: a message whose memo
+        # held itself would outlive its last user until a GC pass.
+        state = _memo(lead[-1], (head, lead[:-1]), lambda: _lead_state(head, lead)).copy()
+    else:
+        state = hashlib.sha256(head)
+    state.update(messages[-1].json_bytes)
+    state.update(_tail_bytes(
+        request.sample_index, request.temperature,
+        _json_kind(request.sample_index), _json_kind(request.temperature),
+    ))
+    return state.hexdigest()
+
+
+def _lead_state(head: bytes, lead: tuple[Message, ...]):
+    """SHA-256 fed the head and each leading message with its separator;
+    memoised, so never updated after it is returned."""
+    state = hashlib.sha256(head)
+    for message in lead:
+        state.update(message.json_bytes)
+        state.update(b", ")
+    return state
+
+
+def _json_kind(value) -> tuple:
+    """What, beside ``==``, tells apart values that JSON writes differently:
+    ``1``, ``1.0`` and ``True`` by type, ``0.0`` and ``-0.0`` by sign."""
+    return type(value), math.copysign(1.0, value) if isinstance(value, float) else 0.0
+
+
+# The head and tail of the hashed text, encoded once per distinct value;
+# ``kinds``, each value's ``_json_kind``, only keys the memo.
+@lru_cache(maxsize=1024)
+def _head_bytes(deployment_name, max_output_tokens, *kinds) -> bytes:
     head = _encode_sorted(
-        {"deployment_name": request.deployment_name, "max_output_tokens": request.max_output_tokens}
+        {"deployment_name": deployment_name, "max_output_tokens": max_output_tokens}
     )
-    tail = _encode_sorted(
-        {"sample_index": request.sample_index, "temperature": request.temperature}
-    )
-    messages = ", ".join(m.json_text for m in request.messages)
-    canonical = f'{head[:-1]}, "messages": [{messages}], {tail[1:]}'
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return f'{head[:-1]}, "messages": ['.encode("utf-8")
+
+
+@lru_cache(maxsize=1024)
+def _tail_bytes(sample_index, temperature, *kinds) -> bytes:
+    tail = _encode_sorted({"sample_index": sample_index, "temperature": temperature})
+    return f"], {tail[1:]}".encode("utf-8")
 
 
 def embed_cache_key(model: str, texts: Sequence[str]) -> str:
     """Content hash of one embed() call: the model and the ordered texts."""
-    canonical = json.dumps({"embed": model, "texts": list(texts)}, ensure_ascii=False)
+    canonical = _encode({"embed": model, "texts": list(texts)})
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -314,12 +360,13 @@ class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.root)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return os.path.join(self._dir, key + ".json")
 
     def get(self, key: str, field: str, what: str):
         """The ``field`` of the entry stored under ``key``, or None on a miss.
@@ -328,8 +375,8 @@ class ResponseCache:
         CacheMissError naming the key and ``what`` it was read for.
         """
         try:
-            with open(self._path(key), "rb") as fh:
-                data = fh.read()
+            with open(self._path(key), "rb", buffering=0) as fh:
+                data = fh.readall()
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
@@ -361,7 +408,9 @@ class ResponseCache:
         return removed
 
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self.entries())}
+        with os.scandir(self._dir) as found:
+            entries = sum(entry.name.endswith(".json") for entry in found)
+        return {"hits": self.hits, "misses": self.misses, "entries": entries}
 
 
 class _RecordReplay:
@@ -469,19 +518,36 @@ class CachedEmbedder(_RecordReplay):
                 if not raw or len(raw) % (8 * n):
                     raise ValueError(f"{len(raw)} bytes for {n} vector(s)")
                 rows = np.frombuffer(raw, dtype="<f8").reshape(n, -1).astype(float)
-            elif isinstance(vectors, list) and len(vectors) == n and all(
-                isinstance(v, list) and v and all(type(x) in (float, int) for x in v) for v in vectors
-            ):  # the list form
-                rows = np.array(vectors, dtype=float)  # rows of unequal length raise
-            else:
-                raise ValueError(f"not {n} non-empty list(s) of numbers")
-        except (ValueError, OverflowError) as exc:  # binascii.Error is a ValueError
+            else:  # the list form
+                rows = _vector_rows(vectors, n)
+        except ValueError as exc:  # binascii.Error is a ValueError
             raise CacheMissError(f"cache entry {key} for {what} holds no valid vectors ({exc})") from exc
         return list(rows)
 
     def _to_entry(self, texts, vectors: list[np.ndarray]) -> dict:
         raw = np.asarray(vectors, dtype="<f8").tobytes()
         return {"model": self.model, "vectors": base64.b64encode(raw).decode("ascii")}
+
+
+def _vector_rows(vectors, count: int | None = None) -> np.ndarray:
+    """The one rule for vectors read as JSON, from an embeddings body or a
+    cache entry: a non-empty list of vectors (``count`` of them, if given),
+    each a non-empty list of numbers (int or float, not bool), all of one
+    length. Returns them as the rows of a float64 array; anything else
+    raises ValueError."""
+    if not (
+        isinstance(vectors, list) and vectors and count in (None, len(vectors)) and all(
+            isinstance(v, list) and v and all(type(x) in (float, int) for x in v)
+            for v in vectors
+        )
+    ):
+        raise ValueError(f"not {count or 'one or more'} non-empty list(s) of numbers")
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors of unequal length")
+    try:
+        return np.array(vectors, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"a number beyond float range ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +689,7 @@ class HttpEmbeddingProvider(_HttpClient):
 
 
 def _embedding_vectors(body: dict) -> list[np.ndarray]:
-    vectors = [np.asarray(d["embedding"], dtype=float) for d in body["data"]]
-    if len({v.shape for v in vectors}) > 1:
-        raise ValueError("embedding dimension mismatch within batch")
-    return vectors
+    return list(_vector_rows([d["embedding"] for d in body["data"]]))
 
 
 def env_var_names(provider_name: str) -> tuple[str, str]:

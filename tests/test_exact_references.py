@@ -1,6 +1,6 @@
 """The fast forms of the hot paths, held with ``==`` to the plain forms
 they replaced, which are kept here as references: the request cache key
-spliced from memoised message JSON, st4 recall scored by one matrix
+hashed from memoised message JSON and lead states, st4 recall scored by one matrix
 product, vector cosine, rendering with per-shot memos, st1 retrieval and
 candidate scoring through a token index, the mock backend's prompt sections
 found by ``str.find``, and the mock embedder's inline normal draws."""
@@ -228,6 +228,59 @@ def test_cache_key_matches_json_dumps_of_the_payload(
     expected = reference_request_cache_key(request)
     assert request_cache_key(request) == expected
     assert request_cache_key(request) == expected  # every message's JSON now memoised
+
+
+# Values JSON writes apart although some compare equal: the head and tail
+# memos must not serve one for another.
+SCALARS = st.sampled_from(
+    [-0.0, 0.0, 0, False, 1, True, 1.0, math.nan, math.inf, -math.inf, 0.3, 256]
+)
+
+
+@st.composite
+def request_sequences(draw):
+    """Requests whose leading messages are the same objects, equal but
+    distinct objects, the shared lead less one message, a zero-shot lead
+    ``(system,)`` or nothing, keyed in the drawn order."""
+    system = Message("system", draw(TRICKY))
+    shared = (system, *draw(st.lists(
+        st.builds(Message, st.sampled_from(["user", "assistant"]), TRICKY),
+        min_size=1, max_size=6,
+    )))
+    requests = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(["shared", "equal", "leave-one-out", "zero-shot", "none"]))
+        if kind == "shared":
+            lead = shared
+        elif kind == "equal":
+            lead = tuple(Message(m.role, m.content) for m in shared)
+        elif kind == "leave-one-out":
+            drop = draw(st.integers(min_value=0, max_value=len(shared) - 1))
+            lead = shared[:drop] + shared[drop + 1:]
+        else:
+            lead = (system,) if kind == "zero-shot" else ()
+        requests.append(GenRequest(
+            deployment_name=draw(st.one_of(st.sampled_from(["m1", "m2"]), TRICKY)),
+            messages=(*lead, Message("user", draw(TRICKY))),
+            temperature=draw(SCALARS),
+            max_output_tokens=draw(SCALARS),
+            request_tag="c/st4/m/0",
+            sample_index=draw(SCALARS),
+        ))
+    return requests
+
+
+@given(request_sequences())
+@example([
+    GenRequest("m1", (Message("user", "q"),), temperature=t, max_output_tokens=n, sample_index=i)
+    for t, n, i in [(0.0, 1, 0), (-0.0, 1.0, 0.0), (0, True, False), (-0.0, True, -0.0)]
+])
+def test_cache_keys_of_request_sequences_match_json_dumps(requests):
+    """Key each request twice in order: the first pass fills the lead,
+    head and tail memos, the second is served from them."""
+    expected = [reference_request_cache_key(r) for r in requests]
+    assert [request_cache_key(r) for r in requests] == expected
+    assert [request_cache_key(r) for r in requests] == expected
 
 
 # -- cosine -------------------------------------------------------------------

@@ -168,6 +168,14 @@ class TestRecordReplay:
         assert cache.prune() == 1
         assert cache.entries() == []
 
+    def test_stats_count_the_json_entries_only(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for i in range(3):
+            cache.put(f"k{i}", {"response": {"text": str(i)}})
+        (tmp_path / "k3.json.123-456.tmp").write_text("{", encoding="utf-8")
+        assert cache.stats()["entries"] == len(list(tmp_path.glob("*.json"))) == 3
+        assert cache.entries() == ["k0", "k1", "k2"]
+
 
 @pytest.mark.parametrize(
     "wrapper, inner, ask, asked",
@@ -611,6 +619,37 @@ class TestHttpProvider:
             else:
                 provider.embed(["one", "two"])
         assert len(calls) == 1  # a malformed body is an answer, not a transient failure
+
+    @pytest.mark.parametrize(
+        "embeddings",
+        [
+            [[None, "1.5", True], [1.0, 2.0, 3.0]], [[], []], [[[1.0], [2.0]], [[1.0], [2.0]]],
+            [5, 5], [[True, False], [1.0, 0.0]], [[1.0, 0.0], [1.0]],
+            [[10**400, 0.0], [1.0, 0.0]],
+        ],
+        ids=["null-text-bool", "empty", "nested", "scalar", "bools", "ragged", "huge-int"],
+    )
+    def test_damaged_embeddings_are_malformed_responses(self, embeddings):
+        """The embeddings reader takes each vector by the cache's one rule: a
+        non-empty list of int or float, all vectors of one length."""
+        body = {"data": [{"embedding": e} for e in embeddings]}
+        provider = HttpEmbeddingProvider(
+            "https://api.example/v1", "key",
+            transport=lambda url, payload, headers: FakeResponse(payload=body),
+            sleep=lambda s: None,
+        )
+        with pytest.raises(ProviderError, match="^malformed response from https://api.example/v1/"):
+            provider.embed(["one", "two"])
+
+    def test_embeddings_of_ints_and_floats_are_read(self):
+        body = {"data": [{"embedding": [1, 0.5]}, {"embedding": [0, -2]}]}
+        provider = HttpEmbeddingProvider(
+            "https://api.example/v1", "key",
+            transport=lambda url, payload, headers: FakeResponse(payload=body),
+        )
+        vectors = provider.embed(["one", "two"])
+        assert [v.tolist() for v in vectors] == [[1.0, 0.5], [0.0, -2.0]]
+        assert all(v.dtype == np.float64 for v in vectors)
 
     def test_env_var_names(self):
         assert env_var_names("gpt-5.2") == ("EHRQA_GPT_5_2_ENDPOINT", "EHRQA_GPT_5_2_API_KEY")
