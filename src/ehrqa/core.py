@@ -81,8 +81,11 @@ def as_id(value) -> str | None:
 
 def id_sort_key(sentence_id: str) -> tuple[int, int | str]:
     """Numeric ordering for well-formed IDs, lexicographic fallback otherwise."""
-    if sentence_id.isdigit():
-        return (0, int(sentence_id))
+    if sentence_id.isdecimal():  # isdigit() also holds for "²", which int() rejects
+        try:
+            return (0, int(sentence_id))
+        except ValueError:  # more digits than int() converts (4,300 by default)
+            pass
     return (1, sentence_id)
 
 

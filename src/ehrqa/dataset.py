@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Case, CaseValidationError, EhrqaError, NoteSentence, as_id, id_sort_key
+from .core import (
+    Case,
+    CaseValidationError,
+    EhrqaError,
+    NoteSentence,
+    as_id,
+    atomic_write_text,
+    id_sort_key,
+)
 
 SPLITS = ("dev", "test", "custom")
 FORMATS = ("canonical", "key_overlay")
@@ -219,12 +227,11 @@ def load_cases(
 
 def save_cases(case_file: CaseFile, path: str | Path) -> None:
     """Write the canonical JSONL form (fixed field order, no trailing spaces)."""
-    path = Path(path)
     lines = [
         json.dumps(case_to_record(c), ensure_ascii=False, separators=(", ", ": "))
         for c in case_file.cases
     ]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def case_sort_key(case: Case):

@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
 
 from .core import EhrqaError
 
@@ -226,16 +227,27 @@ def _sari_op_scores(
     Vacuous operations (nothing to keep/add/delete on either side) default
     to a perfect score, so an identity triple scores 1 everywhere.
     """
-    # keep and delete in one pass over the source n-grams. The pass runs in
-    # source key order, the order ``src & cand`` and ``src - cand`` visit
-    # them, and the terms go to ``sum`` as lists, not running totals, so each
-    # float sum sees the same sequence as that Counter algebra did and gives
-    # the same value (``sum`` compensates float rounding from Python 3.12).
+    # keep and delete in one pass over the source n-grams that the candidate
+    # or the reference holds. Every other source n-gram is deleted, and
+    # rightly: it adds 1 to ``deleted`` and the term 1.0 to the delete sum.
+    # The terms go to ``sum`` in source key order, the order ``src & cand``
+    # and ``src - cand`` visit them, with each run of untouched n-grams as
+    # that many 1.0 terms, so each float sum sees the same sequence as that
+    # Counter algebra did and gives the same value (``sum`` compensates
+    # float rounding from Python 3.12).
+    touched = src.keys() & (cand.keys() | ref.keys())
+    is_touched = list(map(touched.__contains__, src)) if touched else ()
     cand_get, ref_get = cand.get, ref.get
-    kept = kept_good = kept_target = deleted = 0
+    kept = kept_good = kept_target = 0
+    deleted = len(src) - len(touched)
     keep_terms: list[float] = []
-    delete_terms: list[float] = []
-    for gram, s in src.items():
+    delete_terms: list = []  # runs of 1.0 and single terms, in source order
+    after = 0  # the source index after the last n-gram visited
+    for at, gram in zip(compress(count(), is_touched), compress(src, is_touched)):
+        if at > after:
+            delete_terms.append(repeat(1.0, at - after))
+        after = at + 1
+        s = src[gram]
         c = cand_get(gram, 0)
         r = ref_get(gram, 0)
         # kept_target: retained by the reference
@@ -253,11 +265,12 @@ def _sari_op_scores(
             d = s - c
             deleted += 1
             if d > r:
-                delete_terms.append((d - r) / d)
+                delete_terms.append(((d - r) / d,))
+    delete_terms.append(repeat(1.0, len(src) - after))
     keep_p = sum(keep_terms) / kept if kept else 1.0
     keep_r = kept_good / kept_target if kept_target else 1.0
     keep_f1 = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p + keep_r > 0 else 0.0
-    del_p = sum(delete_terms) / deleted if deleted else 1.0
+    del_p = sum(chain.from_iterable(delete_terms)) / deleted if deleted else 1.0
 
     # add: n-grams introduced by the candidate, good if the reference has them
     src_keys = src.keys()

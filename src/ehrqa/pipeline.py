@@ -673,7 +673,7 @@ def _st4_policy(cfg: dict, merge: MergePolicy, plan: SamplingPlan) -> MergePolic
         return merge
     try:
         policy = MergePolicy.manual(st4.read_best_threshold(cfg["threshold_file"]))
-    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+    except (OSError, ValueError, ConfigError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"st4.threshold_file: {exc}") from exc
     _check_manual_k("st4.threshold_file", policy, plan)
     return policy

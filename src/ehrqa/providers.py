@@ -21,6 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
@@ -211,7 +212,9 @@ class ScriptedProvider:
         return GenResponse(text=text, deployment_name=request.deployment_name)
 
 
-_NOTE_ID_RE = re.compile(r"^(\d+)\. ", re.MULTILINE)
+# A sentence-ID line, found from the newline before it: the MULTILINE
+# ``^(\d+)\. `` without testing every position for a line start.
+_ID_LINE_RE = re.compile(r"\n(\d+)\. ")
 _NOTE_HEADERS = ("Full note:\n", "Note sentences:\n")
 _MOCK_STAGES = frozenset({"st1ctx", "st1", "st2", "st3s1", "st3s2", "st4"})
 
@@ -236,12 +239,10 @@ class PipelineMockProvider:
         # case_id may itself contain "/".
         return next((part for part in tag.split("/")[1:] if part in _MOCK_STAGES), "")
 
-    @staticmethod
-    def _prompt_text(request: GenRequest) -> str:
-        return "\n\n".join(m.content for m in request.messages)
-
     def _respond(self, stage: str, request: GenRequest) -> str:
-        prompt = self._prompt_text(request)
+        # The prompt is the contents joined by blank lines; _section_ids
+        # reads it without the join.
+        prompt = [m.content for m in request.messages]
         if stage == "st1ctx":
             return json.dumps(
                 {
@@ -290,17 +291,35 @@ class PipelineMockProvider:
         return "[]"
 
     @staticmethod
-    def _section_ids(prompt: str, *headers: str) -> list[str]:
+    def _section_ids(prompt: str | Sequence[str], *headers: str) -> list[str]:
         """The sentence IDs from the earliest of ``headers`` to the next blank
         line or the end of the prompt: the DOTALL match of
-        ``(?:<header>|...)(.*?)(?:\\n\\n|\\Z)``, found by ``str.find``."""
-        found = [(at, len(h)) for h in headers if (at := prompt.find(h)) >= 0]
-        if not found:
-            return []
-        at, length = min(found)
-        start = at + length
-        end = prompt.find("\n\n", start)
-        return _NOTE_ID_RE.findall(prompt[start:] if end < 0 else prompt[start:end])
+        ``(?:<header>|...)(.*?)(?:\\n\\n|\\Z)``, then the lines that start
+        ``<digits>. ``.
+
+        ``prompt`` is the prompt, or the message contents it joins with
+        blank lines; those are searched one by one, up to the first that
+        holds a header, so the prompt is never joined. Each header ends in
+        its only newline, so one that spans two contents ends the first
+        with the newline of the blank line between them.
+        """
+        parts = (prompt,) if isinstance(prompt, str) else prompt
+        for i, part in enumerate(parts):
+            found = [(at, len(h)) for h in headers if (at := part.find(h)) >= 0]
+            if found:
+                at, length = min(found)
+                text, start = part, at + length
+            elif i + 1 < len(parts) and any(part.endswith(h[:-1]) for h in headers):
+                # the section starts at the second newline of the blank line
+                text, start = "\n\n" + parts[i + 1], 1
+            else:
+                continue
+            # A blank line ends the section within ``text``: the one after
+            # a content opens the next. text[start - 1] is the header's
+            # newline, so the first ID line is found from it.
+            end = text.find("\n\n", start)
+            return _ID_LINE_RE.findall(text, start - 1, len(text) if end < 0 else end)
+        return []
 
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI
@@ -310,10 +329,11 @@ class HashEmbedder:
     """Deterministic mock embedder: identical text, identical vector.
 
     A text's vector is ``dim`` draws of ``random.gauss(0, 1)`` from a
-    ``random.Random`` seeded by the text's SHA-256, normalised. The draws
-    are made by ``gauss``'s own Box-Muller steps, inline and with the same
-    scalar ``math`` functions, so every vector equals the ``gauss`` one
-    byte for byte.
+    ``random.Random`` seeded by the first 8 bytes (big-endian) of the
+    text's SHA-256, divided by its norm; a zero vector becomes the first
+    unit vector. ``embed`` makes the draws of all its texts at once, each
+    step equal to the one ``random`` and ``gauss`` take, so every vector
+    equals the ``gauss`` one byte for byte.
     """
 
     def __init__(self, dim: int = 32):
@@ -324,25 +344,43 @@ class HashEmbedder:
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             raise EhrqaError("embed requires a non-empty input list")
-        return [self._vector(t) for t in texts]
-
-    def _vector(self, text: str) -> np.ndarray:
-        seed = int.from_bytes(
-            hashlib.sha256(text.encode("utf-8")).digest()[:8], "big"
+        n, pairs = len(texts), (self.dim + 1) // 2  # gauss makes its normals in pairs
+        # A pair takes two random() calls, each of two 32-bit outputs of the
+        # generator; getrandbits gives a text's outputs as one integer whose
+        # little-endian bytes hold them in the order drawn.
+        nbytes = 16 * pairs
+        sha256 = hashlib.sha256
+        draws = [
+            random.Random(int.from_bytes(sha256(t.encode("utf-8")).digest()[:8], "big"))
+            .getrandbits(8 * nbytes)
+            for t in texts
+        ]
+        words = np.frombuffer(
+            b"".join(map(int.to_bytes, draws, repeat(nbytes), repeat("little"))), "<u4"
         )
-        draw = random.Random(seed).random
-        normals = []
-        for _ in range(0, self.dim, 2):  # gauss makes its normals in pairs
-            x2pi = draw() * _TWOPI
-            g2rad = math.sqrt(-2.0 * math.log(1.0 - draw()))
-            normals += (math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad)
-        # gauss returns mu + z * sigma, which turns a -0.0 into 0.0.
-        vec = 0.0 + np.array(normals[: self.dim]) * 1.0
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            vec[0] = 1.0
-            norm = 1.0
-        return vec / norm
+        # random(): (a*67108864.0+b)*(1.0/9007199254740992.0), a and b the
+        # top 27 and 26 bits of two outputs; every step is exact.
+        a, b = words[0::2] >> 5, words[1::2] >> 6
+        uniform = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        # gauss: x2pi = random() * TWOPI; g2rad = sqrt(-2.0 * log(1.0 -
+        # random())); the pair is cos(x2pi) * g2rad, sin(x2pi) * g2rad. The
+        # math functions are mapped, since NumPy's may round differently.
+        x2pi = (uniform[0::2] * _TWOPI).tolist()
+        logs = np.fromiter(map(math.log, (1.0 - uniform[1::2]).tolist()), float, n * pairs)
+        normals = np.empty((n * pairs, 2))
+        normals[:, 0] = np.fromiter(map(math.cos, x2pi), float, n * pairs)
+        normals[:, 1] = np.fromiter(map(math.sin, x2pi), float, n * pairs)
+        normals *= np.sqrt(-2.0 * logs)[:, None]
+        normals += 0.0  # gauss returns mu + z * sigma: a -0.0 becomes 0.0
+        vectors = normals.reshape(n, 2 * pairs)[:, : self.dim]
+        # np.linalg.norm of a vector is sqrt(v.dot(v)); matmul of a row by
+        # its column takes that same dot product.
+        norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
+        if not norms.all():
+            zero = norms == 0.0
+            vectors[zero, 0] = 1.0
+            norms[zero] = 1.0
+        return list(vectors / norms[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +409,9 @@ class ResponseCache:
     def get(self, key: str, field: str, what: str):
         """The ``field`` of the entry stored under ``key``, or None on a miss.
 
-        An entry that does not parse, or has no ``field``, raises
-        CacheMissError naming the key and ``what`` it was read for.
+        An entry that does not parse (nested too deep included), or has no
+        ``field``, raises CacheMissError naming the key and ``what`` it was
+        read for.
         """
         try:
             with open(self._path(key), "rb", buffering=0) as fh:
@@ -383,7 +422,7 @@ class ResponseCache:
             return None
         try:
             value = json.loads(data)[field]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CacheMissError(
                 f"unreadable cache entry {key} for {what}: no valid {field!r} ({exc})"
             ) from exc
@@ -460,7 +499,20 @@ class ReplayGenerator(_RecordReplay):
     def _call(self, request: GenRequest) -> GenResponse:
         return self.inner.generate(request)
 
-    def _from_entry(self, resp: dict, request, key, what) -> GenResponse:
+    def _from_entry(self, resp, request, key: str, what: str) -> GenResponse:
+        """The cached response: ``text`` and ``deployment_name`` strings and
+        ``latency_ms``, when present, a number (not a bool); anything else
+        raises CacheMissError naming the key."""
+        if not (
+            isinstance(resp, dict)
+            and isinstance(resp.get("text"), str)
+            and isinstance(resp.get("deployment_name"), str)
+            and type(resp.get("latency_ms", 0.0)) in (int, float)
+        ):
+            raise CacheMissError(
+                f"cache entry {key} for {what} holds no valid response: text and "
+                f"deployment_name must be strings and latency_ms a number, not {resp!r:.200}"
+            )
         return GenResponse(
             text=resp["text"],
             deployment_name=resp["deployment_name"],

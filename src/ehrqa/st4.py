@@ -150,7 +150,7 @@ def sweep_threshold(
 def read_best_threshold(path: str | Path) -> int:
     """Read the persisted sweep result back, verbatim."""
     text = Path(path).read_text(encoding="utf-8").strip()
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise ConfigError(f"{path} does not contain a positive integer: {text!r}")
     return int(text)
 

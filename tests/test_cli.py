@@ -618,7 +618,9 @@ class TestSweep:
         assert records  # manual-k merge executed without error
         assert k >= 1
 
-    @pytest.mark.parametrize("content", [None, "three\n", "0\n", b"\xff\n", "directory"])
+    @pytest.mark.parametrize(
+        "content", [None, "three\n", "0\n", "²\n", "9" * 5000 + "\n", b"\xff\n", "directory"]
+    )
     def test_a_bad_threshold_file_fails_the_run_before_any_call(
         self, tmp_path, monkeypatch, capsys, content
     ):

@@ -77,6 +77,17 @@ class TestLoadCases:
         assert out1.read_bytes() == out2.read_bytes()
         assert second.case("a").gold_evidence == frozenset({"2"})
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        # A lone surrogate loads from JSON but cannot be written as UTF-8.
+        src = tmp_path / "src.jsonl"
+        write_jsonl(src, [canonical_record("a", patient_question="Why \ud800?")])
+        out = tmp_path / "out.jsonl"
+        out.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            save_cases(load_cases(src, split_label="dev"), out)
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "src.jsonl"]
+
     def test_key_overlay_merges_gold_fields(self, tmp_path):
         questions = tmp_path / "questions.jsonl"
         key = tmp_path / "key.jsonl"

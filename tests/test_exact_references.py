@@ -3,7 +3,8 @@ they replaced, which are kept here as references: the request cache key
 hashed from memoised message JSON and lead states, st4 recall scored by one matrix
 product, vector cosine, rendering with per-shot memos, st1 retrieval and
 candidate scoring through a token index, the mock backend's prompt sections
-found by ``str.find``, and the mock embedder's inline normal draws."""
+found by ``str.find`` in each message, and the mock embedder's batched
+normal draws."""
 
 import hashlib
 import json
@@ -536,14 +537,66 @@ def test_mock_sections_match_their_regexes(prompt):
         assert PipelineMockProvider._section_ids(prompt, *headers) == expected
 
 
+# A long note section, as in an st4 shot turn.
+LONG_SECTION = "".join(f"{i}. Sentence {i} of the note.\n" for i in range(1, 200))
+
+
+@given(st.lists(st.lists(PROMPT_PARTS, max_size=8).map("".join), min_size=1, max_size=5))
+@example(["System.", "Note sentences:\n" + LONG_SECTION + "\nAnswer sentences:\n1. a"] * 21)
+@example(["x" * 50_000] * 20 + ["Full note:\n" + LONG_SECTION])  # headers only at the end
+@example(["x" * 50_000, "no header\n1. a", "2. b"])  # no header at all
+@example(["Question. Full note:", "1. a\n2. b", "3. c"])  # a header split by the join
+@example(["Full note:", "\n1. a"])  # ... and a blank line right after it
+@example(["Note sentences:", "1. a\n\n2. b"])
+@example(["Answer sentences:", ""])
+@example(["Evidence sentences:", "1. a", "2. b"])  # a section ended by the join
+@example(["Note sentences:\n1. a\n", "2. b"])  # a blank line made by the join
+@example(["Full note:\n", "1. a", "Note sentences:\n2. b"])
+@example(["a", "Answer sentences:\n3. c\n", "Full note:", "4. d"])
+def test_mock_sections_of_messages_match_the_joined_prompt(contents):
+    """The mock reads a request's message contents one by one, as the
+    prompt they make joined by blank lines."""
+    prompt = "\n\n".join(contents)
+    for pattern, headers in SECTION_REFERENCES.items():
+        expected = reference_section_ids(pattern, prompt)
+        assert PipelineMockProvider._section_ids(contents, *headers) == expected
+
+
 # -- mock embedder --------------------------------------------------------------
 
 
 @given(
-    st.sampled_from([2, 3, 5, 32]),
-    st.lists(st.text(max_size=20), min_size=1, max_size=4),
+    st.sampled_from([2, 3, 5, 32, 33]),
+    st.lists(st.text(max_size=20), min_size=1, max_size=64),
 )
 @example(32, ["", "é漢😀", "The note documents the findings."])
+@example(33, [f"note sentence {i}" for i in range(64)])
+@example(2, ["a"])
 def test_hash_embedder_matches_gauss_byte_for_byte(dim, texts):
     vectors = HashEmbedder(dim=dim).embed(texts)
     assert [v.tobytes() for v in vectors] == [reference_vector(t, dim).tobytes() for t in texts]
+
+
+def test_hash_embedder_zero_draws_give_the_first_unit_vector(monkeypatch):
+    """Draws that are all zero make a zero vector, which the embedder
+    replaces with the first unit vector; the other texts of the call keep
+    their own vectors."""
+    zero_seed = int.from_bytes(hashlib.sha256(b"zero").digest()[:8], "big")
+
+    class ZeroForOneText(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.zero = seed == zero_seed
+
+        def getrandbits(self, k):
+            return 0 if self.zero else super().getrandbits(k)
+
+        def random(self):
+            return 0.0 if self.zero else super().random()
+
+    monkeypatch.setattr(random, "Random", ZeroForOneText)  # for both forms
+    texts = ["a", "zero", "b"]
+    vectors = HashEmbedder(dim=5).embed(texts)
+    expected = [reference_vector(t, 5) for t in texts]
+    assert expected[1].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert [v.tobytes() for v in vectors] == [v.tobytes() for v in expected]

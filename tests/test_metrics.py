@@ -272,6 +272,11 @@ class TestReferenceEquivalence:
     @example("", "", "")
     @example("a b c d E " * 24, "a b", "c d")
     @example("a a a b b", "", "a b")
+    @example("a b c d " * 150, "E E", "E")  # no source n-gram touched
+    @example("a b c d a", "a b c d a", "d a b c")  # every source n-gram touched
+    @example("a b a c a d b d c " * 66, "a b c d", "c a b d")  # touched among untouched
+    @example("a b c d E b a " * 85, "", "c d E")  # empty candidate, note-length source
+    @example("a b c d E b a " * 85, "", "")
     def test_sari_op_scores_per_order(self, source, candidate, reference):
         src, cand, ref = (text.lower().split() for text in (source, candidate, reference))
         for n in range(1, 5):
@@ -281,6 +286,9 @@ class TestReferenceEquivalence:
     @given(_sources, _texts, _texts)
     @example("", "", "")
     @example("a b c d E " * 24, "a b", "c d")
+    @example("a b c d " * 150, "E E", "E")
+    @example("a b c d a", "a b c d a", "d a b c")
+    @example("a b c d E b a " * 85, "", "c d E")
     def test_sari(self, source, candidate, reference):
         assert sari(source, candidate, reference) == reference_sari(source, candidate, reference)
 
@@ -297,17 +305,36 @@ class TestReferenceEquivalence:
                 source, candidate, reference
             )
 
-    def test_note_scale_source(self):
+    @staticmethod
+    def check_note_scale_source(sizes):
         rng = random.Random(600)
         words = [f"w{i}" for i in range(40)]
         source, candidate, reference = (
-            " ".join(rng.choice(words) for _ in range(size)) for size in (600, 60, 60)
+            " ".join(rng.choice(words) for _ in range(size)) for size in sizes
         )
         src, cand, ref = (text.split() for text in (source, candidate, reference))
         for n in range(1, 5):
             grams = reference_ngrams(src, n), reference_ngrams(cand, n), reference_ngrams(ref, n)
             assert _sari_op_scores(*grams) == reference_sari_op_scores(*grams)
         assert sari(source, candidate, reference) == reference_sari(source, candidate, reference)
+
+    def test_note_scale_source(self):
+        self.check_note_scale_source((600, 60, 60))
+
+    @pytest.mark.parametrize("sizes", [(600, 15, 24), (600, 0, 24), (600, 0, 0)])
+    def test_note_scale_source_against_short_or_empty_texts(self, sizes):
+        self.check_note_scale_source(sizes)
+
+    def test_untouched_source_ngrams_sum_as_ones_in_place(self):
+        """Delete terms of 1/3 and 2/3 between runs of untouched source
+        n-grams (1.0 each): the float sum depends on where they fall."""
+        untouched = [(f"u{i}",) for i in range(12)]
+        src = Counter(untouched[:5] + [("x",)] * 4 + untouched[5:9] + [("y",)] * 4 + untouched[9:])
+        cand, ref = Counter({("x",): 1, ("y",): 1}), Counter({("x",): 2, ("y",): 1})
+        in_place = [1.0] * 5 + [1 / 3] + [1.0] * 4 + [2 / 3] + [1.0] * 3
+        assert sum(in_place) != sum(sorted(in_place))
+        assert _sari_op_scores(src, cand, ref)[2] == sum(in_place) / 14
+        assert _sari_op_scores(src, cand, ref) == reference_sari_op_scores(src, cand, ref)
 
 
 class TestLeaderboardMean:

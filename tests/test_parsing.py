@@ -80,6 +80,20 @@ class TestParseAlignment:
         text = '[{"answer_id":"10","evidence_id":[]},{"answer_id":"2","evidence_id":[]}]'
         assert [aid for aid, _ in parse_alignment(text)] == ["2", "10"]
 
+    def test_superscript_digit_ids_sort_after_numeric_ones(self):
+        # "²".isdigit() holds but int("²") raises: such an ID is kept, as text
+        text = '[{"answer_id": "²", "evidence_id": ["1"]}, {"answer_id": "10", "evidence_id": ["³", "2"]}]'
+        assert parse_alignment(text) == [("10", {"2", "³"}), ("²", {"1"})]
+        assert parse_alignment('[{"answer_id": "²", "evidence_id": ["1"]}]') == [("²", {"1"})]
+
+    def test_an_id_of_more_digits_than_int_converts_sorts_last(self):
+        long_id = "1" * 5000
+        text = (
+            f'[{{"answer_id": "{long_id}", "evidence_id": ["1"]}}, '
+            '{"answer_id": "2", "evidence_id": []}]'
+        )
+        assert parse_alignment(text) == [("2", set()), (long_id, {"1"})]
+
     def test_scalar_evidence_wrapped(self):
         text = '[{"answer_id":"1","evidence_id":"3"}]'
         assert parse_alignment(text) == [("1", {"3"})]

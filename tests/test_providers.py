@@ -233,8 +233,21 @@ class TestCacheFormat:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"response": {"text": "tru', "[]", '{"request": {}}'],
-        ids=["truncated", "not-an-object", "no-response"],
+        [
+            '{"response": {"text": "tru', "[]", '{"request": {}}',
+            '{"response": 5}', '{"response": {}}',
+            '{"response": {"text": 5, "deployment_name": "d"}}',
+            '{"response": {"text": "t", "deployment_name": ["d"]}}',
+            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": true}}',
+            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": "3"}}',
+            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": null}}',
+            '{"response": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=[
+            "truncated", "not-an-object", "no-response", "response-not-an-object",
+            "response-empty", "text-not-a-string", "deployment-not-a-string",
+            "latency-bool", "latency-text", "latency-null", "nested-too-deep",
+        ],
     )
     def test_unreadable_generator_entry_names_key_and_tag(self, tmp_path, content):
         request = req("c7/st4/m2/0")

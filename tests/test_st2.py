@@ -100,6 +100,10 @@ class TestMergeVotes:
         tally = VoteTally(votes={"10": 1, "2": 1}, total_votes=1)
         assert merge_votes(tally, MergePolicy.union()) == ["2", "10"]
 
+    def test_superscript_digit_ids_sort_after_numeric_ones(self):
+        tally = VoteTally(votes={"²": 1, "10": 1, "3": 1}, total_votes=1)
+        assert merge_votes(tally, MergePolicy.union()) == ["3", "10", "²"]
+
     @given(
         st.dictionaries(
             st.integers(min_value=1, max_value=30).map(str),
@@ -182,6 +186,12 @@ class TestEndToEnd:
             case, [], TRIO_PLAN, trace_provider(), MergePolicy.union()
         )
         assert result.evidence_ids == ["2", "5", "9"]
+
+    def test_superscript_digit_ids_are_dropped_not_fatal(self):
+        case = simple_case("c1", n_sentences=10)
+        provider = ScriptedProvider(handler=lambda request: '["²","3"]')
+        result = run_case(case, [], TRIO_PLAN, provider, MergePolicy.union())
+        assert result.evidence_ids == ["3"]
 
     def test_majority_trace(self):
         case = simple_case("c1", n_sentences=10)

@@ -199,6 +199,14 @@ class TestSweep:
         assert out.read_text() == "2\n"
         assert read_best_threshold(out) == 2
 
+    @pytest.mark.parametrize("content", ["²\n", "0\n", "-2\n", "2.0\n", ""])
+    def test_a_threshold_file_without_a_positive_integer_is_a_config_error(self, tmp_path, content):
+        # "²".isdigit() holds but int("²") raises
+        path = tmp_path / "best_vote_threshold.txt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError, match="does not contain a positive integer"):
+            read_best_threshold(path)
+
     def test_failed_write_keeps_previous_threshold_file(self, tmp_path, monkeypatch):
         out = tmp_path / "best_vote_threshold.txt"
         out.write_text("1\n", encoding="utf-8")
