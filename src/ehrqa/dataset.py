@@ -55,15 +55,6 @@ class CaseFile:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise CaseValidationError(f"duplicate case_ids: {dupes}")
 
-    def case(self, case_id: str) -> Case:
-        for c in self.cases:
-            if c.case_id == case_id:
-                return c
-        raise KeyError(case_id)
-
-    def case_ids(self) -> list[str]:
-        return [c.case_id for c in self.cases]
-
 
 def case_to_record(case: Case) -> dict:
     record = {

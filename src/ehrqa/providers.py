@@ -1,10 +1,10 @@
 """Text-generation and embedding backends behind one small interface.
 
-Four generator flavors: a scriptable mock (tests), a pipeline mock that
-fabricates plausible structured outputs for any prompt (offline smoke
-runs), a retrying HTTP chat client (live), and a record/replay wrapper
-that persists responses content-addressed on the request so whole runs
-replay byte-identically with zero network access.
+Three generator flavors: a pipeline mock that fabricates plausible
+structured outputs for any prompt (offline smoke runs), a retrying HTTP
+chat client (live), and a record/replay wrapper that persists responses
+content-addressed on the request so whole runs replay byte-identically
+with zero network access.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .core import CacheMissError, EhrqaError, ProviderError, atomic_write_text
+from .core import CacheMissError, EhrqaError, ProviderError
 from .prompting import Message, _memo
 
 logger = logging.getLogger(__name__)
@@ -187,29 +187,6 @@ def _array(x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Mocks
-
-
-class ScriptedProvider:
-    """Generator scripted by request_tag; optionally falls back to a handler."""
-
-    def __init__(
-        self,
-        script: dict[str, str] | None = None,
-        handler: Callable[[GenRequest], str] | None = None,
-    ):
-        self.script = dict(script or {})
-        self.handler = handler
-        self.calls: list[str] = []
-
-    def generate(self, request: GenRequest) -> GenResponse:
-        self.calls.append(request.request_tag)
-        if request.request_tag in self.script:
-            text = self.script[request.request_tag]
-        elif self.handler is not None:
-            text = self.handler(request)
-        else:
-            raise ProviderError(f"no scripted response for tag {request.request_tag!r}")
-        return GenResponse(text=text, deployment_name=request.deployment_name)
 
 
 # A sentence-ID line, found from the newline before it: the MULTILINE
@@ -388,11 +365,10 @@ class HashEmbedder:
 
 
 class ResponseCache:
-    """Content-addressed store: one compact JSON file per key.
-
-    Reads take no lock: ``put`` publishes each entry with an atomic rename,
-    so a reader finds either no file or a whole one. The lock guards only
-    the hit and miss counters.
+    """Content-addressed store: one compact JSON file per key, whose first
+    entry is final. Reads take no lock: ``put`` publishes an entry with a
+    hard link, so a reader finds either no file or a whole one that never
+    changes. The lock guards only the hit and miss counters.
     """
 
     def __init__(self, root: str | Path):
@@ -409,32 +385,55 @@ class ResponseCache:
     def get(self, key: str, field: str, what: str):
         """The ``field`` of the entry stored under ``key``, or None on a miss.
 
-        An entry that does not parse (nested too deep included), or has no
-        ``field``, raises CacheMissError naming the key and ``what`` it was
-        read for.
+        An entry that does not parse (nested too deep included), or whose
+        ``field`` is missing or null, raises CacheMissError naming the key
+        and ``what`` it was read for.
         """
         try:
-            with open(self._path(key), "rb", buffering=0) as fh:
-                data = fh.readall()
+            value = self._read(key, field, what)
         except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
+            value = None
+        with self._lock:
+            self.hits += value is not None
+            self.misses += value is None
+        return value
+
+    def found(self, key: str, field: str, what: str):
+        """The ``field`` of the entry a ``put`` found under ``key``; the
+        ``get`` that missed it counts as a hit instead."""
+        value = self._read(key, field, what)
+        with self._lock:
+            self.misses -= 1
+            self.hits += 1
+        return value
+
+    def _read(self, key: str, field: str, what: str):
+        with open(self._path(key), "rb", buffering=0) as fh:
+            data = fh.readall()
         try:
             value = json.loads(data)[field]
+            if value is None:
+                raise ValueError("null")
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CacheMissError(
                 f"unreadable cache entry {key} for {what}: no valid {field!r} ({exc})"
             ) from exc
-        with self._lock:
-            self.hits += 1
         return value
 
-    def put(self, key: str, record: dict) -> None:
-        atomic_write_text(
-            self._path(key),
-            json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
-        )
+    def put(self, key: str, record: dict) -> bool:
+        """Store ``record`` under ``key`` unless the key has an entry, which
+        stays; returns whether it stored. A link fails where the name exists."""
+        path = self._path(key)
+        tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
+        text = json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.link(tmp, path)
+            return True
+        except FileExistsError:
+            return False
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def entries(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob("*.json"))
@@ -457,11 +456,13 @@ class _RecordReplay:
 
     Both modes serve a cached entry when there is one. On a miss, record
     calls the inner backend and persists the result before returning it,
-    so an interrupted recording resumes where it stopped; replay raises
-    CacheMissError naming what was asked. A subclass names the entry
-    ``field`` a hit is served from, the kind of ``backend`` it wraps and
-    the noun a replay miss puts before what was asked (``missing``), and
-    converts between its backend's results and its entries.
+    so an interrupted recording resumes where it stopped (and when another
+    request stored the key's entry meanwhile, serves that entry instead);
+    replay raises CacheMissError naming what was asked. A subclass names
+    the entry ``field`` a hit is served from, the kind of ``backend`` it
+    wraps and the noun a replay miss puts before what was asked
+    (``missing``), and converts between its backend's results and its
+    entries.
     """
 
     field = backend = missing = ""
@@ -477,13 +478,14 @@ class _RecordReplay:
 
     def _serve(self, key: str, what: str, asked):
         value = self.cache.get(key, self.field, what)
-        if value is not None:
-            return self._from_entry(value, asked, key, what)
-        if self.mode == "replay":
-            raise CacheMissError(f"no cached {self.missing}{what} (key {key[:12]})")
-        result = self._call(asked)
-        self.cache.put(key, self._to_entry(asked, result))
-        return result
+        if value is None:
+            if self.mode == "replay":
+                raise CacheMissError(f"no cached {self.missing}{what} (key {key[:12]})")
+            result = self._call(asked)
+            if self.cache.put(key, self._to_entry(asked, result)):
+                return result
+            value = self.cache.found(key, self.field, what)
+        return self._from_entry(value, asked, key, what)
 
 
 class ReplayGenerator(_RecordReplay):
@@ -768,21 +770,10 @@ def provider_from_env(
 # Batches of calls, run inline
 
 
-@dataclass
-class RequestOutcome:
-    request: GenRequest
-    response: GenResponse | None = None
-    error: ProviderError | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.response is not None
-
-
 def gather_responses(
     generator: Generator,
     requests: Sequence[GenRequest],
-) -> list[RequestOutcome]:
+) -> list[GenResponse | None]:
     """Run requests against one backend; see gather_multi."""
     tags = [r.request_tag for r in requests]
     if len(set(tags)) != len(tags):
@@ -790,18 +781,17 @@ def gather_responses(
     return gather_multi([(generator, r) for r in requests])
 
 
-def gather_multi(pairs: Sequence[tuple[Generator, GenRequest]]) -> list[RequestOutcome]:
+def gather_multi(pairs: Sequence[tuple[Generator, GenRequest]]) -> list[GenResponse | None]:
     """Run each request against its own backend, one after another on the
-    caller's thread, in request order.
-
-    A ProviderError is captured in its outcome and the batch goes on; any
-    other error, a CacheMissError included, is re-raised at once.
+    caller's thread, in request order: one response per request, or None
+    where the call raised ProviderError, which is logged. Any other error,
+    a CacheMissError included, is re-raised at once.
     """
-    outcomes = [RequestOutcome(request=req) for _, req in pairs]
-    for (generator, request), outcome in zip(pairs, outcomes):
+    responses: list[GenResponse | None] = []
+    for generator, request in pairs:
         try:
-            outcome.response = generator.generate(request)
+            responses.append(generator.generate(request))
         except ProviderError as exc:
-            outcome.error = exc
+            responses.append(None)
             logger.warning("request %s failed: %s", request.request_tag, exc)
-    return outcomes
+    return responses

@@ -67,9 +67,6 @@ class ClinicalContext:
     findings: tuple[str, ...] = ()
     temporal_urgency_cues: tuple[str, ...] = ()
 
-    def is_empty(self) -> bool:
-        return not any(getattr(self, f) for f in CONTEXT_FIELDS)
-
 
 EMPTY_CONTEXT = ClinicalContext()
 
@@ -172,19 +169,14 @@ def _f1(p, r):
     return 2 * p * r / (p + r)
 
 
-def _set_f1(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
-    if not tokens_a or not tokens_b:
-        return 0.0
+def token_overlap_f1(a: str, b: str) -> float:
+    """Set-based F1 over lowercase punctuation-stripped tokens, the
+    similarity that ``TokenIndex.f1`` computes for a whole pool at once."""
+    tokens_a, tokens_b = _token_set(a), _token_set(b)
     overlap = len(tokens_a & tokens_b)
     if overlap == 0:
         return 0.0
     return _f1(overlap / len(tokens_a), overlap / len(tokens_b))
-
-
-def token_overlap_f1(a: str, b: str) -> float:
-    """Set-based F1 over lowercase punctuation-stripped tokens, the
-    similarity that ``TokenIndex.f1`` computes for a whole pool at once."""
-    return _set_f1(_token_set(a), _token_set(b))
 
 
 def _weighted(type_match, lexical, type_weight: float):
@@ -207,9 +199,10 @@ class TokenIndex:
         self.sizes = np.array(sizes, dtype=np.intp)
 
     def f1(self, tokens: frozenset[str]) -> np.ndarray:
-        """``_set_f1(tokens, row)`` of every row, equal float for float:
-        the counts are exact integers, and ``p``, ``r`` and their F1 are
-        taken in ``_set_f1``'s order on the rows that share a token."""
+        """The set F1 of ``tokens`` with every row, as ``token_overlap_f1``
+        takes it, equal float for float: the counts are exact integers, and
+        ``p``, ``r`` and their F1 are taken in its order on the rows that
+        share a token."""
         lexical = np.zeros(len(self.sizes))
         hits = [self.rows[t] for t in tokens if t in self.rows]
         if hits:
@@ -248,7 +241,7 @@ class GoldStyle:
         return cls(TokenIndex(f.tokens for f in features), Counter(f.qtype for f in features))
 
     def lexical(self, tokens: frozenset[str]) -> float:
-        """The best ``_set_f1`` of ``tokens`` with a gold question, 0.0 when
+        """The best set F1 of ``tokens`` with a gold question, 0.0 when
         there is none. F1 is never negative, so a left-out row read as 0.0
         cannot change the maximum."""
         scores = self.index.f1(tokens)
@@ -299,15 +292,10 @@ class St1Pool:
         return GoldStyle(self.clinician_index, counts, left_out)
 
 
-def _as_pool(pool: St1Pool | Iterable[Case]) -> St1Pool:
-    return pool if isinstance(pool, St1Pool) else St1Pool(pool)
-
-
-def retrieve_shots(case: Case, pool: St1Pool | Iterable[Case], max_n: int = 5) -> list[Case]:
+def retrieve_shots(case: Case, pool: St1Pool, max_n: int = 5) -> list[Case]:
     """Top few-shot cases by hybrid question-type + lexical similarity of
     the patient questions, leaving ``case`` itself out; ties go to the
     smaller case_id, then to the earlier pool row."""
-    pool = _as_pool(pool)
     query = QuestionFeatures.of(case.patient_question)
     type_match = (pool.patient_types == QUESTION_TYPES.index(query.qtype)).astype(float)
     score = _weighted(type_match, pool.patient_index.f1(query.tokens), TYPE_WEIGHT)
@@ -444,16 +432,16 @@ def generate_candidates(
         )
         for deployment, provider in providers
     ]
-    outcomes = gather_multi(pairs)
+    responses = gather_multi(pairs)
     pooled: list[str] = []
     seen: set[str] = set()
     failures = 0
-    for (deployment, _), outcome in zip(providers, outcomes):
-        if not outcome.ok:
+    for (deployment, _), response in zip(providers, responses):
+        if response is None:
             failures += 1
             continue
         try:
-            parsed = parse_st1_candidates(outcome.response.text)
+            parsed = parse_st1_candidates(response.text)
         except ParseError as exc:
             logger.warning("st1 parse failure from %s: %s", deployment, exc)
             failures += 1
@@ -479,7 +467,7 @@ class St1Result:
 
 def run_case(
     case: Case,
-    pool: St1Pool | Iterable[Case],
+    pool: St1Pool,
     providers: list[tuple[str, Generator]],
     constraints: ConstraintConfig = ConstraintConfig(),
     max_shots: int = 5,
@@ -488,7 +476,6 @@ def run_case(
     """Full reformulation pipeline for one case; ``case`` itself is left
     out of the few-shot pool and of the gold style. The first provider
     also extracts the clinical context."""
-    pool = _as_pool(pool)
     context = EMPTY_CONTEXT
     if providers:
         deployment, provider = providers[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Case, ConfigError, MergePolicy, SamplingPlan, id_sort_key, resolve_threshold
+from .core import Case, MergePolicy, SamplingPlan, id_sort_key, resolve_threshold
 from .parsing import parse_id_array
 from .prompting import load_template, render_prompt
 from .providers import Generator, gather_responses
@@ -27,8 +27,8 @@ def run_ensemble(
     extra = {"clinician_question": clinician_question}
     messages = tuple(render_prompt(load_template("st2"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st2", messages, plan)
-    outcomes = gather_responses(provider, requests)
-    return tally_from_runs(parse_runs(outcomes, parse_id_array, case.case_id, "st2"))
+    responses = gather_responses(provider, requests)
+    return tally_from_runs(parse_runs(requests, responses, parse_id_array, case.case_id, "st2"))
 
 
 def merge_votes(tally: VoteTally[str], policy: MergePolicy) -> list[str]:
@@ -49,17 +49,14 @@ def default_confidence_floor(total_runs: int) -> float | None:
 def postprocess_ids(
     ids,
     case: Case,
-    tally: VoteTally[str] | None = None,
+    tally: VoteTally[str],
     confidence_floor: float | None = None,
 ) -> list[str]:
     """Drop invalid IDs and duplicates, sort numerically, and optionally
     drop IDs whose vote fraction falls below the confidence floor."""
-    if confidence_floor is not None and tally is None:
-        raise ConfigError("confidence_floor requires the vote tally")
     valid = set(case.note_ids)
     kept = sorted({i for i in ids if i in valid}, key=id_sort_key)
     if confidence_floor is not None:
-        assert tally is not None
         kept = [
             i
             for i in kept

@@ -59,11 +59,10 @@ class RecallConfig:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
 
 
-def tally_from_runs(runs: list[list[tuple[str, set[str]]]], valid_answer_ids=None) -> LinkVoteTally:
-    """Count each (answer_id, evidence_id) link once per run."""
-    keep = valid_answer_ids
+def tally_from_runs(runs: list[list[tuple[str, set[str]]]], valid_answer_ids) -> LinkVoteTally:
+    """Count each (answer_id, evidence_id) link of a valid answer once per run."""
     return vote.tally_from_runs(
-        [[(a, e) for a, ev_ids in run if keep is None or a in keep for e in ev_ids] for run in runs]
+        [[(a, e) for a, ev_ids in run if a in valid_answer_ids for e in ev_ids] for run in runs]
     )
 
 
@@ -72,25 +71,24 @@ def run_ensemble(
     shots,
     plan: SamplingPlan,
     provider: Generator,
+    answers: list[tuple[str, str]],
     full_answer_context: bool = True,
-    answers: list[tuple[str, str]] | None = None,
     clinician_question: str | None = None,
 ) -> LinkVoteTally:
     """One parse per run; unparseable runs vote for nothing."""
-    answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
-    if not answer_sentences:
+    if not answers:
         raise EhrqaError(f"case {case.case_id}: no answer sentences to align")
     extra = {
-        "answer_block": answer_block(answer_sentences),
+        "answer_block": answer_block(answers),
         "clinician_question": clinician_question,
     }
     if full_answer_context:
         extra["full_answer_block"] = full_answer_block(case.clinician_answer_paragraph)
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st4", messages, plan)
-    outcomes = gather_responses(provider, requests)
-    runs = parse_runs(outcomes, parse_alignment, case.case_id, "st4")
-    return tally_from_runs(runs, valid_answer_ids={aid for aid, _ in answer_sentences})
+    responses = gather_responses(provider, requests)
+    runs = parse_runs(requests, responses, parse_alignment, case.case_id, "st4")
+    return tally_from_runs(runs, valid_answer_ids={aid for aid, _ in answers})
 
 
 def links_at_threshold(tally: LinkVoteTally, threshold: int, valid_note_ids) -> set[Link]:
@@ -106,14 +104,13 @@ def merge_links(
     tally: LinkVoteTally,
     policy: MergePolicy,
     case: Case,
-    answer_ids: list[str] | None = None,
+    answer_ids: list[str],
 ) -> AlignmentList:
     """Threshold the tally into a full alignment: every answer_id present,
     possibly with an empty evidence list."""
     threshold = resolve_threshold(policy, tally.total_votes)
     kept = links_at_threshold(tally, threshold, case.note_ids)
-    all_answers = answer_ids if answer_ids is not None else list(case.answer_ids)
-    by_answer: dict[str, list[str]] = {aid: [] for aid in all_answers}
+    by_answer: dict[str, list[str]] = {aid: [] for aid in answer_ids}
     for aid, eid in kept:
         by_answer.setdefault(aid, []).append(eid)
     return _ordered(by_answer)
@@ -225,16 +222,15 @@ def run_case(
     plan: SamplingPlan | None,
     provider: Generator | None,
     policy: MergePolicy,
+    answers: list[tuple[str, str]],
     recall: RecallConfig = RecallConfig(),
     embedder: Embedder | None = None,
     full_answer_context: bool = True,
-    answers: list[tuple[str, str]] | None = None,
     clinician_question: str | None = None,
 ) -> St4Result:
-    """Ensemble alignment for one case; with no plan this degrades to the
-    embedding-only baseline (vote nothing, recall everything)."""
-    answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
-    answer_ids = [aid for aid, _ in answer_sentences]
+    """Ensemble alignment of ``answers`` for one case; with no plan this
+    degrades to the embedding-only baseline (vote nothing, recall everything)."""
+    answer_ids = [aid for aid, _ in answers]
     if plan is None or provider is None:
         alignment: AlignmentList = [(aid, []) for aid in answer_ids]
         tally = None
@@ -244,8 +240,8 @@ def run_case(
             shots,
             plan,
             provider,
+            answers,
             full_answer_context=full_answer_context,
-            answers=answers,
             clinician_question=clinician_question,
         )
         alignment = merge_links(tally, policy, case, answer_ids=answer_ids)

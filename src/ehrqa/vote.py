@@ -20,7 +20,7 @@ from typing import Generic, TypeVar
 from .core import ConfigError, EhrqaError, ParseError, SamplingPlan
 from .metrics import _prf_from_counts
 from .prompting import Message
-from .providers import GenRequest, RequestOutcome
+from .providers import GenRequest, GenResponse
 
 logger = logging.getLogger(__name__)
 
@@ -68,23 +68,24 @@ def plan_requests(
 
 
 def parse_runs(
-    outcomes: Sequence[RequestOutcome],
+    requests: Sequence[GenRequest],
+    responses: Sequence[GenResponse | None],
     parse: Callable[[str], Iterable],
     case_id: str,
     subtask: str,
 ) -> list[Iterable]:
-    """Parse each outcome into one run; a failed call or an unparseable
-    response votes for nothing."""
+    """Parse each request's response, None for a failed call, into one run;
+    a failed call or an unparseable response votes for nothing."""
     runs: list[Iterable] = []
     parsed_any = False
-    for outcome in outcomes:
+    for request, response in zip(requests, responses, strict=True):
         run: Iterable = ()
-        if outcome.ok:
+        if response is not None:
             try:
-                run = parse(outcome.response.text)
+                run = parse(response.text)
                 parsed_any = True
             except ParseError as exc:
-                tag = outcome.request.request_tag
+                tag = request.request_tag
                 logger.warning("%s run %s unparseable, counting as empty: %s", subtask, tag, exc)
         runs.append(run)
     if not parsed_any:

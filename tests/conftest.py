@@ -1,10 +1,33 @@
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from ehrqa.core import Case, EhrqaError, NoteSentence, ProviderError
 from ehrqa.providers import GenRequest, GenResponse
+
+
+class ScriptedProvider:
+    """Generator scripted by request_tag; optionally falls back to a handler."""
+
+    def __init__(
+        self,
+        script: dict[str, str] | None = None,
+        handler: Callable[[GenRequest], str] | None = None,
+    ):
+        self.script = dict(script or {})
+        self.handler = handler
+        self.calls: list[str] = []
+
+    def generate(self, request: GenRequest) -> GenResponse:
+        self.calls.append(request.request_tag)
+        if request.request_tag in self.script:
+            text = self.script[request.request_tag]
+        elif self.handler is not None:
+            text = self.handler(request)
+        else:
+            raise ProviderError(f"no scripted response for tag {request.request_tag!r}")
+        return GenResponse(text=text, deployment_name=request.deployment_name)
 
 
 class FailingProvider:

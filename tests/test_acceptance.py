@@ -13,7 +13,7 @@ from ehrqa.core import ConstraintConfig, MergePolicy, PlanMember, SamplingPlan, 
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.metrics import bleu, link_prf, macro_prf, micro_prf, rouge_lsum, rouge_n
 from ehrqa.pipeline import policy_from_config, resolve_config, run_pipeline
-from ehrqa.providers import HashEmbedder, ScriptedProvider, cosine
+from ehrqa.providers import HashEmbedder, cosine
 from ehrqa.st1 import select_candidate
 from ehrqa.st2 import merge_votes, run_case as st2_run_case, tally_from_runs
 from ehrqa.st3 import stage1_draft, stage2_rewrite
@@ -25,7 +25,7 @@ from ehrqa.st4 import (
     recall_augment,
     sweep_threshold,
 )
-from tests.conftest import simple_case
+from tests.conftest import ScriptedProvider, simple_case
 
 
 def _report(criterion: int, label: str) -> None:

@@ -311,7 +311,7 @@ class TestResolveConfig:
     def test_a_manual_k_above_the_plans_votes_fails_before_any_call(
         self, tmp_path, monkeypatch, subtask, votes
     ):
-        from ehrqa.providers import ScriptedProvider
+        from tests.conftest import ScriptedProvider
 
         backend = ScriptedProvider(handler=lambda request: "[]")
         monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
@@ -332,7 +332,7 @@ class TestResolveConfig:
     def test_a_threshold_file_above_the_plans_votes_fails_before_any_call(
         self, tmp_path, monkeypatch
     ):
-        from ehrqa.providers import ScriptedProvider
+        from tests.conftest import ScriptedProvider
 
         backend = ScriptedProvider(handler=lambda request: "[]")
         monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
@@ -625,7 +625,7 @@ class TestSweep:
         self, tmp_path, monkeypatch, capsys, content
     ):
         from ehrqa import pipeline
-        from ehrqa.providers import ScriptedProvider
+        from tests.conftest import ScriptedProvider
 
         threshold = tmp_path / "best_vote_threshold.txt"
         if content == "directory":
@@ -651,7 +651,7 @@ class TestSweep:
         """Every case is checked before the first call: only the last case
         has no gold, and no case makes a call."""
         from ehrqa import pipeline
-        from ehrqa.providers import ScriptedProvider
+        from tests.conftest import ScriptedProvider
 
         cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
         cases[-1]["gold_alignments"] = cases[-1]["gold_evidence"] = None
@@ -666,7 +666,7 @@ class TestSweep:
         assert backend.calls == []
 
     def test_an_st4_sweep_needs_answer_sentences_to_align(self, tmp_path, monkeypatch):
-        from ehrqa.providers import ScriptedProvider
+        from tests.conftest import ScriptedProvider
 
         cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
         cases[-1]["answer_sentences"] = cases[-1]["gold_alignments"] = []
@@ -685,7 +685,7 @@ class TestSweep:
     ):
         """The gold alignments are keyed on the key's answer sentences, and
         an embedding_only st4 casts no votes."""
-        from ehrqa.providers import ScriptedProvider
+        from tests.conftest import ScriptedProvider
 
         backend = ScriptedProvider(handler=lambda request: "[]")
         monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)

@@ -4,6 +4,8 @@ own thread in a fixed order, calls in flight stay within their bound, a
 replay reads its cache on the calling thread, and live clients are built
 once per deployment."""
 
+import dataclasses
+import itertools
 import json
 import logging
 import random
@@ -210,6 +212,54 @@ def test_a_recording_still_overlaps_its_calls(tmp_path, monkeypatch):
     run_pipeline(replay_config(tmp_path, cases, "record", 2, "out", **ALL_SUBTASKS))
     assert len(built) == 1
     assert built[0].peak > 1
+
+
+class CountingRewrites(PipelineMockProvider):
+    """The pipeline mock, except that each st3 rewrite waits 2 ms and then
+    ends with how many rewrites came before it, as a sampled model's
+    reply varies from call to call. Cases with the same prompt share a
+    cache key, and at ``workers > 1`` their rewrites overlap."""
+
+    def __init__(self):
+        self.rewrites = itertools.count()
+
+    def generate(self, request):
+        response = super().generate(request)
+        if self._stage(request.request_tag) != "st3s2":
+            return response
+        time.sleep(0.002)
+        return dataclasses.replace(response, text=f"{response.text} ({next(self.rewrites)})")
+
+
+def test_a_recording_replays_to_what_it_recorded(tmp_path, monkeypatch):
+    """A key's first entry is final, and the request that finds it written
+    serves it: a recording at ``workers=8`` whose racing requests got
+    different replies replays to its own outputs, with no miss."""
+    monkeypatch.setattr(pipeline, "PipelineMockProvider", CountingRewrites)
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    for rep in range(10):
+        root = tmp_path / str(rep)
+        run_pipeline(replay_config(root, cases, "record", 8, "record", **ALL_SUBTASKS))
+        manifest = run_pipeline(replay_config(root, cases, "replay", 1, "replay", **ALL_SUBTASKS))
+        assert manifest["cache"]["misses"] == 0
+        recorded, replayed = tree_bytes(root / "record"), tree_bytes(root / "replay")
+        outputs = [name for name in recorded if name.startswith("st")]
+        assert len(outputs) == 5  # st1_candidates and st1-st4
+        assert all(recorded[name] == replayed[name] for name in outputs), rep
+
+
+def test_a_recordings_cache_counts_do_not_depend_on_workers(tmp_path, monkeypatch):
+    seeds = itertools.count()
+    monkeypatch.setattr(pipeline, "PipelineMockProvider", lambda: FuzzGenerator(next(seeds)))
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    counts = {}
+    for workers in (1, 2, 8):
+        for rep in range(3):
+            root = tmp_path / f"w{workers}-{rep}"
+            config = replay_config(root, cases, "record", workers, "out", **ALL_SUBTASKS)
+            counts[workers, rep] = run_pipeline(config)["cache"]
+    assert counts[1, 0]["hits"] > 0 and counts[1, 0]["misses"] > 0
+    assert all(count == counts[1, 0] for count in counts.values())
 
 
 def test_no_case_queued_behind_a_failed_case_starts():

@@ -43,7 +43,7 @@ class TestLoadCases:
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("a"), canonical_record("b")])
         loaded = load_cases(path)
-        assert loaded.case_ids() == ["a", "b"]
+        assert [c.case_id for c in loaded.cases] == ["a", "b"]
 
     def test_duplicate_sentence_id_names_case(self, tmp_path):
         path = tmp_path / "cases.jsonl"
@@ -75,7 +75,8 @@ class TestLoadCases:
         out2 = tmp_path / "out2.jsonl"
         save_cases(second, out2)
         assert out1.read_bytes() == out2.read_bytes()
-        assert second.case("a").gold_evidence == frozenset({"2"})
+        assert second.cases[0].case_id == "a"
+        assert second.cases[0].gold_evidence == frozenset({"2"})
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         # A lone surrogate loads from JSON but cannot be written as UTF-8.
@@ -112,7 +113,8 @@ class TestLoadCases:
             ],
         )
         loaded = load_cases(questions, format="key_overlay", key_path=key, split_label="dev")
-        case = loaded.case("a")
+        (case,) = loaded.cases
+        assert case.case_id == "a"
         assert case.clinician_question == "Why was the stent placed urgently?"
         assert case.gold_evidence == frozenset({"2"})
         assert case.clinician_answer_paragraph == "A stent was placed."
@@ -204,9 +206,9 @@ class TestFewShotPool:
 
     def test_does_not_mutate_file(self):
         file = self.make_file(5)
-        before = file.case_ids()
+        before = [c.case_id for c in file.cases]
         few_shot_pool(file, exclude_case_id="1")
-        assert file.case_ids() == before
+        assert [c.case_id for c in file.cases] == before
 
 
 def test_toy_dataset_loads_and_has_gold():

@@ -13,7 +13,7 @@ from ehrqa.prompting import (
     render_prompt,
     scaffold_slots,
 )
-from ehrqa.providers import ScriptedProvider
+from tests.conftest import ScriptedProvider
 from ehrqa.st1 import extract_context
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"

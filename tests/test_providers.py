@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ from ehrqa.prompting import Message
 from ehrqa.providers import (
     CachedEmbedder,
     GenRequest,
+    GenResponse,
     HashEmbedder,
     HttpChatProvider,
     HttpEmbeddingProvider,
@@ -25,14 +28,13 @@ from ehrqa.providers import (
     ReplayGenerator,
     ResponseCache,
     RetryPolicy,
-    ScriptedProvider,
     cosine,
     embed_cache_key,
     env_var_names,
     gather_responses,
     request_cache_key,
 )
-from tests.conftest import FailingProvider
+from tests.conftest import FailingProvider, ScriptedProvider
 from tests.test_cli import tree_bytes
 
 
@@ -210,6 +212,33 @@ class TestRecordReplayContract:
         assert backend.calls == 0
         assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
 
+    def test_an_entry_stored_during_the_call_is_served(self, tmp_path, wrapper, inner, ask, asked):
+        """Another request stores the key while this one calls its backend:
+        that first entry stays, and this request serves it as a hit."""
+        first = wrapper(ResponseCache(tmp_path), inner, "record")
+        late = LateBackend(lambda: ask(first))
+        second = wrapper(ResponseCache(tmp_path), late, "record")
+        assert ask(second) == late.first
+        assert ask(wrapper(ResponseCache(tmp_path), None, "replay")) == late.first
+        assert first.cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+        assert second.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+
+
+class LateBackend:
+    """A backend whose call first runs ``record_first``, which stores the
+    key of the call, and then returns a reply unlike the stored one."""
+
+    def __init__(self, record_first):
+        self.record_first = record_first
+
+    def generate(self, request):
+        self.first = self.record_first()
+        return GenResponse("late", request.deployment_name)
+
+    def embed(self, texts):
+        self.first = self.record_first()
+        return [np.full(3, 0.5) for _ in texts]
+
 
 class TestCacheFormat:
     @pytest.mark.parametrize("prompt_chars", [1_000, 200_000])
@@ -242,11 +271,13 @@ class TestCacheFormat:
             '{"response": {"text": "t", "deployment_name": "d", "latency_ms": "3"}}',
             '{"response": {"text": "t", "deployment_name": "d", "latency_ms": null}}',
             '{"response": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            '{"response": null}',
         ],
         ids=[
             "truncated", "not-an-object", "no-response", "response-not-an-object",
             "response-empty", "text-not-a-string", "deployment-not-a-string",
             "latency-bool", "latency-text", "latency-null", "nested-too-deep",
+            "response-null",
         ],
     )
     def test_unreadable_generator_entry_names_key_and_tag(self, tmp_path, content):
@@ -268,12 +299,13 @@ class TestCacheFormat:
             '{"vectors": {"a": 1, "b": 2}}',
             '{"vectors": "AAAA AAAAAAAAAAAAAAAAAAA="}', '{"vectors": "AAAAAAAAAAA="}',
             '{"vectors": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}', '{"vectors": ""}',
+            '{"vectors": null}',
         ],
         ids=[
             "truncated", "no-vectors", "wrong-count", "list-ragged", "list-empty-rows",
             "list-nulls", "list-text-value", "list-bools", "list-huge-int", "not-a-list",
             "invalid-base64", "base64-one-vector-for-two", "base64-wrong-byte-count",
-            "base64-empty",
+            "base64-empty", "vectors-null",
         ],
     )
     def test_unreadable_embedding_entry_names_key(self, tmp_path, content):
@@ -289,6 +321,14 @@ class TestCacheFormat:
         cache.put("k", {"response": {"text": "x"}})
         assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
         assert (tmp_path / "k.json").read_text(encoding="utf-8") == '{"response":{"text":"x"}}'
+
+    def test_put_keeps_a_keys_first_entry(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        assert cache.put("k", {"response": {"text": "first"}}) is True
+        written = (tmp_path / "k.json").read_bytes()
+        assert cache.put("k", {"response": {"text": "second"}}) is False
+        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+        assert (tmp_path / "k.json").read_bytes() == written == b'{"response":{"text":"first"}}'
 
     def test_concurrent_replay_identical_and_counted(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -312,6 +352,28 @@ class TestCacheFormat:
             sys.setswitchinterval(interval)
         assert all(texts == [f"reply to {r.request_tag}" for r in requests] for texts in results)
         assert replayer.cache.stats() == {"hits": 8 * 50, "misses": 0, "entries": 50}
+
+
+    def test_concurrent_records_of_one_key_serve_its_first_entry(self, tmp_path):
+        replies = itertools.count()
+
+        def reply(request):
+            time.sleep(0.001)  # so that the threads' calls overlap
+            return f"reply {next(replies)}"
+
+        script = ScriptedProvider(handler=reply)
+        recorder = ReplayGenerator(ResponseCache(tmp_path), inner=script, mode="record")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                responses = pool.map(lambda _: recorder.generate(req()), range(64), timeout=60)
+                texts = [response.text for response in responses]
+        finally:
+            sys.setswitchinterval(interval)
+        stored = ReplayGenerator(ResponseCache(tmp_path)).generate(req()).text
+        assert texts == [stored] * 64
+        assert recorder.cache.stats() == {"hits": 63, "misses": 1, "entries": 1}
 
 
 class TestEmbedders:
@@ -671,18 +733,17 @@ class TestHttpProvider:
 class TestGatherResponses:
     def test_results_in_request_order_despite_scheduling(self):
         provider = ScriptedProvider(handler=lambda r: r.request_tag)
-        outcomes = gather_responses(provider, [req("b"), req("a"), req("c")])
+        responses = gather_responses(provider, [req("b"), req("a"), req("c")])
         assert provider.calls == ["b", "a", "c"]  # made inline, one after another
-        assert [o.request.request_tag for o in outcomes] == ["b", "a", "c"]
-        assert [o.response.text for o in outcomes] == ["b", "a", "c"]
+        assert [r.text for r in responses] == ["b", "a", "c"]
 
-    def test_failures_captured_not_raised(self):
+    def test_failures_captured_not_raised(self, caplog):
         provider = ScriptedProvider({"ok": "fine"})
-        outcomes = gather_responses(provider, [req("missing"), req("ok")])
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, ProviderError)
-        assert outcomes[1].ok  # the batch went on past the failure
-        assert outcomes[1].response.text == "fine"
+        with caplog.at_level("WARNING"):
+            responses = gather_responses(provider, [req("missing"), req("ok")])
+        assert responses[0] is None
+        assert "request missing failed: no scripted response for tag 'missing'" in caplog.text
+        assert responses[1].text == "fine"  # the batch went on past the failure
 
     @pytest.mark.parametrize("threads", [None, 1, 2])
     @pytest.mark.parametrize(

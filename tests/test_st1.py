@@ -9,8 +9,8 @@ from ehrqa import st1 as st1_module
 from ehrqa.core import ConstraintConfig, SubtaskError, count_words, strip_token_punct
 from ehrqa.dataset import CaseFile, save_cases
 from ehrqa.pipeline import resolve_config, run_pipeline
-from ehrqa.providers import ScriptedProvider
 from ehrqa.st1 import (
+    EMPTY_CONTEXT,
     QUESTION_TYPES,
     CandidateScore,
     ClinicalContext,
@@ -26,7 +26,7 @@ from ehrqa.st1 import (
     select_candidate,
     token_overlap_f1,
 )
-from tests.conftest import simple_case
+from tests.conftest import ScriptedProvider, simple_case
 
 
 def reference_token_f1(a, b):
@@ -79,13 +79,13 @@ class TestRetrieveShots:
     def test_pool_of_one(self):
         case = simple_case("t")
         pool = [simple_case("p1", patient_question="Anything else?")]
-        assert retrieve_shots(case, pool) == pool
+        assert retrieve_shots(case, St1Pool(pool)) == pool
 
     def test_identical_question_ranks_first(self):
         case = simple_case("t", patient_question="Why was the stent urgent?")
         twin = simple_case("p1", patient_question="Why was the stent urgent?")
         other = simple_case("p2", patient_question="Something unrelated entirely here.")
-        assert retrieve_shots(case, [other, twin], max_n=2)[0] is twin
+        assert retrieve_shots(case, St1Pool([other, twin]), max_n=2)[0] is twin
 
     def test_type_match_breaks_equal_lexical(self):
         # equal lexical overlap with the target; only the question type differs
@@ -96,13 +96,13 @@ class TestRetrieveShots:
         lex_why = token_overlap_f1(case.patient_question, why_case.patient_question)
         lex_what = token_overlap_f1(case.patient_question, what_case.patient_question)
         assert lex_why == pytest.approx(2 / 9) == lex_what
-        shots = retrieve_shots(case, [what_case, why_case], max_n=2)
+        shots = retrieve_shots(case, St1Pool([what_case, why_case]), max_n=2)
         assert shots[0] is why_case
 
     def test_max_n(self):
         case = simple_case("t")
         pool = [simple_case(f"p{i}") for i in range(9)]
-        assert len(retrieve_shots(case, pool, max_n=5)) == 5
+        assert len(retrieve_shots(case, St1Pool(pool), max_n=5)) == 5
 
 
 class TestExtractContext:
@@ -134,11 +134,11 @@ class TestExtractContext:
             }
         )
         provider = ScriptedProvider({"c1/st1ctx/0": response})
-        assert extract_context(case, provider).is_empty()
+        assert extract_context(case, provider) == EMPTY_CONTEXT
 
     def test_provider_failure_yields_empty_context(self):
         case = simple_case("c1")
-        assert extract_context(case, ScriptedProvider({})).is_empty()
+        assert extract_context(case, ScriptedProvider({})) == EMPTY_CONTEXT
 
     def test_empty_question_yields_empty_context(self):
         case = simple_case("c1", patient_question=" ")
@@ -147,12 +147,12 @@ class TestExtractContext:
              "findings": [], "temporal_urgency_cues": []}
         )
         provider = ScriptedProvider({"c1/st1ctx/0": response})
-        assert extract_context(case, provider).is_empty()
+        assert extract_context(case, provider) == EMPTY_CONTEXT
 
     def test_unparseable_yields_empty_context(self):
         case = simple_case("c1")
         provider = ScriptedProvider({"c1/st1ctx/0": "not json at all"})
-        assert extract_context(case, provider).is_empty()
+        assert extract_context(case, provider) == EMPTY_CONTEXT
 
     def test_note_grounding_widens_verbatim_sources(self):
         # the span appears only in the note, not the patient question
@@ -162,7 +162,7 @@ class TestExtractContext:
              "findings": ["note sentence number 2"], "temporal_urgency_cues": []}
         )
         provider = ScriptedProvider(handler=lambda r: response)
-        assert extract_context(case, provider, include_note=False).is_empty()
+        assert extract_context(case, provider, include_note=False) == EMPTY_CONTEXT
         grounded = extract_context(case, provider, include_note=True)
         assert grounded.findings == ("note sentence number 2",)
 
@@ -324,7 +324,7 @@ class TestRunCase:
                           "CANDIDATE_2: Was this my fault?",
         }
         providers = [("m", ScriptedProvider(script))]
-        result = run_case(case, pool, providers)
+        result = run_case(case, St1Pool(pool), providers)
         assert result.clinician_question == "Why was the stent placed so urgently?"
         assert count_words(result.clinician_question) <= 15
 
@@ -405,7 +405,7 @@ class TestPoolFeatures:
 
 def _st1_work(tmp_path, n: int, monkeypatch) -> tuple[int, int]:
     """Calls to st1's token-punctuation stripper and to its per-pair
-    Python scorer ``_set_f1`` in one st1 run over n cases."""
+    Python scorer ``token_overlap_f1`` in one st1 run over n cases."""
     openers = ["Why was", "What is", "How long was", "Was", "When did"]
     topics = ["the stent", "my dose", "the scan", "it done", "the fever", "the rash"]
     cases = tuple(
@@ -435,10 +435,10 @@ def _st1_work(tmp_path, n: int, monkeypatch) -> tuple[int, int]:
         return counted
 
     with monkeypatch.context() as patch:
-        for name in ("strip_token_punct", "_set_f1"):
+        for name in ("strip_token_punct", "token_overlap_f1"):
             patch.setattr(st1_module, name, counting(name, getattr(st1_module, name)))
         run_pipeline(config)
-    return calls["strip_token_punct"], calls["_set_f1"]
+    return calls["strip_token_punct"], calls["token_overlap_f1"]
 
 
 def test_st1_work_grows_linearly_with_cases(tmp_path, monkeypatch):

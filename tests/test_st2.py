@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehrqa.core import ConfigError, MergePolicy, PlanMember, SamplingPlan
-from ehrqa.providers import ScriptedProvider
 from ehrqa.st2 import (
     VoteTally,
     default_confidence_floor,
@@ -15,7 +14,7 @@ from ehrqa.st2 import (
     run_ensemble,
     tally_from_runs,
 )
-from tests.conftest import simple_case
+from tests.conftest import ScriptedProvider, simple_case
 
 TRIO_PLAN = SamplingPlan(
     members=(
@@ -146,9 +145,12 @@ class TestMergeVotes:
 
 
 class TestPostprocess:
+    # The tally of one run that voted for nothing; no floor reads it.
+    NO_VOTES = VoteTally(votes={}, total_votes=1)
+
     def test_invalid_and_duplicates_removed(self):
         case = simple_case("c1", n_sentences=10)
-        assert postprocess_ids(["5", "2", "2", "99"], case) == ["2", "5"]
+        assert postprocess_ids(["5", "2", "2", "99"], case, self.NO_VOTES) == ["2", "5"]
 
     def test_confidence_floor(self):
         case = simple_case("c1", n_sentences=10)
@@ -157,19 +159,15 @@ class TestPostprocess:
         assert kept == ["2"]  # 1/3 < 0.34
 
     def test_empty(self):
-        assert postprocess_ids([], simple_case("c1")) == []
-
-    def test_floor_without_tally_rejected(self):
-        with pytest.raises(ConfigError):
-            postprocess_ids(["1"], simple_case("c1"), confidence_floor=0.5)
+        assert postprocess_ids([], simple_case("c1"), self.NO_VOTES) == []
 
     def test_idempotent(self):
         case = simple_case("c1", n_sentences=10)
         rng = random.Random(5)
         for _ in range(25):
             ids = [str(rng.randint(1, 15)) for _ in range(rng.randint(0, 8))]
-            once = postprocess_ids(ids, case)
-            assert postprocess_ids(once, case) == once
+            once = postprocess_ids(ids, case, self.NO_VOTES)
+            assert postprocess_ids(once, case, self.NO_VOTES) == once
 
     def test_default_floor_rule(self):
         assert default_confidence_floor(2) is None

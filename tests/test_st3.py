@@ -10,7 +10,6 @@ from ehrqa.providers import (
     HashEmbedder,
     ReplayGenerator,
     ResponseCache,
-    ScriptedProvider,
     cosine,
     request_cache_key,
 )
@@ -26,7 +25,7 @@ from ehrqa.st3 import (
     strip_markers,
     truncate_words,
 )
-from tests.conftest import FailingProvider, FixedEmbedder, simple_case
+from tests.conftest import FailingProvider, FixedEmbedder, ScriptedProvider, simple_case
 
 CONSTRAINTS = ConstraintConfig()
 MARKER_RE = re.compile(r"\[\d+\]")

@@ -14,7 +14,7 @@ from ehrqa.core import (
     SamplingPlan,
 )
 from ehrqa.metrics import micro_prf
-from ehrqa.providers import HashEmbedder, ScriptedProvider
+from ehrqa.providers import HashEmbedder
 from ehrqa.st4 import (
     LinkVoteTally,
     RecallConfig,
@@ -28,7 +28,7 @@ from ehrqa.st4 import (
     sweep_threshold,
     tally_from_runs,
 )
-from tests.conftest import FixedEmbedder, simple_case
+from tests.conftest import FixedEmbedder, ScriptedProvider, simple_case
 
 
 def align_case(case_id="c1"):
@@ -42,6 +42,10 @@ def align_case(case_id="c1"):
     )
 
 
+# The (id, text) answer sentences and the answer IDs of align_case.
+ANSWERS = list(align_case().clinician_answer_sentences)
+ANSWER_IDS = [aid for aid, _ in ANSWERS]
+
 TRIO_PLAN = SamplingPlan(
     members=(PlanMember("m1", 0.0, 1), PlanMember("m2", 0.0, 1), PlanMember("m3", 0.0, 1))
 )
@@ -54,13 +58,13 @@ class TestTally:
             [("1", {"3"})],
             [("1", {"7"}), ("2", {"5"})],
         ]
-        tally = tally_from_runs(runs)
+        tally = tally_from_runs(runs, valid_answer_ids={"1", "2"})
         assert tally.votes == {("1", "3"): 2, ("1", "7"): 2, ("2", "5"): 1}
         assert tally.total_votes == 3
 
     def test_link_counted_once_per_run(self):
         runs = [[("1", {"3"}), ("1", {"3"})]]  # duplicate within one run
-        tally = tally_from_runs(runs)
+        tally = tally_from_runs(runs, valid_answer_ids={"1", "2"})
         assert tally.votes == {("1", "3"): 1}
 
     def test_unknown_answer_ids_filtered(self):
@@ -69,7 +73,7 @@ class TestTally:
         assert tally.votes == {("1", "3"): 1}
 
     def test_empty_everywhere(self):
-        tally = tally_from_runs([[], [], []])
+        tally = tally_from_runs([[], [], []], valid_answer_ids={"1", "2"})
         assert tally.votes == {}
         assert tally.total_votes == 3
 
@@ -88,7 +92,7 @@ class TestRunEnsemble:
         )
 
     def test_three_scripted_runs(self):
-        tally = run_ensemble(align_case(), [], TRIO_PLAN, self.scripted())
+        tally = run_ensemble(align_case(), [], TRIO_PLAN, self.scripted(), ANSWERS)
         assert tally.votes == {("1", "3"): 2, ("1", "7"): 2, ("2", "5"): 1}
         assert tally.total_votes == 3
 
@@ -98,7 +102,7 @@ class TestRunEnsemble:
             extra_zero_temp_run=True,
         )
         provider = ScriptedProvider(handler=lambda r: "[]")
-        tally = run_ensemble(align_case(), [], plan, provider)
+        tally = run_ensemble(align_case(), [], plan, provider, ANSWERS)
         assert tally.total_votes == 6  # 2*2 + 2
 
     def test_full_answer_context_included_when_enabled(self):
@@ -108,7 +112,7 @@ class TestRunEnsemble:
             seen["prompt"] = request.messages[-1].content
             return "[]"
 
-        run_ensemble(align_case(), [], TRIO_PLAN, ScriptedProvider(handler=handler))
+        run_ensemble(align_case(), [], TRIO_PLAN, ScriptedProvider(handler=handler), ANSWERS)
         assert "Full clinician answer (for context):" in seen["prompt"]
 
     @pytest.mark.parametrize("full_answer_context", [True, False])
@@ -123,7 +127,7 @@ class TestRunEnsemble:
 
         run_ensemble(
             align_case("c1"), [align_case("c2")], TRIO_PLAN, ScriptedProvider(handler=handler),
-            full_answer_context=full_answer_context,
+            ANSWERS, full_answer_context=full_answer_context,
         )
         turns = seen[0]
         assert len(turns) == 2  # the shot's turn and the query's
@@ -133,7 +137,10 @@ class TestRunEnsemble:
     def test_no_answer_sentences_is_error(self):
         case = simple_case("c1")
         with pytest.raises(EhrqaError, match="answer sentences"):
-            run_ensemble(case, [], TRIO_PLAN, ScriptedProvider(handler=lambda r: "[]"))
+            run_ensemble(
+                case, [], TRIO_PLAN, ScriptedProvider(handler=lambda r: "[]"),
+                list(case.clinician_answer_sentences),
+            )
 
 
 class TestMergeLinks:
@@ -143,21 +150,21 @@ class TestMergeLinks:
 
     def test_majority_st4(self):
         # floor(3/2)+1 = 2
-        merged = merge_links(self.TALLY, MergePolicy.majority_st4(), align_case())
+        merged = merge_links(self.TALLY, MergePolicy.majority_st4(), align_case(), ANSWER_IDS)
         assert merged == [("1", ["3", "7"]), ("2", [])]
 
     def test_manual_union(self):
-        merged = merge_links(self.TALLY, MergePolicy.manual(1), align_case())
+        merged = merge_links(self.TALLY, MergePolicy.manual(1), align_case(), ANSWER_IDS)
         assert merged == [("1", ["3", "7"]), ("2", ["5"])]
 
     def test_empty_tally_keeps_all_answer_ids(self):
         empty = LinkVoteTally(votes={}, total_votes=3)
-        merged = merge_links(empty, MergePolicy.union(), align_case())
+        merged = merge_links(empty, MergePolicy.union(), align_case(), ANSWER_IDS)
         assert merged == [("1", []), ("2", [])]
 
     def test_invalid_evidence_ids_dropped(self):
         tally = LinkVoteTally(votes={("1", "99"): 3, ("1", "3"): 3}, total_votes=3)
-        merged = merge_links(tally, MergePolicy.union(), align_case())
+        merged = merge_links(tally, MergePolicy.union(), align_case(), ANSWER_IDS)
         assert merged == [("1", ["3"]), ("2", [])]
 
     @given(
@@ -392,6 +399,7 @@ class TestRunCase:
             None,
             None,
             MergePolicy.union(),
+            list(case.clinician_answer_sentences),
             recall=RecallConfig(enabled=True, tau=0.68),
             embedder=HashEmbedder(),
         )
@@ -407,6 +415,6 @@ class TestRunCase:
             }
         )
         result = run_case(
-            align_case(), [], TRIO_PLAN, provider, MergePolicy.majority_st4()
+            align_case(), [], TRIO_PLAN, provider, MergePolicy.majority_st4(), ANSWERS
         )
         assert result.alignments == [("1", ["3", "7"]), ("2", [])]

@@ -2,18 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import CacheMissError, EhrqaError, ProviderError
+from ehrqa.core import CacheMissError, EhrqaError
 from ehrqa.metrics import micro_prf
 from ehrqa.parsing import parse_id_array
-from ehrqa.providers import (
-    GenRequest,
-    GenResponse,
-    RequestOutcome,
-    ScriptedProvider,
-    gather_responses,
-)
+from ehrqa.providers import GenRequest, GenResponse, gather_responses
 from ehrqa.prompting import Message
 from ehrqa.vote import VoteTally, parse_runs, sweep
+from tests.conftest import ScriptedProvider
 
 # Note sentence IDs "1".."6"; votes may also name "7".."9", which no note has.
 NOTE_IDS = [str(i) for i in range(1, 7)]
@@ -74,20 +69,16 @@ def test_sweep_needs_a_case():
         sweep([], "k")
 
 
-def outcome(tag, text=None, error=None):
-    request = GenRequest("m", (Message("user", "q"),), request_tag=tag)
-    response = GenResponse(text, "m") if text is not None else None
-    return RequestOutcome(request, response, error)
+def request(tag):
+    return GenRequest("m", (Message("user", "q"),), request_tag=tag)
 
 
 def test_failed_and_unparseable_runs_vote_for_nothing(caplog):
-    outcomes = [
-        outcome("c1/st2/m/0", '["2"]'),
-        outcome("c1/st2/m/1", "no array here"),
-        outcome("c1/st2/m/2", error=ProviderError("HTTP 503")),
-    ]
+    requests = [request(f"c1/st2/m/{i}") for i in range(3)]
+    # the third call failed
+    responses = [GenResponse('["2"]', "m"), GenResponse("no array here", "m"), None]
     with caplog.at_level("WARNING"):
-        runs = parse_runs(outcomes, parse_id_array, "c1", "st2")
+        runs = parse_runs(requests, responses, parse_id_array, "c1", "st2")
     assert runs == [{"2"}, (), ()]
     assert "st2 run c1/st2/m/1 unparseable, counting as empty" in caplog.text
 
@@ -98,9 +89,10 @@ def test_a_cache_that_cannot_serve_a_run_fails_it():
             raise CacheMissError("unreadable cache entry abc")
         return '["2"]'
 
-    requests = [outcome(f"c1/st2/m/{i}").request for i in range(3)]
+    requests = [request(f"c1/st2/m/{i}") for i in range(3)]
     with pytest.raises(CacheMissError, match="abc"):
         parse_runs(
+            requests,
             gather_responses(ScriptedProvider(handler=respond), requests),
             parse_id_array,
             "c1",
