@@ -12,6 +12,7 @@ import math
 import os
 import re
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -89,18 +90,12 @@ def id_sort_key(sentence_id: str) -> tuple[int, int | str]:
     return (1, sentence_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoteSentence:
-    """One numbered sentence of a clinical note."""
+    """One numbered sentence of a clinical note, checked by its ``Case``."""
 
     id: str
     text: str
-
-    def __post_init__(self) -> None:
-        if not _ID_RE.fullmatch(self.id):
-            raise CaseValidationError(f"invalid note sentence id {self.id!r}")
-        if not self.text.strip():
-            raise CaseValidationError(f"note sentence {self.id} has empty text")
 
 
 @dataclass(frozen=True)
@@ -123,42 +118,49 @@ class Case:
     def __post_init__(self) -> None:
         if not self.case_id:
             raise CaseValidationError("case_id must be non-empty")
-        note_ids = self.note_ids
-        for what, ids in (("note sentence", note_ids), ("answer_sentences", self.answer_ids)):
+        if (problem := next(self._problems(), None)) is not None:
+            raise CaseValidationError(f"case {self.case_id}: {problem}")
+
+    def _problems(self) -> Iterator[str]:
+        """Each broken invariant, in check order. It is lazy, and the first
+        is the error, so every ID is checked before ``int()`` sees it."""
+        for s in self.note:
+            if not _ID_RE.fullmatch(s.id):
+                yield f"invalid note sentence id {s.id!r}"
+            if not s.text.strip():
+                yield f"note sentence {s.id} has empty text"
+        for what, ids in (("note sentence", self.note_ids), ("answer_sentences", self.answer_ids)):
             if len(set(ids)) != len(ids):
                 dupes = sorted({i for i in ids if ids.count(i) > 1}, key=id_sort_key)
-                raise CaseValidationError(f"case {self.case_id}: duplicate {what} ids {dupes}")
-        numeric = [int(i) for i in note_ids]
+                yield f"duplicate {what} ids {dupes}"
+        numeric = [int(i) for i in self.note_ids]
         if any(b <= a for a, b in zip(numeric, numeric[1:])):
-            raise CaseValidationError(
-                f"case {self.case_id}: note sentence ids must be strictly increasing"
-            )
-        valid = set(note_ids)
-        if self.gold_evidence is not None and not set(self.gold_evidence) <= valid:
-            bad = sorted(set(self.gold_evidence) - valid, key=id_sort_key)
-            raise CaseValidationError(
-                f"case {self.case_id}: gold_evidence ids {bad} not in note"
-            )
-        answer_ids = set(self.answer_ids)
-        if self.gold_alignments is not None:
-            for aid, ev_ids in self.gold_alignments:
-                if aid not in answer_ids:
-                    raise CaseValidationError(
-                        f"case {self.case_id}: gold alignment answer_id {aid!r} "
-                        "has no matching answer sentence"
-                    )
-                if not set(ev_ids) <= valid:
-                    bad = sorted(set(ev_ids) - valid, key=id_sort_key)
-                    raise CaseValidationError(
-                        f"case {self.case_id}: alignment for answer {aid} cites "
-                        f"ids {bad} not in note"
-                    )
+            yield "note sentence ids must be strictly increasing"
+        if self.gold_evidence is not None and (bad := self._outside_note(self.gold_evidence)):
+            yield f"gold_evidence ids {bad} not in note"
+        for aid, ev_ids in self.gold_alignments or ():
+            if aid not in self.answer_ids:
+                yield f"gold alignment answer_id {aid!r} has no matching answer sentence"
+            if bad := self._outside_note(ev_ids):
+                yield f"alignment for answer {aid} cites ids {bad} not in note"
+
+    def _outside_note(self, ids) -> list[str]:
+        return sorted(set(ids) - self.note_id_set, key=id_sort_key)
 
     # Built once per case; a frozen dataclass still lets cached_property
     # write to the instance dict, and == and hash still see only the fields.
     @cached_property
     def note_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.note)
+
+    @cached_property
+    def note_id_set(self) -> frozenset[str]:
+        return frozenset(self.note_ids)
+
+    def in_note(self, ids) -> list[str]:
+        """The distinct members of ``ids`` that are note sentence IDs, in
+        ``id_sort_key`` order."""
+        return sorted(self.note_id_set.intersection(ids), key=id_sort_key)
 
     @cached_property
     def answer_ids(self) -> tuple[str, ...]:
@@ -289,7 +291,7 @@ def resolve_threshold(policy: MergePolicy, total_votes: int) -> int:
     return min(k, total_votes)
 
 
-DEFAULT_FIRST_PERSON = frozenset({"i", "me", "my", "mine", "we", "us", "our", "ours"})
+DEFAULT_FIRST_PERSON = frozenset("i me my mine myself we us our ours ourselves".split())
 
 
 @dataclass(frozen=True)
@@ -320,9 +322,16 @@ def strip_token_punct(token: str) -> str:
     return _TOKEN_PUNCT.sub("", token)
 
 
+def is_first_person(token: str, forbidden: frozenset[str] = DEFAULT_FIRST_PERSON) -> bool:
+    """True when a part of ``token``, split at ``'`` and ``’``, punctuation-stripped and
+    lowercased, is forbidden: so ``I'm`` and ``we’re`` are first person, ``patient's`` not."""
+    parts = token.replace("\u2019", "'").split("'")
+    return any(strip_token_punct(part).lower() in forbidden for part in parts)
+
+
 def contains_first_person(text: str, forbidden: frozenset[str] = DEFAULT_FIRST_PERSON) -> bool:
-    """True when any whitespace token, punctuation-stripped and lowercased, is forbidden."""
-    return any(strip_token_punct(tok).lower() in forbidden for tok in text.split())
+    """True when any whitespace token of ``text`` is first person."""
+    return any(is_first_person(tok, forbidden) for tok in text.split())
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

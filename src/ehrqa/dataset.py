@@ -123,19 +123,20 @@ def as_alignments(value, evidence_key="evidence_ids") -> tuple[tuple[str, frozen
 
 
 def case_from_record(record: dict, locus: str) -> Case:
-    """The Case one canonical record holds. A required field that is
-    missing, any field of the wrong JSON type, and a broken case invariant
-    raise CaseValidationError prefixed with ``locus`` (file:line)."""
+    """The Case one canonical record (with a string case_id) holds. A missing
+    required field, any field of the wrong JSON type, and a broken case
+    invariant raise CaseValidationError naming ``locus`` (file:line) and the case."""
 
     def read(field: str, convert, required: bool = False):
         if record.get(field) is None and not required:
             return None
+        where = f"case {record['case_id']}"
         if field not in record:
-            raise CaseValidationError(f"missing field {field!r}")
+            raise CaseValidationError(f"{where}: missing field {field!r}")
         try:
             return convert(record[field])
         except (KeyError, TypeError) as exc:
-            raise CaseValidationError(f"malformed {field!r}: {exc!r}") from exc
+            raise CaseValidationError(f"{where}: malformed {field!r}: {exc!r}") from exc
 
     try:
         return Case(

@@ -708,7 +708,7 @@ def run_sweep(config: dict, subtask: str) -> dict:
     dev_runs = [(tallies[subtask], c) for (_, tallies), c in zip(per_case, run.cases)]
 
     if subtask == "st2":
-        best, frontier = vote.sweep([(t, c.gold_evidence, c.note_ids) for t, c in dev_runs], "k")
+        best, frontier = vote.sweep([(t, c.gold_evidence, c.note_id_set) for t, c in dev_runs], "k")
         best_key, best_file = "best_k", "best_k.txt"
     else:
         best, frontier = st4.sweep_threshold([(t, c.gold_alignments, c) for t, c in dev_runs])

@@ -100,26 +100,20 @@ class ContrastExample:
     bad_ids: frozenset[str]
 
     def __post_init__(self) -> None:
+        where = f"contrast example for {self.base.case_id}"
         if self.base.gold_evidence is None or self.good_ids != self.base.gold_evidence:
-            raise EhrqaError(
-                f"contrast example for {self.base.case_id}: good_ids must equal gold evidence"
-            )
+            raise EhrqaError(f"{where}: good_ids must equal gold evidence")
         if not self.bad_ids > self.good_ids:
-            raise EhrqaError(
-                f"contrast example for {self.base.case_id}: bad_ids must be a strict superset"
-            )
-        spurious = self.bad_ids - self.good_ids
-        if not spurious <= set(self.base.note_ids):
-            raise EhrqaError(
-                f"contrast example for {self.base.case_id}: spurious ids not in note"
-            )
+            raise EhrqaError(f"{where}: bad_ids must be a strict superset")
+        if not self.bad_ids - self.good_ids <= self.base.note_id_set:
+            raise EhrqaError(f"{where}: spurious ids not in note")
 
 
 def make_contrast_example(case: Case) -> ContrastExample:
     """Augment the gold set with the lowest-numbered non-gold sentence."""
     if not case.gold_evidence:
         raise EhrqaError(f"case {case.case_id} has no gold evidence for contrast")
-    non_gold = [i for i in case.note_ids if i not in case.gold_evidence]
+    non_gold = case.note_id_set - case.gold_evidence
     if not non_gold:
         raise EhrqaError(f"case {case.case_id} has no non-gold sentence for contrast")
     spurious = min(non_gold, key=id_sort_key)

@@ -55,8 +55,8 @@ class SetScores:
 
 
 def id_set_scores(pred: dict[str, Iterable], gold: dict[str, Iterable]) -> SetScores:
-    """Per-case scores over ID sets: st2's evidence IDs, st4's links."""
-    check_same_cases(pred, gold)
+    """Per-case scores over ID sets (st2's evidence IDs, st4's links) of the
+    same cases, as ``check_same_cases`` checks."""
     pairs = {cid: (set(pred[cid]), set(gold[cid])) for cid in sorted(gold)}
     return SetScores(pairs, {cid: case_prf(p, g) for cid, (p, g) in pairs.items()})
 

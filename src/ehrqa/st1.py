@@ -26,6 +26,7 @@ from .core import (
     SubtaskError,
     contains_first_person,
     count_words,
+    is_first_person,
     strip_token_punct,
 )
 from .parsing import parse_json_object, parse_st1_candidates
@@ -363,7 +364,7 @@ def repair_candidate(candidate: str, constraints: ConstraintConfig) -> str:
     tokens = [
         t
         for t in candidate.split()
-        if strip_token_punct(t).lower() not in constraints.forbidden_first_person
+        if not is_first_person(t, constraints.forbidden_first_person)
     ]
     tokens = tokens[: constraints.st1_max_words]
     text = " ".join(tokens).rstrip(" .,;:!?")

@@ -54,15 +54,10 @@ def postprocess_ids(
 ) -> list[str]:
     """Drop invalid IDs and duplicates, sort numerically, and optionally
     drop IDs whose vote fraction falls below the confidence floor."""
-    valid = set(case.note_ids)
-    kept = sorted({i for i in ids if i in valid}, key=id_sort_key)
-    if confidence_floor is not None:
-        kept = [
-            i
-            for i in kept
-            if tally.votes.get(i, 0) / tally.total_votes >= confidence_floor
-        ]
-    return kept
+    kept = case.in_note(ids)
+    if confidence_floor is None:
+        return kept
+    return [i for i in kept if tally.votes.get(i, 0) / tally.total_votes >= confidence_floor]
 
 
 @dataclass

@@ -67,16 +67,14 @@ def truncate_words(text: str, max_words: int) -> str:
 
 
 def evidence_block_for(case: Case, evidence_ids) -> str:
-    ordered = sorted(set(evidence_ids), key=id_sort_key)
-    return "\n".join(f"{i}. {case.note_text(i)}" for i in ordered if i in case.note_ids)
+    return "\n".join(f"{i}. {case.note_text(i)}" for i in case.in_note(evidence_ids))
 
 
 def supplied_evidence(case: Case, evidence_ids) -> list[str]:
     """The upstream evidence that is in the note, in ID order; empty
     evidence falls back to the full note so the prompt always has
     something to cite."""
-    supplied = sorted(set(evidence_ids) & set(case.note_ids), key=id_sort_key)
-    return supplied or list(case.note_ids)
+    return case.in_note(evidence_ids) or list(case.note_ids)
 
 
 def stage1_messages(
@@ -171,7 +169,7 @@ def stage2_rewrite(
     if not text:
         text = strip_markers(draft.text_with_citations)
     if not text:
-        text = " ".join(case.note_text(i) for i in draft.cited_ids if i in case.note_ids)
+        text = " ".join(case.note_text(i) for i in draft.cited_ids if i in case.note_id_set)
     return truncate_words(text, constraints.st3_max_words)
 
 

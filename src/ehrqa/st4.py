@@ -92,11 +92,10 @@ def run_ensemble(
 
 
 def links_at_threshold(tally: LinkVoteTally, threshold: int, valid_note_ids) -> set[Link]:
-    valid = set(valid_note_ids)
     return {
         link
         for link, count in tally.votes.items()
-        if count >= threshold and link[1] in valid
+        if count >= threshold and link[1] in valid_note_ids
     }
 
 
@@ -109,7 +108,7 @@ def merge_links(
     """Threshold the tally into a full alignment: every answer_id present,
     possibly with an empty evidence list."""
     threshold = resolve_threshold(policy, tally.total_votes)
-    kept = links_at_threshold(tally, threshold, case.note_ids)
+    kept = links_at_threshold(tally, threshold, case.note_id_set)
     by_answer: dict[str, list[str]] = {aid: [] for aid in answer_ids}
     for aid, eid in kept:
         by_answer.setdefault(aid, []).append(eid)
@@ -135,7 +134,7 @@ def sweep_threshold(
         if gold is None:
             raise EhrqaError(f"case {case.case_id} has no gold alignments for the sweep")
     best_theta, frontier = vote.sweep(
-        [(tally, flatten_links(gold), case.note_ids) for tally, gold, case in dev_runs],
+        [(tally, flatten_links(gold), case.note_id_set) for tally, gold, case in dev_runs],
         "theta",
         note_id=lambda link: link[1],
     )

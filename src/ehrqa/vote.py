@@ -102,20 +102,21 @@ def sweep(
     ``total_votes``, and the threshold with the best F1 (ties go to the
     smallest).
 
-    Each case is (tally, gold keys, note sentence IDs); a key whose
-    ``note_id`` is not in the note is never predicted. One pass over the
-    votes builds per-vote-count histograms of predicted and gold-hit keys,
-    whose suffix sums are the counts at each threshold.
+    Each case is (tally, gold keys, note sentence IDs, such as a case's
+    ``note_id_set``); a key whose ``note_id`` is not in the note is never
+    predicted. One pass over the votes builds per-vote-count histograms of
+    predicted and gold-hit keys, whose suffix sums are the counts at each
+    threshold.
     """
     kept: Counter[int] = Counter()
     hits: Counter[int] = Counter()
     gold_total = max_votes = 0
     for tally, gold, note_ids in cases:
-        gold, valid = set(gold), set(note_ids)
+        gold = set(gold)
         gold_total += len(gold)
         max_votes = max(max_votes, tally.total_votes)
         for key, count in tally.votes.items():
-            if note_id(key) in valid:
+            if note_id(key) in note_ids:
                 kept[count] += 1
                 hits[count] += key in gold
     if max_votes == 0:

@@ -881,7 +881,9 @@ class TestCliCommands:
         assert code == 1
         error = json.loads(capsys.readouterr().err)
         assert error["type"] == "CaseValidationError"
-        assert error["error"].startswith(f"{gold}:1: malformed 'gold_evidence': ")
+        assert error["error"].startswith(
+            f"{gold}:1: case {record['case_id']}: malformed 'gold_evidence': "
+        )
 
     def test_eval_st4_hand_fixture(self, tmp_path, capsys):
         pred = tmp_path / "st4.jsonl"

@@ -15,6 +15,8 @@ from ehrqa.core import (
     SamplingPlan,
     contains_first_person,
     count_words,
+    id_sort_key,
+    is_first_person,
     resolve_threshold,
 )
 
@@ -74,14 +76,30 @@ class TestCountWords:
 
 
 class TestDomainTypes:
-    def test_note_sentence_rejects_bad_ids(self):
-        for bad in ("0", "01", "", "x1", "-1", "2\n"):
-            with pytest.raises(CaseValidationError):
-                NoteSentence(bad, "text")
+    @pytest.mark.parametrize("bad", ["0", "01", "", "x1", "-1", "2\n"])
+    def test_case_rejects_bad_note_ids_naming_the_case(self, bad):
+        NoteSentence(bad, "text")  # a sentence alone is a plain record
+        with pytest.raises(CaseValidationError) as raised:
+            Case(case_id="b", patient_question="q", note=(NoteSentence(bad, "text"),))
+        assert str(raised.value) == f"case b: invalid note sentence id {bad!r}"
 
-    def test_note_sentence_rejects_empty_text(self):
-        with pytest.raises(CaseValidationError):
-            NoteSentence("1", "   ")
+    @pytest.mark.parametrize("first", ["2", "1"])
+    def test_a_bad_note_id_is_reported_before_order_and_duplicates(self, first):
+        # In the order check "x" would fail int() and "01" would read as a second 1.
+        for bad in ("x", "01"):
+            message = f"^case b: invalid note sentence id {bad!r}$"
+            with pytest.raises(CaseValidationError, match=message):
+                Case(
+                    case_id="b",
+                    patient_question="q",
+                    note=(NoteSentence(first, "a"), NoteSentence(bad, "b")),
+                )
+
+    def test_case_rejects_blank_note_text_naming_the_case(self):
+        NoteSentence("1", "   ")
+        with pytest.raises(CaseValidationError) as raised:
+            Case(case_id="b", patient_question="q", note=(NoteSentence("1", " \t\n"),))
+        assert str(raised.value) == "case b: note sentence 1 has empty text"
 
     def test_case_rejects_duplicate_ids(self):
         with pytest.raises(CaseValidationError, match="duplicate"):
@@ -162,3 +180,65 @@ class TestDomainTypes:
         assert contains_first_person("Can I stop my meds?")
         assert contains_first_person("Tell me, why?")
         assert not contains_first_person("Was the stent placed emergently?")
+
+    @pytest.mark.parametrize(
+        "token", ["I'm", "I've", "we'd", "we\u2019re", "WE\u2019D,", "myself", "Ourselves?", "'us'"]
+    )
+    def test_contractions_and_reflexives_are_first_person(self, token):
+        assert is_first_person(token)
+        assert contains_first_person(f"Why was {token} given insulin?")
+
+    @pytest.mark.parametrize("token", ["patient's", "doctor\u2019s", "patients'", "o'clock", "U.S."])
+    def test_possessives_and_other_apostrophes_are_not(self, token):
+        assert not is_first_person(token)
+        assert not contains_first_person(f"Was the {token} stent urgent?")
+
+
+# The three filters that ``Case.in_note`` replaced, kept here as references.
+def _postprocess_ids_filter(case, ids):  # st2.postprocess_ids
+    valid = set(case.note_ids)
+    return sorted({i for i in ids if i in valid}, key=id_sort_key)
+
+
+def _supplied_evidence_filter(case, ids):  # st3.supplied_evidence
+    return sorted(set(ids) & set(case.note_ids), key=id_sort_key)
+
+
+def _evidence_block_filter(case, ids):  # st3.evidence_block_for
+    return [i for i in sorted(set(ids), key=id_sort_key) if i in case.note_ids]
+
+
+@st.composite
+def _note_and_ids(draw):
+    note_numbers = draw(st.sets(st.integers(min_value=1, max_value=25), min_size=1))
+    note_ids = [str(n) for n in sorted(note_numbers)]
+    case = Case(
+        case_id="c",
+        patient_question="q",
+        note=tuple(NoteSentence(i, f"sentence {i}") for i in note_ids),
+    )
+    # "9" against "10" orders by number; "01", "x" and "30" are never note IDs.
+    pool = st.sampled_from(note_ids + ["9", "10", "0", "01", "x", "", "30"])
+    ids = draw(st.lists(pool, max_size=12))
+    return case, draw(st.sampled_from([list, tuple, set, frozenset]))(ids)
+
+
+class TestInNote:
+    @given(_note_and_ids())
+    def test_equals_the_filters_it_replaced(self, case_and_ids):
+        case, ids = case_and_ids
+        got = case.in_note(ids)
+        assert got == _postprocess_ids_filter(case, ids)
+        assert got == _supplied_evidence_filter(case, ids)
+        assert got == _evidence_block_filter(case, ids)
+
+    def test_hand_cases(self):
+        case = Case(
+            case_id="c",
+            patient_question="q",
+            note=tuple(NoteSentence(i, "s") for i in ("2", "9", "10")),
+        )
+        assert case.in_note(["10", "9", "10", "3", "01", "2"]) == ["2", "9", "10"]
+        assert case.in_note([]) == []
+        assert case.in_note(["3"]) == []
+        assert case.note_id_set is case.note_id_set == frozenset({"2", "9", "10"})

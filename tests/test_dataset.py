@@ -154,13 +154,13 @@ class TestMalformedRecords:
     def test_a_field_of_the_wrong_type(self, tmp_path, field, value):
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("a"), canonical_record("b", **{field: value})])
-        with pytest.raises(CaseValidationError, match=rf"^{re.escape(str(path))}:2: malformed '{field}'"):
+        with pytest.raises(CaseValidationError, match=rf"^{re.escape(str(path))}:2: case b: malformed '{field}'"):
             load_cases(path)
 
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"note": [{"id": "x", "text": "Chest pain."}]}, "invalid note sentence id 'x'"),
+            ({"note": [{"id": "x", "text": "Chest pain."}]}, "case b: invalid note sentence id 'x'"),
             ({"gold_evidence": ["999"]}, "case b: gold_evidence ids ['999'] not in note"),
             (
                 {"note": [{"id": "2", "text": "Stent placed."}, {"id": "1", "text": "Pain."}]},

@@ -132,7 +132,7 @@ def test_a_case_file_id_that_is_no_id_names_the_file_line_and_field(tmp_path, ba
     with pytest.raises(CaseValidationError) as caught:
         load_cases(path)
     message = str(caught.value)
-    assert message.startswith(f"{path}:2: malformed {field!r}: ")
+    assert message.startswith(f"{path}:2: case b: malformed {field!r}: ")
     assert f"got {bad!r}" in message
 
 

@@ -3,6 +3,7 @@ import pytest
 from ehrqa.core import EhrqaError
 from ehrqa.metrics import flatten_links
 from ehrqa.report import (
+    check_same_cases,
     format_table,
     generation_scores,
     id_set_scores,
@@ -27,9 +28,11 @@ class TestScoreIdSets:
         assert row["μR"] == 100.0
         assert row["μF1"] == pytest.approx(80.0, abs=0.01)
 
+
+class TestCheckSameCases:
     def test_case_mismatch_lists_offenders(self):
-        with pytest.raises(EhrqaError, match="missing=\\['b'\\]"):
-            id_set_scores({"a": set()}, {"a": set(), "b": set()})
+        with pytest.raises(EhrqaError, match="missing=\\['b'\\], unexpected=\\['c'\\]"):
+            check_same_cases({"a": set(), "c": set()}, {"a": set(), "b": set()})
 
 
 class TestScoreAlignments:

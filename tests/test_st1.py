@@ -300,6 +300,17 @@ class TestRepair:
         assert "I" not in repaired.split()
         assert "my" not in repaired.split()
 
+    @pytest.mark.parametrize("token", ["I'm", "I've", "we'd", "we\u2019re", "myself"])
+    def test_contractions_and_reflexives_are_dropped_whole(self, token):
+        question = f"Why was {token} given insulin?"
+        assert not check_constraints(question, CONSTRAINTS)
+        assert repair_candidate(question, CONSTRAINTS) == "Why was given insulin?"
+
+    def test_a_possessive_is_not_first_person(self):
+        question = "Why was the patient's insulin held?"
+        assert check_constraints(question, CONSTRAINTS)
+        assert repair_candidate(question, CONSTRAINTS) == question
+
     def test_degenerate_all_forbidden(self):
         repaired = repair_candidate("me my mine", CONSTRAINTS)
         assert repaired.endswith("?")
