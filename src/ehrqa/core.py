@@ -116,10 +116,16 @@ class Case:
     gold_alignments: tuple[tuple[str, frozenset[str]], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.case_id:
-            raise CaseValidationError("case_id must be non-empty")
+        self.check_id(self.case_id)
         if (problem := next(self._problems(), None)) is not None:
             raise CaseValidationError(f"case {self.case_id}: {problem}")
+
+    @staticmethod
+    def check_id(case_id: str) -> str:
+        """``case_id`` unless empty; the loader checks it before any other field."""
+        if not case_id:
+            raise CaseValidationError("case_id must be non-empty")
+        return case_id
 
     def _problems(self) -> Iterator[str]:
         """Each broken invariant, in check order. It is lazy, and the first

@@ -123,8 +123,8 @@ def as_alignments(value, evidence_key="evidence_ids") -> tuple[tuple[str, frozen
 
 
 def case_from_record(record: dict, locus: str) -> Case:
-    """The Case one canonical record (with a string case_id) holds. A missing
-    required field, any field of the wrong JSON type, and a broken case
+    """The Case one canonical record (with a string case_id) holds. An empty
+    case_id (checked first), a missing or mistyped field and a broken case
     invariant raise CaseValidationError naming ``locus`` (file:line) and the case."""
 
     def read(field: str, convert, required: bool = False):
@@ -140,7 +140,7 @@ def case_from_record(record: dict, locus: str) -> Case:
 
     try:
         return Case(
-            case_id=read("case_id", as_text, required=True),
+            case_id=Case.check_id(record["case_id"]),
             patient_question=read("patient_question", as_text, required=True),
             clinician_question=read("clinician_question", as_text),
             note=read("note", _note, required=True),

@@ -489,9 +489,9 @@ class _RecordReplay:
 
 
 class ReplayGenerator(_RecordReplay):
-    """Record/replay generator. An entry holds the response and the
-    request's metadata, not its messages: the key already stands for them.
-    """
+    """Record/replay generator. An entry is ``{"response": {...}}`` alone:
+    the key stands for the request. Entries that also hold a ``request``
+    block, as earlier versions wrote, still replay."""
 
     field, backend, missing = "response", "generator", "response for "
 
@@ -523,28 +523,19 @@ class ReplayGenerator(_RecordReplay):
         )
 
     def _to_entry(self, request: GenRequest, response: GenResponse) -> dict:
-        return {
-            "request": {
-                "deployment_name": request.deployment_name,
-                "request_tag": request.request_tag,
-                "sample_index": request.sample_index,
-                "temperature": request.temperature,
-                "max_output_tokens": request.max_output_tokens,
-            },
-            "response": {
-                "text": response.text,
-                "deployment_name": response.deployment_name,
-                "latency_ms": response.latency_ms,
-            },
-        }
+        return {"response": {
+            "text": response.text,
+            "deployment_name": response.deployment_name,
+            "latency_ms": response.latency_ms,
+        }}
 
 
 class CachedEmbedder(_RecordReplay):
     """Record/replay embedder. An entry is keyed on the model and the
-    ordered text list and holds the vectors in that order: the base64 of
-    one row-major little-endian float64 array, a row per text. Entries
-    written before that hold a JSON list of rows; they are read, never
-    written."""
+    ordered text list and is ``{"vectors": ...}`` alone: the base64 of one
+    row-major little-endian float64 array, a row per text. Entries that
+    also hold ``model``, or hold a JSON list of rows, as earlier versions
+    wrote, are read, never written."""
 
     field, backend = "vectors", "embedder"
 
@@ -580,7 +571,7 @@ class CachedEmbedder(_RecordReplay):
 
     def _to_entry(self, texts, vectors: list[np.ndarray]) -> dict:
         raw = np.asarray(vectors, dtype="<f8").tobytes()
-        return {"model": self.model, "vectors": base64.b64encode(raw).decode("ascii")}
+        return {"vectors": base64.b64encode(raw).decode("ascii")}
 
 
 def _vector_rows(vectors, count: int | None = None) -> np.ndarray:

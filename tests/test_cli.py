@@ -18,7 +18,7 @@ from ehrqa.pipeline import (
     run_sweep,
 )
 from ehrqa.prompting import Message
-from ehrqa.providers import embed_cache_key, request_cache_key
+from ehrqa.providers import ReplayGenerator, embed_cache_key, request_cache_key
 from ehrqa.vote import plan_requests
 
 
@@ -956,9 +956,20 @@ class TestCliCommands:
         "kind",
         ["st1ctx", "st1", "st2", "st3s1", "st3s2", "st3-rerank", "st4", "st4-recall"],
     )
-    def test_replay_of_an_unreadable_cache_fails_the_run(self, tmp_path, capsys, kind):
+    def test_replay_of_an_unreadable_cache_fails_the_run(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
         """Damage every cache entry of one kind: the replay must exit 1
         naming the key and what it was read for, in every subtask."""
+        # what each generator entry is read for: the tag of its key's first request
+        tags = {}
+        generate = ReplayGenerator.generate
+
+        def noting_tags(self, request):
+            tags.setdefault(request_cache_key(request), request.request_tag)
+            return generate(self, request)
+
+        monkeypatch.setattr(ReplayGenerator, "generate", noting_tags)
         config_path = tmp_path / "config.json"
         config = base_config(
             tmp_path,
@@ -975,12 +986,7 @@ class TestCliCommands:
 
         # what each entry was read for, as the error names it
         cache = tmp_path / "cache"
-        readers = {}
-        for entry in cache.glob("*.json"):
-            request = json.loads(entry.read_text()).get("request")
-            if request is not None:
-                stage = request["request_tag"].split("/")[1]
-                readers[entry.stem] = (stage, f"request {request['request_tag']!r}")
+        readers = {key: (tag.split("/")[1], f"request {tag!r}") for key, tag in tags.items()}
         st3 = {
             r["case_id"]: r
             for r in map(json.loads, (out / "st3.jsonl").read_text().splitlines())

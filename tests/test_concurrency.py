@@ -249,17 +249,22 @@ def test_a_recording_replays_to_what_it_recorded(tmp_path, monkeypatch):
 
 
 def test_a_recordings_cache_counts_do_not_depend_on_workers(tmp_path, monkeypatch):
+    """Nor do its entries: each file's name and bytes are those of the
+    recording at one worker, though cases that share a key race to write it."""
     seeds = itertools.count()
     monkeypatch.setattr(pipeline, "PipelineMockProvider", lambda: FuzzGenerator(next(seeds)))
     cases = nine_cases(tmp_path / "cases.jsonl")
-    counts = {}
+    counts, trees = {}, {}
     for workers in (1, 2, 8):
         for rep in range(3):
             root = tmp_path / f"w{workers}-{rep}"
             config = replay_config(root, cases, "record", workers, "out", **ALL_SUBTASKS)
             counts[workers, rep] = run_pipeline(config)["cache"]
+            trees[workers, rep] = tree_bytes(root / "cache")
     assert counts[1, 0]["hits"] > 0 and counts[1, 0]["misses"] > 0
     assert all(count == counts[1, 0] for count in counts.values())
+    assert len(trees[1, 0]) == counts[1, 0]["entries"] > 0
+    assert all(tree == trees[1, 0] for tree in trees.values())
 
 
 def test_no_case_queued_behind_a_failed_case_starts():

@@ -176,6 +176,15 @@ class TestMalformedRecords:
             load_cases(path)
         assert str(raised.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize("note", [[{"id": "1", "text": "Chest pain."}], "bad"],
+                             ids=["valid-note", "malformed-note"])
+    def test_an_empty_case_id_is_the_error_whatever_else_is_wrong(self, tmp_path, note):
+        path = tmp_path / "cases.jsonl"
+        write_jsonl(path, [{"case_id": "", "patient_question": "q", "note": note}])
+        with pytest.raises(CaseValidationError) as raised:
+            load_cases(path)
+        assert str(raised.value) == f"{path}:1: case_id must be non-empty"
+
     def test_a_repeated_case_id_names_the_file_once(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("1"), canonical_record("1")])

@@ -212,6 +212,16 @@ class TestRecordReplayContract:
         assert backend.calls == 0
         assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
 
+    def test_an_entry_holds_only_the_field_it_is_served_from(
+        self, tmp_path, wrapper, inner, ask, asked
+    ):
+        """Nothing is written that no reader reads: the key already stands
+        for what was asked, so the entry ``_to_entry`` makes is the served
+        field alone."""
+        ask(wrapper(ResponseCache(tmp_path), inner, "record"))
+        (entry,) = tmp_path.glob("*.json")
+        assert list(json.loads(entry.read_bytes())) == [wrapper.field]
+
     def test_an_entry_stored_during_the_call_is_served(self, tmp_path, wrapper, inner, ask, asked):
         """Another request stores the key while this one calls its backend:
         that first entry stays, and this request serves it as a hit."""
@@ -252,12 +262,8 @@ class TestCacheFormat:
         data = entry.read_text(encoding="utf-8")
         assert len(data.encode("utf-8")) < 1_000
         assert "note sentence" not in data
-        assert json.loads(data)["request"] == {
-            "deployment_name": "m1",
-            "request_tag": "t",
-            "sample_index": 0,
-            "temperature": 0.0,
-            "max_output_tokens": 1024,
+        assert json.loads(data) == {
+            "response": {"text": "reply", "deployment_name": "m1", "latency_ms": 0.0},
         }
 
     @pytest.mark.parametrize(
@@ -442,6 +448,28 @@ def _list_form_entry(self, texts, vectors):
     return {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]}
 
 
+_generator_entry, _embedding_entry = ReplayGenerator._to_entry, CachedEmbedder._to_entry
+
+
+def _model_entry(self, texts, vectors):
+    """An embedding entry as written before it held its vectors alone."""
+    return {"model": self.model, **_embedding_entry(self, texts, vectors)}
+
+
+def _request_block_entry(self, request, response):
+    """A generator entry as written before it held its response alone."""
+    return {
+        "request": {
+            "deployment_name": request.deployment_name,
+            "request_tag": request.request_tag,
+            "sample_index": request.sample_index,
+            "temperature": request.temperature,
+            "max_output_tokens": request.max_output_tokens,
+        },
+        **_generator_entry(self, request, response),
+    }
+
+
 def _record_toy(tmp_path, name):
     """Record st1-st4, with st3 rerank and st4 recall, on the toy set."""
     out, cache = tmp_path / f"out-{name}", tmp_path / f"cache-{name}"
@@ -464,6 +492,23 @@ def _entries(cache):
     return {p.name: json.loads(p.read_bytes()) for p in sorted(cache.glob("*.json"))}
 
 
+def _assert_replays_as_recorded(tmp_path, old_config, old_cache):
+    """A replay of the old-form recording in ``old_cache`` gives the outputs
+    a recording in today's form gives, with no miss, and rewrites no entry."""
+    _, out, cache = _record_toy(tmp_path, "today")
+    assert _entries(cache).keys() == _entries(old_cache).keys()
+    before = _entries(old_cache)
+    replay_out = tmp_path / "replayed"
+    manifest = run_pipeline(resolve_config(
+        {**old_config, "provider_mode": "replay", "out_dir": str(replay_out)}
+    ))
+    assert manifest["cache"]["misses"] == 0
+    replayed = {k: v for k, v in tree_bytes(replay_out).items() if k.startswith("st")}
+    recorded = {k: v for k, v in tree_bytes(out).items() if k.startswith("st")}
+    assert replayed == recorded and "st4.jsonl" in replayed
+    assert _entries(old_cache) == before
+
+
 class TestEmbeddingEntryForm:
     @settings(max_examples=80, deadline=None)
     @given(_ROWS)
@@ -481,42 +526,46 @@ class TestEmbeddingEntryForm:
         inner = SimpleNamespace(embed=lambda asked: [np.array(r) for r in rows])
         CachedEmbedder(ResponseCache(tmp_path), inner=inner, mode="record", model="m").embed(["a", "b"])
         (entry,) = _entries(tmp_path).values()
-        assert entry == {
-            "model": "m",
-            "vectors": "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAA8P8=",
-        }
+        assert entry == {"vectors": "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAA8P8="}
 
     def test_a_list_form_recording_replays_to_the_same_outputs(self, tmp_path, monkeypatch):
-        config, out, _ = _record_toy(tmp_path, "bytes")
         with monkeypatch.context() as patch:
             patch.setattr(CachedEmbedder, "_to_entry", _list_form_entry)
             old_config, _, old_cache = _record_toy(tmp_path, "lists")
         embedding_entries = [e for e in _entries(old_cache).values() if "vectors" in e]
         assert embedding_entries and all(isinstance(e["vectors"], list) for e in embedding_entries)
-        before = _entries(old_cache)
+        _assert_replays_as_recorded(tmp_path, old_config, old_cache)
 
-        replay_out = tmp_path / "replayed"
-        manifest = run_pipeline(resolve_config(
-            {**old_config, "provider_mode": "replay", "out_dir": str(replay_out)}
-        ))
-        assert manifest["cache"]["misses"] == 0
-        replayed = {k: v for k, v in tree_bytes(replay_out).items() if k.startswith("st")}
-        recorded = {k: v for k, v in tree_bytes(out).items() if k.startswith("st")}
-        assert replayed == recorded and "st4.jsonl" in replayed
-        assert _entries(old_cache) == before  # replay rewrites no entry
+    def test_a_recording_with_request_and_model_replays_to_the_same_outputs(
+        self, tmp_path, monkeypatch
+    ):
+        """Entries as written before an entry held its served field alone."""
+        with monkeypatch.context() as patch:
+            patch.setattr(ReplayGenerator, "_to_entry", _request_block_entry)
+            patch.setattr(CachedEmbedder, "_to_entry", _model_entry)
+            old_config, _, old_cache = _record_toy(tmp_path, "request-and-model")
+        entries = _entries(old_cache).values()
+        assert sum("request_tag" in e.get("request", {}) for e in entries) == 42
+        assert sum("model" in e for e in entries) == 6
+        _assert_replays_as_recorded(tmp_path, old_config, old_cache)
 
     def test_generator_entries_are_those_of_earlier_versions(self, tmp_path):
+        """The digest is over each generator entry's file name and served
+        ``response``, so entries recorded with a ``request`` block give it too."""
         _, _, cache = _record_toy(tmp_path, "pin")
         digest, generator_entries = hashlib.sha256(), 0
         for path in sorted(cache.glob("*.json")):
-            data = path.read_bytes()
-            if "vectors" in json.loads(data):
+            entry = json.loads(path.read_bytes())
+            if "vectors" in entry:
                 continue
             generator_entries += 1
-            digest.update(path.name.encode() + b"\0" + data + b"\0")
+            response = json.dumps(
+                entry["response"], ensure_ascii=False, sort_keys=True, separators=(",", ":")
+            )
+            digest.update(path.name.encode() + b"\0" + response.encode() + b"\0")
         assert generator_entries == 42
         assert digest.hexdigest() == (
-            "b0b2456cc82f605da0545a0e826b99d8cef7fa64dbf6395bdc73a21b24105658"
+            "8e9c6cff4516c37bdfbeac6e4b467fb4c2322b59409d11458ad20c82aa9da32c"
         )
 
 
