@@ -159,7 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = generation_scores(pairs, sources=sources)
     row, per_case = corpus_row(scores), case_rows(scores)
 
-    table = format_table(f"{subtask} ({args.pred})", [(subtask, row)])
+    table = format_table(f"{subtask} corpus", [(subtask, row)])
     print(table, end="")
     if args.out:
         out_dir = Path(args.out)

@@ -31,15 +31,8 @@ class CaseValidationError(EhrqaError):
 
 
 class ParseError(EhrqaError):
-    """Model output could not be parsed into the expected structure.
-
-    Carries the raw text so callers can log it; the usual policy is that
-    the offending run contributes zero votes.
-    """
-
-    def __init__(self, message: str, raw_text: str = ""):
-        super().__init__(message)
-        self.raw_text = raw_text
+    """Model output could not be parsed into the expected structure; the
+    usual policy is that the offending run contributes zero votes."""
 
 
 class ProviderError(EhrqaError):

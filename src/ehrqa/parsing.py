@@ -107,7 +107,7 @@ def parse_id_array(text: str) -> set[str]:
             ids = set(map(as_id, value))
             if None not in ids:
                 return ids
-    raise ParseError("no sentence-ID array found in model output", raw_text=text)
+    raise ParseError("no sentence-ID array found in model output")
 
 
 def format_alignment(alignment) -> str:
@@ -150,7 +150,7 @@ def parse_alignment(text: str) -> list[tuple[str, set[str]]]:
         if dropped:
             logger.warning("parse_alignment: dropped %d malformed element(s)", dropped)
         return sorted(merged.items(), key=lambda kv: id_sort_key(kv[0]))
-    raise ParseError("no alignment array found in model output", raw_text=text)
+    raise ParseError("no alignment array found in model output")
 
 
 _CANDIDATE_RE = re.compile(r"^\s*CANDIDATE[_ ]?(\d+)\s*[:.]\s*(.+?)\s*$", re.MULTILINE)
@@ -168,7 +168,7 @@ def parse_st1_candidates(text: str, max_candidates: int = 5) -> list[str]:
             found[idx] = candidate
     ordered = [found[i] for i in sorted(found)][:max_candidates]
     if not ordered:
-        raise ParseError("no CANDIDATE_n lines found in model output", raw_text=text)
+        raise ParseError("no CANDIDATE_n lines found in model output")
     return ordered
 
 
@@ -177,4 +177,4 @@ def parse_json_object(text: str) -> dict:
     for value in _candidate_fragments(text, "{", "}"):
         if isinstance(value, dict):
             return value
-    raise ParseError("no JSON object found in model output", raw_text=text)
+    raise ParseError("no JSON object found in model output")

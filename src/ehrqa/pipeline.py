@@ -279,9 +279,10 @@ def validate_config(config: dict) -> dict:
         if shots < 0 or (most is not None and shots > most):
             bound = ">= 0" if most is None else f"in [0, {most}]"
             raise ConfigError(f"{key} shots must be {bound}, got {shots!r}")
-    deployments = config["st3"]["deployments"]
-    if len(set(deployments)) != len(deployments):
-        raise ConfigError(f"st3 deployments must be unique, got {deployments}")
+    for key in ("st1", "st3"):
+        deployments = config[key]["deployments"]
+        if len(set(deployments)) != len(deployments):
+            raise ConfigError(f"{key} deployments must be unique, got {deployments}")
     if config["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {config['workers']!r}")
     # A floor compares with a vote fraction, so above 1 it empties every

@@ -54,16 +54,10 @@ class GenRequest:
                 raise EhrqaError(f"unknown message role {m.role!r}")
 
 
-@dataclass(frozen=True)
-class GenResponse:
-    text: str
-    deployment_name: str
-    latency_ms: float = 0.0
-    from_cache: bool = False
-
-
 class Generator(Protocol):
-    def generate(self, request: GenRequest) -> GenResponse: ...
+    def generate(self, request: GenRequest) -> str:
+        """The reply text."""
+        ...
 
 
 class Embedder(Protocol):
@@ -205,10 +199,8 @@ class PipelineMockProvider:
     Sample index perturbs vote patterns so merges have structure.
     """
 
-    def generate(self, request: GenRequest) -> GenResponse:
-        stage = self._stage(request.request_tag)
-        text = self._respond(stage, request)
-        return GenResponse(text=text, deployment_name=request.deployment_name)
+    def generate(self, request: GenRequest) -> str:
+        return self._respond(self._stage(request.request_tag), request)
 
     @staticmethod
     def _stage(tag: str) -> str:
@@ -489,45 +481,32 @@ class _RecordReplay:
 
 
 class ReplayGenerator(_RecordReplay):
-    """Record/replay generator. An entry is ``{"response": {...}}`` alone:
-    the key stands for the request. Entries that also hold a ``request``
-    block, as earlier versions wrote, still replay."""
+    """Record/replay generator. An entry is ``{"response": {"text": ...}}``
+    alone: the key stands for the request. Entries whose response also
+    holds ``deployment_name`` and ``latency_ms``, or that also hold a
+    ``request`` block, as earlier versions wrote, still replay."""
 
     field, backend, missing = "response", "generator", "response for "
 
-    def generate(self, request: GenRequest) -> GenResponse:
+    def generate(self, request: GenRequest) -> str:
         return self._serve(request_cache_key(request), f"request {request.request_tag!r}", request)
 
-    def _call(self, request: GenRequest) -> GenResponse:
+    def _call(self, request: GenRequest) -> str:
         return self.inner.generate(request)
 
-    def _from_entry(self, resp, request, key: str, what: str) -> GenResponse:
-        """The cached response: ``text`` and ``deployment_name`` strings and
-        ``latency_ms``, when present, a number (not a bool); anything else
-        raises CacheMissError naming the key."""
-        if not (
-            isinstance(resp, dict)
-            and isinstance(resp.get("text"), str)
-            and isinstance(resp.get("deployment_name"), str)
-            and type(resp.get("latency_ms", 0.0)) in (int, float)
-        ):
+    def _from_entry(self, resp, request, key: str, what: str) -> str:
+        """The cached response's ``text``, a string; anything else raises
+        CacheMissError naming the key. Its other fields are never read."""
+        text = resp.get("text") if isinstance(resp, dict) else None
+        if not isinstance(text, str):
             raise CacheMissError(
-                f"cache entry {key} for {what} holds no valid response: text and "
-                f"deployment_name must be strings and latency_ms a number, not {resp!r:.200}"
+                f"cache entry {key} for {what} holds no valid response: "
+                f"text must be a string, not {resp!r:.200}"
             )
-        return GenResponse(
-            text=resp["text"],
-            deployment_name=resp["deployment_name"],
-            latency_ms=resp.get("latency_ms", 0.0),
-            from_cache=True,
-        )
+        return text
 
-    def _to_entry(self, request: GenRequest, response: GenResponse) -> dict:
-        return {"response": {
-            "text": response.text,
-            "deployment_name": response.deployment_name,
-            "latency_ms": response.latency_ms,
-        }}
+    def _to_entry(self, request: GenRequest, text: str) -> dict:
+        return {"response": {"text": text}}
 
 
 class CachedEmbedder(_RecordReplay):
@@ -601,18 +580,10 @@ def _vector_rows(vectors, count: int | None = None) -> np.ndarray:
 RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
-@dataclass
-class RetryPolicy:
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5
-
-    def delay(self, attempt: int) -> float:
-        return self.backoff_seconds * (2**attempt)
-
-    def backoff(self, attempt: int, sleep: Callable[[float], None]) -> None:
-        """Wait before the next attempt; no attempt follows the last one."""
-        if attempt + 1 < self.max_attempts:
-            sleep(self.delay(attempt))
+# Every HTTP call makes up to MAX_ATTEMPTS attempts, waiting
+# BACKOFF_SECONDS * 2**attempt after each failed one but the last.
+MAX_ATTEMPTS = 3
+BACKOFF_SECONDS = 0.5
 
 
 class _HttpClient:
@@ -628,14 +599,12 @@ class _HttpClient:
         endpoint: str,
         api_key: str,
         timeout: float = 120.0,
-        retry: RetryPolicy | None = None,
         transport: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self.retry = retry or RetryPolicy()
         self._transport = transport or self._default_transport
         self._sleep = sleep
 
@@ -658,18 +627,18 @@ class _HttpClient:
             "Content-Type": "application/json",
         }
         last_error = ""
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                self._sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
             try:
                 response = self._transport(url, payload, headers)
             except Exception as exc:  # foreign transport: any failure is a backend failure
                 last_error = f"{type(exc).__name__}: {exc}"
                 logger.warning("transport error from %s (attempt %d): %s", url, attempt + 1, exc)
-                self.retry.backoff(attempt, self._sleep)
                 continue
             status = getattr(response, "status_code", 200)
             if status in RETRYABLE_STATUS:
                 last_error = f"HTTP {status}"
-                self.retry.backoff(attempt, self._sleep)
                 continue
             if status >= 400:
                 raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")
@@ -678,14 +647,14 @@ class _HttpClient:
             except (ValueError, LookupError, TypeError) as exc:
                 raise ProviderError(f"malformed response from {url}: {exc!r}") from exc
         raise ProviderError(
-            f"{url} failed after {self.retry.max_attempts} attempts: {last_error}"
+            f"{url} failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
 
 class HttpChatProvider(_HttpClient):
     """Chat-completions-style HTTP client with bounded retries."""
 
-    def generate(self, request: GenRequest) -> GenResponse:
+    def generate(self, request: GenRequest) -> str:
         payload = {
             "model": request.deployment_name,
             "messages": [
@@ -694,10 +663,7 @@ class HttpChatProvider(_HttpClient):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        start = time.monotonic()
-        text = self._post("chat/completions", payload, _chat_text)
-        latency = (time.monotonic() - start) * 1000.0
-        return GenResponse(text=text, deployment_name=request.deployment_name, latency_ms=latency)
+        return self._post("chat/completions", payload, _chat_text)
 
 
 def _chat_text(body: dict) -> str:
@@ -764,7 +730,7 @@ def provider_from_env(
 def gather_responses(
     generator: Generator,
     requests: Sequence[GenRequest],
-) -> list[GenResponse | None]:
+) -> list[str | None]:
     """Run requests against one backend; see gather_multi."""
     tags = [r.request_tag for r in requests]
     if len(set(tags)) != len(tags):
@@ -772,13 +738,13 @@ def gather_responses(
     return gather_multi([(generator, r) for r in requests])
 
 
-def gather_multi(pairs: Sequence[tuple[Generator, GenRequest]]) -> list[GenResponse | None]:
+def gather_multi(pairs: Sequence[tuple[Generator, GenRequest]]) -> list[str | None]:
     """Run each request against its own backend, one after another on the
-    caller's thread, in request order: one response per request, or None
+    caller's thread, in request order: one reply per request, or None
     where the call raised ProviderError, which is logged. Any other error,
     a CacheMissError included, is re-raised at once.
     """
-    responses: list[GenResponse | None] = []
+    responses: list[str | None] = []
     for generator, request in pairs:
         try:
             responses.append(generator.generate(request))

@@ -114,7 +114,7 @@ def extract_context(
         request_tag=f"{case.case_id}/st1ctx/0",
     )
     try:
-        raw = parse_json_object(provider.generate(request).text)
+        raw = parse_json_object(provider.generate(request))
     except (ProviderError, ParseError) as exc:
         logger.warning("context extraction failed for %s: %s", case.case_id, exc)
         return EMPTY_CONTEXT
@@ -442,7 +442,7 @@ def generate_candidates(
             failures += 1
             continue
         try:
-            parsed = parse_st1_candidates(response.text)
+            parsed = parse_st1_candidates(response)
         except ParseError as exc:
             logger.warning("st1 parse failure from %s: %s", deployment, exc)
             failures += 1
@@ -461,7 +461,6 @@ def generate_candidates(
 
 @dataclass
 class St1Result:
-    case_id: str
     clinician_question: str
     candidates: list[CandidateScore] = field(default_factory=list)
 
@@ -488,4 +487,4 @@ def run_case(
     chosen, scored = select_candidate(
         candidates, pool.gold_style(exclude_case_id=case.case_id), constraints
     )
-    return St1Result(case_id=case.case_id, clinician_question=chosen, candidates=scored)
+    return St1Result(clinician_question=chosen, candidates=scored)

@@ -62,7 +62,6 @@ def postprocess_ids(
 
 @dataclass
 class St2Result:
-    case_id: str
     evidence_ids: list[str]
     tally: VoteTally[str] | None = None
 
@@ -83,4 +82,4 @@ def run_case(
     if floor is None and use_default_floor:
         floor = default_confidence_floor(tally.total_votes)
     evidence = postprocess_ids(merged, case, tally=tally, confidence_floor=floor)
-    return St2Result(case_id=case.case_id, evidence_ids=evidence, tally=tally)
+    return St2Result(evidence_ids=evidence, tally=tally)

@@ -111,7 +111,7 @@ def stage1_draft(
         request_tag=f"{case.case_id}/st3s1/{deployment}/0",
     )
     try:
-        text = provider.generate(request).text
+        text = provider.generate(request)
     except ProviderError as exc:  # the backend client has already retried it
         raise SubtaskError(f"case {case.case_id}: stage-1 draft failed: {exc}") from exc
     markers = extract_markers(text)
@@ -156,7 +156,7 @@ def stage2_rewrite(
     )
     text = ""
     try:
-        text = provider.generate(request).text
+        text = provider.generate(request)
     except ProviderError as exc:
         logger.warning(
             "case %s: stage-2 rewrite failed, falling back to stripped draft: %s",
@@ -198,7 +198,6 @@ def rerank_candidates(
 
 @dataclass
 class St3Result:
-    case_id: str
     answer_text: str
     cited_ids: list[str] = field(default_factory=list)
     candidate_scores: list[dict] = field(default_factory=list)
@@ -252,7 +251,6 @@ def run_case(
     # Equal candidates score equally, and a tie keeps the earlier one.
     cited = drafts[candidates.index(chosen)].cited_ids
     return St3Result(
-        case_id=case.case_id,
         answer_text=chosen,
         cited_ids=sorted(cited, key=id_sort_key),
         candidate_scores=[

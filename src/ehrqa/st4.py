@@ -210,7 +210,6 @@ def segment_answer(answer_text: str) -> list[tuple[str, str]]:
 
 @dataclass
 class St4Result:
-    case_id: str
     alignments: AlignmentList
     tally: LinkVoteTally | None = None
 
@@ -248,4 +247,4 @@ def run_case(
         if embedder is None:
             raise ConfigError("recall augmentation needs an embedder")
         alignment = recall_augment(alignment, case, embedder, recall, answers=answers)
-    return St4Result(case_id=case.case_id, alignments=alignment, tally=tally)
+    return St4Result(alignments=alignment, tally=tally)

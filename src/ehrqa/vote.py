@@ -20,7 +20,7 @@ from typing import Generic, TypeVar
 from .core import ConfigError, EhrqaError, ParseError, SamplingPlan
 from .metrics import _prf_from_counts
 from .prompting import Message
-from .providers import GenRequest, GenResponse
+from .providers import GenRequest
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ def plan_requests(
 
 def parse_runs(
     requests: Sequence[GenRequest],
-    responses: Sequence[GenResponse | None],
+    responses: Sequence[str | None],
     parse: Callable[[str], Iterable],
     case_id: str,
     subtask: str,
@@ -82,7 +82,7 @@ def parse_runs(
         run: Iterable = ()
         if response is not None:
             try:
-                run = parse(response.text)
+                run = parse(response)
                 parsed_any = True
             except ParseError as exc:
                 tag = request.request_tag

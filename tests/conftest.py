@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehrqa.core import Case, EhrqaError, NoteSentence, ProviderError
-from ehrqa.providers import GenRequest, GenResponse
+from ehrqa.providers import GenRequest
 
 
 class ScriptedProvider:
@@ -19,15 +19,13 @@ class ScriptedProvider:
         self.handler = handler
         self.calls: list[str] = []
 
-    def generate(self, request: GenRequest) -> GenResponse:
+    def generate(self, request: GenRequest) -> str:
         self.calls.append(request.request_tag)
         if request.request_tag in self.script:
-            text = self.script[request.request_tag]
-        elif self.handler is not None:
-            text = self.handler(request)
-        else:
-            raise ProviderError(f"no scripted response for tag {request.request_tag!r}")
-        return GenResponse(text=text, deployment_name=request.deployment_name)
+            return self.script[request.request_tag]
+        if self.handler is not None:
+            return self.handler(request)
+        raise ProviderError(f"no scripted response for tag {request.request_tag!r}")
 
 
 class FailingProvider:
@@ -37,7 +35,7 @@ class FailingProvider:
         self.message = message
         self.calls = 0
 
-    def generate(self, request: GenRequest) -> GenResponse:
+    def generate(self, request: GenRequest) -> str:
         self.calls += 1
         raise ProviderError(f"{self.message} (tag {request.request_tag})")
 

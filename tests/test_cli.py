@@ -171,9 +171,16 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=r"^st2\.confidence_floor"):
             pipeline.run_pipeline(config)
 
-    def test_st3_deployments_must_be_unique(self):
-        with pytest.raises(ConfigError, match="st3 deployments"):
-            resolve_config({"st3": {"deployments": ["o3", "gpt-5.2", "o3"]}})
+    @pytest.mark.parametrize(
+        "subtask, deployments",
+        [("st1", ["a", "a"]), ("st3", ["o3", "gpt-5.2", "o3"])],
+    )
+    def test_deployments_must_be_unique(self, subtask, deployments):
+        """An st1 repeat would send the same ``<case>/st1/<deployment>/0``
+        request twice per case."""
+        message = f"{subtask} deployments must be unique, got {deployments}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_config({subtask: {"deployments": deployments}})
 
     @pytest.mark.parametrize("subtask", ["st2", "st4"])
     def test_a_plan_lists_each_deployment_once(self, subtask):
@@ -506,7 +513,7 @@ class TestChaining:
 
     def capture_generator(self, monkeypatch):
         from ehrqa import pipeline
-        from ehrqa.providers import GenResponse, PipelineMockProvider
+        from ehrqa.providers import PipelineMockProvider
 
         prompts: dict[str, str] = {}
         inner = PipelineMockProvider()
@@ -790,6 +797,27 @@ class TestCliCommands:
         assert report["corpus"]["μR"] == 0.0
         assert set(report["per_case"]) == {"1", "2", "3"}
         assert all(row["R"] == 0.0 for row in report["per_case"].values())
+
+    def test_eval_reports_do_not_depend_on_the_prediction_path(self, tmp_path, monkeypatch):
+        records = [
+            {"case_id": json.loads(line)["case_id"], "evidence_ids": ["1"]}
+            for line in toy_dataset_path().read_text().splitlines()
+        ]
+        preds = [tmp_path / "a" / "st2.jsonl", tmp_path / "b" / "predictions.jsonl"]
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for pred, spelled in zip(preds, [str(preds[0]), "b/./predictions.jsonl"]):
+            pred.parent.mkdir()
+            pred.write_text("".join(json.dumps(r) + "\n" for r in records))
+            out_dir = pred.parent / "report"
+            assert main([
+                "eval", "--pred", spelled, "--gold", str(toy_dataset_path()),
+                "--subtask", "st2", "--out", str(out_dir),
+            ]) == 0
+            reports.append(tree_bytes(out_dir))
+        assert reports[0] == reports[1]
+        assert set(reports[0]) == {"st2_report.json", "st2_report.txt"}
+        assert reports[0]["st2_report.txt"].startswith(b"st2 corpus")
 
     def test_eval_unmatched_case_ids_error(self, tmp_path, capsys):
         pred = tmp_path / "st2.jsonl"

@@ -4,7 +4,6 @@ own thread in a fixed order, calls in flight stay within their bound, a
 replay reads its cache on the calling thread, and live clients are built
 once per deployment."""
 
-import dataclasses
 import itertools
 import json
 import logging
@@ -228,7 +227,7 @@ class CountingRewrites(PipelineMockProvider):
         if self._stage(request.request_tag) != "st3s2":
             return response
         time.sleep(0.002)
-        return dataclasses.replace(response, text=f"{response.text} ({next(self.rewrites)})")
+        return f"{response} ({next(self.rewrites)})"
 
 
 def test_a_recording_replays_to_what_it_recorded(tmp_path, monkeypatch):
@@ -336,7 +335,7 @@ class TestDeploymentRouter:
         def call(i):
             start.wait()
             deployment = "o3" if i % 2 else "gpt-5.1"
-            texts[i] = router.generate(req(f"c{i}/st2/{deployment}/0", deployment=deployment)).text
+            texts[i] = router.generate(req(f"c{i}/st2/{deployment}/0", deployment=deployment))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -24,7 +24,7 @@ OUTPUT_SHA256 = {
     "st4.jsonl": "c0274d488656e28e3bab3d94290c6ebcd1063b0df0ec866c7a5817b31ca85463",
 }
 # sha256 over each cache entry's file name and bytes, in name order.
-CACHE_SHA256 = "7b1a5ea8ce2e71cc7fdbbaf8956a853b18723364c1cba9f25988a2a9b84b2207"
+CACHE_SHA256 = "0e0567299a97b1c079de25a3d5bace6f6ad07608a09bfe27b0b8ba3f2533a2c1"
 
 
 @pytest.fixture(scope="module")

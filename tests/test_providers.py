@@ -20,14 +20,12 @@ from ehrqa.prompting import Message
 from ehrqa.providers import (
     CachedEmbedder,
     GenRequest,
-    GenResponse,
     HashEmbedder,
     HttpChatProvider,
     HttpEmbeddingProvider,
     PipelineMockProvider,
     ReplayGenerator,
     ResponseCache,
-    RetryPolicy,
     cosine,
     embed_cache_key,
     env_var_names,
@@ -51,7 +49,7 @@ def req(tag="c1/st2/0", content="prompt", deployment="m1", temperature=0.0, samp
 class TestScriptedProvider:
     def test_scripted_by_tag(self):
         provider = ScriptedProvider({"c1/st2/0": '["2","5"]'})
-        assert provider.generate(req()).text == '["2","5"]'
+        assert provider.generate(req()) == '["2","5"]'
 
     def test_unknown_tag_raises(self):
         with pytest.raises(ProviderError):
@@ -59,7 +57,7 @@ class TestScriptedProvider:
 
     def test_handler_fallback(self):
         provider = ScriptedProvider(handler=lambda r: r.request_tag.upper())
-        assert provider.generate(req("a/b/1")).text == "A/B/1"
+        assert provider.generate(req("a/b/1")) == "A/B/1"
 
 
 class TestCacheKey:
@@ -102,14 +100,12 @@ class TestRecordReplay:
     def test_record_then_replay_identical(self, tmp_path):
         cache = ResponseCache(tmp_path)
         recorder = ReplayGenerator(cache, inner=ScriptedProvider({"t": "hello"}), mode="record")
-        first = recorder.generate(req("t"))
-        assert not first.from_cache
+        assert recorder.generate(req("t")) == "hello"
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
 
         replayer = ReplayGenerator(cache, mode="replay")
-        second = replayer.generate(req("t"))
-        third = replayer.generate(req("t"))
-        assert second.text == third.text == "hello"
-        assert second.from_cache and third.from_cache
+        assert replayer.generate(req("t")) == replayer.generate(req("t")) == "hello"
+        assert cache.stats() == {"hits": 2, "misses": 1, "entries": 1}
 
     def test_strict_replay_miss_names_tag(self, tmp_path):
         replayer = ReplayGenerator(ResponseCache(tmp_path), mode="replay")
@@ -121,7 +117,7 @@ class TestRecordReplay:
         ReplayGenerator(cache, inner=ScriptedProvider({"t": "x"}), mode="record").generate(req("t"))
         backend = FailingProvider()
         replayer = ReplayGenerator(cache, mode="replay")
-        assert replayer.generate(req("t")).text == "x"
+        assert replayer.generate(req("t")) == "x"
         assert backend.calls == 0
 
     def test_samples_stored_separately(self, tmp_path):
@@ -131,15 +127,15 @@ class TestRecordReplay:
         recorder.generate(req("a", sample=0))
         recorder.generate(req("b", sample=1))
         replayer = ReplayGenerator(cache, mode="replay")
-        assert replayer.generate(req("z", sample=0)).text == "sample-0"
-        assert replayer.generate(req("z", sample=1)).text == "sample-1"
+        assert replayer.generate(req("z", sample=0)) == "sample-0"
+        assert replayer.generate(req("z", sample=1)) == "sample-1"
 
     def test_record_resumes_from_cache(self, tmp_path):
         cache = ResponseCache(tmp_path)
         ReplayGenerator(cache, inner=ScriptedProvider({"t": "x"}), mode="record").generate(req("t"))
         backend = FailingProvider()
         resumed = ReplayGenerator(ResponseCache(tmp_path), inner=backend, mode="record")
-        assert resumed.generate(req("t")).text == "x"
+        assert resumed.generate(req("t")) == "x"
         assert backend.calls == 0
         assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
 
@@ -160,8 +156,7 @@ class TestRecordReplay:
         (tmp_path / f"{key}.json").write_text(
             json.dumps(old_entry, sort_keys=True, indent=1), encoding="utf-8"
         )
-        response = ReplayGenerator(ResponseCache(tmp_path)).generate(request)
-        assert (response.text, response.latency_ms, response.from_cache) == ("old", 3.0, True)
+        assert ReplayGenerator(ResponseCache(tmp_path)).generate(request) == "old"
 
     def test_cache_stats_and_prune(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -183,7 +178,7 @@ class TestRecordReplay:
     "wrapper, inner, ask, asked",
     [
         (ReplayGenerator, ScriptedProvider(handler=lambda r: "reply"),
-         lambda w: w.generate(req()).text, "'c1/st2/0'"),
+         lambda w: w.generate(req()), "'c1/st2/0'"),
         (CachedEmbedder, HashEmbedder(),
          lambda w: [v.tolist() for v in w.embed(["alpha", "beta"])], "'alpha'"),
     ],
@@ -220,7 +215,10 @@ class TestRecordReplayContract:
         field alone."""
         ask(wrapper(ResponseCache(tmp_path), inner, "record"))
         (entry,) = tmp_path.glob("*.json")
-        assert list(json.loads(entry.read_bytes())) == [wrapper.field]
+        entry = json.loads(entry.read_bytes())
+        assert list(entry) == [wrapper.field]
+        if wrapper is ReplayGenerator:
+            assert list(entry["response"]) == ["text"]
 
     def test_an_entry_stored_during_the_call_is_served(self, tmp_path, wrapper, inner, ask, asked):
         """Another request stores the key while this one calls its backend:
@@ -243,7 +241,7 @@ class LateBackend:
 
     def generate(self, request):
         self.first = self.record_first()
-        return GenResponse("late", request.deployment_name)
+        return "late"
 
     def embed(self, texts):
         self.first = self.record_first()
@@ -262,9 +260,7 @@ class TestCacheFormat:
         data = entry.read_text(encoding="utf-8")
         assert len(data.encode("utf-8")) < 1_000
         assert "note sentence" not in data
-        assert json.loads(data) == {
-            "response": {"text": "reply", "deployment_name": "m1", "latency_ms": 0.0},
-        }
+        assert json.loads(data) == {"response": {"text": "reply"}}
 
     @pytest.mark.parametrize(
         "content",
@@ -272,18 +268,12 @@ class TestCacheFormat:
             '{"response": {"text": "tru', "[]", '{"request": {}}',
             '{"response": 5}', '{"response": {}}',
             '{"response": {"text": 5, "deployment_name": "d"}}',
-            '{"response": {"text": "t", "deployment_name": ["d"]}}',
-            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": true}}',
-            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": "3"}}',
-            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": null}}',
             '{"response": ' + "[" * 100_000 + "]" * 100_000 + "}",
             '{"response": null}',
         ],
         ids=[
             "truncated", "not-an-object", "no-response", "response-not-an-object",
-            "response-empty", "text-not-a-string", "deployment-not-a-string",
-            "latency-bool", "latency-text", "latency-null", "nested-too-deep",
-            "response-null",
+            "response-empty", "text-not-a-string", "nested-too-deep", "response-null",
         ],
     )
     def test_unreadable_generator_entry_names_key_and_tag(self, tmp_path, content):
@@ -294,6 +284,29 @@ class TestCacheFormat:
             generator = ReplayGenerator(ResponseCache(tmp_path), inner=inner, mode=mode)
             with pytest.raises(CacheMissError, match=rf"{key}.*'c7/st4/m2/0'"):
                 generator.generate(request)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"response": {"text": "t", "deployment_name": ["d"]}}',
+            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": true}}',
+            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": "3"}}',
+            '{"response": {"text": "t", "deployment_name": "d", "latency_ms": null}}',
+        ],
+        ids=["deployment-not-a-string", "latency-bool", "latency-text", "latency-null"],
+    )
+    def test_an_old_entry_serves_its_text_whatever_its_unserved_fields(self, tmp_path, content):
+        """Only ``response.text`` is served, so only it is checked: an entry
+        of an earlier form whose other fields are malformed still replays,
+        and is not rewritten."""
+        request = req("c7/st4/m2/0")
+        entry = tmp_path / f"{request_cache_key(request)}.json"
+        entry.write_text(content, encoding="utf-8")
+        for mode, inner in (("replay", None), ("record", FailingProvider())):
+            generator = ReplayGenerator(ResponseCache(tmp_path), inner=inner, mode=mode)
+            assert generator.generate(request) == "t"
+            assert generator.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+        assert entry.read_text(encoding="utf-8") == content
 
     @pytest.mark.parametrize(
         "content",
@@ -347,7 +360,7 @@ class TestCacheFormat:
         replayer = ReplayGenerator(ResponseCache(tmp_path), mode="replay")
 
         def replay_all(_):
-            return [replayer.generate(r).text for r in requests]
+            return [replayer.generate(r) for r in requests]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -374,10 +387,10 @@ class TestCacheFormat:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 responses = pool.map(lambda _: recorder.generate(req()), range(64), timeout=60)
-                texts = [response.text for response in responses]
+                texts = list(responses)
         finally:
             sys.setswitchinterval(interval)
-        stored = ReplayGenerator(ResponseCache(tmp_path)).generate(req()).text
+        stored = ReplayGenerator(ResponseCache(tmp_path)).generate(req())
         assert texts == [stored] * 64
         assert recorder.cache.stats() == {"hits": 63, "misses": 1, "entries": 1}
 
@@ -448,7 +461,7 @@ def _list_form_entry(self, texts, vectors):
     return {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]}
 
 
-_generator_entry, _embedding_entry = ReplayGenerator._to_entry, CachedEmbedder._to_entry
+_embedding_entry = CachedEmbedder._to_entry
 
 
 def _model_entry(self, texts, vectors):
@@ -456,7 +469,13 @@ def _model_entry(self, texts, vectors):
     return {"model": self.model, **_embedding_entry(self, texts, vectors)}
 
 
-def _request_block_entry(self, request, response):
+def _deployment_and_latency_entry(self, request, text):
+    """A generator entry as written before its response held its text alone."""
+    response = {"text": text, "deployment_name": request.deployment_name, "latency_ms": 0.0}
+    return {"response": response}
+
+
+def _request_block_entry(self, request, text):
     """A generator entry as written before it held its response alone."""
     return {
         "request": {
@@ -466,7 +485,7 @@ def _request_block_entry(self, request, response):
             "temperature": request.temperature,
             "max_output_tokens": request.max_output_tokens,
         },
-        **_generator_entry(self, request, response),
+        **_deployment_and_latency_entry(self, request, text),
     }
 
 
@@ -539,19 +558,30 @@ class TestEmbeddingEntryForm:
     def test_a_recording_with_request_and_model_replays_to_the_same_outputs(
         self, tmp_path, monkeypatch
     ):
-        """Entries as written before an entry held its served field alone."""
-        with monkeypatch.context() as patch:
-            patch.setattr(ReplayGenerator, "_to_entry", _request_block_entry)
-            patch.setattr(CachedEmbedder, "_to_entry", _model_entry)
-            old_config, _, old_cache = _record_toy(tmp_path, "request-and-model")
-        entries = _entries(old_cache).values()
-        assert sum("request_tag" in e.get("request", {}) for e in entries) == 42
-        assert sum("model" in e for e in entries) == 6
-        _assert_replays_as_recorded(tmp_path, old_config, old_cache)
+        """Entries as written by earlier versions: with a ``request`` block
+        and a ``model``, and, later, with the response's ``deployment_name``
+        and ``latency_ms`` beside its text."""
+        forms = {
+            "request-and-model": (_request_block_entry, _model_entry, 42, 6),
+            "deployment-and-latency": (_deployment_and_latency_entry, _embedding_entry, 0, 0),
+        }
+        for name, (generator_entry, embedding_entry, requests, models) in forms.items():
+            (tmp_path / name).mkdir()
+            with monkeypatch.context() as patch:
+                patch.setattr(ReplayGenerator, "_to_entry", generator_entry)
+                patch.setattr(CachedEmbedder, "_to_entry", embedding_entry)
+                old_config, _, old_cache = _record_toy(tmp_path / name, "old")
+            entries = _entries(old_cache).values()
+            responses = [e["response"] for e in entries if "response" in e]
+            assert len(responses) == 42
+            assert all(r.keys() == {"text", "deployment_name", "latency_ms"} for r in responses)
+            assert sum("request_tag" in e.get("request", {}) for e in entries) == requests
+            assert sum("model" in e for e in entries) == models
+            _assert_replays_as_recorded(tmp_path / name, old_config, old_cache)
 
     def test_generator_entries_are_those_of_earlier_versions(self, tmp_path):
         """The digest is over each generator entry's file name and served
-        ``response``, so entries recorded with a ``request`` block give it too."""
+        ``response.text``, so entries recorded in earlier forms give it too."""
         _, _, cache = _record_toy(tmp_path, "pin")
         digest, generator_entries = hashlib.sha256(), 0
         for path in sorted(cache.glob("*.json")):
@@ -559,13 +589,10 @@ class TestEmbeddingEntryForm:
             if "vectors" in entry:
                 continue
             generator_entries += 1
-            response = json.dumps(
-                entry["response"], ensure_ascii=False, sort_keys=True, separators=(",", ":")
-            )
-            digest.update(path.name.encode() + b"\0" + response.encode() + b"\0")
+            digest.update(path.name.encode() + b"\0" + entry["response"]["text"].encode() + b"\0")
         assert generator_entries == 42
         assert digest.hexdigest() == (
-            "8e9c6cff4516c37bdfbeac6e4b467fb4c2322b59409d11458ad20c82aa9da32c"
+            "2b9552e1b923c863d104a71802f4c0e0d80eac4a01f8725a5cb16837beaf0bc2"
         )
 
 
@@ -641,7 +668,7 @@ class TestHttpProvider:
             transport=lambda url, payload, headers: FakeResponse(),
             sleep=lambda s: None,
         )
-        assert provider.generate(req()).text == "hi"
+        assert provider.generate(req()) == "hi"
 
     def test_retries_on_transient_then_succeeds(self):
         calls = []
@@ -657,9 +684,8 @@ class TestHttpProvider:
             "key",
             transport=transport,
             sleep=lambda s: None,
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0),
         )
-        assert provider.generate(req()).text == "hi"
+        assert provider.generate(req()) == "hi"
         assert len(calls) == 3
 
     def test_gives_up_after_bounded_attempts(self):
@@ -668,7 +694,6 @@ class TestHttpProvider:
             "key",
             transport=lambda *a: FakeResponse(status_code=503),
             sleep=lambda s: None,
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0),
         )
         with pytest.raises(ProviderError, match="3 attempts"):
             provider.generate(req())
@@ -784,7 +809,7 @@ class TestGatherResponses:
         provider = ScriptedProvider(handler=lambda r: r.request_tag)
         responses = gather_responses(provider, [req("b"), req("a"), req("c")])
         assert provider.calls == ["b", "a", "c"]  # made inline, one after another
-        assert [r.text for r in responses] == ["b", "a", "c"]
+        assert responses == ["b", "a", "c"]
 
     def test_failures_captured_not_raised(self, caplog):
         provider = ScriptedProvider({"ok": "fine"})
@@ -792,7 +817,7 @@ class TestGatherResponses:
             responses = gather_responses(provider, [req("missing"), req("ok")])
         assert responses[0] is None
         assert "request missing failed: no scripted response for tag 'missing'" in caplog.text
-        assert responses[1].text == "fine"  # the batch went on past the failure
+        assert responses[1] == "fine"  # the batch went on past the failure
 
     @pytest.mark.parametrize("threads", [None, 1, 2])
     @pytest.mark.parametrize(
@@ -833,7 +858,7 @@ class TestPipelineMock:
             messages=(Message("user", prompt),),
             request_tag="c/st2/m/0",
         )
-        text = PipelineMockProvider().generate(request).text
+        text = PipelineMockProvider().generate(request)
         assert text == '["1", "2"]'
 
     def test_deterministic(self):
@@ -843,7 +868,7 @@ class TestPipelineMock:
             request_tag="c/st2/m/0",
         )
         mock = PipelineMockProvider()
-        assert mock.generate(request).text == mock.generate(request).text
+        assert mock.generate(request) == mock.generate(request)
 
     def test_a_case_id_with_a_slash_gets_the_same_answers(self, tmp_path):
         """The stage is the first tag segment after the case_id that names one."""

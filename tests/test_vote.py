@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ehrqa.core import CacheMissError, EhrqaError
 from ehrqa.metrics import micro_prf
 from ehrqa.parsing import parse_id_array
-from ehrqa.providers import GenRequest, GenResponse, gather_responses
+from ehrqa.providers import GenRequest, gather_responses
 from ehrqa.prompting import Message
 from ehrqa.vote import VoteTally, parse_runs, sweep
 from tests.conftest import ScriptedProvider
@@ -76,7 +76,7 @@ def request(tag):
 def test_failed_and_unparseable_runs_vote_for_nothing(caplog):
     requests = [request(f"c1/st2/m/{i}") for i in range(3)]
     # the third call failed
-    responses = [GenResponse('["2"]', "m"), GenResponse("no array here", "m"), None]
+    responses = ['["2"]', "no array here", None]
     with caplog.at_level("WARNING"):
         runs = parse_runs(requests, responses, parse_id_array, "c1", "st2")
     assert runs == [{"2"}, (), ()]
