@@ -23,7 +23,7 @@ from .dataset import as_alignments, as_ids, as_text, load_cases, read_records
 from .metrics import flatten_links
 from .pipeline import PRESETS, PROVIDER_MODES, SUBTASK_ORDER, resolve_config
 from .pipeline import run_pipeline, run_sweep
-from .providers import ResponseCache
+from .providers import CachedEmbedder, ReplayGenerator, ResponseCache
 from .report import (
     check_same_cases,
     format_table,
@@ -176,14 +176,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     cache = ResponseCache(Path(args.cache_dir))
+    # .json and .f64, in that order: every kind of file either wrapper reads.
+    suffixes = list(dict.fromkeys(ReplayGenerator.suffixes + CachedEmbedder.suffixes))
     if args.action == "inspect":
-        entries = cache.entries()
-        print(f"{len(entries)} cached response(s) in {args.cache_dir}")
-        for key in entries[: args.limit]:
-            print(f"  {key}")
+        entries = {suffix: cache.entries(suffix) for suffix in suffixes}
+        counts = ", ".join(f"{len(keys)} {suffix}" for suffix, keys in entries.items())
+        total = sum(map(len, entries.values()))
+        print(f"{total} cache entr(ies) in {args.cache_dir}: {counts}")
+        names = [key + suffix for suffix, keys in entries.items() for key in keys]
+        for name in names[: args.limit]:
+            print(f"  {name}")
         return 0
-    removed = cache.prune()
-    print(f"removed {removed} cached response(s)")
+    removed = cache.prune(suffixes)
+    print(f"removed {removed} cache entr(ies)")
     return 0
 
 

@@ -604,7 +604,8 @@ def run_pipeline(config: dict) -> dict:
     """
     run = _setup(config)
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
-    chain = partial(_case_chain, run=run, args=_chain_args(run, subtasks))
+    args = _chain_args(run, subtasks)
+    chain = partial(_case_chain, run=run, args=args)
     threads = _case_threads(config, config["workers"] ** 2)
     # A run keeps each case's records; the tallies are for a sweep.
     per_case = _map_cases(lambda case: chain(case)[0], run.cases, threads)
@@ -618,8 +619,12 @@ def run_pipeline(config: dict) -> dict:
         "subtasks": subtasks,
         "cases": [c.case_id for c in run.cases],
         "outputs": sorted(f"{name}.jsonl" for name in outputs),
-        "cache": run.generator.cache.stats() if isinstance(run.generator, ReplayGenerator) else {},
+        "cache": run.generator.stats() if isinstance(run.generator, ReplayGenerator) else {},
     }
+    # st3 and st4 share one embedder; each cache wrapper counts its own calls.
+    embedder = next((a["embedder"] for a in args.values() if "embedder" in a), None)
+    if isinstance(embedder, CachedEmbedder):
+        manifest["embedding_cache"] = embedder.stats()
     atomic_write_text(
         run.out_dir / "manifest.json",
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",

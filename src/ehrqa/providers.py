@@ -66,10 +66,12 @@ class Embedder(Protocol):
         ...
 
 
-# json.dumps(obj, sort_keys=True, ensure_ascii=False) and json.dumps(obj,
-# ensure_ascii=False), without building an encoder per call.
+# json.dumps(obj, sort_keys=True, ensure_ascii=False), json.dumps(obj,
+# ensure_ascii=False) and the compact sorted form a cache entry takes,
+# without building an encoder per call.
 _encode_sorted = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_encode_compact = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
 
 
 def request_cache_key(request: GenRequest) -> str:
@@ -357,10 +359,11 @@ class HashEmbedder:
 
 
 class ResponseCache:
-    """Content-addressed store: one compact JSON file per key, whose first
-    entry is final. Reads take no lock: ``put`` publishes an entry with a
-    hard link, so a reader finds either no file or a whole one that never
-    changes. The lock guards only the hit and miss counters.
+    """Content-addressed store of bytes: one file per entry, named
+    ``<key><suffix>`` for the suffix its reader names, whose first entry is
+    final. Reads take no lock: ``put`` publishes an entry with a hard link,
+    so a reader finds either no file or a whole one that never changes.
+    The lock guards only the hit and miss counters.
     """
 
     def __init__(self, root: str | Path):
@@ -371,55 +374,45 @@ class ResponseCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self._dir, key + ".json")
+    def _path(self, key: str, suffix: str) -> str:
+        return os.path.join(self._dir, key + suffix)
 
-    def get(self, key: str, field: str, what: str):
-        """The ``field`` of the entry stored under ``key``, or None on a miss.
-
-        An entry that does not parse (nested too deep included), or whose
-        ``field`` is missing or null, raises CacheMissError naming the key
-        and ``what`` it was read for.
-        """
-        try:
-            value = self._read(key, field, what)
-        except FileNotFoundError:
-            value = None
+    def get(self, key: str, suffixes: Sequence[str]) -> tuple[str, bytes] | None:
+        """The first of ``suffixes`` that ``key`` has an entry under, and
+        that entry's bytes; None on a miss."""
+        entry = None
+        for suffix in suffixes:
+            try:
+                entry = suffix, self._read(key, suffix)
+                break
+            except FileNotFoundError:
+                continue
         with self._lock:
-            self.hits += value is not None
-            self.misses += value is None
-        return value
+            self.hits += entry is not None
+            self.misses += entry is None
+        return entry
 
-    def found(self, key: str, field: str, what: str):
-        """The ``field`` of the entry a ``put`` found under ``key``; the
-        ``get`` that missed it counts as a hit instead."""
-        value = self._read(key, field, what)
+    def found(self, key: str, suffix: str) -> bytes:
+        """The bytes of the entry a ``put`` found under ``key``; the ``get``
+        that missed it counts as a hit instead."""
+        data = self._read(key, suffix)
         with self._lock:
             self.misses -= 1
             self.hits += 1
-        return value
+        return data
 
-    def _read(self, key: str, field: str, what: str):
-        with open(self._path(key), "rb", buffering=0) as fh:
-            data = fh.readall()
-        try:
-            value = json.loads(data)[field]
-            if value is None:
-                raise ValueError("null")
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CacheMissError(
-                f"unreadable cache entry {key} for {what}: no valid {field!r} ({exc})"
-            ) from exc
-        return value
+    def _read(self, key: str, suffix: str) -> bytes:
+        with open(self._path(key, suffix), "rb", buffering=0) as fh:
+            return fh.readall()
 
-    def put(self, key: str, record: dict) -> bool:
-        """Store ``record`` under ``key`` unless the key has an entry, which
-        stays; returns whether it stored. A link fails where the name exists."""
-        path = self._path(key)
+    def put(self, key: str, suffix: str, data: bytes) -> bool:
+        """Store ``data`` under ``key`` unless the key has an entry of that
+        suffix, which stays; returns whether it stored. A link fails where
+        the name exists."""
+        path = self._path(key, suffix)
         tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
-        text = json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         try:
-            tmp.write_text(text, encoding="utf-8")
+            tmp.write_bytes(data)
             os.link(tmp, path)
             return True
         except FileExistsError:
@@ -427,20 +420,38 @@ class ResponseCache:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def entries(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.json"))
+    def entries(self, suffix: str) -> list[str]:
+        """The keys with an entry of ``suffix``, sorted."""
+        with os.scandir(self._dir) as found:
+            return sorted(e.name[: -len(suffix)] for e in found if e.name.endswith(suffix))
 
-    def prune(self) -> int:
+    def prune(self, suffixes: Sequence[str]) -> int:
+        """Delete every entry of ``suffixes``; returns how many."""
         removed = 0
-        for p in self.root.glob("*.json"):
-            p.unlink()
-            removed += 1
+        for suffix in suffixes:
+            for key in self.entries(suffix):
+                os.unlink(self._path(key, suffix))
+                removed += 1
         return removed
 
-    def stats(self) -> dict:
-        with os.scandir(self._dir) as found:
-            entries = sum(entry.name.endswith(".json") for entry in found)
-        return {"hits": self.hits, "misses": self.misses, "entries": entries}
+    def stats(self, suffix: str) -> dict:
+        """The hit and miss counts, and the number of ``suffix`` entries."""
+        return {"hits": self.hits, "misses": self.misses, "entries": len(self.entries(suffix))}
+
+
+def _json_field(data: bytes, field: str, key: str, what: str):
+    """The ``field`` of a JSON cache entry. An entry that does not parse
+    (nested too deep included), or whose ``field`` is missing or null,
+    raises CacheMissError naming the key and ``what`` it was read for."""
+    try:
+        value = json.loads(data)[field]
+        if value is None:
+            raise ValueError("null")
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CacheMissError(
+            f"unreadable cache entry {key} for {what}: no valid {field!r} ({exc})"
+        ) from exc
+    return value
 
 
 class _RecordReplay:
@@ -451,13 +462,14 @@ class _RecordReplay:
     so an interrupted recording resumes where it stopped (and when another
     request stored the key's entry meanwhile, serves that entry instead);
     replay raises CacheMissError naming what was asked. A subclass names
-    the entry ``field`` a hit is served from, the kind of ``backend`` it
-    wraps and the noun a replay miss puts before what was asked
-    (``missing``), and converts between its backend's results and its
-    entries.
+    the entry ``suffixes`` a hit is looked up under, in order, the first
+    being the one it writes; the kind of ``backend`` it wraps; and the
+    noun a replay miss puts before what was asked (``missing``). It
+    converts between its backend's results and its entries' bytes.
     """
 
-    field = backend = missing = ""
+    suffixes: tuple[str, ...] = ()
+    backend = missing = ""
 
     def __init__(self, cache: ResponseCache, inner=None, mode: str = "replay"):
         if mode not in ("record", "replay"):
@@ -468,25 +480,32 @@ class _RecordReplay:
         self.inner = inner
         self.mode = mode
 
+    def stats(self) -> dict:
+        """The cache's hit and miss counts, and its entries of the suffix
+        this wrapper writes."""
+        return self.cache.stats(self.suffixes[0])
+
     def _serve(self, key: str, what: str, asked):
-        value = self.cache.get(key, self.field, what)
-        if value is None:
+        entry = self.cache.get(key, self.suffixes)
+        if entry is None:
             if self.mode == "replay":
                 raise CacheMissError(f"no cached {self.missing}{what} (key {key[:12]})")
             result = self._call(asked)
-            if self.cache.put(key, self._to_entry(asked, result)):
+            suffix = self.suffixes[0]
+            if self.cache.put(key, suffix, self._to_entry(asked, result)):
                 return result
-            value = self.cache.found(key, self.field, what)
-        return self._from_entry(value, asked, key, what)
+            entry = suffix, self.cache.found(key, suffix)
+        return self._from_entry(*entry, asked, key, what)
 
 
 class ReplayGenerator(_RecordReplay):
-    """Record/replay generator. An entry is ``{"response": {"text": ...}}``
-    alone: the key stands for the request. Entries whose response also
-    holds ``deployment_name`` and ``latency_ms``, or that also hold a
-    ``request`` block, as earlier versions wrote, still replay."""
+    """Record/replay generator. An entry is ``<key>.json`` holding
+    ``{"response": {"text": ...}}`` alone: the key stands for the request.
+    Entries whose response also holds ``deployment_name`` and
+    ``latency_ms``, or that also hold a ``request`` block, as earlier
+    versions wrote, still replay."""
 
-    field, backend, missing = "response", "generator", "response for "
+    suffixes, backend, missing = (".json",), "generator", "response for "
 
     def generate(self, request: GenRequest) -> str:
         return self._serve(request_cache_key(request), f"request {request.request_tag!r}", request)
@@ -494,9 +513,10 @@ class ReplayGenerator(_RecordReplay):
     def _call(self, request: GenRequest) -> str:
         return self.inner.generate(request)
 
-    def _from_entry(self, resp, request, key: str, what: str) -> str:
+    def _from_entry(self, suffix: str, data: bytes, request, key: str, what: str) -> str:
         """The cached response's ``text``, a string; anything else raises
         CacheMissError naming the key. Its other fields are never read."""
+        resp = _json_field(data, "response", key, what)
         text = resp.get("text") if isinstance(resp, dict) else None
         if not isinstance(text, str):
             raise CacheMissError(
@@ -505,18 +525,19 @@ class ReplayGenerator(_RecordReplay):
             )
         return text
 
-    def _to_entry(self, request: GenRequest, text: str) -> dict:
-        return {"response": {"text": text}}
+    def _to_entry(self, request: GenRequest, text: str) -> bytes:
+        return _encode_compact({"response": {"text": text}}).encode("utf-8")
 
 
 class CachedEmbedder(_RecordReplay):
     """Record/replay embedder. An entry is keyed on the model and the
-    ordered text list and is ``{"vectors": ...}`` alone: the base64 of one
-    row-major little-endian float64 array, a row per text. Entries that
-    also hold ``model``, or hold a JSON list of rows, as earlier versions
-    wrote, are read, never written."""
+    ordered text list, and is ``<key>.f64``: one row-major little-endian
+    float64 array, a row per text, with nothing around it. Where a key has
+    no ``.f64`` entry, ``<key>.json`` is read, as earlier versions wrote
+    it: ``{"vectors": ...}`` holding the base64 of that array or a JSON
+    list of rows, with or without a ``model``. Those are never written."""
 
-    field, backend = "vectors", "embedder"
+    suffixes, backend = (".f64", ".json"), "embedder"
 
     def __init__(self, cache: ResponseCache, inner: Embedder | None = None,
                  mode: str = "replay", model: str = "default"):
@@ -532,25 +553,26 @@ class CachedEmbedder(_RecordReplay):
     def _call(self, texts: Sequence[str]) -> list[np.ndarray]:
         return self.inner.embed(texts)
 
-    def _from_entry(self, vectors: str | list, texts, key: str, what: str) -> list[np.ndarray]:
+    def _from_entry(self, suffix: str, data: bytes, texts, key: str, what: str) -> list[np.ndarray]:
         """One writable float64 vector per text, all of one positive length;
         anything else raises CacheMissError naming the key."""
         n = len(texts)
         try:
-            if isinstance(vectors, str):
+            raw = data
+            if suffix == ".json":
+                vectors = _json_field(data, "vectors", key, what)
+                if not isinstance(vectors, str):  # the list form
+                    return list(_vector_rows(vectors, n))
                 raw = base64.b64decode(vectors, validate=True)
-                if not raw or len(raw) % (8 * n):
-                    raise ValueError(f"{len(raw)} bytes for {n} vector(s)")
-                rows = np.frombuffer(raw, dtype="<f8").reshape(n, -1).astype(float)
-            else:  # the list form
-                rows = _vector_rows(vectors, n)
+            if not raw or len(raw) % (8 * n):
+                raise ValueError(f"{len(raw)} bytes for {n} vector(s)")
+            rows = np.frombuffer(raw, dtype="<f8").reshape(n, -1).astype(float)
         except ValueError as exc:  # binascii.Error is a ValueError
             raise CacheMissError(f"cache entry {key} for {what} holds no valid vectors ({exc})") from exc
         return list(rows)
 
-    def _to_entry(self, texts, vectors: list[np.ndarray]) -> dict:
-        raw = np.asarray(vectors, dtype="<f8").tobytes()
-        return {"vectors": base64.b64encode(raw).decode("ascii")}
+    def _to_entry(self, texts, vectors: list[np.ndarray]) -> bytes:
+        return np.asarray(vectors, dtype="<f8").tobytes()
 
 
 def _vector_rows(vectors, count: int | None = None) -> np.ndarray:

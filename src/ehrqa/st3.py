@@ -19,7 +19,12 @@ from .providers import Embedder, GenRequest, Generator, cosine
 
 logger = logging.getLogger(__name__)
 
-_MARKER_RE = re.compile(r"\[\d+\]")
+# A citation: a bracket holding one or more items, each a sentence ID or a
+# range of them, separated by commas or spaces: [2], [2, 3], [ 4 ], [2 3],
+# [2-4], [1, 3-5].
+_ITEM = r"\d+(?:\s*[-\u2013]\s*\d+)?"
+_ITEM_RE = re.compile(_ITEM)
+_MARKER_RE = re.compile(rf"\[\s*{_ITEM}(?:(?:\s*,\s*|\s+){_ITEM})*\s*\]")
 _CONJUNCTIONS = {"and", "or", "but", "nor", "so", "yet"}
 
 
@@ -30,12 +35,13 @@ class CitedDraft:
 
 
 def extract_markers(text: str) -> list[str]:
-    """Citation IDs in order of first appearance, deduplicated."""
+    """Citation IDs in order of first appearance, deduplicated. A range
+    cites none of its IDs, so no ID is cited that the model did not write."""
     seen: list[str] = []
     for match in _MARKER_RE.finditer(text):
-        sentence_id = match.group(0)[1:-1]
-        if sentence_id not in seen:
-            seen.append(sentence_id)
+        for sentence_id in _ITEM_RE.findall(match.group(0)):
+            if sentence_id.isdigit() and sentence_id not in seen:
+                seen.append(sentence_id)
     return seen
 
 

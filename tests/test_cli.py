@@ -969,16 +969,25 @@ class TestCliCommands:
         assert "SARI" in report_json["corpus"]
         assert all("SARI" in row for row in report_json["per_case"].values())
 
-    def test_cache_inspect_and_prune(self, tmp_path, capsys):
-        config = resolve_config(
-            base_config(tmp_path, subtasks=["st2"], provider_mode="record", record_source="mock")
-        )
-        run_pipeline(config)
-        cache_dir = str(tmp_path / "cache")
-        assert main(["cache", "inspect", "--cache-dir", cache_dir]) == 0
-        assert "cached response(s)" in capsys.readouterr().out
-        assert main(["cache", "prune", "--cache-dir", cache_dir]) == 0
-        assert "removed" in capsys.readouterr().out
+    def test_cache_inspect_counts_each_kind_and_prune_empties_the_cache(self, tmp_path, capsys):
+        """A recording with st3 rerank and st4 recall holds both kinds of
+        entry; inspect counts each, and prune removes every one."""
+        manifest = run_pipeline(resolve_config(base_config(
+            tmp_path, subtasks=["st1", "st2", "st3", "st4"], provider_mode="record",
+            record_source="mock", st3={"rerank": True}, st4={"recall": {"enabled": True}},
+        )))
+        responses, vectors = manifest["cache"]["entries"], manifest["embedding_cache"]["entries"]
+        assert (responses, vectors) == (42, 6)
+        cache = tmp_path / "cache"
+        assert main(["cache", "inspect", "--cache-dir", str(cache), "--limit", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"48 cache entr(ies) in {cache}: 42 .json, 6 .f64"
+        assert len(lines) == 3 and all(line.endswith(".json") for line in lines[1:])
+        assert main(["cache", "prune", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == "removed 48 cache entr(ies)\n"
+        assert list(cache.iterdir()) == []
+        assert main(["cache", "inspect", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == f"0 cache entr(ies) in {cache}: 0 .json, 0 .f64\n"
 
     @pytest.mark.parametrize(
         "kind",
@@ -1026,19 +1035,21 @@ class TestCliCommands:
             for name, texts in (("st3-rerank", rerank), ("st4-recall", recall)):
                 key = embed_cache_key("embedder", texts)
                 readers[key] = (name, f"starting {texts[0][:60]!r}")
-        assert set(readers) == {p.stem for p in cache.glob("*.json")}
+        assert set(readers) == {p.stem for p in cache.iterdir()}
 
         damaged = {key: what for key, (name, what) in readers.items() if name == kind}
         assert damaged
         for key in damaged:
-            entry = cache / f"{key}.json"
+            (entry,) = cache.glob(f"{key}.*")
             entry.write_bytes(entry.read_bytes()[:20])
         capsys.readouterr()
         args = ["run", "--config", str(config_path), "--provider-mode", "replay"]
         assert main(args) == 1
         error = json.loads(capsys.readouterr().err)
         assert error["type"] == "CacheMissError"
-        match = re.match(r"unreadable cache entry ([0-9a-f]{64}) for ", error["error"])
+        # a JSON entry cut short does not parse; a vector entry cut short
+        # holds a byte count that is no whole number of rows
+        match = re.match(r"(?:unreadable )?cache entry ([0-9a-f]{64}) for ", error["error"])
         assert match and match.group(1) in damaged
         assert damaged[match.group(1)] in error["error"]
         assert tree_bytes(out) == recorded  # the previous outputs are left as they were

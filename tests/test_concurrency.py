@@ -159,9 +159,9 @@ def cache_reads(monkeypatch):
     threads: list[str] = []
     real = ResponseCache.get
 
-    def get(self, key, field, what):
+    def get(self, key, suffixes):
         threads.append(threading.current_thread().name)
-        return real(self, key, field, what)
+        return real(self, key, suffixes)
 
     monkeypatch.setattr(ResponseCache, "get", get)
     return threads
@@ -258,11 +258,16 @@ def test_a_recordings_cache_counts_do_not_depend_on_workers(tmp_path, monkeypatc
         for rep in range(3):
             root = tmp_path / f"w{workers}-{rep}"
             config = replay_config(root, cases, "record", workers, "out", **ALL_SUBTASKS)
-            counts[workers, rep] = run_pipeline(config)["cache"]
+            manifest = run_pipeline(config)
+            counts[workers, rep] = manifest["cache"], manifest["embedding_cache"]
             trees[workers, rep] = tree_bytes(root / "cache")
-    assert counts[1, 0]["hits"] > 0 and counts[1, 0]["misses"] > 0
+    generator, embedder = counts[1, 0]
+    assert generator["hits"] > 0 and generator["misses"] > 0 and embedder["misses"] > 0
     assert all(count == counts[1, 0] for count in counts.values())
-    assert len(trees[1, 0]) == counts[1, 0]["entries"] > 0
+    suffixes = [name.rsplit(".", 1)[1] for name in trees[1, 0]]
+    assert suffixes.count("json") == generator["entries"] > 0
+    assert suffixes.count("f64") == embedder["entries"] > 0
+    assert len(suffixes) == generator["entries"] + embedder["entries"]
     assert all(tree == trees[1, 0] for tree in trees.values())
 
 

@@ -23,8 +23,9 @@ OUTPUT_SHA256 = {
     "st3.jsonl": "a36c0d3d81a429954202ae7f41af61fd5de0d3e1b49e42fbbf218264cdda8475",
     "st4.jsonl": "c0274d488656e28e3bab3d94290c6ebcd1063b0df0ec866c7a5817b31ca85463",
 }
-# sha256 over each cache entry's file name and bytes, in name order.
-CACHE_SHA256 = "0e0567299a97b1c079de25a3d5bace6f6ad07608a09bfe27b0b8ba3f2533a2c1"
+# sha256 over each cache entry's file name and bytes, in name order: the
+# generator's .json entries and the embedder's .f64 ones.
+CACHE_SHA256 = "bac887ab786a9266e36689233a83f3f612d84ffd35f137ed82c6513768ba5a93"
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,9 @@ def test_record_run_entries_are_pinned(cases, tmp_path):
     out = run(cases, tmp_path, "record", 1)
     assert output_digests(out) == OUTPUT_SHA256
     digest = hashlib.sha256()
-    for entry in sorted((out / "cache").glob("*.json")):
+    entries = sorted([*(out / "cache").glob("*.json"), *(out / "cache").glob("*.f64")])
+    assert sum(entry.suffix == ".f64" for entry in entries) == 80
+    for entry in entries:
         digest.update(entry.name.encode())
         digest.update(entry.read_bytes())
     assert digest.hexdigest() == CACHE_SHA256

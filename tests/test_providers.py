@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import itertools
 import json
@@ -101,11 +102,11 @@ class TestRecordReplay:
         cache = ResponseCache(tmp_path)
         recorder = ReplayGenerator(cache, inner=ScriptedProvider({"t": "hello"}), mode="record")
         assert recorder.generate(req("t")) == "hello"
-        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+        assert cache.stats(".json") == {"hits": 0, "misses": 1, "entries": 1}
 
         replayer = ReplayGenerator(cache, mode="replay")
         assert replayer.generate(req("t")) == replayer.generate(req("t")) == "hello"
-        assert cache.stats() == {"hits": 2, "misses": 1, "entries": 1}
+        assert cache.stats(".json") == {"hits": 2, "misses": 1, "entries": 1}
 
     def test_strict_replay_miss_names_tag(self, tmp_path):
         replayer = ReplayGenerator(ResponseCache(tmp_path), mode="replay")
@@ -137,7 +138,7 @@ class TestRecordReplay:
         resumed = ReplayGenerator(ResponseCache(tmp_path), inner=backend, mode="record")
         assert resumed.generate(req("t")) == "x"
         assert backend.calls == 0
-        assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+        assert resumed.stats() == {"hits": 1, "misses": 0, "entries": 1}
 
     def test_entry_recorded_before_slim_format_replays(self, tmp_path):
         request = req("t", content="an old prompt")
@@ -161,17 +162,22 @@ class TestRecordReplay:
     def test_cache_stats_and_prune(self, tmp_path):
         cache = ResponseCache(tmp_path)
         ReplayGenerator(cache, inner=ScriptedProvider({"t": "x"}), mode="record").generate(req("t"))
-        assert cache.stats()["entries"] == 1
-        assert cache.prune() == 1
-        assert cache.entries() == []
+        CachedEmbedder(cache, inner=HashEmbedder(), mode="record").embed(["a"])
+        assert cache.stats(".json")["entries"] == cache.stats(".f64")["entries"] == 1
+        assert cache.prune([".json"]) == 1
+        assert cache.entries(".json") == []
+        assert cache.prune([".json", ".f64"]) == 1
+        assert list(tmp_path.iterdir()) == []
 
-    def test_stats_count_the_json_entries_only(self, tmp_path):
+    def test_stats_count_the_entries_of_one_suffix(self, tmp_path):
         cache = ResponseCache(tmp_path)
         for i in range(3):
-            cache.put(f"k{i}", {"response": {"text": str(i)}})
+            cache.put(f"k{i}", ".json", b'{"response":{"text":"x"}}')
+        cache.put("k0", ".f64", bytes(8))
         (tmp_path / "k3.json.123-456.tmp").write_text("{", encoding="utf-8")
-        assert cache.stats()["entries"] == len(list(tmp_path.glob("*.json"))) == 3
-        assert cache.entries() == ["k0", "k1", "k2"]
+        assert cache.stats(".json")["entries"] == len(list(tmp_path.glob("*.json"))) == 3
+        assert cache.entries(".json") == ["k0", "k1", "k2"]
+        assert cache.entries(".f64") == ["k0"]
 
 
 @pytest.mark.parametrize(
@@ -205,20 +211,21 @@ class TestRecordReplayContract:
         resumed = wrapper(ResponseCache(tmp_path), backend, "record")
         assert ask(resumed) == recorded
         assert backend.calls == 0
-        assert resumed.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+        assert resumed.stats() == {"hits": 1, "misses": 0, "entries": 1}
 
     def test_an_entry_holds_only_the_field_it_is_served_from(
         self, tmp_path, wrapper, inner, ask, asked
     ):
         """Nothing is written that no reader reads: the key already stands
-        for what was asked, so the entry ``_to_entry`` makes is the served
-        field alone."""
-        ask(wrapper(ResponseCache(tmp_path), inner, "record"))
-        (entry,) = tmp_path.glob("*.json")
-        entry = json.loads(entry.read_bytes())
-        assert list(entry) == [wrapper.field]
+        for what was asked, so the entry holds what is served alone, in the
+        file kind its wrapper writes."""
+        served = ask(wrapper(ResponseCache(tmp_path), inner, "record"))
+        (entry,) = tmp_path.iterdir()
+        assert entry.suffix == wrapper.suffixes[0]
         if wrapper is ReplayGenerator:
-            assert list(entry["response"]) == ["text"]
+            assert json.loads(entry.read_bytes()) == {"response": {"text": served}}
+        else:
+            assert entry.read_bytes() == np.array(served, dtype="<f8").tobytes()
 
     def test_an_entry_stored_during_the_call_is_served(self, tmp_path, wrapper, inner, ask, asked):
         """Another request stores the key while this one calls its backend:
@@ -228,8 +235,8 @@ class TestRecordReplayContract:
         second = wrapper(ResponseCache(tmp_path), late, "record")
         assert ask(second) == late.first
         assert ask(wrapper(ResponseCache(tmp_path), None, "replay")) == late.first
-        assert first.cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
-        assert second.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+        assert first.stats() == {"hits": 0, "misses": 1, "entries": 1}
+        assert second.stats() == {"hits": 1, "misses": 0, "entries": 1}
 
 
 class LateBackend:
@@ -305,7 +312,7 @@ class TestCacheFormat:
         for mode, inner in (("replay", None), ("record", FailingProvider())):
             generator = ReplayGenerator(ResponseCache(tmp_path), inner=inner, mode=mode)
             assert generator.generate(request) == "t"
-            assert generator.cache.stats() == {"hits": 1, "misses": 0, "entries": 1}
+            assert generator.stats() == {"hits": 1, "misses": 0, "entries": 1}
         assert entry.read_text(encoding="utf-8") == content
 
     @pytest.mark.parametrize(
@@ -335,19 +342,50 @@ class TestCacheFormat:
             with pytest.raises(CacheMissError, match=rf"{key}.*'alpha'"):
                 embedder.embed(["alpha", "beta"])
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"", np.zeros((2, 4), dtype="<f8").tobytes()[:60], np.zeros(3, dtype="<f8").tobytes()],
+        ids=["empty", "truncated", "one-vector-for-two"],
+    )
+    def test_unreadable_vector_entry_names_key(self, tmp_path, data):
+        """A ``.f64`` entry for two texts must hold a positive multiple of
+        16 bytes, as a base64 one must decode to."""
+        key = embed_cache_key("default", ["alpha", "beta"])
+        (tmp_path / f"{key}.f64").write_bytes(data)
+        for mode, inner in (("replay", None), ("record", FailingProvider())):
+            embedder = CachedEmbedder(ResponseCache(tmp_path), inner=inner, mode=mode)
+            with pytest.raises(
+                CacheMissError,
+                match=rf"^cache entry {key} for .*'alpha'.* holds no valid vectors "
+                rf"\({len(data)} bytes for 2 vector\(s\)\)$",
+            ):
+                embedder.embed(["alpha", "beta"])
+
     def test_put_leaves_no_temporary_file(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        cache.put("k", {"response": {"text": "x"}})
+        cache.put("k", ".json", b'{"response":{"text":"x"}}')
         assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
-        assert (tmp_path / "k.json").read_text(encoding="utf-8") == '{"response":{"text":"x"}}'
+        assert (tmp_path / "k.json").read_bytes() == b'{"response":{"text":"x"}}'
 
     def test_put_keeps_a_keys_first_entry(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        assert cache.put("k", {"response": {"text": "first"}}) is True
-        written = (tmp_path / "k.json").read_bytes()
-        assert cache.put("k", {"response": {"text": "second"}}) is False
-        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
-        assert (tmp_path / "k.json").read_bytes() == written == b'{"response":{"text":"first"}}'
+        assert cache.put("k", ".f64", b"first") is True
+        assert cache.put("k", ".f64", b"second") is False
+        assert [p.name for p in tmp_path.iterdir()] == ["k.f64"]
+        assert (tmp_path / "k.f64").read_bytes() == b"first"
+        assert cache.get("k", [".json", ".f64"]) == (".f64", b"first")
+
+    def test_the_generator_writes_the_bytes_of_earlier_versions(self, tmp_path):
+        """A generator entry is the compact, key-sorted JSON that
+        ``ResponseCache.put`` wrote when it encoded entries itself."""
+        text = 'ünïcode "quoted"\nline'
+        ReplayGenerator(ResponseCache(tmp_path), ScriptedProvider({"t": text}), "record").generate(
+            req("t")
+        )
+        (entry,) = tmp_path.iterdir()
+        assert entry.read_bytes() == json.dumps(
+            {"response": {"text": text}}, ensure_ascii=False, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
 
     def test_concurrent_replay_identical_and_counted(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -370,7 +408,7 @@ class TestCacheFormat:
         finally:
             sys.setswitchinterval(interval)
         assert all(texts == [f"reply to {r.request_tag}" for r in requests] for texts in results)
-        assert replayer.cache.stats() == {"hits": 8 * 50, "misses": 0, "entries": 50}
+        assert replayer.stats() == {"hits": 8 * 50, "misses": 0, "entries": 50}
 
 
     def test_concurrent_records_of_one_key_serve_its_first_entry(self, tmp_path):
@@ -392,7 +430,7 @@ class TestCacheFormat:
             sys.setswitchinterval(interval)
         stored = ReplayGenerator(ResponseCache(tmp_path)).generate(req())
         assert texts == [stored] * 64
-        assert recorder.cache.stats() == {"hits": 63, "misses": 1, "entries": 1}
+        assert recorder.stats() == {"hits": 63, "misses": 1, "entries": 1}
 
 
 class TestEmbedders:
@@ -430,7 +468,7 @@ class TestEmbedders:
         cache = ResponseCache(tmp_path)
         recorder = CachedEmbedder(cache, inner=HashEmbedder(), mode="record")
         original = recorder.embed(["a", "b", "c"])
-        assert len(cache.entries()) == 1
+        assert len(cache.entries(".f64")) == 1 and cache.entries(".json") == []
         replayed = CachedEmbedder(ResponseCache(tmp_path)).embed(["a", "b", "c"])
         assert all(np.array_equal(x, y) for x, y in zip(original, replayed))
         with pytest.raises(CacheMissError):
@@ -456,28 +494,36 @@ _ROWS = st.integers(1, 6).flatmap(lambda n: st.integers(1, 64).flatmap(
 ))
 
 
+def _json_entry(entry: dict) -> bytes:
+    return json.dumps(entry, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _base64_entry(self, texts, vectors):
+    """An embedding entry as written before vectors got their own files."""
+    raw = np.asarray(vectors, dtype="<f8").tobytes()
+    return _json_entry({"vectors": base64.b64encode(raw).decode("ascii")})
+
+
 def _list_form_entry(self, texts, vectors):
     """An embedding entry as written before vectors were stored as bytes."""
-    return {"model": self.model, "vectors": [np.asarray(v, dtype=float).tolist() for v in vectors]}
-
-
-_embedding_entry = CachedEmbedder._to_entry
+    rows = [np.asarray(v, dtype=float).tolist() for v in vectors]
+    return _json_entry({"model": self.model, "vectors": rows})
 
 
 def _model_entry(self, texts, vectors):
-    """An embedding entry as written before it held its vectors alone."""
-    return {"model": self.model, **_embedding_entry(self, texts, vectors)}
+    """A base64 embedding entry as written before it held its vectors alone."""
+    return _json_entry({"model": self.model, **json.loads(_base64_entry(self, texts, vectors))})
 
 
 def _deployment_and_latency_entry(self, request, text):
     """A generator entry as written before its response held its text alone."""
     response = {"text": text, "deployment_name": request.deployment_name, "latency_ms": 0.0}
-    return {"response": response}
+    return _json_entry({"response": response})
 
 
 def _request_block_entry(self, request, text):
     """A generator entry as written before it held its response alone."""
-    return {
+    return _json_entry({
         "request": {
             "deployment_name": request.deployment_name,
             "request_tag": request.request_tag,
@@ -485,8 +531,8 @@ def _request_block_entry(self, request, text):
             "temperature": request.temperature,
             "max_output_tokens": request.max_output_tokens,
         },
-        **_deployment_and_latency_entry(self, request, text),
-    }
+        **json.loads(_deployment_and_latency_entry(self, request, text)),
+    })
 
 
 def _record_toy(tmp_path, name):
@@ -507,25 +553,43 @@ def _record_toy(tmp_path, name):
     return config, out, cache
 
 
-def _entries(cache):
-    return {p.name: json.loads(p.read_bytes()) for p in sorted(cache.glob("*.json"))}
+def _record_toy_in_json(tmp_path, name, monkeypatch, generator_entry, embedding_entry):
+    """``_record_toy`` as an earlier version recorded it: every entry a
+    ``.json`` file, made by the two ``_to_entry`` forms given."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ReplayGenerator, "_to_entry", generator_entry)
+        patch.setattr(CachedEmbedder, "_to_entry", embedding_entry)
+        patch.setattr(CachedEmbedder, "suffixes", (".json",))
+        return _record_toy(tmp_path, name)
+
+
+def _files(cache):
+    return {p.name: p.read_bytes() for p in sorted(cache.iterdir())}
+
+
+def _json_entries(cache):
+    return [json.loads(data) for data in _files(cache).values()]
 
 
 def _assert_replays_as_recorded(tmp_path, old_config, old_cache):
     """A replay of the old-form recording in ``old_cache`` gives the outputs
     a recording in today's form gives, with no miss, and rewrites no entry."""
     _, out, cache = _record_toy(tmp_path, "today")
-    assert _entries(cache).keys() == _entries(old_cache).keys()
-    before = _entries(old_cache)
+    stems = {name.rsplit(".", 1)[0] for name in _files(cache)}
+    before = _files(old_cache)
+    assert {name.rsplit(".", 1)[0] for name in before} == stems
+    assert all(name.endswith(".json") for name in before)
     replay_out = tmp_path / "replayed"
     manifest = run_pipeline(resolve_config(
         {**old_config, "provider_mode": "replay", "out_dir": str(replay_out)}
     ))
-    assert manifest["cache"]["misses"] == 0
+    assert manifest["cache"]["misses"] == manifest["embedding_cache"]["misses"] == 0
+    assert manifest["cache"]["entries"] == len(before)
+    assert manifest["embedding_cache"] == {"hits": 6, "misses": 0, "entries": 0}
     replayed = {k: v for k, v in tree_bytes(replay_out).items() if k.startswith("st")}
     recorded = {k: v for k, v in tree_bytes(out).items() if k.startswith("st")}
     assert replayed == recorded and "st4.jsonl" in replayed
-    assert _entries(old_cache) == before
+    assert _files(old_cache) == before
 
 
 class TestEmbeddingEntryForm:
@@ -540,19 +604,37 @@ class TestEmbeddingEntryForm:
         assert [v.tobytes() for v in replayed] == [np.array(r, dtype=float).tobytes() for r in rows]
         assert all(v.dtype == np.float64 and v.flags.writeable for v in replayed)
 
-    def test_an_entry_holds_base64_of_little_endian_float64_rows(self, tmp_path):
+    def test_an_entry_holds_little_endian_float64_rows(self, tmp_path):
+        """The bytes an earlier version stored as base64 in a JSON entry,
+        with nothing around them."""
         rows = [[1.0, -0.0], [5e-324, -math.inf]]
         inner = SimpleNamespace(embed=lambda asked: [np.array(r) for r in rows])
         CachedEmbedder(ResponseCache(tmp_path), inner=inner, mode="record", model="m").embed(["a", "b"])
-        (entry,) = _entries(tmp_path).values()
-        assert entry == {"vectors": "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAA8P8="}
+        assert _files(tmp_path) == {
+            f"{embed_cache_key('m', ['a', 'b'])}.f64":
+                base64.b64decode("AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAA8P8="),
+        }
 
-    def test_a_list_form_recording_replays_to_the_same_outputs(self, tmp_path, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(CachedEmbedder, "_to_entry", _list_form_entry)
-            old_config, _, old_cache = _record_toy(tmp_path, "lists")
-        embedding_entries = [e for e in _entries(old_cache).values() if "vectors" in e]
-        assert embedding_entries and all(isinstance(e["vectors"], list) for e in embedding_entries)
+    def test_a_vector_entry_is_served_before_a_json_one(self, tmp_path):
+        key = embed_cache_key("default", ["alpha"])
+        (tmp_path / f"{key}.json").write_text('{"vectors": [[1.0, 0.0]]}', encoding="utf-8")
+        (tmp_path / f"{key}.f64").write_bytes(np.array([0.0, 1.0], dtype="<f8").tobytes())
+        for mode, inner in (("replay", None), ("record", FailingProvider())):
+            embedder = CachedEmbedder(ResponseCache(tmp_path), inner=inner, mode=mode)
+            assert embedder.embed(["alpha"])[0].tolist() == [0.0, 1.0]
+            assert embedder.stats() == {"hits": 1, "misses": 0, "entries": 1}
+
+    @pytest.mark.parametrize("form", ["base64", "lists"])
+    def test_a_json_recording_replays_to_the_same_outputs(self, tmp_path, monkeypatch, form):
+        """A recording by the version before vectors got their own files
+        (base64 in ``.json``), and one from before that (JSON lists)."""
+        embedding_entry = {"base64": _base64_entry, "lists": _list_form_entry}[form]
+        old_config, _, old_cache = _record_toy_in_json(
+            tmp_path, form, monkeypatch, ReplayGenerator._to_entry, embedding_entry
+        )
+        vectors = [e["vectors"] for e in _json_entries(old_cache) if "vectors" in e]
+        assert len(vectors) == 6
+        assert all(isinstance(v, str if form == "base64" else list) for v in vectors)
         _assert_replays_as_recorded(tmp_path, old_config, old_cache)
 
     def test_a_recording_with_request_and_model_replays_to_the_same_outputs(
@@ -563,15 +645,14 @@ class TestEmbeddingEntryForm:
         and ``latency_ms`` beside its text."""
         forms = {
             "request-and-model": (_request_block_entry, _model_entry, 42, 6),
-            "deployment-and-latency": (_deployment_and_latency_entry, _embedding_entry, 0, 0),
+            "deployment-and-latency": (_deployment_and_latency_entry, _base64_entry, 0, 0),
         }
         for name, (generator_entry, embedding_entry, requests, models) in forms.items():
             (tmp_path / name).mkdir()
-            with monkeypatch.context() as patch:
-                patch.setattr(ReplayGenerator, "_to_entry", generator_entry)
-                patch.setattr(CachedEmbedder, "_to_entry", embedding_entry)
-                old_config, _, old_cache = _record_toy(tmp_path / name, "old")
-            entries = _entries(old_cache).values()
+            old_config, _, old_cache = _record_toy_in_json(
+                tmp_path / name, "old", monkeypatch, generator_entry, embedding_entry
+            )
+            entries = _json_entries(old_cache)
             responses = [e["response"] for e in entries if "response" in e]
             assert len(responses) == 42
             assert all(r.keys() == {"text", "deployment_name", "latency_ms"} for r in responses)
@@ -586,8 +667,6 @@ class TestEmbeddingEntryForm:
         digest, generator_entries = hashlib.sha256(), 0
         for path in sorted(cache.glob("*.json")):
             entry = json.loads(path.read_bytes())
-            if "vectors" in entry:
-                continue
             generator_entries += 1
             digest.update(path.name.encode() + b"\0" + entry["response"]["text"].encode() + b"\0")
         assert generator_entries == 42

@@ -75,7 +75,7 @@ def test_a_sweep_replays_a_runs_recording(monkeypatch, tmp_path, subtask, hits):
         pipeline, "build_generator", lambda cfg: generators.append(build(cfg)) or generators[-1]
     )
     result = run_sweep(config(tmp_path, cases, "sweep", provider_mode="replay"), subtask)
-    stats = generators[0].cache.stats()
+    stats = generators[0].stats()
     assert (stats["hits"], stats["misses"]) == (hits, 0)
     sweep_file = tmp_path / "sweep" / f"{subtask}_sweep.json"
     assert json.loads(sweep_file.read_text(encoding="utf-8")) == result
@@ -101,7 +101,7 @@ def test_a_sweep_replays_an_st1_runs_recording(monkeypatch, tmp_path, subtask, h
     )
     sweep_cfg = config(tmp_path, cases, "sweep", subtasks=ST1_TO_ST4, provider_mode="replay")
     run_sweep(sweep_cfg, subtask)
-    stats = generators[0].cache.stats()
+    stats = generators[0].stats()
     assert (stats["hits"], stats["misses"]) == (hits, 0)
 
 

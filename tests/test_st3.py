@@ -44,6 +44,40 @@ class TestMarkers:
     def test_strip_removes_markers_that_stripping_forms(self):
         assert strip_markers("Done [[4]4].") == "Done."
 
+    @pytest.mark.parametrize(
+        "text, ids",
+        [
+            ("Treated with antibiotics [2, 3].", ["2", "3"]),
+            ("Treated with antibiotics [2,3].", ["2", "3"]),
+            ("Treated with antibiotics [2 3].", ["2", "3"]),
+            ("Treated with antibiotics [ 4 ].", ["4"]),
+            ("Treated with antibiotics [3 , 2][2].", ["3", "2"]),
+            ("Treated with antibiotics [2-4].", []),
+            ("Treated with antibiotics [2 – 4, 7].", ["7"]),
+        ],
+    )
+    def test_a_group_is_read_and_stripped_and_a_range_cites_nothing(self, text, ids):
+        """One grammar for reading and stripping: a bracket of IDs or ranges
+        separated by commas or spaces. A range's IDs are dropped, so only
+        IDs the model wrote are cited."""
+        assert extract_markers(text) == ids
+        assert strip_markers(text) == "Treated with antibiotics."
+
+    @pytest.mark.parametrize("text", ["a [x] b", "a [2,] b", "a [] b", "a [2, and 3] b"])
+    def test_brackets_of_anything_else_are_prose(self, text):
+        assert extract_markers(text) == []
+        assert strip_markers(text) == text
+
+    def test_a_group_can_form_when_a_marker_is_stripped(self):
+        text = "Done [2, [4] 3]."
+        assert extract_markers(text) == ["4"]
+        assert strip_markers(text) == "Done."
+
+    def test_a_grouped_citation_is_a_draft_citation(self):
+        provider = ScriptedProvider({"c1/st3s1/d/0": "Stent placed [5, 2] after [1-3]."})
+        draft = stage1_draft(simple_case("c1", n_sentences=6), ["2", "5"], [], provider, deployment="d")
+        assert draft.cited_ids == ("5", "2")
+
 
 class TestTruncate:
     def test_eighty_to_seventyfive(self):
@@ -285,7 +319,7 @@ class TestRunCase:
         ]
         assert [c["answer"] for c in recorded.candidate_scores] == ["Rewrite number 1."] * 3
         assert replayed == recorded
-        assert cache.stats() == {"hits": 4, "misses": 4, "entries": 4}
+        assert cache.stats(".json") == {"hits": 4, "misses": 4, "entries": 4}
 
     def test_an_ensemble_renders_its_stage1_prompt_once(self, monkeypatch):
         """The stage-1 prompt names no deployment: one render serves every
