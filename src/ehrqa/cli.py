@@ -41,15 +41,16 @@ from .report import (
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise EhrqaError(f"config file not found: {p}")
     try:
-        config = json.loads(p.read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EhrqaError(f"{path}: cannot read config file: {exc}") from exc
+    try:
+        config = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise EhrqaError(f"config file {p} is not valid JSON: {exc}") from exc
+        raise EhrqaError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
-        raise EhrqaError(f"config file {p} must contain a JSON object")
+        raise EhrqaError(f"config file {path} must contain a JSON object")
     return config
 
 
@@ -175,6 +176,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    if not Path(args.cache_dir).is_dir():
+        raise EhrqaError(f"{args.cache_dir}: no cache directory there")
     cache = ResponseCache(Path(args.cache_dir))
     # .json and .f64, in that order: every kind of file either wrapper reads.
     suffixes = list(dict.fromkeys(ReplayGenerator.suffixes + CachedEmbedder.suffixes))
@@ -190,6 +193,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
     removed = cache.prune(suffixes)
     print(f"removed {removed} cache entr(ies)")
     return 0
+
+
+def _count(text: str) -> int:
+    """A flag's whole number of 0 or more, written in digits alone."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a whole number of 0 or more, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p = sub.add_parser("cache", help="inspect or prune the response cache")
     cache_p.add_argument("action", choices=["inspect", "prune"])
     cache_p.add_argument("--cache-dir", default="cache")
-    cache_p.add_argument("--limit", type=int, default=20)
+    cache_p.add_argument("--limit", type=_count, default=20)
     cache_p.set_defaults(func=cmd_cache)
     return parser
 
@@ -240,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EhrqaError as exc:
+    except (EhrqaError, OSError) as exc:  # an output path it cannot write, say
         report = {"error": str(exc), "type": type(exc).__name__}
         print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
         return 1

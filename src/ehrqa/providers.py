@@ -492,7 +492,7 @@ class _RecordReplay:
                 raise CacheMissError(f"no cached {self.missing}{what} (key {key[:12]})")
             result = self._call(asked)
             suffix = self.suffixes[0]
-            if self.cache.put(key, suffix, self._to_entry(asked, result)):
+            if self.cache.put(key, suffix, self._to_entry(result)):
                 return result
             entry = suffix, self.cache.found(key, suffix)
         return self._from_entry(*entry, asked, key, what)
@@ -525,7 +525,7 @@ class ReplayGenerator(_RecordReplay):
             )
         return text
 
-    def _to_entry(self, request: GenRequest, text: str) -> bytes:
+    def _to_entry(self, text: str) -> bytes:
         return _encode_compact({"response": {"text": text}}).encode("utf-8")
 
 
@@ -571,7 +571,7 @@ class CachedEmbedder(_RecordReplay):
             raise CacheMissError(f"cache entry {key} for {what} holds no valid vectors ({exc})") from exc
         return list(rows)
 
-    def _to_entry(self, texts, vectors: list[np.ndarray]) -> bytes:
+    def _to_entry(self, vectors: list[np.ndarray]) -> bytes:
         return np.asarray(vectors, dtype="<f8").tobytes()
 
 
@@ -630,14 +630,22 @@ class _HttpClient:
         self._transport = transport or self._default_transport
         self._sleep = sleep
 
-    def _default_transport(self, url: str, payload: dict, headers: dict):
-        import requests
+    def _default_transport(self, url: str, payload: dict, headers: dict) -> tuple[int, bytes]:
+        import urllib.request  # here: importing it takes ~35 ms that only live calls need
 
-        return requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+        data = json.dumps(payload, allow_nan=False).encode()
+        try:  # an error status is a response too; a 307 or 308 is not followed
+            request = urllib.request.Request(url, data, headers)
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code, error.read()
 
     def _post(self, path: str, payload: dict, read: Callable[[dict], T]) -> T:
         """POST ``payload`` and ``read`` the JSON body, retrying transport
-        errors and retryable statuses with backoff.
+        errors and retryable statuses with backoff. The transport returns
+        ``(status, body bytes)``.
 
         Every failure, a malformed body included, raises ProviderError
         naming the URL.
@@ -658,15 +666,16 @@ class _HttpClient:
                 last_error = f"{type(exc).__name__}: {exc}"
                 logger.warning("transport error from %s (attempt %d): %s", url, attempt + 1, exc)
                 continue
-            status = getattr(response, "status_code", 200)
+            status, body = response
             if status in RETRYABLE_STATUS:
                 last_error = f"HTTP {status}"
                 continue
-            if status >= 400:
-                raise ProviderError(f"HTTP {status} from {url}: {response.text[:200]}")
+            if status >= 300:
+                text = body.decode(errors="replace")[:200]
+                raise ProviderError(f"HTTP {status} from {url}: {text}")
             try:
-                return read(response.json())
-            except (ValueError, LookupError, TypeError) as exc:
+                return read(json.loads(body))
+            except (ValueError, LookupError, TypeError, RecursionError) as exc:
                 raise ProviderError(f"malformed response from {url}: {exc!r}") from exc
         raise ProviderError(
             f"{url} failed after {MAX_ATTEMPTS} attempts: {last_error}"

@@ -32,6 +32,7 @@ from .core import (
 from .parsing import parse_json_object, parse_st1_candidates
 from .prompting import load_template, render_prompt
 from .providers import GenRequest, Generator, gather_multi
+from .vote import parse_runs
 
 logger = logging.getLogger(__name__)
 
@@ -409,7 +410,8 @@ def generate_candidates(
     shots: list[Case],
     providers: list[tuple[str, Generator]],
 ) -> list[str]:
-    """Pool candidates from all backends, deduplicated case-insensitively.
+    """Pool candidates from all backends, deduplicated case-insensitively:
+    a candidate keeps its first spelling and its first position.
 
     One backend failing is tolerated; all failing is a subtask error.
     """
@@ -421,42 +423,24 @@ def generate_candidates(
             template, case, shots, extra={"context_block": context_block(context)}
         )
     )
-    pairs = [
-        (
-            provider,
-            GenRequest(
-                deployment_name=deployment,
-                messages=messages,
-                temperature=0.0,
-                request_tag=f"{case.case_id}/st1/{deployment}/0",
-            ),
+    requests = [
+        GenRequest(
+            deployment_name=deployment,
+            messages=messages,
+            temperature=0.0,
+            request_tag=f"{case.case_id}/st1/{deployment}/0",
         )
-        for deployment, provider in providers
+        for deployment, _ in providers
     ]
-    responses = gather_multi(pairs)
-    pooled: list[str] = []
-    seen: set[str] = set()
-    failures = 0
-    for (deployment, _), response in zip(providers, responses):
-        if response is None:
-            failures += 1
-            continue
-        try:
-            parsed = parse_st1_candidates(response)
-        except ParseError as exc:
-            logger.warning("st1 parse failure from %s: %s", deployment, exc)
-            failures += 1
-            continue
-        for candidate in parsed:
-            key = candidate.lower()
-            if key not in seen:
-                seen.add(key)
-                pooled.append(candidate)
-    if failures == len(providers):
-        raise SubtaskError(
-            f"case {case.case_id}: every candidate provider failed"
-        )
-    return pooled
+    responses = gather_multi([(p, r) for (_, p), r in zip(providers, requests)])
+    runs = parse_runs(requests, responses, parse_st1_candidates, case.case_id, "st1")
+    if not any(runs):  # a parsed run holds at least one candidate
+        raise SubtaskError(f"case {case.case_id}: every candidate provider failed")
+    pooled: dict[str, str] = {}
+    for run in runs:
+        for candidate in run:
+            pooled.setdefault(candidate.lower(), candidate)
+    return list(pooled.values())
 
 
 @dataclass

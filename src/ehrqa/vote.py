@@ -75,7 +75,8 @@ def parse_runs(
     subtask: str,
 ) -> list[Iterable]:
     """Parse each request's response, None for a failed call, into one run;
-    a failed call or an unparseable response votes for nothing."""
+    a failed call or an unparseable response votes for nothing. st1 reads
+    its candidate replies through it too."""
     runs: list[Iterable] = []
     parsed_any = False
     for request, response in zip(requests, responses, strict=True):

@@ -717,6 +717,40 @@ class TestCliCommands:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["a directory", "not UTF-8"])
+    def test_an_unreadable_config_file_exits_1_naming_it(self, tmp_path, capsys, kind):
+        config_path = tmp_path / "config.json"
+        if kind == "a directory":
+            config_path.mkdir()
+        else:
+            config_path.write_bytes(b'{"workers": "\xff"}')
+        assert main(["run", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "EhrqaError"
+        assert error["error"].startswith(f"{config_path}: cannot read config file: ")
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_an_out_path_that_is_a_file_exits_1_naming_it(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        if command == "run":
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(base_config(tmp_path, subtasks=["st2"])))
+            args = ["run", "--config", str(config_path)]
+        else:
+            pred = tmp_path / "st2.jsonl"
+            records = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+            pred.write_text("".join(
+                json.dumps({"case_id": r["case_id"], "evidence_ids": r["gold_evidence"]}) + "\n"
+                for r in records
+            ))
+            args = ["eval", "--pred", str(pred), "--gold", str(toy_dataset_path()),
+                    "--subtask", "st2"]
+        assert main(args + ["--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "FileExistsError" and str(out) in error["error"]
+        assert out.read_text() == "kept\n"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_run_rejects_a_worker_count_below_one(self, tmp_path, capsys, workers):
         config_path = tmp_path / "config.json"
@@ -988,6 +1022,30 @@ class TestCliCommands:
         assert list(cache.iterdir()) == []
         assert main(["cache", "inspect", "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == f"0 cache entr(ies) in {cache}: 0 .json, 0 .f64\n"
+
+    @pytest.mark.parametrize("action", ["inspect", "prune"])
+    def test_cache_on_a_missing_directory_fails_and_creates_nothing(
+        self, tmp_path, capsys, action
+    ):
+        cache = tmp_path / "missing" / "cache"
+        assert main(["cache", action, "--cache-dir", str(cache)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": f"{cache}: no cache directory there", "type": "EhrqaError"}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("limit", ["-1", "x"])
+    def test_cache_inspect_rejects_a_limit_that_is_no_count(self, tmp_path, capsys, limit):
+        with pytest.raises(SystemExit) as exit_:
+            main(["cache", "inspect", "--cache-dir", str(tmp_path), "--limit", limit])
+        assert exit_.value.code == 2
+        assert f"argument --limit: must be a whole number of 0 or more, got {limit!r}" in (
+            capsys.readouterr().err
+        )
+
+    def test_cache_inspect_limit_0_lists_no_names(self, tmp_path, capsys):
+        (tmp_path / f"{'0' * 64}.json").write_text('{"response": {"text": "x"}}')
+        assert main(["cache", "inspect", "--cache-dir", str(tmp_path), "--limit", "0"]) == 0
+        assert capsys.readouterr().out == f"1 cache entr(ies) in {tmp_path}: 1 .json, 0 .f64\n"
 
     @pytest.mark.parametrize(
         "kind",

@@ -20,7 +20,7 @@ from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline, run_sweep
 from ehrqa.providers import PipelineMockProvider, ResponseCache
 from tests.test_cli import base_config, tree_bytes
-from tests.test_providers import FakeResponse, req
+from tests.test_providers import fake_response, req
 
 
 class FuzzGenerator:
@@ -327,7 +327,7 @@ class TestDeploymentRouter:
             client = real(name)  # raises for a deployment without credentials
             time.sleep(0.01)  # widen the window in which a second client could be built
             built.append((name, client.endpoint))
-            client._transport = lambda url, payload, headers: FakeResponse(
+            client._transport = lambda url, payload, headers: fake_response(
                 payload={"choices": [{"message": {"content": url}}]}
             )
             return client

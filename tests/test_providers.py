@@ -27,6 +27,7 @@ from ehrqa.providers import (
     PipelineMockProvider,
     ReplayGenerator,
     ResponseCache,
+    _RecordReplay,
     cosine,
     embed_cache_key,
     env_var_names,
@@ -553,12 +554,27 @@ def _record_toy(tmp_path, name):
     return config, out, cache
 
 
+def _response_entry(self, request, text):
+    """A generator entry in today's form."""
+    return _json_entry({"response": {"text": text}})
+
+
 def _record_toy_in_json(tmp_path, name, monkeypatch, generator_entry, embedding_entry):
     """``_record_toy`` as an earlier version recorded it: every entry a
-    ``.json`` file, made by the two ``_to_entry`` forms given."""
+    ``.json`` file, whose bytes the two writers given make from the wrapper,
+    what was asked and the result."""
+    serve = _RecordReplay._serve
+
+    def noting_what_was_asked(self, key, what, asked):
+        self.asked = asked  # the run has one worker, so one call at a time
+        return serve(self, key, what, asked)
+
     with monkeypatch.context() as patch:
-        patch.setattr(ReplayGenerator, "_to_entry", generator_entry)
-        patch.setattr(CachedEmbedder, "_to_entry", embedding_entry)
+        patch.setattr(_RecordReplay, "_serve", noting_what_was_asked)
+        patch.setattr(ReplayGenerator, "_to_entry", lambda self, text: generator_entry(
+            self, self.asked, text))
+        patch.setattr(CachedEmbedder, "_to_entry", lambda self, vectors: embedding_entry(
+            self, self.asked, vectors))
         patch.setattr(CachedEmbedder, "suffixes", (".json",))
         return _record_toy(tmp_path, name)
 
@@ -630,7 +646,7 @@ class TestEmbeddingEntryForm:
         (base64 in ``.json``), and one from before that (JSON lists)."""
         embedding_entry = {"base64": _base64_entry, "lists": _list_form_entry}[form]
         old_config, _, old_cache = _record_toy_in_json(
-            tmp_path, form, monkeypatch, ReplayGenerator._to_entry, embedding_entry
+            tmp_path, form, monkeypatch, _response_entry, embedding_entry
         )
         vectors = [e["vectors"] for e in _json_entries(old_cache) if "vectors" in e]
         assert len(vectors) == 6
@@ -729,14 +745,12 @@ class TestCosine:
             cosine([[1.0, 0.0]], [1.0, 0.0])
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, text="ok", payload=None):
-        self.status_code = status_code
-        self.text = text
-        self._payload = payload or {"choices": [{"message": {"content": "hi"}}]}
-
-    def json(self):
-        return self._payload
+def fake_response(status=200, text=None, payload=None) -> tuple[int, bytes]:
+    """What a transport returns: the status and the body's bytes, ``text``
+    or else the JSON of ``payload``, a chat completion by default."""
+    if text is None:
+        text = json.dumps(payload or {"choices": [{"message": {"content": "hi"}}]})
+    return status, text.encode()
 
 
 class TestHttpProvider:
@@ -744,7 +758,7 @@ class TestHttpProvider:
         provider = HttpChatProvider(
             "https://api.example/v1",
             "key",
-            transport=lambda url, payload, headers: FakeResponse(),
+            transport=lambda url, payload, headers: fake_response(),
             sleep=lambda s: None,
         )
         assert provider.generate(req()) == "hi"
@@ -755,8 +769,8 @@ class TestHttpProvider:
         def transport(url, payload, headers):
             calls.append(1)
             if len(calls) < 3:
-                return FakeResponse(status_code=429)
-            return FakeResponse()
+                return fake_response(429)
+            return fake_response()
 
         provider = HttpChatProvider(
             "https://api.example/v1",
@@ -771,7 +785,7 @@ class TestHttpProvider:
         provider = HttpChatProvider(
             "https://api.example/v1",
             "key",
-            transport=lambda *a: FakeResponse(status_code=503),
+            transport=lambda *a: fake_response(503),
             sleep=lambda s: None,
         )
         with pytest.raises(ProviderError, match="3 attempts"):
@@ -782,7 +796,7 @@ class TestHttpProvider:
 
         def transport(url, payload, headers):
             calls.append(1)
-            return FakeResponse(status_code=401, text="denied")
+            return fake_response(401, text="denied")
 
         provider = HttpChatProvider(
             "https://api.example/v1", "key", transport=transport, sleep=lambda s: None
@@ -797,7 +811,7 @@ class TestHttpProvider:
         def transport(url, payload, headers):
             if failure == "transport":
                 raise ConnectionError("refused")
-            return FakeResponse(status_code=503)
+            return fake_response(503)
 
         slept = []
         cls = HttpChatProvider if kind == "chat" else HttpEmbeddingProvider
@@ -827,17 +841,13 @@ class TestHttpProvider:
         ],
     )
     def test_malformed_body_raises_provider_error_naming_the_url(self, kind, payload):
-        class Body(FakeResponse):
-            def json(self):
-                if payload is None:
-                    raise json.JSONDecodeError("Expecting value", "<html>", 0)
-                return payload
-
         calls = []
 
         def transport(url, body, headers):
             calls.append(url)
-            return Body()
+            if payload is None:
+                return fake_response(text="<html>")
+            return fake_response(payload=payload)
 
         cls = HttpChatProvider if kind == "chat" else HttpEmbeddingProvider
         provider = cls("https://api.example/v1", "key", transport=transport, sleep=lambda s: None)
@@ -863,7 +873,7 @@ class TestHttpProvider:
         body = {"data": [{"embedding": e} for e in embeddings]}
         provider = HttpEmbeddingProvider(
             "https://api.example/v1", "key",
-            transport=lambda url, payload, headers: FakeResponse(payload=body),
+            transport=lambda url, payload, headers: fake_response(payload=body),
             sleep=lambda s: None,
         )
         with pytest.raises(ProviderError, match="^malformed response from https://api.example/v1/"):
@@ -873,7 +883,7 @@ class TestHttpProvider:
         body = {"data": [{"embedding": [1, 0.5]}, {"embedding": [0, -2]}]}
         provider = HttpEmbeddingProvider(
             "https://api.example/v1", "key",
-            transport=lambda url, payload, headers: FakeResponse(payload=body),
+            transport=lambda url, payload, headers: fake_response(payload=body),
         )
         vectors = provider.embed(["one", "two"])
         assert [v.tolist() for v in vectors] == [[1.0, 0.5], [0.0, -2.0]]

@@ -201,6 +201,23 @@ class TestGenerateCandidates:
         )
         assert out == ["Why the stent?"]
 
+    def test_a_later_duplicate_keeps_the_first_spelling_and_position(self):
+        a = "CANDIDATE_1: Why the stent?\nCANDIDATE_2: When was it placed?"
+        b = "CANDIDATE_1: What came next?\nCANDIDATE_2: WHY THE STENT?"
+        out = generate_candidates(
+            simple_case("c1"), ClinicalContext(), [], self.make_providers(a, b)
+        )
+        assert out == ["Why the stent?", "When was it placed?", "What came next?"]
+
+    def test_an_unparseable_reply_counts_as_a_failed_provider(self, caplog):
+        providers = [
+            ("a", ScriptedProvider({"c1/st1/a/0": "no candidates here"})),
+            ("b", ScriptedProvider({})),  # raises
+        ]
+        with caplog.at_level("WARNING"), pytest.raises(SubtaskError, match="every candidate"):
+            generate_candidates(simple_case("c1"), ClinicalContext(), [], providers)
+        assert "st1 run c1/st1/a/0 unparseable, counting as empty" in caplog.text
+
     def test_one_provider_failing_is_tolerated(self):
         a = "CANDIDATE_1: Why the stent?"
         providers = [
