@@ -181,17 +181,26 @@ def cmd_cache(args: argparse.Namespace) -> int:
     cache = ResponseCache(Path(args.cache_dir))
     # .json and .f64, in that order: every kind of file either wrapper reads.
     suffixes = list(dict.fromkeys(ReplayGenerator.suffixes + CachedEmbedder.suffixes))
+    orphans, source = len(cache.entries(cache.TEMP)), cache.source()
     if args.action == "inspect":
         entries = {suffix: cache.entries(suffix) for suffix in suffixes}
         counts = ", ".join(f"{len(keys)} {suffix}" for suffix, keys in entries.items())
         total = sum(map(len, entries.values()))
         print(f"{total} cache entr(ies) in {args.cache_dir}: {counts}")
+        if source is not None:
+            print(f"recorded from {source}")
+        if orphans:
+            print(f"{orphans} orphaned {cache.TEMP} file(s), left by a writer that was killed")
         names = [key + suffix for suffix, keys in entries.items() for key in keys]
         for name in names[: args.limit]:
             print(f"  {name}")
         return 0
-    removed = cache.prune(suffixes)
-    print(f"removed {removed} cache entr(ies)")
+    print(f"removed {cache.prune(suffixes)} cache entr(ies)")
+    if orphans:
+        print(f"removed {cache.prune([cache.TEMP])} orphaned {cache.TEMP} file(s)")
+    if source is not None:
+        cache.unmark()
+        print(f"removed the marker (recorded from {source})")
     return 0
 
 
@@ -237,7 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--out", help="directory for report files")
     eval_p.set_defaults(func=cmd_eval)
 
-    cache_p = sub.add_parser("cache", help="inspect or prune the response cache")
+    cache_p = sub.add_parser(
+        "cache", help="inspect or prune the response cache",
+        description="inspect counts a cache directory's entries and orphaned .tmp files and "
+        "names the backend it was recorded from; prune deletes all of those, the marker "
+        "included. Prune only a directory that no run is writing.",
+    )
     cache_p.add_argument("action", choices=["inspect", "prune"])
     cache_p.add_argument("--cache-dir", default="cache")
     cache_p.add_argument("--limit", type=_count, default=20)

@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-PROVIDER_MODES = ("live", "record", "replay", "mock")
+PROVIDER_MODES = ("record", "replay", "mock")
 SUBTASK_ORDER = ("st1", "st2", "st3", "st4")
 # The values each of the config's enumerated fields may take, by config
 # path; ``[]`` stands for each element of a list.
@@ -395,18 +395,28 @@ class DeploymentRouter:
 
 
 def _backend(config: dict, mock: Callable, live: Callable, recorded: Callable):
-    """The backend ``provider_mode`` selects: ``mock()``, ``live()``, or
+    """The backend ``provider_mode`` selects: ``mock()``, or
     ``recorded(cache, inner, mode)``, whose inner backend in record mode is
-    the one ``record_source`` names."""
+    the one ``record_source`` names. So a live reply is always written to
+    the cache before a run reads it.
+
+    A recording never mixes backends: one into a ``cache_dir`` marked with
+    the other source raises a ConfigError before any backend call."""
     mode = config["provider_mode"]
     if mode == "mock":
         return mock()
-    if mode == "live":
-        return live()
     cache = ResponseCache(Path(config["cache_dir"]))
     inner = None
     if mode == "record":
-        inner = mock() if config["record_source"] == "mock" else live()
+        source = config["record_source"]
+        marked = cache.mark(source)
+        if marked != source:
+            raise ConfigError(
+                f"cache_dir: {config['cache_dir']} holds a recording from {marked!r}, and this "
+                f"run records from {source!r}; record into another directory, or empty "
+                "this one with `ehrqa cache prune`"
+            )
+        inner = mock() if source == "mock" else live()
     return recorded(cache, inner, mode)
 
 

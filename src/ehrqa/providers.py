@@ -2,9 +2,10 @@
 
 Three generator flavors: a pipeline mock that fabricates plausible
 structured outputs for any prompt (offline smoke runs), a retrying HTTP
-chat client (live), and a record/replay wrapper that persists responses
-content-addressed on the request so whole runs replay byte-identically
-with zero network access.
+chat client (live, which a run reaches only through the record wrapper),
+and a record/replay wrapper that persists responses content-addressed on
+the request so whole runs replay byte-identically with zero network
+access.
 """
 
 from __future__ import annotations
@@ -364,7 +365,14 @@ class ResponseCache:
     final. Reads take no lock: ``put`` publishes an entry with a hard link,
     so a reader finds either no file or a whole one that never changes.
     The lock guards only the hit and miss counters.
+
+    A recording also writes ``MARKER``, naming the backend its entries came
+    from. A writer killed between writing and unlinking its temporary file
+    leaves that file, ``<name>.<pid>-<tid>.tmp``, behind; ``TEMP`` is the
+    suffix such an orphan ends in. Neither name ends in an entry's suffix.
     """
+
+    MARKER, TEMP = "recorded-from", ".tmp"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -410,7 +418,7 @@ class ResponseCache:
         suffix, which stays; returns whether it stored. A link fails where
         the name exists."""
         path = self._path(key, suffix)
-        tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
+        tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}{self.TEMP}")
         try:
             tmp.write_bytes(data)
             os.link(tmp, path)
@@ -437,6 +445,26 @@ class ResponseCache:
     def stats(self, suffix: str) -> dict:
         """The hit and miss counts, and the number of ``suffix`` entries."""
         return {"hits": self.hits, "misses": self.misses, "entries": len(self.entries(suffix))}
+
+    def mark(self, source: str) -> str:
+        """The backend the directory is recorded from: the one its marker
+        names, or ``source`` when it has none, which then marks it. The
+        marker is published as an entry is, so of two runs that mark an
+        unmarked directory at once, both get the source of the first."""
+        if self.put(self.MARKER, "", f"{source}\n".encode()):
+            return source
+        return self.source()
+
+    def source(self) -> str | None:
+        """The backend the marker names; None when there is no marker."""
+        try:
+            return self._read(self.MARKER, "").decode(errors="replace").strip()
+        except FileNotFoundError:
+            return None
+
+    def unmark(self) -> None:
+        """Remove the marker, if there is one."""
+        Path(self._path(self.MARKER, "")).unlink(missing_ok=True)
 
 
 def _json_field(data: bytes, field: str, key: str, what: str):

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ehrqa.pipeline import (
     run_sweep,
 )
 from ehrqa.prompting import Message
-from ehrqa.providers import ReplayGenerator, embed_cache_key, request_cache_key
+from ehrqa.providers import ReplayGenerator, ResponseCache, embed_cache_key, request_cache_key
 from ehrqa.vote import plan_requests
 
 
@@ -1005,7 +1006,8 @@ class TestCliCommands:
 
     def test_cache_inspect_counts_each_kind_and_prune_empties_the_cache(self, tmp_path, capsys):
         """A recording with st3 rerank and st4 recall holds both kinds of
-        entry; inspect counts each, and prune removes every one."""
+        entry and its source marker; inspect counts each kind and names the
+        source, and prune removes every file."""
         manifest = run_pipeline(resolve_config(base_config(
             tmp_path, subtasks=["st1", "st2", "st3", "st4"], provider_mode="record",
             record_source="mock", st3={"rerank": True}, st4={"recall": {"enabled": True}},
@@ -1015,13 +1017,48 @@ class TestCliCommands:
         cache = tmp_path / "cache"
         assert main(["cache", "inspect", "--cache-dir", str(cache), "--limit", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"48 cache entr(ies) in {cache}: 42 .json, 6 .f64"
-        assert len(lines) == 3 and all(line.endswith(".json") for line in lines[1:])
+        assert lines[:2] == [f"48 cache entr(ies) in {cache}: 42 .json, 6 .f64", "recorded from mock"]
+        assert len(lines) == 4 and all(line.endswith(".json") for line in lines[2:])
         assert main(["cache", "prune", "--cache-dir", str(cache)]) == 0
-        assert capsys.readouterr().out == "removed 48 cache entr(ies)\n"
+        assert capsys.readouterr().out == (
+            "removed 48 cache entr(ies)\nremoved the marker (recorded from mock)\n"
+        )
         assert list(cache.iterdir()) == []
         assert main(["cache", "inspect", "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == f"0 cache entr(ies) in {cache}: 0 .json, 0 .f64\n"
+
+    def test_cache_inspect_counts_orphans_and_prune_removes_them(self, tmp_path, capsys):
+        """A writer killed between writing its temporary file and unlinking
+        it leaves the file behind: inspect counts it and prune removes it."""
+        (tmp_path / f"{'a' * 64}.json").write_text('{"response": {"text": "x"}}')
+        (tmp_path / "def.json.123-456.tmp").write_text("{")
+        assert main(["cache", "inspect", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"1 cache entr(ies) in {tmp_path}: 1 .json, 0 .f64\n"
+            "1 orphaned .tmp file(s), left by a writer that was killed\n"
+            f"  {'a' * 64}.json\n"
+        )
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "removed 1 cache entr(ies)\nremoved 1 orphaned .tmp file(s)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_recording_adopts_an_unmarked_cache(self, tmp_path, monkeypatch):
+        """A cache recorded before runs marked their source serves a record
+        run of either source as before, which then marks it; replay reads
+        no marker."""
+        for name in [n for n in os.environ if n.startswith("EHRQA_")]:
+            monkeypatch.delenv(name)  # so a live call would fail the run
+        config = base_config(tmp_path, provider_mode="record", record_source="mock")
+        assert run_pipeline(resolve_config(config))["cache"]["misses"] == 9
+        marker = tmp_path / "cache" / ResponseCache.MARKER
+        marker.unlink()
+        manifest = run_pipeline(resolve_config(dict(config, record_source="live")))
+        assert manifest["cache"] == {"hits": 9, "misses": 0, "entries": 9}
+        assert marker.read_text() == "live\n"
+        replayed = run_pipeline(resolve_config(dict(config, provider_mode="replay")))
+        assert replayed["cache"] == manifest["cache"]
 
     @pytest.mark.parametrize("action", ["inspect", "prune"])
     def test_cache_on_a_missing_directory_fails_and_creates_nothing(
@@ -1093,7 +1130,8 @@ class TestCliCommands:
             for name, texts in (("st3-rerank", rerank), ("st4-recall", recall)):
                 key = embed_cache_key("embedder", texts)
                 readers[key] = (name, f"starting {texts[0][:60]!r}")
-        assert set(readers) == {p.stem for p in cache.iterdir()}
+        entries = {p.stem for p in cache.iterdir() if p.name != ResponseCache.MARKER}
+        assert set(readers) == entries
 
         damaged = {key: what for key, (name, what) in readers.items() if name == kind}
         assert damaged

@@ -1,10 +1,12 @@
 """The live path end to end over real HTTP, with no network: a
 ThreadingHTTPServer on the loopback interface stands in for the model
 vendors' APIs. It answers each chat completion with the reply a mock run
-gave for the same payload, and each embeddings call from HashEmbedder. So
-a live run must write the bytes of a mock run, and a recording over the
-server must replay with the server gone. The default transport's
-statuses, retries and request body are checked against the same server."""
+gave for the same payload, and each embeddings call from HashEmbedder. A
+run reaches it only by recording from it, so a recording over the server
+must write the bytes of a mock run, replay with the server gone and, when
+interrupted, resume paying only for the calls it did not make. The
+default transport's statuses, retries and request body are checked
+against the same server."""
 
 import importlib.util
 import json
@@ -20,8 +22,16 @@ from pathlib import Path
 import pytest
 
 from ehrqa import pipeline
-from ehrqa.core import ProviderError
-from ehrqa.providers import HashEmbedder, HttpChatProvider, PipelineMockProvider
+from ehrqa.cli import main
+from ehrqa.core import ConfigError, ProviderError
+from ehrqa.providers import (
+    HashEmbedder,
+    HttpChatProvider,
+    PipelineMockProvider,
+    ResponseCache,
+    _HttpClient,
+    _RecordReplay,
+)
 from tests.test_providers import req
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -126,20 +136,28 @@ def outputs(out: Path) -> dict[str, bytes]:
 
 @pytest.fixture(scope="module")
 def mock_run(cases, tmp_path_factory):
-    """A mock run's outputs, and the replies it gave for each payload."""
+    """A mock run's outputs, the replies it gave for each payload, and the
+    calls it made of each kind, by the manifest key of its cache."""
     replies = defaultdict(set)
-    generate = PipelineMockProvider.generate
+    calls = {"cache": 0, "embedding_cache": 0}
+    generate, embed = PipelineMockProvider.generate, HashEmbedder.embed
 
     def noting_replies(self, request):
         text = generate(self, request)
         replies[request_key(request)].add(text)
+        calls["cache"] += 1
         return text
+
+    def counting_embeds(self, texts):
+        calls["embedding_cache"] += 1
+        return embed(self, texts)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PipelineMockProvider, "generate", noting_replies)
+        patch.setattr(HashEmbedder, "embed", counting_embeds)
         out = tmp_path_factory.mktemp("mock")
         run(cases, out, "mock")
-    return outputs(out), dict(replies)
+    return outputs(out), dict(replies), calls
 
 
 @pytest.fixture
@@ -160,35 +178,142 @@ def backend(request, monkeypatch):
 def test_every_payload_of_a_mock_run_has_one_reply(mock_run):
     """So the server can answer from the payload alone, as a vendor's API
     is asked: no reply depends on the request's tag or sample index."""
-    files, replies = mock_run
+    files, replies, _ = mock_run
     assert set(files) == {"st1.jsonl", "st1_candidates.jsonl", "st2.jsonl", "st3.jsonl",
                           "st4.jsonl"}
     assert replies and all(len(texts) == 1 for texts in replies.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_live_run_writes_the_bytes_of_a_mock_run(cases, mock_run, backend, tmp_path, workers):
-    files, replies = mock_run
+def test_a_live_recording_writes_the_bytes_of_a_mock_run_and_replays_with_the_server_gone(
+    cases, mock_run, backend, tmp_path, workers
+):
+    files, replies, calls = mock_run
     backend.replies = replies
-    run(cases, tmp_path, "live", workers)
+    recorded = run(cases, tmp_path, "record", workers)
     assert outputs(tmp_path) == files
     paths = {path for path, _, _ in backend.received}
     assert paths == {"/v1/chat/completions", "/v1/embeddings"}
-
-
-def test_a_live_recording_replays_with_the_server_gone(cases, mock_run, backend, tmp_path):
-    files, replies = mock_run
-    backend.replies = replies
-    recorded = run(cases, tmp_path, "record")
-    assert outputs(tmp_path) == files
+    assert (tmp_path / "cache" / ResponseCache.MARKER).read_bytes() == b"live\n"
     backend.close()
     shutil.rmtree(tmp_path / "out")
-    replayed = run(cases, tmp_path, "replay")
+    replayed = run(cases, tmp_path, "replay", workers)
     assert outputs(tmp_path) == files
     for kind in ("cache", "embedding_cache"):
         asked = recorded[kind]["hits"] + recorded[kind]["misses"]
+        assert asked == calls[kind] > 0
         assert replayed[kind]["misses"] == 0
-        assert replayed[kind]["hits"] == asked > 0
+        assert replayed[kind]["hits"] == asked
+
+
+class Interrupted(BaseException):
+    """Stops a recording as Ctrl-C would: ``_post`` catches ``Exception``
+    alone, so this is no failed call to retry or to vote without."""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_live_recording_resumes(
+    cases, mock_run, backend, tmp_path, monkeypatch, workers
+):
+    """Every transport call after the first 300 raises; a rerun against the
+    healthy server serves each entry the first run wrote and calls the
+    backend for the rest alone."""
+    files, replies, calls = mock_run
+    backend.replies = replies
+    transport, made, lock = _HttpClient._default_transport, [0], threading.Lock()
+
+    def interrupted_after_300(self, url, payload, headers):
+        with lock:
+            made[0] += 1
+            if made[0] > 300:
+                raise Interrupted
+        return transport(self, url, payload, headers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_HttpClient, "_default_transport", interrupted_after_300)
+        with pytest.raises(Interrupted):
+            run(cases, tmp_path, "record", workers)
+    assert not (tmp_path / "out" / "st4.jsonl").exists()
+    cache = tmp_path / "cache"
+    left = {kind: len(list(cache.glob(f"*{suffix}")))
+            for kind, suffix in (("cache", ".json"), ("embedding_cache", ".f64"))}
+    assert all(left.values()) and sum(left.values()) <= 300
+    backend.received.clear()
+    resumed = run(cases, tmp_path, "record", workers)
+    assert outputs(tmp_path) == files
+    for kind, hits in left.items():
+        assert resumed[kind]["hits"] == hits
+        assert resumed[kind]["misses"] == calls[kind] - hits
+    assert len(backend.received) == sum(calls.values()) - sum(left.values())
+
+
+def test_no_config_builds_a_bare_live_client(backend, tmp_path):
+    """Every mode and source: the backends a run builds are the mocks or a
+    record/replay wrapper, though credentials for the live APIs are set."""
+    for mode in pipeline.CHOICES["provider_mode"]:
+        for source in pipeline.CHOICES["record_source"]:
+            config = pipeline.resolve_config({
+                "provider_mode": mode,
+                "record_source": source,
+                "cache_dir": str(tmp_path / f"{mode}-{source}"),
+            })
+            generator, embedder = pipeline.build_generator(config), pipeline.build_embedder(config)
+            assert isinstance(generator, (PipelineMockProvider, _RecordReplay))
+            assert isinstance(embedder, (HashEmbedder, _RecordReplay))
+    assert backend.received == []
+
+
+def test_live_is_no_provider_mode(tmp_path, monkeypatch, capsys):
+    """Neither a config nor the flag builds a backend for it."""
+    def no_backend(config):
+        raise AssertionError("a backend was built")
+
+    monkeypatch.setattr(pipeline, "build_generator", no_backend)
+    monkeypatch.setattr(pipeline, "build_embedder", no_backend)
+    message = "provider_mode: must be one of record, replay, mock, got 'live'"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        pipeline.resolve_config({"provider_mode": "live"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider_mode": "live"}))
+    assert main(["run", "--config", str(config), "--cases", str(tmp_path / "cases.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ConfigError"}
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--provider-mode", "live", "--cases", str(tmp_path / "cases.jsonl")])
+    assert exit_.value.code == 2
+    assert "argument --provider-mode: invalid choice: 'live'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, second", [("mock", "live"), ("live", "mock")])
+def test_a_recording_never_mixes_backends(cases, backend, tmp_path, monkeypatch, first, second):
+    """A record run into a cache_dir recorded from the other source fails
+    before any backend call, naming the directory and both sources."""
+    base = {
+        "dataset": {"cases": str(cases)},
+        "provider_mode": "record",
+        "cache_dir": str(tmp_path / "cache"),
+        "out_dir": str(tmp_path / "out"),
+    }
+    pipeline.build_generator(pipeline.resolve_config({**base, "record_source": first}))
+
+    def no_call(self, request):
+        raise AssertionError("the mock was called")
+
+    monkeypatch.setattr(PipelineMockProvider, "generate", no_call)
+    config = pipeline.resolve_config({**base, "record_source": second})
+    message = (
+        f"cache_dir: {tmp_path / 'cache'} holds a recording from '{first}', and this run "
+        f"records from '{second}'; record into another directory, or empty this one with "
+        "`ehrqa cache prune`"
+    )
+    with pytest.raises(ConfigError) as error:
+        pipeline.run_pipeline(config)
+    assert str(error.value) == message
+    assert backend.received == []
+    assert not (tmp_path / "out" / "st2.jsonl").exists()
+    # pruned, the directory can be recorded from either source
+    assert main(["cache", "prune", "--cache-dir", str(tmp_path / "cache")]) == 0
+    pipeline.build_generator(config)
+    assert (tmp_path / "cache" / ResponseCache.MARKER).read_text() == f"{second}\n"
 
 
 class TestDefaultTransport:

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -179,6 +180,32 @@ class TestRecordReplay:
         assert cache.stats(".json")["entries"] == len(list(tmp_path.glob("*.json"))) == 3
         assert cache.entries(".json") == ["k0", "k1", "k2"]
         assert cache.entries(".f64") == ["k0"]
+
+    def test_runs_that_mark_a_directory_at_once_all_get_the_first_source(self, tmp_path):
+        """The marker is published as an entry is: one source wins, every
+        run reads it, and no temporary file is left."""
+        start = threading.Barrier(8, timeout=10)
+        got: dict[int, str] = {}
+
+        def mark(i):
+            start.wait()
+            got[i] = ResponseCache(tmp_path).mark(("live", "mock")[i % 2])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mark, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        (source,) = set(got.values())
+        assert len(got) == 8 and ResponseCache(tmp_path).source() == source
+        assert [p.name for p in tmp_path.iterdir()] == [ResponseCache.MARKER]
+        assert (tmp_path / ResponseCache.MARKER).read_bytes() == f"{source}\n".encode()
 
 
 @pytest.mark.parametrize(
@@ -580,7 +607,10 @@ def _record_toy_in_json(tmp_path, name, monkeypatch, generator_entry, embedding_
 
 
 def _files(cache):
-    return {p.name: p.read_bytes() for p in sorted(cache.iterdir())}
+    """The cache's entries by name; the source marker is not one."""
+    return {
+        p.name: p.read_bytes() for p in sorted(cache.iterdir()) if p.name != ResponseCache.MARKER
+    }
 
 
 def _json_entries(cache):
@@ -984,11 +1014,13 @@ class TestPipelineMock:
             assert text.replace('"ward/', '"') == outputs["plain"][sub]
 
 
-def test_the_live_embedder_takes_its_credentials_from_the_environment(monkeypatch):
+def test_the_live_embedder_takes_its_credentials_from_the_environment(monkeypatch, tmp_path):
     monkeypatch.setenv("EHRQA_EMBEDDER_ENDPOINT", "https://embed.example/v1/")
     monkeypatch.setenv("EHRQA_EMBEDDER_API_KEY", "embed-key")
-    config = resolve_config({"provider_mode": "live"})
-    embedder = build_embedder(config)
+    config = resolve_config({"provider_mode": "record", "cache_dir": str(tmp_path)})
+    recorder = build_embedder(config)
+    assert isinstance(recorder, CachedEmbedder) and recorder.mode == "record"
+    embedder = recorder.inner
     assert isinstance(embedder, HttpEmbeddingProvider)
     assert (embedder.endpoint, embedder.api_key, embedder.model) == (
         "https://embed.example/v1", "embed-key", "embedder"
