@@ -22,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from . import st1, st2, st3, st4, vote
+from . import st2, st3, st4, vote
 from .core import (
     Case,
     ConfigError,
@@ -507,6 +507,8 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
     embedding_only = st4_cfg["mode"] == "embedding_only"
     embeds = {"st3": st3_cfg["rerank"], "st4": st4_cfg["recall"]["enabled"] or embedding_only}
     embedder = build_embedder(config) if any(embeds[s] for s in embeds if s in subtasks) else None
+    if "st1" in subtasks:
+        from . import st1  # st1 imports NumPy, which a run without it never loads
     # Built only for a subtask that runs; st4's threshold file is read here,
     # not when the config is resolved, for a sweep may write it in between.
     args = {
@@ -557,6 +559,8 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> tuple[dict,
     st3_answer: str | None = None
 
     if "st1" in args:
+        from . import st1
+
         result = st1.run_case(case, **args["st1"])
         records["st1"] = {"case_id": cid, "clinician_question": result.clinician_question}
         records["st1_candidates"] = {
@@ -612,8 +616,10 @@ def run_pipeline(config: dict) -> dict:
     thread. Outputs are collected in case order, so concurrency never
     changes the written files.
     """
-    run = _setup(config)
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
+    if "st4" in subtasks and "st3" not in subtasks and config["st4"]["answers_from"] == "st3":
+        raise ConfigError("st4.answers_from: st3 aligns st3's answers, but st3 is not in this run")
+    run = _setup(config)
     args = _chain_args(run, subtasks)
     chain = partial(_case_chain, run=run, args=args)
     threads = _case_threads(config, config["workers"] ** 2)

@@ -24,12 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
 from .core import CacheMissError, EhrqaError, ProviderError
 from .prompting import Message, _memo
+
+# Each function that computes with arrays imports NumPy itself: importing it
+# takes ~60 ms that eval, cache and most st2-st4 runs never need.
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -155,6 +158,8 @@ def cosine(u, v) -> float | np.ndarray:
     digits: a caller that compares its entries with a threshold rescores
     the pairs that land next to it with the vector form.
     """
+    import numpy as np
+
     u, v = _array(u), _array(v)
     if u.ndim == 2 and v.ndim == 2:
         if u.shape[1] != v.shape[1]:
@@ -175,6 +180,8 @@ def cosine(u, v) -> float | np.ndarray:
 
 def _array(x) -> np.ndarray:
     """``x`` as a float array; a list of rows of unequal length raises."""
+    import numpy as np
+
     if isinstance(x, (list, tuple)):
         shapes = {np.shape(row) for row in x}
         if len(shapes) > 1:
@@ -314,6 +321,8 @@ class HashEmbedder:
         self.dim = dim
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        import numpy as np
+
         if not texts:
             raise EhrqaError("embed requires a non-empty input list")
         n, pairs = len(texts), (self.dim + 1) // 2  # gauss makes its normals in pairs
@@ -584,6 +593,8 @@ class CachedEmbedder(_RecordReplay):
     def _from_entry(self, suffix: str, data: bytes, texts, key: str, what: str) -> list[np.ndarray]:
         """One writable float64 vector per text, all of one positive length;
         anything else raises CacheMissError naming the key."""
+        import numpy as np
+
         n = len(texts)
         try:
             raw = data
@@ -600,6 +611,8 @@ class CachedEmbedder(_RecordReplay):
         return list(rows)
 
     def _to_entry(self, vectors: list[np.ndarray]) -> bytes:
+        import numpy as np
+
         return np.asarray(vectors, dtype="<f8").tobytes()
 
 
@@ -609,6 +622,8 @@ def _vector_rows(vectors, count: int | None = None) -> np.ndarray:
     each a non-empty list of numbers (int or float, not bool), all of one
     length. Returns them as the rows of a float64 array; anything else
     raises ValueError."""
+    import numpy as np
+
     if not (
         isinstance(vectors, list) and vectors and count in (None, len(vectors)) and all(
             isinstance(v, list) and v and all(type(x) in (float, int) for x in v)

@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import vote
 from .core import (
     Case,
@@ -186,7 +184,7 @@ def recall_augment(
     # RECHECK_BAND of tau is scored again by the vector form, whose
     # rounding decides, so no link depends on the matrix form's rounding.
     sims = cosine(answer_vecs, note_vecs)
-    for i, j in zip(*np.nonzero(sims >= config.tau - RECHECK_BAND)):
+    for i, j in zip(*(sims >= config.tau - RECHECK_BAND).nonzero()):
         aid, note_id = answer_sentences[i][0], case.note[j].id
         if note_id in existing.get(aid, ()):
             continue

@@ -564,6 +564,33 @@ class TestChaining:
             expected_ids = [aid for aid, _ in segment_answer(st3_out[record["case_id"]])]
             assert [a["answer_id"] for a in record["alignments"]] == expected_ids
 
+    @pytest.mark.parametrize("subtasks", [["st4"], ["st1", "st2", "st4"]])
+    def test_st4_answers_from_st3_without_st3_fails_before_any_call(
+        self, tmp_path, monkeypatch, subtasks
+    ):
+        """With no st3 answers to align, st4 would write no link for any case."""
+        from tests.conftest import ScriptedProvider
+
+        backend = ScriptedProvider(handler=lambda request: "[]")
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
+        config = resolve_config(
+            base_config(tmp_path, subtasks=subtasks, st4={"answers_from": "st3"})
+        )
+        with pytest.raises(ConfigError, match=r"^st4\.answers_from:"):
+            run_pipeline(config)
+        assert backend.calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_a_recording_with_st4_answers_from_st3_without_st3_marks_no_cache(self, tmp_path):
+        config = resolve_config(base_config(
+            tmp_path, subtasks=["st4"], provider_mode="record", record_source="mock",
+            st4={"answers_from": "st3"},
+        ))
+        with pytest.raises(ConfigError, match=r"^st4\.answers_from:"):
+            run_pipeline(config)
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_st4_sweep_writes_threshold_file(self, tmp_path):

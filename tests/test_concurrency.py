@@ -1,17 +1,21 @@
 """Call scheduling: outputs never depend on the worker count or on the
 order in which calls complete, each case makes its generator calls on its
 own thread in a fixed order, calls in flight stay within their bound, a
-replay reads its cache on the calling thread, and live clients are built
-once per deployment."""
+replay reads its cache on the calling thread, live clients are built once
+per deployment, and case threads that race to import NumPy write what one
+thread writes."""
 
 import itertools
 import json
 import logging
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,51 @@ def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, mo
     assert {"st1.jsonl", "st2.jsonl", "st3.jsonl", "st4.jsonl"} <= set(reference)
     assert all(tree == reference for tree in trees.values())
     assert max(g.peak for g in built[3:6]) > 2  # workers=2 did overlap calls across cases
+
+
+# Runs ``ehrqa`` in a fresh interpreter and prints the name of the thread
+# that first looked NumPy up.
+FIRST_NUMPY_IMPORT = """
+import sys, threading
+from ehrqa.cli import main
+first = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not first:
+            first.append(threading.current_thread().name)
+sys.meta_path.insert(0, Spy())
+assert main(sys.argv[1:]) == 0
+print(first)
+"""
+
+
+def test_numpy_first_imported_on_case_threads_changes_no_output(tmp_path):
+    """Nothing before st3's rerank builds an array in an st2-st4 run, so its
+    case threads race to import NumPy; the outputs are a one-thread run's."""
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "subtasks": ["st2", "st3", "st4"],
+        "st3": {"rerank": True},
+        "st4": {"recall": {"enabled": True}},
+    }))
+    src = Path(pipeline.__file__).parent.parent
+    outputs, first = {}, {}
+    for workers in (1, 2, 8):
+        out = tmp_path / f"out-w{workers}"
+        argv = ["run", "--config", str(config), "--cases", str(cases),
+                "--provider-mode", "mock", "--out", str(out), "--workers", str(workers)]
+        result = subprocess.run(
+            [sys.executable, "-c", FIRST_NUMPY_IMPORT, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        first[workers] = result.stdout.splitlines()[-1]
+        outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("st*.jsonl"))}
+    assert first[1] == "['MainThread']"
+    assert first[2].startswith("['ehrqa-case") and first[8].startswith("['ehrqa-case")
+    assert sorted(outputs[1]) == ["st2.jsonl", "st3.jsonl", "st4.jsonl"]
+    assert outputs[2] == outputs[1] and outputs[8] == outputs[1]
 
 
 def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
