@@ -26,7 +26,6 @@ from . import st2, st3, st4, vote
 from .core import (
     Case,
     ConfigError,
-    ConstraintConfig,
     EhrqaError,
     MergePolicy,
     PlanMember,
@@ -74,8 +73,7 @@ DEFAULT_CONFIG: dict = {
     "cache_dir": "cache",
     "out_dir": "out",
     "workers": 4,
-    "constraints": {"st1_max_words": 15, "st3_max_words": 75},
-    "embedding": {"deployment": "embedder", "dim": 32},
+    "embedding": {"deployment": "embedder"},
     "st1": {
         "deployments": ["reformulator-a", "reformulator-b"],
         "shots": 5,
@@ -93,14 +91,12 @@ DEFAULT_CONFIG: dict = {
         "merge": {"mode": "union"},
         "shots": 10,
         "contrast_shots": False,
-        "confidence_floor": None,
         "enhanced_postproc": False,
     },
     "st3": {
         "deployments": ["o3", "gpt-5.2", "gpt-5.1"],
         "shots": 10,
         "rerank": True,
-        "stage2_deployment": None,
     },
     "st4": {
         "mode": "ensemble",
@@ -114,7 +110,7 @@ DEFAULT_CONFIG: dict = {
         "merge": {"mode": "majority_st4"},
         "shots": 20,
         "full_answer_context": True,
-        "recall": {"enabled": False, "tau": 0.68},
+        "recall": {"enabled": False},
         "threshold_file": None,
         "answers_from": "auto",
     },
@@ -130,7 +126,7 @@ PRESETS: dict[str, dict] = {
     },
     "st2-union-postproc": {
         "subtasks": ["st2"],
-        "st2": {"merge": {"mode": "union"}, "enhanced_postproc": False, "confidence_floor": None},
+        "st2": {"merge": {"mode": "union"}, "enhanced_postproc": False},
     },
     "st2-union-postproc-enhanced": {
         "subtasks": ["st2"],
@@ -176,11 +172,11 @@ PRESETS: dict[str, dict] = {
     },
     "st4-rescue": {
         "subtasks": ["st4"],
-        "st4": {"recall": {"enabled": True, "tau": 0.68}},
+        "st4": {"recall": {"enabled": True}},
     },
     "st4-embedding-only": {
         "subtasks": ["st4"],
-        "st4": {"mode": "embedding_only", "recall": {"enabled": True, "tau": 0.68}},
+        "st4": {"mode": "embedding_only", "recall": {"enabled": True}},
     },
 }
 
@@ -225,9 +221,6 @@ KINDS: tuple[tuple[type, str, Callable[[object], bool]], ...] = (
     (list, "a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
     (dict, "an object", lambda v: isinstance(v, dict)),
 )
-# A field whose default is null takes a string or null; one named here
-# takes a number or null.
-NUMBER_OR_NULL = frozenset({"st2.confidence_floor"})
 
 
 def _check_fields(value, default, path: str, field: str, unknown: list[str]) -> None:
@@ -240,9 +233,8 @@ def _check_fields(value, default, path: str, field: str, unknown: list[str]) -> 
     if default is None:
         if value is None:
             return
-        # A stand-in default of the kind that the field takes besides null.
-        kind_of = 0.0 if field in NUMBER_OR_NULL else ""
-        or_null = " or null"
+        # A field whose default is null takes a string or null.
+        kind_of, or_null = "", " or null"
     kind, takes = next((kind, takes) for t, kind, takes in KINDS if isinstance(kind_of, t))
     if not takes(value):
         raise ConfigError(f"{path}: must be {kind}{or_null}, got {value!r}")
@@ -285,20 +277,14 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"{key} deployments must be unique, got {deployments}")
     if config["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {config['workers']!r}")
-    # A floor compares with a vote fraction, so above 1 it empties every
-    # answer and at 0 or below it keeps every ID.
-    floor = config["st2"]["confidence_floor"]
-    if floor is not None and not 0.0 < floor <= 1.0:
-        raise ConfigError(f"st2.confidence_floor must be in (0, 1], got {floor!r}")
     # Build every object a run builds from the config now, so a bad value
     # fails here, named by its config path, before any backend call.
     builds = (
-        ("constraints", constraints_from_config, config["constraints"]),
         ("st2.plan", plan_from_config, config["st2"]["plan"]),
         ("st2.merge", policy_from_config, config["st2"]["merge"]),
         ("st4.plan", plan_from_config, config["st4"]["plan"]),
         ("st4.merge", policy_from_config, config["st4"]["merge"]),
-        ("st4.recall.tau", recall_from_config, config["st4"]["recall"]),
+        ("st4.recall", recall_from_config, config["st4"]["recall"]),
     )
     built = {}
     for path, build, section in builds:
@@ -354,12 +340,8 @@ def policy_from_config(merge_cfg: dict) -> MergePolicy:
     return MergePolicy(mode=mode)
 
 
-def constraints_from_config(cfg: dict) -> ConstraintConfig:
-    return ConstraintConfig(st1_max_words=cfg["st1_max_words"], st3_max_words=cfg["st3_max_words"])
-
-
 def recall_from_config(cfg: dict) -> RecallConfig:
-    return RecallConfig(enabled=cfg["enabled"], tau=float(cfg["tau"]))
+    return RecallConfig(enabled=cfg["enabled"])
 
 
 class DeploymentRouter:
@@ -426,9 +408,8 @@ def build_generator(config: dict) -> Generator:
 
 def build_embedder(config: dict) -> Embedder:
     model = config["embedding"]["deployment"]
-    mock = partial(HashEmbedder, dim=config["embedding"]["dim"])
     live = partial(provider_from_env, model, partial(HttpEmbeddingProvider, model=model))
-    return _backend(config, mock, live, partial(CachedEmbedder, model=model))
+    return _backend(config, HashEmbedder, live, partial(CachedEmbedder, model=model))
 
 
 def write_jsonl(path: Path, records: list[dict]) -> None:
@@ -464,12 +445,15 @@ class RunSetup:
     out_dir: Path
 
 
-def _setup(config: dict) -> RunSetup:
+def _setup(config: dict, check: Callable[[list[Case]], None]) -> RunSetup:
+    """The run's ``RunSetup``; ``check`` sees its cases before any backend
+    is built or any directory made."""
     built = validate_config(config)
     case_file, pool_file = load_dataset(config)
+    cases = sorted(case_file.cases, key=case_sort_key)
+    check(cases)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    cases = sorted(case_file.cases, key=case_sort_key)
     return RunSetup(config, built, cases, few_shot_pool(pool_file), build_generator(config), out_dir)
 
 
@@ -505,7 +489,11 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
     config, built, generator = run.config, run.built, run.generator
     st1_cfg, st2_cfg, st3_cfg, st4_cfg = (config[s] for s in SUBTASK_ORDER)
     embedding_only = st4_cfg["mode"] == "embedding_only"
-    embeds = {"st3": st3_cfg["rerank"], "st4": st4_cfg["recall"]["enabled"] or embedding_only}
+    # st3 reranks only when it has more than one candidate.
+    embeds = {
+        "st3": st3_cfg["rerank"] and len(st3_cfg["deployments"]) > 1,
+        "st4": st4_cfg["recall"]["enabled"] or embedding_only,
+    }
     embedder = build_embedder(config) if any(embeds[s] for s in embeds if s in subtasks) else None
     if "st1" in subtasks:
         from . import st1  # st1 imports NumPy, which a run without it never loads
@@ -515,7 +503,6 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
         "st1": lambda: {
             "pool": st1.St1Pool(c for c in run.pool if c.clinician_question),
             "providers": [(d, generator) for d in st1_cfg["deployments"]],
-            "constraints": built["constraints"],
             "max_shots": st1_cfg["shots"],
             "note_grounding": st1_cfg["note_grounding"],
         },
@@ -523,14 +510,11 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
             "plan": built["st2.plan"],
             "provider": generator,
             "policy": built["st2.merge"],
-            "confidence_floor": st2_cfg["confidence_floor"],
             "use_default_floor": st2_cfg["enhanced_postproc"],
         },
         "st3": lambda: {
             "provider": generator,
             "deployments": list(st3_cfg["deployments"]),
-            "constraints": built["constraints"],
-            "stage2_deployment": st3_cfg["stage2_deployment"],
             "rerank": st3_cfg["rerank"],
             "embedder": embedder,
         },
@@ -538,7 +522,7 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
             "plan": None if embedding_only else built["st4.plan"],
             "provider": None if embedding_only else generator,
             "policy": _st4_policy(st4_cfg, built["st4.merge"], built["st4.plan"]),
-            "recall": built["st4.recall.tau"],
+            "recall": built["st4.recall"],
             "embedder": embedder,
             "full_answer_context": st4_cfg["full_answer_context"],
         },
@@ -617,9 +601,17 @@ def run_pipeline(config: dict) -> dict:
     changes the written files.
     """
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
-    if "st4" in subtasks and "st3" not in subtasks and config["st4"]["answers_from"] == "st3":
-        raise ConfigError("st4.answers_from: st3 aligns st3's answers, but st3 is not in this run")
-    run = _setup(config)
+    st4_cfg = config["st4"]
+    if "st4" in subtasks:
+        if "st3" not in subtasks and st4_cfg["answers_from"] == "st3":
+            raise ConfigError(
+                "st4.answers_from: st3 aligns st3's answers, but st3 is not in this run"
+            )
+        if st4_cfg["mode"] == "embedding_only" and not st4_cfg["recall"]["enabled"]:
+            raise ConfigError(
+                "st4.mode: embedding_only aligns by recall alone, but st4.recall.enabled is false"
+            )
+    run = _setup(config, partial(_check_answer_key, config, subtasks))
     args = _chain_args(run, subtasks)
     chain = partial(_case_chain, run=run, args=args)
     threads = _case_threads(config, config["workers"] ** 2)
@@ -646,6 +638,22 @@ def run_pipeline(config: dict) -> dict:
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
     return manifest
+
+
+def _check_answer_key(config: dict, subtasks: list[str], cases: list[Case]) -> None:
+    """st4 aligns the key's answer sentences with ``answers_from: key``, and
+    with ``auto`` when st3 is not in the run to answer in their place; a case
+    without them would align nothing."""
+    source = config["st4"]["answers_from"]
+    if "st4" not in subtasks or source == "st3" or (source == "auto" and "st3" in subtasks):
+        return
+    bare = [c.case_id for c in cases if not c.clinician_answer_sentences]
+    if bare:
+        where = "" if source == "key" else " in a run without st3"
+        raise ConfigError(
+            f"st4.answers_from: {source} aligns the key's answer sentences{where}, "
+            f"and case(s) {', '.join(bare)} have none"
+        )
 
 
 def _case_threads(config: dict, threads: int) -> int:
@@ -716,12 +724,15 @@ def run_sweep(config: dict, subtask: str) -> dict:
         raise ConfigError("st4.mode: embedding_only casts no votes to sweep")
     # A threshold file and recall change no tally; the sweep writes the file.
     config = deep_merge(config, {"st4": {"threshold_file": None, "recall": {"enabled": False}}})
-    run = _setup(config)
     # An st4 case also needs answer sentences to align, as an st4 shot does.
     has_gold = SHOT_ELIGIBLE["st4"] if subtask == "st4" else lambda c: c.gold_evidence is not None
-    for case in run.cases:
-        if not has_gold(case):
-            raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
+
+    def check(cases: list[Case]) -> None:
+        for case in cases:
+            if not has_gold(case):
+                raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
+
+    run = _setup(config, check)
     subtasks = ["st1"] * ("st1" in config["subtasks"]) + [subtask]
     chain = partial(_case_chain, run=run, args=_chain_args(run, subtasks))
     # A case makes its calls one after another, so ``workers`` threads hold

@@ -73,13 +73,10 @@ def run_case(
     provider: Generator,
     policy: MergePolicy,
     clinician_question: str | None = None,
-    confidence_floor: float | None = None,
     use_default_floor: bool = False,
 ) -> St2Result:
     tally = run_ensemble(case, shots, plan, provider, clinician_question=clinician_question)
     merged = merge_votes(tally, policy)
-    floor = confidence_floor
-    if floor is None and use_default_floor:
-        floor = default_confidence_floor(tally.total_votes)
+    floor = default_confidence_floor(tally.total_votes) if use_default_floor else None
     evidence = postprocess_ids(merged, case, tally=tally, confidence_floor=floor)
     return St2Result(evidence_ids=evidence, tally=tally)

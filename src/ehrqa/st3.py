@@ -144,12 +144,10 @@ def stage2_rewrite(
     provider: Generator,
     constraints: ConstraintConfig = ConstraintConfig(),
     deployment: str = "default",
-    member: str | None = None,
 ) -> str:
-    """Rewrite ``draft`` on ``deployment`` from its cited sentences only:
-    marker-free, truncated, and never empty (falls back to the stripped
-    draft). The tag names the ensemble ``member`` that drafted it
-    (default: ``deployment``), so every member's tag is unique."""
+    """Rewrite ``draft`` on ``deployment``, the member that drafted it, from
+    its cited sentences only: marker-free, truncated, and never empty
+    (falls back to the stripped draft)."""
     extra = {
         "evidence_block": evidence_block_for(case, draft.cited_ids),
         "draft": draft.text_with_citations,
@@ -158,7 +156,7 @@ def stage2_rewrite(
         deployment_name=deployment,
         messages=tuple(render_prompt(load_template("st3_stage2"), case, (), extra=extra)),
         temperature=0.0,
-        request_tag=f"{case.case_id}/st3s2/{member or deployment}/0",
+        request_tag=f"{case.case_id}/st3s2/{deployment}/0",
     )
     text = ""
     try:
@@ -217,16 +215,15 @@ def run_case(
     deployments: list[str],
     constraints: ConstraintConfig = ConstraintConfig(),
     clinician_question: str | None = None,
-    stage2_deployment: str | None = None,
     rerank: bool = True,
     embedder: Embedder | None = None,
 ) -> St3Result:
     """Run the two-stage scaffold once per deployment; rerank when asked.
 
-    Every member's draft is made first, in member order, then every
-    distinct rewrite, all on the caller's thread; a failed draft fails
-    the case at once. Single-deployment runs skip reranking entirely.
-    ``cited_ids`` are the chosen candidate's citations.
+    Every member's draft is made first, in member order, then each
+    member's rewrite of its own draft, all on the caller's thread; a
+    failed draft fails the case at once. Single-deployment runs skip
+    reranking entirely. ``cited_ids`` are the chosen candidate's citations.
     """
     if not deployments:
         raise SubtaskError(f"case {case.case_id}: no deployments configured")
@@ -235,18 +232,10 @@ def run_case(
         stage1_draft(case, evidence_ids, shots, provider, d, clinician_question, messages=messages)
         for d in deployments
     ]
-    # A rewrite's request depends only on its draft and its deployment, so
-    # members with the same draft and rewriter share one rewrite, made for
-    # the first of them: a live run would otherwise pay for it per member.
-    rewrites: dict[tuple[CitedDraft, str], str] = {}
-    candidates = []
-    for d, draft in zip(deployments, drafts):
-        rewriter = stage2_deployment or d
-        if (draft, rewriter) not in rewrites:
-            rewrites[draft, rewriter] = stage2_rewrite(
-                draft, case, provider, constraints, rewriter, member=d
-            )
-        candidates.append(rewrites[draft, rewriter])
+    candidates = [
+        stage2_rewrite(draft, case, provider, constraints, d)
+        for d, draft in zip(deployments, drafts)
+    ]
     if len(candidates) == 1 or not rerank:
         chosen, scores = candidates[0], []
     else:

@@ -8,7 +8,7 @@ import pytest
 
 from ehrqa import pipeline, report
 from ehrqa.cli import main
-from ehrqa.core import ConfigError
+from ehrqa.core import ConfigError, ConstraintConfig
 from ehrqa.dataset import load_cases, toy_dataset_path
 from ehrqa.pipeline import (
     DEFAULT_CONFIG,
@@ -19,7 +19,14 @@ from ehrqa.pipeline import (
     run_sweep,
 )
 from ehrqa.prompting import Message
-from ehrqa.providers import ReplayGenerator, ResponseCache, embed_cache_key, request_cache_key
+from ehrqa.providers import (
+    HashEmbedder,
+    ReplayGenerator,
+    ResponseCache,
+    embed_cache_key,
+    request_cache_key,
+)
+from ehrqa.st4 import RecallConfig
 from ehrqa.vote import plan_requests
 
 
@@ -66,16 +73,13 @@ WRONG_VALUES = {
     list: ("a non-empty list", ["x", {}, [], None]),
     type(None): ("a string or null", [5, Path("x.jsonl"), False]),
 }
-NUMBER_OR_NULL = ("a number or null", ["high", True, [0.5]])
 
 
 def wrong_fields():
     for path, default in config_leaves(DEFAULT_CONFIG):
         if isinstance(default, bool):
             continue
-        kind, values = (
-            NUMBER_OR_NULL if path == "st2.confidence_floor" else WRONG_VALUES[type(default)]
-        )
+        kind, values = WRONG_VALUES[type(default)]
         for value in values:
             yield pytest.param(
                 path, value, f"{path}: must be {kind}, got {value!r}", id=f"{path}-{value!r}"
@@ -124,13 +128,11 @@ class TestResolveConfig:
     @pytest.mark.parametrize(
         "overlay, path",
         [
-            ({"st4": {"recall": {"tau": 5}}}, "st4.recall.tau"),
             ({"st2": {"merge": {"mode": "bogus"}}}, "st2.merge"),
             ({"st2": {"merge": {"mode": "manual"}}}, "st2.merge"),
             ({"st4": {"merge": {"mode": "manual", "k": 0}}}, "st4.merge"),
             ({"st2": {"plan": {"members": []}}}, "st2.plan.members"),
             ({"st4": {"plan": {"members": [{"temperature": 0.0}]}}}, "st4.plan"),
-            ({"constraints": {"st1_max_words": 0}}, "constraints"),
         ],
     )
     def test_bad_sections_are_rejected_with_their_config_path(self, overlay, path):
@@ -144,33 +146,12 @@ class TestResolveConfig:
             ({"st4": {"mode": "ensembel"}}, "st4.mode"),
             ({"st4": {"answers_from": "keys"}}, "st4.answers_from"),
             ({"st2": {"shots": "3"}}, "st2.shots"),
-            ({"st2": {"confidence_floor": "high"}}, "st2.confidence_floor"),
+            ({"st4": {"threshold_file": 0.5}}, "st4.threshold_file"),
         ],
     )
     def test_typos_are_rejected_with_their_config_path(self, overlay, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             resolve_config(overlay)
-
-    @pytest.mark.parametrize("floor", [1.5, 0.0, -0.2, float("nan"), float("inf")])
-    def test_confidence_floor_must_be_a_vote_fraction(self, floor):
-        with pytest.raises(ConfigError, match=r"^st2\.confidence_floor must be in \(0, 1\]"):
-            resolve_config({"st2": {"confidence_floor": floor}})
-
-    @pytest.mark.parametrize("floor", [None, 1e-9, 0.34, 1, 1.0])
-    def test_confidence_floor_in_range_resolves(self, floor):
-        config = resolve_config({"st2": {"confidence_floor": floor}})
-        assert config["st2"]["confidence_floor"] == floor
-
-    def test_a_bad_confidence_floor_fails_before_any_backend_call(self, tmp_path, monkeypatch):
-        def no_backend(config):
-            raise AssertionError("a backend was built")
-
-        monkeypatch.setattr(pipeline, "build_generator", no_backend)
-        config = pipeline.deep_merge(
-            resolve_config(base_config(tmp_path)), {"st2": {"confidence_floor": 2}}
-        )
-        with pytest.raises(ConfigError, match=r"^st2\.confidence_floor"):
-            pipeline.run_pipeline(config)
 
     @pytest.mark.parametrize(
         "subtask, deployments",
@@ -251,8 +232,11 @@ class TestResolveConfig:
                 {"st2": {"merge": {"mode": "manual", "k": 2.5}}},
                 "st2.merge.k: must be an integer, got 2.5",
             ),
-            ({"st4": {"recall": {"tau": "0.5"}}}, "st4.recall.tau: must be a number, got '0.5'"),
-            ({"embedding": {"dim": "32"}}, "embedding.dim: must be an integer, got '32'"),
+            (
+                {"st4": {"plan": {"members": [{"deployment": "o3", "temperature": "0.5"}]}}},
+                "st4.plan.members[0].temperature: must be a number, got '0.5'",
+            ),
+            ({"st4": {"shots": "20"}}, "st4.shots: must be an integer, got '20'"),
             ({"cache_dir": 5}, "cache_dir: must be a string, got 5"),
             (
                 {"dataset": {"cases": Path("x.jsonl")}},
@@ -311,6 +295,35 @@ class TestResolveConfig:
             "unknown config key(s): st2.plan.members[0].sample, st4.recal, worker"
         )
 
+    @pytest.mark.parametrize(
+        "overlay, path",
+        [
+            ({"constraints": {"st1_max_words": 15, "st3_max_words": 75}}, "constraints"),
+            ({"embedding": {"dim": 32}}, "embedding.dim"),
+            ({"st2": {"confidence_floor": None}}, "st2.confidence_floor"),
+            ({"st3": {"stage2_deployment": None}}, "st3.stage2_deployment"),
+            ({"st4": {"recall": {"tau": 0.68}}}, "st4.recall.tau"),
+        ],
+    )
+    def test_the_fixed_values_are_not_config_fields(self, overlay, path):
+        """The word limits, tau and the mock's embedding size are fixed by
+        the classes that hold them, so a config may not set them."""
+        with pytest.raises(ConfigError) as error:
+            resolve_config(overlay)
+        assert str(error.value) == f"unknown config key(s): {path}"
+
+    def test_the_fixed_values_are_the_papers(self):
+        """A run takes each fixed value from its class's default: the 15- and
+        75-word limits, tau 0.68 and the mock's 32-dimensional vectors."""
+        config = resolve_config({})
+        assert "constraints" not in config
+        assert config["embedding"] == {"deployment": "embedder"}
+        assert config["st4"]["recall"] == {"enabled": False}
+        limits = ConstraintConfig()
+        assert (limits.st1_max_words, limits.st3_max_words) == (15, 75)
+        assert RecallConfig().tau == 0.68
+        assert [len(v) for v in HashEmbedder().embed(["a", "b"])] == [32, 32]
+
     def test_a_merge_section_takes_k(self):
         config = resolve_config({"st4": {"merge": {"mode": "manual", "k": 2}}})
         assert config["st4"]["merge"]["k"] == 2
@@ -358,7 +371,7 @@ class TestResolveConfig:
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
-    DEFAULT_HASH = "d1fc84cfebe2379d5d750391057795489d964fb70923c01f46c31150fdcdc12f"
+    DEFAULT_HASH = "deb01929f330e453a4a2113fc871129a0cb50a175dc7e06aaae2749a84d19ec3"
 
     def test_default_config_hash_pinned(self):
         assert config_hash(resolve_config({})) == self.DEFAULT_HASH
@@ -371,7 +384,7 @@ class TestConfigHash:
         base = resolve_config({"dataset": {"cases": "x"}})
         for overlay in (
             {"st2": {"shots": 4}},
-            {"st4": {"recall": {"tau": 0.5}}},
+            {"st4": {"recall": {"enabled": True}}},
             {"dataset": {"cases": "y"}},
         ):
             changed = resolve_config({"dataset": {"cases": "x"}}, overrides=overlay)
@@ -453,7 +466,7 @@ class TestRunPipeline:
         # the second pass may reach no backend: every call must be a cache hit
         backend = FailingProvider()
         monkeypatch.setattr(pipeline, "PipelineMockProvider", lambda: backend)
-        monkeypatch.setattr(pipeline, "HashEmbedder", lambda dim: backend)
+        monkeypatch.setattr(pipeline, "HashEmbedder", lambda: backend)
         second_cache, second_tree = record(tmp_path / "out1")
         assert backend.calls == 0
         assert second_tree == first_tree
@@ -591,6 +604,118 @@ class TestChaining:
         assert not (tmp_path / "cache").exists()
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def no_backend(monkeypatch) -> None:
+        """Make building either backend fail the test."""
+
+        def build(config):
+            raise AssertionError("a backend was built")
+
+        monkeypatch.setattr(pipeline, "build_generator", build)
+        monkeypatch.setattr(pipeline, "build_embedder", build)
+
+    @pytest.mark.parametrize("mode", ["mock", "record"])
+    def test_st4_embedding_only_without_recall_fails_before_any_call(
+        self, tmp_path, monkeypatch, mode
+    ):
+        """Without recall an embedding_only st4 links nothing to any answer."""
+        self.no_backend(monkeypatch)
+        config = resolve_config(base_config(
+            tmp_path, subtasks=["st4"], provider_mode=mode, record_source="mock",
+            st4={"mode": "embedding_only"},
+        ))
+        with pytest.raises(ConfigError, match=r"^st4\.mode: embedding_only .*recall"):
+            run_pipeline(config)
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def cases_without_answers(tmp_path) -> Path:
+        """The toy set with the answer sentences of cases 1 and 3 removed."""
+        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        for case in cases:
+            if case["case_id"] in ("1", "3"):
+                case["answer_sentences"] = case["gold_alignments"] = []
+        path = tmp_path / "noanswers.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "source, subtasks",
+        [
+            ("key", ["st4"]),
+            ("key", ["st3", "st4"]),
+            ("auto", ["st4"]),
+            ("auto", ["st1", "st2", "st4"]),
+        ],
+    )
+    def test_st4_without_answers_to_align_fails_before_any_call(
+        self, tmp_path, monkeypatch, source, subtasks
+    ):
+        """The key's answer sentences are what st4 aligns here, and cases 1
+        and 3 have none: they would be written with no alignment."""
+        self.no_backend(monkeypatch)
+        config = resolve_config(base_config(
+            tmp_path, subtasks=subtasks, provider_mode="record", record_source="mock",
+            dataset={"cases": str(self.cases_without_answers(tmp_path))},
+            st4={"answers_from": source},
+        ))
+        with pytest.raises(ConfigError, match=r"^st4\.answers_from: .*case\(s\) 1, 3 have none$"):
+            run_pipeline(config)
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_st4_auto_aligns_st3s_answer_where_the_key_has_none(self, tmp_path):
+        config = resolve_config(base_config(
+            tmp_path, subtasks=["st3", "st4"],
+            dataset={"cases": str(self.cases_without_answers(tmp_path))},
+        ))
+        run_pipeline(config)
+        out = tmp_path / "out"
+        st3_out = [json.loads(l) for l in (out / "st3.jsonl").read_text().splitlines()]
+        st4_out = [json.loads(l) for l in (out / "st4.jsonl").read_text().splitlines()]
+        from ehrqa.st4 import segment_answer
+
+        keyed = {c.case_id: c for c in load_cases(toy_dataset_path()).cases}
+        for st3_record, st4_record in zip(st3_out, st4_out):
+            cid = st3_record["case_id"]
+            answers = (
+                segment_answer(st3_record["answer_text"]) if cid in ("1", "3")
+                else keyed[cid].clinician_answer_sentences
+            )
+            assert [a["answer_id"] for a in st4_record["alignments"]] == [a for a, _ in answers]
+            assert st4_record["alignments"]
+
+    @pytest.mark.parametrize("subtasks", [["st3"], ["st2", "st3", "st4"]])
+    def test_st3_with_one_deployment_builds_no_embedder(self, tmp_path, monkeypatch, subtasks):
+        """One candidate is never reranked, so a run whose st3 has one
+        deployment and whose st4 has no recall needs no embedding backend."""
+
+        def no_embedder(config):
+            raise AssertionError("an embedder was built")
+
+        monkeypatch.setattr(pipeline, "build_embedder", no_embedder)
+        config = resolve_config(base_config(
+            tmp_path, subtasks=subtasks, provider_mode="record", record_source="mock",
+            st3={"deployments": ["o3"], "rerank": True},
+        ))
+        manifest = run_pipeline(config)
+        assert "embedding_cache" not in manifest
+        assert manifest["cache"]["misses"] > 0
+
+    def test_st4_answers_from_key_aligns_the_keys_sentences_with_st3_in_the_run(self, tmp_path):
+        config = resolve_config(base_config(
+            tmp_path, subtasks=["st3", "st4"], st4={"answers_from": "key"},
+        ))
+        run_pipeline(config)
+        st4_out = [
+            json.loads(l) for l in (tmp_path / "out" / "st4.jsonl").read_text().splitlines()
+        ]
+        keyed = {c.case_id: c for c in load_cases(toy_dataset_path()).cases}
+        for record in st4_out:
+            answer_ids = [a for a, _ in keyed[record["case_id"]].clinician_answer_sentences]
+            assert [a["answer_id"] for a in record["alignments"]] == answer_ids
+
 
 class TestSweep:
     def test_st4_sweep_writes_threshold_file(self, tmp_path):
@@ -699,6 +824,23 @@ class TestSweep:
             with pytest.raises(ConfigError, match=f"case 3 has no dev gold for the {subtask}"):
                 run_sweep(config, subtask)
         assert backend.calls == []
+
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_a_recorded_sweep_without_gold_marks_no_cache_and_makes_no_directory(
+        self, tmp_path, subtask
+    ):
+        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        cases[-1]["gold_alignments"] = cases[-1]["gold_evidence"] = None
+        stripped = tmp_path / "nogold.jsonl"
+        stripped.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
+        config = resolve_config(base_config(
+            tmp_path, provider_mode="record", record_source="mock",
+            dataset={"cases": str(stripped)},
+        ))
+        with pytest.raises(ConfigError, match=f"case 3 has no dev gold for the {subtask}"):
+            run_sweep(config, subtask)
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_an_st4_sweep_needs_answer_sentences_to_align(self, tmp_path, monkeypatch):
         from tests.conftest import ScriptedProvider

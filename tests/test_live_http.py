@@ -35,7 +35,6 @@ from ehrqa.providers import (
 from tests.test_providers import req
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-DIM = pipeline.DEFAULT_CONFIG["embedding"]["dim"]
 
 
 def payload_key(model, messages, temperature, max_tokens) -> tuple:
@@ -93,7 +92,7 @@ class Backend:
             return status, f"status {status}".encode()
         payload = json.loads(body)
         if path == "/v1/embeddings":
-            data = [{"embedding": v.tolist()} for v in HashEmbedder(DIM).embed(payload["input"])]
+            data = [{"embedding": v.tolist()} for v in HashEmbedder().embed(payload["input"])]
             return 200, json.dumps({"data": data}).encode()
         assert path == "/v1/chat/completions"
         (text,) = self.replies[payload_key(

@@ -1,10 +1,13 @@
 """A run and a sweep share one setup: the config's objects and the sorted
 few-shot pool are built once per run, and each case only picks its
-leave-one-out shots from that pool."""
+leave-one-out shots from that pool. What each preset sets up is pinned by
+the bytes of its outputs."""
 
 import hashlib
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from ehrqa import pipeline
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import resolve_config, run_pipeline, run_sweep
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 PER_RUN = ("plan_from_config", "policy_from_config", "recall_from_config", "few_shot_pool")
 
 
@@ -127,3 +131,54 @@ def test_a_sweep_without_st1_writes_its_pinned_bytes(tmp_path, subtask):
     out = tmp_path / "sweep"
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == SWEEP_SHA256[subtask]
+
+# sha256 over the name and bytes of each st*.jsonl, in name order, that a
+# mock run of each preset writes for 40 seeded ``bench/casegen.py`` cases,
+# with the preset's own subtasks.
+PRESET_SHA256 = {
+    "st2-10shot-majority": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-10shot-union": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-19shot-union": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-3shot-union": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-4model-union": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-contrast-union": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-union-postproc": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st2-union-postproc-enhanced": "c10fabce0248efe7b170df56a2e4d8a686f2e8521cf6455c0dc41cc98cbe16d8",
+    "st3-ensemble": "9faff103eaaaf4ab3446ee9c4485fe7f1a37187c2101160f4666ca36587a5495",
+    "st3-ensemble-15shot": "9faff103eaaaf4ab3446ee9c4485fe7f1a37187c2101160f4666ca36587a5495",
+    "st3-faithful-ensemble": "9faff103eaaaf4ab3446ee9c4485fe7f1a37187c2101160f4666ca36587a5495",
+    "st3-single": "f1160782af22a5a9e11ae37ba2c8b20bcffe5c1dba0f06bc9765513601ac4bbb",
+    "st4-embedding-only": "09922e7911e58000470fb04fc950f97b945a358955a3c98652c55166f88c3f36",
+    "st4-majority": "80bd47a6f68771029b628067c211973686b99a91d9fa42f5440da76e440df38d",
+    "st4-rescue": "2ea36af26d857028ce86dd52f4ccf13de8a36be7dbf2acf3057d7740c017bd96",
+    "st4-selfconsistency": "80bd47a6f68771029b628067c211973686b99a91d9fa42f5440da76e440df38d",
+}
+
+
+@pytest.fixture(scope="module")
+def casegen_cases(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location("bench_casegen", BENCH / "casegen.py")
+    casegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(casegen)
+    return casegen.write_cases(40, 7, tmp_path_factory.mktemp("presets") / "cases.jsonl")
+
+
+def test_every_preset_is_pinned():
+    assert set(PRESET_SHA256) == set(pipeline.PRESETS)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+def test_each_presets_outputs_are_pinned(casegen_cases, tmp_path, preset):
+    out = tmp_path / "out"
+    run_pipeline(resolve_config({
+        "dataset": {"cases": str(casegen_cases)},
+        "provider_mode": "mock",
+        "cache_dir": str(tmp_path / "cache"),
+        "out_dir": str(out),
+        "workers": 1,
+    }, preset=preset))
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("st*.jsonl")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PRESET_SHA256[preset]

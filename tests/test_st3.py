@@ -1,4 +1,3 @@
-import itertools
 import re
 
 import pytest
@@ -281,27 +280,24 @@ class TestRunCase:
             [],
             ScriptedProvider(handler=respond),
             deployments=["d1", "d2", "d3"],
-            stage2_deployment="rewriter",
             rerank=False,
         )
         rewrites = [r for r in seen if "/st3s2/" in r.request_tag]
-        assert [r.request_tag for r in rewrites] == [
-            "c1/st3s2/d1/0", "c1/st3s2/d2/0", "c1/st3s2/d3/0"
+        assert [(r.request_tag, r.deployment_name, r.sample_index) for r in rewrites] == [
+            ("c1/st3s2/d1/0", "d1", 0), ("c1/st3s2/d2/0", "d2", 0), ("c1/st3s2/d3/0", "d3", 0)
         ]
-        assert {(r.deployment_name, r.sample_index) for r in rewrites} == {("rewriter", 0)}
         assert len({request_cache_key(r) for r in rewrites}) == 3
         assert result.answer_text == "Draft from d1."
 
-    def test_members_with_one_draft_share_one_recorded_rewrite(self, tmp_path):
-        """Three members that draft the same text ask one stage-2 request:
-        it is sent once, for the first member, so recording it is one live
-        call and one cache entry, and a replay gives back the recorded result."""
-        numbers = itertools.count(1)
+    def test_members_with_one_draft_each_record_their_own_rewrite(self, tmp_path):
+        """Three members that draft the same text each send their own stage-2
+        request: recording them is one live call and one cache entry per
+        member, and a replay gives back the recorded result."""
 
         def respond(request):
             if "/st3s1/" in request.request_tag:
                 return "Emergent catheterization revealed occlusion [2]."
-            return f"Rewrite number {next(numbers)}."
+            return f"Rewrite by {request.deployment_name}."
 
         inner = ScriptedProvider(handler=respond)
         cache = ResponseCache(tmp_path)
@@ -310,16 +306,18 @@ class TestRunCase:
                           ReplayGenerator(cache, mode="replay")):
             results.append(run_case(
                 simple_case("c1"), ["2", "5"], [], generator,
-                deployments=["d1", "d2", "d3"], stage2_deployment="rewriter",
-                embedder=HashEmbedder(),
+                deployments=["d1", "d2", "d3"], embedder=HashEmbedder(),
             ))
         recorded, replayed = results
         assert sorted(inner.calls) == [
-            "c1/st3s1/d1/0", "c1/st3s1/d2/0", "c1/st3s1/d3/0", "c1/st3s2/d1/0"
+            "c1/st3s1/d1/0", "c1/st3s1/d2/0", "c1/st3s1/d3/0",
+            "c1/st3s2/d1/0", "c1/st3s2/d2/0", "c1/st3s2/d3/0",
         ]
-        assert [c["answer"] for c in recorded.candidate_scores] == ["Rewrite number 1."] * 3
+        assert [c["answer"] for c in recorded.candidate_scores] == [
+            "Rewrite by d1.", "Rewrite by d2.", "Rewrite by d3."
+        ]
         assert replayed == recorded
-        assert cache.stats(".json") == {"hits": 4, "misses": 4, "entries": 4}
+        assert cache.stats(".json") == {"hits": 6, "misses": 6, "entries": 6}
 
     def test_an_ensemble_renders_its_stage1_prompt_once(self, monkeypatch):
         """The stage-1 prompt names no deployment: one render serves every
