@@ -123,6 +123,8 @@ class Case:
     def _problems(self) -> Iterator[str]:
         """Each broken invariant, in check order. It is lazy, and the first
         is the error, so every ID is checked before ``int()`` sees it."""
+        if not self.note:
+            yield "note has no sentences"
         for s in self.note:
             if not _ID_RE.fullmatch(s.id):
                 yield f"invalid note sentence id {s.id!r}"

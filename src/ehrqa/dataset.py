@@ -200,7 +200,13 @@ def load_cases(
         key_path = Path(key_path)
         if not key_path.exists():
             raise EhrqaError(f"key file not found: {key_path}")
-        keys = {r["case_id"]: r for _, r in read_records(key_path, "answer key")}
+        keys: dict[str, dict] = {}
+        for lineno, record in read_records(key_path, "answer key"):
+            if (cid := record["case_id"]) in keys:
+                raise EhrqaError(
+                    f"{key_path}:{lineno}: case_id {cid!r} has more than one answer-key record"
+                )
+            keys[cid] = record
         merged = []
         for lineno, record in records:
             overlay = keys.get(record["case_id"], {})

@@ -62,7 +62,6 @@ CHOICES = {
     "provider_mode": PROVIDER_MODES,
     "record_source": ("live", "mock"),
     "st4.mode": ("ensemble", "embedding_only"),
-    "st4.answers_from": ("auto", "key", "st3"),
 }
 
 DEFAULT_CONFIG: dict = {
@@ -77,7 +76,6 @@ DEFAULT_CONFIG: dict = {
     "st1": {
         "deployments": ["reformulator-a", "reformulator-b"],
         "shots": 5,
-        "note_grounding": False,
     },
     "st2": {
         "plan": {
@@ -109,10 +107,8 @@ DEFAULT_CONFIG: dict = {
         },
         "merge": {"mode": "majority_st4"},
         "shots": 20,
-        "full_answer_context": True,
         "recall": {"enabled": False},
         "threshold_file": None,
-        "answers_from": "auto",
     },
 }
 
@@ -504,7 +500,6 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
             "pool": st1.St1Pool(c for c in run.pool if c.clinician_question),
             "providers": [(d, generator) for d in st1_cfg["deployments"]],
             "max_shots": st1_cfg["shots"],
-            "note_grounding": st1_cfg["note_grounding"],
         },
         "st2": lambda: {
             "plan": built["st2.plan"],
@@ -524,7 +519,6 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
             "policy": _st4_policy(st4_cfg, built["st4.merge"], built["st4.plan"]),
             "recall": built["st4.recall"],
             "embedder": embedder,
-            "full_answer_context": st4_cfg["full_answer_context"],
         },
     }
     return {s: args[s]() for s in subtasks}
@@ -573,11 +567,8 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> tuple[dict,
         }
 
     if "st4" in args:
-        # The key's answer sentences, or st3's when asked for or when auto finds none.
-        source = run.config["st4"]["answers_from"]
-        answers = list(case.clinician_answer_sentences)
-        if source == "st3" or (source == "auto" and not answers):
-            answers = st4.segment_answer(st3_answer or "")
+        # The key's answer sentences, or st3's answer where the key has none.
+        answers = list(case.clinician_answer_sentences) or st4.segment_answer(st3_answer or "")
         alignments = []
         if answers:
             shots = _shots(run, case, "st4")
@@ -602,16 +593,12 @@ def run_pipeline(config: dict) -> dict:
     """
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
     st4_cfg = config["st4"]
-    if "st4" in subtasks:
-        if "st3" not in subtasks and st4_cfg["answers_from"] == "st3":
-            raise ConfigError(
-                "st4.answers_from: st3 aligns st3's answers, but st3 is not in this run"
-            )
-        if st4_cfg["mode"] == "embedding_only" and not st4_cfg["recall"]["enabled"]:
-            raise ConfigError(
-                "st4.mode: embedding_only aligns by recall alone, but st4.recall.enabled is false"
-            )
-    run = _setup(config, partial(_check_answer_key, config, subtasks))
+    embedding_only = st4_cfg["mode"] == "embedding_only"
+    if "st4" in subtasks and embedding_only and not st4_cfg["recall"]["enabled"]:
+        raise ConfigError(
+            "st4.mode: embedding_only aligns by recall alone, but st4.recall.enabled is false"
+        )
+    run = _setup(config, partial(_check_answer_key, subtasks))
     args = _chain_args(run, subtasks)
     chain = partial(_case_chain, run=run, args=args)
     threads = _case_threads(config, config["workers"] ** 2)
@@ -640,18 +627,15 @@ def run_pipeline(config: dict) -> dict:
     return manifest
 
 
-def _check_answer_key(config: dict, subtasks: list[str], cases: list[Case]) -> None:
-    """st4 aligns the key's answer sentences with ``answers_from: key``, and
-    with ``auto`` when st3 is not in the run to answer in their place; a case
-    without them would align nothing."""
-    source = config["st4"]["answers_from"]
-    if "st4" not in subtasks or source == "st3" or (source == "auto" and "st3" in subtasks):
+def _check_answer_key(subtasks: list[str], cases: list[Case]) -> None:
+    """Without st3 in the run to answer in their place, st4 aligns the key's
+    answer sentences; a case without them would align nothing."""
+    if "st4" not in subtasks or "st3" in subtasks:
         return
     bare = [c.case_id for c in cases if not c.clinician_answer_sentences]
     if bare:
-        where = "" if source == "key" else " in a run without st3"
         raise ConfigError(
-            f"st4.answers_from: {source} aligns the key's answer sentences{where}, "
+            "st4 without st3 aligns each case's answer_sentences, "
             f"and case(s) {', '.join(bare)} have none"
         )
 
@@ -718,8 +702,6 @@ def run_sweep(config: dict, subtask: str) -> dict:
     ``workers`` threads; a replay runs them on the calling thread."""
     if subtask not in ("st2", "st4"):
         raise ConfigError("sweep supports st2 and st4 only")
-    if subtask == "st4" and config["st4"]["answers_from"] == "st3":
-        raise ConfigError("st4.answers_from: the dev gold aligns the key's answers, not st3's")
     if subtask == "st4" and config["st4"]["mode"] == "embedding_only":
         raise ConfigError("st4.mode: embedding_only casts no votes to sweep")
     # A threshold file and recall change no tally; the sweep writes the file.

@@ -142,7 +142,7 @@ _CASE_SLOTS = {
     "clinician_question": lambda case: case.clinician_question or NOT_PROVIDED,
     "note_block": note_block,
     "answer_block": lambda case: answer_block(case.clinician_answer_sentences),
-    "full_answer_block": lambda case: "",
+    "full_answer_block": lambda case: full_answer_block(case.clinician_answer_paragraph),
     "context_block": lambda case: "(none)",
 }
 
@@ -192,15 +192,10 @@ def _memo(owner, key, make):
         return memo.setdefault(key, make())
 
 
-def _shot_turn(
-    template: PromptTemplate, shot_case: Case, full_answer: bool
-) -> tuple[Message, Message]:
+def _shot_turn(template: PromptTemplate, shot_case: Case) -> tuple[Message, Message]:
     """The user/assistant turn that shows ``shot_case`` as an example."""
-    turn = {}
-    if full_answer:
-        turn["full_answer_block"] = full_answer_block(shot_case.clinician_answer_paragraph)
     return (
-        Message("user", _fill(template, shot_case, turn)),
+        Message("user", _fill(template, shot_case, {})),
         Message("assistant", format_alignment(shot_case.gold_alignments)),
     )
 
@@ -237,20 +232,13 @@ def render_prompt(
 
     if template.system_block is not None:
         messages = [_memo(template, "system", lambda: Message("system", template.system_block))]
-        full_answer = "full_answer_block" in values
         for shot in shots:
             shot_case = _shot_case(shot)
             if shot_case.gold_alignments is None:
                 raise RenderError(
                     f"{template.subtask} shot {shot_case.case_id} has no gold alignments"
                 )
-            messages.extend(
-                _memo(
-                    shot_case,
-                    (template, full_answer),
-                    lambda: _shot_turn(template, shot_case, full_answer),
-                )
-            )
+            messages.extend(_memo(shot_case, template, lambda: _shot_turn(template, shot_case)))
         messages.append(Message("user", _fill(template, case, values)))
         return messages
 

@@ -91,23 +91,12 @@ def context_block(context: ClinicalContext) -> str:
 
 
 def extract_context(
-    case: Case,
-    provider: Generator,
-    deployment: str = "default",
-    include_note: bool = False,
+    case: Case, provider: Generator, deployment: str = "default"
 ) -> ClinicalContext:
-    """LLM pre-pass listing explicit clinical elements; non-verbatim spans
-    are dropped. A backend or parse failure yields an empty context so
-    the pipeline keeps going."""
-    sources = [case.patient_question]
-    note_section = ""
-    if include_note:
-        note_text = " ".join(s.text for s in case.note)
-        sources.append(note_text)
-        note_section = f"\n\nNote excerpt:\n{note_text}"
-    messages = render_prompt(
-        load_template("st1_context"), case, extra={"note_section": note_section}
-    )
+    """LLM pre-pass listing the clinical elements the patient question
+    states; spans not verbatim in it are dropped. A backend or parse
+    failure yields an empty context so the pipeline keeps going."""
+    messages = render_prompt(load_template("st1_context"), case)
     request = GenRequest(
         deployment_name=deployment,
         messages=tuple(messages),
@@ -120,7 +109,7 @@ def extract_context(
         logger.warning("context extraction failed for %s: %s", case.case_id, exc)
         return EMPTY_CONTEXT
 
-    haystack = "\n".join(sources).lower()
+    haystack = case.patient_question.lower()
     dropped = 0
     fields: dict[str, tuple[str, ...]] = {}
     for fname in CONTEXT_FIELDS:
@@ -455,7 +444,6 @@ def run_case(
     providers: list[tuple[str, Generator]],
     constraints: ConstraintConfig = ConstraintConfig(),
     max_shots: int = 5,
-    note_grounding: bool = False,
 ) -> St1Result:
     """Full reformulation pipeline for one case; ``case`` itself is left
     out of the few-shot pool and of the gold style. The first provider
@@ -463,9 +451,7 @@ def run_case(
     context = EMPTY_CONTEXT
     if providers:
         deployment, provider = providers[0]
-        context = extract_context(
-            case, provider, deployment=deployment, include_note=note_grounding
-        )
+        context = extract_context(case, provider, deployment=deployment)
     shots = retrieve_shots(case, pool, max_n=max_shots)
     candidates = generate_candidates(case, context, shots, providers)
     chosen, scored = select_candidate(

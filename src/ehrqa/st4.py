@@ -29,7 +29,7 @@ from .core import (
 )
 from .metrics import flatten_links
 from .parsing import parse_alignment
-from .prompting import answer_block, full_answer_block, load_template, render_prompt
+from .prompting import answer_block, load_template, render_prompt
 from .providers import Embedder, Generator, cosine, gather_responses
 from .vote import VoteTally, parse_runs, plan_requests
 
@@ -70,18 +70,12 @@ def run_ensemble(
     plan: SamplingPlan,
     provider: Generator,
     answers: list[tuple[str, str]],
-    full_answer_context: bool = True,
     clinician_question: str | None = None,
 ) -> LinkVoteTally:
     """One parse per run; unparseable runs vote for nothing."""
     if not answers:
         raise EhrqaError(f"case {case.case_id}: no answer sentences to align")
-    extra = {
-        "answer_block": answer_block(answers),
-        "clinician_question": clinician_question,
-    }
-    if full_answer_context:
-        extra["full_answer_block"] = full_answer_block(case.clinician_answer_paragraph)
+    extra = {"answer_block": answer_block(answers), "clinician_question": clinician_question}
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st4", messages, plan)
     responses = gather_responses(provider, requests)
@@ -164,7 +158,7 @@ def recall_augment(
     if not config.enabled:
         return alignment
     answer_sentences = answers if answers is not None else list(case.clinician_answer_sentences)
-    if not answer_sentences or not case.note:
+    if not answer_sentences:
         return alignment
     answer_texts = [text for _, text in answer_sentences]
     note_texts = [s.text for s in case.note]
@@ -221,7 +215,6 @@ def run_case(
     answers: list[tuple[str, str]],
     recall: RecallConfig = RecallConfig(),
     embedder: Embedder | None = None,
-    full_answer_context: bool = True,
     clinician_question: str | None = None,
 ) -> St4Result:
     """Ensemble alignment of ``answers`` for one case; with no plan this
@@ -232,13 +225,7 @@ def run_case(
         tally = None
     else:
         tally = run_ensemble(
-            case,
-            shots,
-            plan,
-            provider,
-            answers,
-            full_answer_context=full_answer_context,
-            clinician_question=clinician_question,
+            case, shots, plan, provider, answers, clinician_question=clinician_question
         )
         alignment = merge_links(tally, policy, case, answer_ids=answer_ids)
     if recall.enabled:

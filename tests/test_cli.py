@@ -144,7 +144,7 @@ class TestResolveConfig:
         [
             ({"record_source": "Mock"}, "record_source"),
             ({"st4": {"mode": "ensembel"}}, "st4.mode"),
-            ({"st4": {"answers_from": "keys"}}, "st4.answers_from"),
+            ({"dataset": {"format": "jsonl"}}, "dataset.format"),
             ({"st2": {"shots": "3"}}, "st2.shots"),
             ({"st4": {"threshold_file": 0.5}}, "st4.threshold_file"),
         ],
@@ -174,13 +174,11 @@ class TestResolveConfig:
             resolve_config({subtask: {"plan": {"members": members}}})
 
     BOOL_FIELDS = [
-        "st1.note_grounding",
         "st2.plan.extra_zero_temp_run",
         "st2.contrast_shots",
         "st2.enhanced_postproc",
         "st3.rerank",
         "st4.plan.extra_zero_temp_run",
-        "st4.full_answer_context",
         "st4.recall.enabled",
     ]
 
@@ -312,6 +310,27 @@ class TestResolveConfig:
             resolve_config(overlay)
         assert str(error.value) == f"unknown config key(s): {path}"
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("st4.answers_from", "auto"),
+            ("st4.answers_from", "key"),
+            ("st4.answers_from", "st3"),
+            ("st4.full_answer_context", True),
+            ("st4.full_answer_context", False),
+            ("st1.note_grounding", False),
+            ("st1.note_grounding", True),
+        ],
+    )
+    def test_the_removed_switches_are_not_config_fields(self, path, value):
+        """st4 aligns the key's answer sentences or else st3's, always with
+        the full answer, and st1 never sees the note: a config that still
+        sets one of these switches fails, whatever the value."""
+        section, key = path.split(".")
+        with pytest.raises(ConfigError) as error:
+            resolve_config({section: {key: value}})
+        assert str(error.value) == f"unknown config key(s): {path}"
+
     def test_the_fixed_values_are_the_papers(self):
         """A run takes each fixed value from its class's default: the 15- and
         75-word limits, tau 0.68 and the mock's 32-dimensional vectors."""
@@ -371,7 +390,7 @@ class TestResolveConfig:
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
-    DEFAULT_HASH = "deb01929f330e453a4a2113fc871129a0cb50a175dc7e06aaae2749a84d19ec3"
+    DEFAULT_HASH = "349d89103818195d8427dae6a065e2ae54f1b42e077dd506335bb9775e8df2ce"
 
     def test_default_config_hash_pinned(self):
         assert config_hash(resolve_config({})) == self.DEFAULT_HASH
@@ -559,51 +578,6 @@ class TestChaining:
         for evidence_id in st2_out["evidence_ids"]:
             assert f"\n{evidence_id}. " in st3_prompt.split("Full note:")[0]
 
-    def test_st4_can_align_st3_answers(self, tmp_path, monkeypatch):
-        self.capture_generator(monkeypatch)
-        config = resolve_config(base_config(tmp_path, subtasks=["st3", "st4"]))
-        config["st4"]["answers_from"] = "st3"
-        run_pipeline(config)
-        st3_out = {
-            json.loads(l)["case_id"]: json.loads(l)["answer_text"]
-            for l in (tmp_path / "out" / "st3.jsonl").read_text().splitlines()
-        }
-        st4_out = [
-            json.loads(l) for l in (tmp_path / "out" / "st4.jsonl").read_text().splitlines()
-        ]
-        from ehrqa.st4 import segment_answer
-
-        for record in st4_out:
-            expected_ids = [aid for aid, _ in segment_answer(st3_out[record["case_id"]])]
-            assert [a["answer_id"] for a in record["alignments"]] == expected_ids
-
-    @pytest.mark.parametrize("subtasks", [["st4"], ["st1", "st2", "st4"]])
-    def test_st4_answers_from_st3_without_st3_fails_before_any_call(
-        self, tmp_path, monkeypatch, subtasks
-    ):
-        """With no st3 answers to align, st4 would write no link for any case."""
-        from tests.conftest import ScriptedProvider
-
-        backend = ScriptedProvider(handler=lambda request: "[]")
-        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
-        config = resolve_config(
-            base_config(tmp_path, subtasks=subtasks, st4={"answers_from": "st3"})
-        )
-        with pytest.raises(ConfigError, match=r"^st4\.answers_from:"):
-            run_pipeline(config)
-        assert backend.calls == []
-        assert not (tmp_path / "out").exists()
-
-    def test_a_recording_with_st4_answers_from_st3_without_st3_marks_no_cache(self, tmp_path):
-        config = resolve_config(base_config(
-            tmp_path, subtasks=["st4"], provider_mode="record", record_source="mock",
-            st4={"answers_from": "st3"},
-        ))
-        with pytest.raises(ConfigError, match=r"^st4\.answers_from:"):
-            run_pipeline(config)
-        assert not (tmp_path / "cache").exists()
-        assert not (tmp_path / "out").exists()
-
     @staticmethod
     def no_backend(monkeypatch) -> None:
         """Make building either backend fail the test."""
@@ -640,32 +614,25 @@ class TestChaining:
         path.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
         return path
 
-    @pytest.mark.parametrize(
-        "source, subtasks",
-        [
-            ("key", ["st4"]),
-            ("key", ["st3", "st4"]),
-            ("auto", ["st4"]),
-            ("auto", ["st1", "st2", "st4"]),
-        ],
-    )
+    @pytest.mark.parametrize("subtasks", [["st4"], ["st1", "st2", "st4"]])
     def test_st4_without_answers_to_align_fails_before_any_call(
-        self, tmp_path, monkeypatch, source, subtasks
+        self, tmp_path, monkeypatch, subtasks
     ):
-        """The key's answer sentences are what st4 aligns here, and cases 1
-        and 3 have none: they would be written with no alignment."""
+        """Without st3 in the run, the key's answer sentences are what st4
+        aligns, and cases 1 and 3 have none: they would be written with no
+        alignment."""
         self.no_backend(monkeypatch)
         config = resolve_config(base_config(
             tmp_path, subtasks=subtasks, provider_mode="record", record_source="mock",
             dataset={"cases": str(self.cases_without_answers(tmp_path))},
-            st4={"answers_from": source},
         ))
-        with pytest.raises(ConfigError, match=r"^st4\.answers_from: .*case\(s\) 1, 3 have none$"):
+        message = "st4 without st3 aligns each case's answer_sentences, and case(s) 1, 3 have none"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_pipeline(config)
         assert not (tmp_path / "cache").exists()
         assert not (tmp_path / "out").exists()
 
-    def test_st4_auto_aligns_st3s_answer_where_the_key_has_none(self, tmp_path):
+    def test_st4_aligns_st3s_answer_where_the_key_has_none(self, tmp_path):
         config = resolve_config(base_config(
             tmp_path, subtasks=["st3", "st4"],
             dataset={"cases": str(self.cases_without_answers(tmp_path))},
@@ -703,10 +670,53 @@ class TestChaining:
         assert "embedding_cache" not in manifest
         assert manifest["cache"]["misses"] > 0
 
-    def test_st4_answers_from_key_aligns_the_keys_sentences_with_st3_in_the_run(self, tmp_path):
-        config = resolve_config(base_config(
-            tmp_path, subtasks=["st3", "st4"], st4={"answers_from": "key"},
-        ))
+    @staticmethod
+    def capture_messages(monkeypatch) -> dict:
+        """The messages of each request the run sends, by request tag."""
+        from ehrqa.providers import PipelineMockProvider
+
+        sent: dict = {}
+        inner = PipelineMockProvider()
+
+        class Capture:
+            def generate(self, request):
+                sent[request.request_tag] = request.messages
+                return inner.generate(request)
+
+        monkeypatch.setattr(pipeline, "build_generator", lambda config: Capture())
+        return sent
+
+    def test_every_st4_turn_carries_its_own_cases_full_answer(self, tmp_path, monkeypatch):
+        """The query turn and each shot turn show the full answer of the
+        case they render, so the two can never disagree."""
+        sent = self.capture_messages(monkeypatch)
+        run_pipeline(resolve_config(base_config(tmp_path, subtasks=["st4"])))
+        paragraphs = {
+            f"Patient question:\n{c.patient_question}\n": c.clinician_answer_paragraph
+            for c in load_cases(toy_dataset_path()).cases
+        }
+        st4_requests = [m for tag, m in sent.items() if tag.split("/")[1] == "st4"]
+        assert st4_requests
+        for messages in st4_requests:
+            user_turns = [m.content for m in messages if m.role == "user"]
+            assert len(user_turns) > 1  # the shot turns and the query's
+            for turn in user_turns:
+                [paragraph] = [p for question, p in paragraphs.items() if question in turn]
+                assert f"Full clinician answer (for context):\n{paragraph}\n" in turn
+
+    def test_st1_never_sends_the_note(self, tmp_path, monkeypatch):
+        sent = self.capture_messages(monkeypatch)
+        run_pipeline(resolve_config(base_config(tmp_path, subtasks=["st1"])))
+        cases = {c.case_id: c for c in load_cases(toy_dataset_path()).cases}
+        st1_requests = {tag: m for tag, m in sent.items() if tag.split("/")[1].startswith("st1")}
+        assert {tag.split("/")[1] for tag in st1_requests} == {"st1ctx", "st1"}
+        for tag, messages in st1_requests.items():
+            text = "\n".join(m.content for m in messages)
+            for sentence in cases[tag.split("/")[0]].note:
+                assert sentence.text not in text
+
+    def test_st4_aligns_the_keys_sentences_with_st3_in_the_run(self, tmp_path):
+        config = resolve_config(base_config(tmp_path, subtasks=["st3", "st4"]))
         run_pipeline(config)
         st4_out = [
             json.loads(l) for l in (tmp_path / "out" / "st4.jsonl").read_text().splitlines()
@@ -856,20 +866,17 @@ class TestSweep:
             run_sweep(config, "st4")
         assert backend.calls == []
 
-    @pytest.mark.parametrize("field, value", [("answers_from", "st3"), ("mode", "embedding_only")])
-    def test_an_st4_sweep_with_nothing_to_sweep_fails_before_any_call(
-        self, tmp_path, monkeypatch, field, value
-    ):
-        """The gold alignments are keyed on the key's answer sentences, and
-        an embedding_only st4 casts no votes."""
+    def test_an_st4_sweep_with_nothing_to_sweep_fails_before_any_call(self, tmp_path, monkeypatch):
+        """An embedding_only st4 casts no votes."""
         from tests.conftest import ScriptedProvider
 
         backend = ScriptedProvider(handler=lambda request: "[]")
         monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
-        config = resolve_config(base_config(tmp_path, subtasks=["st1", "st4"], st4={field: value}))
-        with pytest.raises(ConfigError) as error:
+        config = resolve_config(
+            base_config(tmp_path, subtasks=["st1", "st4"], st4={"mode": "embedding_only"})
+        )
+        with pytest.raises(ConfigError, match=r"^st4\.mode:"):
             run_sweep(config, "st4")
-        assert str(error.value).startswith(f"st4.{field}:")
         assert backend.calls == []
 
 
@@ -880,6 +887,38 @@ class TestCliCommands:
         assert main(["run", "--config", str(config_path)]) == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["subtasks"] == ["st2"]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("st4", "answers_from", "auto"), ("st4", "full_answer_context", True),
+         ("st1", "note_grounding", False)],
+    )
+    def test_a_config_with_a_removed_switch_exits_1_naming_it(
+        self, tmp_path, capsys, section, key, value
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(tmp_path, **{section: {key: value}})))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert f"unknown config key(s): {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_case_with_an_empty_note_exits_1_before_any_output(self, tmp_path, capsys):
+        """st2 would cite nothing for it and st3 answer without a citation."""
+        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+        cases[0]["note"] = cases[0]["gold_evidence"] = []
+        cases[0]["gold_alignments"] = [
+            {**link, "evidence_ids": []} for link in cases[0]["gold_alignments"]
+        ]
+        cases_path = tmp_path / "cases.jsonl"
+        cases_path.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(
+            tmp_path, subtasks=["st2", "st3"], dataset={"cases": str(cases_path)},
+        )))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert f"{cases_path}:1: case 1: note has no sentences" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_malformed_config_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

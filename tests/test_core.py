@@ -95,6 +95,11 @@ class TestDomainTypes:
                     note=(NoteSentence(first, "a"), NoteSentence(bad, "b")),
                 )
 
+    def test_case_rejects_an_empty_note_before_any_other_problem(self):
+        with pytest.raises(CaseValidationError) as raised:
+            Case(case_id="b", patient_question="q", note=(), gold_evidence=frozenset({"1"}))
+        assert str(raised.value) == "case b: note has no sentences"
+
     def test_case_rejects_blank_note_text_naming_the_case(self):
         NoteSentence("1", "   ")
         with pytest.raises(CaseValidationError) as raised:

@@ -119,6 +119,34 @@ class TestLoadCases:
         assert case.gold_evidence == frozenset({"2"})
         assert case.clinician_answer_paragraph == "A stent was placed."
 
+    def test_key_overlay_rejects_a_second_record_for_a_case(self, tmp_path):
+        """The second record would silently replace the first one's gold."""
+        questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+        write_jsonl(questions, [canonical_record("a", gold_evidence=None)])
+        write_jsonl(key, [{"case_id": "a", "gold_evidence": ["1", "2"]},
+                          {"case_id": "b", "gold_evidence": ["2"]},
+                          {"case_id": "a", "gold_evidence": ["1"]}])
+        with pytest.raises(EhrqaError) as raised:
+            load_cases(questions, format="key_overlay", key_path=key)
+        assert str(raised.value) == f"{key}:3: case_id 'a' has more than one answer-key record"
+
+    def test_key_overlay_rejects_a_repeated_record_even_when_it_agrees(self, tmp_path):
+        questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+        write_jsonl(questions, [canonical_record("a", gold_evidence=None)])
+        write_jsonl(key, [{"case_id": "a", "gold_evidence": ["2"]}] * 2)
+        with pytest.raises(EhrqaError) as raised:
+            load_cases(questions, format="key_overlay", key_path=key)
+        assert str(raised.value) == f"{key}:2: case_id 'a' has more than one answer-key record"
+
+    def test_key_overlay_rejects_a_question_with_an_empty_note(self, tmp_path):
+        questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+        write_jsonl(questions, [canonical_record("a", note=[], gold_evidence=None,
+                                                 gold_alignments=None)])
+        write_jsonl(key, [{"case_id": "a", "answer_paragraph": "A stent was placed."}])
+        with pytest.raises(CaseValidationError) as raised:
+            load_cases(questions, format="key_overlay", key_path=key)
+        assert str(raised.value) == f"{questions}:1: case a: note has no sentences"
+
     def test_key_overlay_requires_key_path(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("a")])
@@ -160,6 +188,8 @@ class TestMalformedRecords:
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            # before its gold evidence, now outside the note
+            ({"note": []}, "case b: note has no sentences"),
             ({"note": [{"id": "x", "text": "Chest pain."}]}, "case b: invalid note sentence id 'x'"),
             ({"gold_evidence": ["999"]}, "case b: gold_evidence ids ['999'] not in note"),
             (
@@ -167,7 +197,7 @@ class TestMalformedRecords:
                 "case b: note sentence ids must be strictly increasing",
             ),
         ],
-        ids=["note-id", "gold-evidence", "note-order"],
+        ids=["empty-note", "note-id", "gold-evidence", "note-order"],
     )
     def test_a_broken_case_names_its_line_once(self, tmp_path, overrides, message):
         path = tmp_path / "cases.jsonl"

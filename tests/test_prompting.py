@@ -104,18 +104,32 @@ def test_rendered_bytes_match_golden(name):
     assert serialize(render_fixture(name)) == golden
 
 
-@pytest.mark.parametrize(
-    "name, include_note", [("st1_context", False), ("st1_context_note", True)]
-)
-def test_context_request_matches_golden(name, include_note):
+def test_st4_fills_the_full_answer_slot_from_the_case():
+    """With no ``extra`` for it, the st4 render still matches its golden."""
+    messages = render_prompt(load_template("st4"), target_case(), [shot_case()])
+    assert serialize(messages) == (GOLDEN_DIR / "st4.json").read_text(encoding="utf-8")
+
+
+def test_the_full_answer_slot_is_empty_without_a_paragraph():
+    case = Case(
+        case_id="t2",
+        patient_question="Why the stent?",
+        note=(NoteSentence("1", "A stent was placed."),),
+        clinician_answer_sentences=(("1", "A stent was placed."),),
+    )
+    [*_, query] = render_prompt(load_template("st4"), case)
+    assert "Answer sentences:\n1. A stent was placed.\n\nAlign every answer" in query.content
+
+
+def test_context_request_matches_golden():
     requests = []
 
     def respond(request):
         requests.append(request)
         return "{}"
 
-    extract_context(target_case(), ScriptedProvider(handler=respond), include_note=include_note)
-    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    extract_context(target_case(), ScriptedProvider(handler=respond))
+    golden = (GOLDEN_DIR / "st1_context.json").read_text(encoding="utf-8")
     assert serialize(requests[0].messages) == golden
 
 
@@ -222,10 +236,7 @@ class TestRenderStructure:
 
     def test_context_template_rejects_shots(self):
         with pytest.raises(RenderError, match="st1_context takes no few-shot examples"):
-            render_prompt(
-                load_template("st1_context"), target_case(), [shot_case()],
-                extra={"note_section": ""},
-            )
+            render_prompt(load_template("st1_context"), target_case(), [shot_case()])
 
     def test_stage2_rejects_shots(self):
         with pytest.raises(RenderError, match="no few-shot"):

@@ -170,7 +170,7 @@ def test_a_replay_encodes_each_message_and_fills_each_shot_turn_once(tmp_path, m
 
     def counting_fill(template, case, values):
         if template.subtask == "st4" and "answer_block" not in values:  # a shot turn
-            fills[case.case_id, "full_answer_block" in values] += 1
+            fills[case.case_id] += 1
         return real_fill(template, case, values)
 
     def counting_st4_render(template, case, shots=(), extra=None):
@@ -201,7 +201,7 @@ def test_a_replay_encodes_each_message_and_fills_each_shot_turn_once(tmp_path, m
     assert len(st4_messages) == 1 + 2 * len(st4_shot_uses) + len(cases_with_st4)
 
     assert sum(st4_shot_uses.values()) > len(st4_shot_uses)  # shots recur across cases
-    assert fills == Counter({(cid, True): 1 for cid in st4_shot_uses})
+    assert fills == Counter({cid: 1 for cid in st4_shot_uses})
     assert shot_texts and set(shot_texts.values()) == {1}
 
 

@@ -154,17 +154,22 @@ class TestExtractContext:
         provider = ScriptedProvider({"c1/st1ctx/0": "not json at all"})
         assert extract_context(case, provider) == EMPTY_CONTEXT
 
-    def test_note_grounding_widens_verbatim_sources(self):
-        # the span appears only in the note, not the patient question
+    def test_a_span_found_only_in_the_note_is_dropped(self):
         case = simple_case("c1", patient_question="Why was that done?")
         response = json.dumps(
             {"procedures": [], "medications": [], "diagnoses": [],
              "findings": ["note sentence number 2"], "temporal_urgency_cues": []}
         )
         provider = ScriptedProvider(handler=lambda r: response)
-        assert extract_context(case, provider, include_note=False) == EMPTY_CONTEXT
-        grounded = extract_context(case, provider, include_note=True)
-        assert grounded.findings == ("note sentence number 2",)
+        assert extract_context(case, provider) == EMPTY_CONTEXT
+
+    def test_the_request_carries_the_question_and_no_note(self):
+        case = simple_case("c1", patient_question="Why was that done?")
+        sent = []
+        extract_context(case, ScriptedProvider(handler=lambda r: sent.append(r) or "{}"))
+        text = "\n".join(m.content for m in sent[0].messages)
+        assert text.endswith("Patient question:\nWhy was that done?\n")
+        assert not any(s.text in text for s in case.note)
 
     @given(st.text(max_size=80))
     def test_fuzz_never_yields_foreign_spans(self, noise):

@@ -105,7 +105,7 @@ class TestRunEnsemble:
         tally = run_ensemble(align_case(), [], plan, provider, ANSWERS)
         assert tally.total_votes == 6  # 2*2 + 2
 
-    def test_full_answer_context_included_when_enabled(self):
+    def test_the_query_turn_carries_the_full_answer(self):
         seen = {}
 
         def handler(request):
@@ -115,10 +115,32 @@ class TestRunEnsemble:
         run_ensemble(align_case(), [], TRIO_PLAN, ScriptedProvider(handler=handler), ANSWERS)
         assert "Full clinician answer (for context):" in seen["prompt"]
 
-    @pytest.mark.parametrize("full_answer_context", [True, False])
-    def test_shot_turns_carry_the_full_answer_only_when_the_query_does(
-        self, full_answer_context
-    ):
+    def test_a_case_without_an_answer_paragraph_sends_no_full_answer(self):
+        seen = []
+        case = simple_case("c1", answers=ANSWERS, gold_alignments=[("1", {"3"}), ("2", set())])
+        run_ensemble(
+            case, [], TRIO_PLAN, ScriptedProvider(handler=lambda r: seen.append(r) or "[]"),
+            ANSWERS,
+        )
+        assert seen
+        assert all("Full clinician answer" not in r.messages[-1].content for r in seen)
+
+    def test_each_shot_turn_carries_its_own_cases_full_answer(self):
+        shot = simple_case(
+            "c2", answers=(("1", "Warfarin was held."),), answer_paragraph="Warfarin was held.",
+            gold_alignments=[("1", {"2"})],
+        )
+        seen = []
+        run_ensemble(
+            align_case("c1"), [shot], TRIO_PLAN,
+            ScriptedProvider(handler=lambda r: seen.append(r.messages) or "[]"), ANSWERS,
+        )
+        shot_turn, query_turn = [m.content for m in seen[0] if m.role == "user"]
+        header = "Full clinician answer (for context):\n"
+        assert f"{header}Warfarin was held.\n" in shot_turn
+        assert f"{header}{align_case().clinician_answer_paragraph}\n" in query_turn
+
+    def test_shot_turns_always_carry_the_full_answer(self):
         seen = []
 
         def handler(request):
@@ -127,12 +149,12 @@ class TestRunEnsemble:
 
         run_ensemble(
             align_case("c1"), [align_case("c2")], TRIO_PLAN, ScriptedProvider(handler=handler),
-            ANSWERS, full_answer_context=full_answer_context,
+            ANSWERS,
         )
         turns = seen[0]
         assert len(turns) == 2  # the shot's turn and the query's
         carried = ["Full clinician answer (for context):" in turn for turn in turns]
-        assert carried == [full_answer_context] * 2
+        assert carried == [True, True]
 
     def test_no_answer_sentences_is_error(self):
         case = simple_case("c1")
