@@ -11,6 +11,7 @@ access.
 from __future__ import annotations
 
 import base64
+import errno
 import hashlib
 import json
 import logging
@@ -368,6 +369,12 @@ class HashEmbedder:
 # Record / replay cache
 
 
+# What opening or linking an unnamed file raises where the directory cannot
+# take one: the kernel or file system lacks O_TMPFILE (EOPNOTSUPP, EISDIR,
+# EINVAL), or /proc is not mounted (ENOENT).
+_NO_TMPFILE = frozenset({errno.EOPNOTSUPP, errno.EISDIR, errno.EINVAL, errno.ENOENT})
+
+
 class ResponseCache:
     """Content-addressed store of bytes: one file per entry, named
     ``<key><suffix>`` for the suffix its reader names, whose first entry is
@@ -375,10 +382,16 @@ class ResponseCache:
     so a reader finds either no file or a whole one that never changes.
     The lock guards only the hit and miss counters.
 
-    A recording also writes ``MARKER``, naming the backend its entries came
-    from. A writer killed between writing and unlinking its temporary file
-    leaves that file, ``<name>.<pid>-<tid>.tmp``, behind; ``TEMP`` is the
-    suffix such an orphan ends in. Neither name ends in an entry's suffix.
+    ``put`` writes an entry into an unnamed file (``O_TMPFILE``) and links
+    it into place, so a writer killed before the link leaves nothing. Where
+    the directory cannot take an unnamed file (not Linux, a file system
+    without ``O_TMPFILE``, no ``/proc``), the first ``put`` that finds so
+    moves the cache for good to a named temporary file,
+    ``<name>.<pid>-<tid>.tmp``, which it links and then unlinks; a writer
+    killed in between leaves that file behind, as earlier versions did.
+    ``TEMP`` is the suffix such an orphan ends in. A recording also writes
+    ``MARKER``, naming the backend its entries came from. Neither name ends
+    in an entry's suffix.
     """
 
     MARKER, TEMP = "recorded-from", ".tmp"
@@ -388,6 +401,7 @@ class ResponseCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._dir = str(self.root)
         self._lock = threading.Lock()
+        self._unnamed = hasattr(os, "O_TMPFILE")
         self.hits = 0
         self.misses = 0
 
@@ -427,13 +441,38 @@ class ResponseCache:
         suffix, which stays; returns whether it stored. A link fails where
         the name exists."""
         path = self._path(key, suffix)
+        try:
+            if self._unnamed:
+                try:
+                    self._link_unnamed(path, data)
+                    return True
+                except OSError as exc:
+                    if exc.errno not in _NO_TMPFILE:
+                        raise
+                    self._unnamed = False
+            self._link_named(path, data)
+            return True
+        except FileExistsError:
+            return False
+
+    def _link_unnamed(self, path: str, data: bytes) -> None:
+        # Passing src_dir_fd makes os.link call linkat with
+        # AT_SYMLINK_FOLLOW, which links the file the fd names rather than
+        # the /proc symlink; the absolute source path ignores the fd itself.
+        fd = os.open(self._dir, os.O_TMPFILE | os.O_WRONLY, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            os.link(f"/proc/self/fd/{fd}", path, src_dir_fd=fd)
+        finally:
+            os.close(fd)
+
+    def _link_named(self, path: str, data: bytes) -> None:
         tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}{self.TEMP}")
         try:
             tmp.write_bytes(data)
             os.link(tmp, path)
-            return True
-        except FileExistsError:
-            return False
         finally:
             tmp.unlink(missing_ok=True)
 

@@ -1,13 +1,19 @@
 import base64
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ehrqa
+from ehrqa.cli import main
 from ehrqa.core import CacheMissError, EhrqaError, ProviderError
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import _map_cases, build_embedder, resolve_config, run_pipeline
@@ -47,6 +55,35 @@ def req(tag="c1/st2/0", content="prompt", deployment="m1", temperature=0.0, samp
         request_tag=tag,
         sample_index=sample,
     )
+
+
+def _refuse_unnamed_files(monkeypatch) -> list[str]:
+    """Make ``os.open`` refuse ``O_TMPFILE`` as a file system without it
+    does; returns the directories it was refused for."""
+    real_open, refused = os.open, []
+
+    def open_(path, flags, *args, **kwargs):
+        if flags & os.O_TMPFILE == os.O_TMPFILE:
+            refused.append(path)
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP), path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_)
+    return refused
+
+
+@pytest.fixture(params=["unnamed", "refused", "no-flag"])
+def publish(request, monkeypatch):
+    """How ``ResponseCache.put`` publishes: an unnamed file, or the named
+    temporary file it falls back to where the directory refuses
+    ``O_TMPFILE`` or ``os`` has no such flag."""
+    if request.param != "no-flag" and not hasattr(os, "O_TMPFILE"):
+        pytest.skip("os.O_TMPFILE is Linux-only")
+    if request.param == "refused":
+        _refuse_unnamed_files(monkeypatch)
+    elif request.param == "no-flag":
+        monkeypatch.delattr(os, "O_TMPFILE")
+    return request.param
 
 
 class TestScriptedProvider:
@@ -181,7 +218,7 @@ class TestRecordReplay:
         assert cache.entries(".json") == ["k0", "k1", "k2"]
         assert cache.entries(".f64") == ["k0"]
 
-    def test_runs_that_mark_a_directory_at_once_all_get_the_first_source(self, tmp_path):
+    def test_runs_that_mark_a_directory_at_once_all_get_the_first_source(self, tmp_path, publish):
         """The marker is published as an entry is: one source wins, every
         run reads it, and no temporary file is left."""
         start = threading.Barrier(8, timeout=10)
@@ -389,19 +426,100 @@ class TestCacheFormat:
             ):
                 embedder.embed(["alpha", "beta"])
 
-    def test_put_leaves_no_temporary_file(self, tmp_path):
+    def test_put_leaves_no_temporary_file(self, tmp_path, publish):
         cache = ResponseCache(tmp_path)
         cache.put("k", ".json", b'{"response":{"text":"x"}}')
         assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
         assert (tmp_path / "k.json").read_bytes() == b'{"response":{"text":"x"}}'
 
-    def test_put_keeps_a_keys_first_entry(self, tmp_path):
+    def test_put_keeps_a_keys_first_entry(self, tmp_path, publish):
         cache = ResponseCache(tmp_path)
         assert cache.put("k", ".f64", b"first") is True
         assert cache.put("k", ".f64", b"second") is False
         assert [p.name for p in tmp_path.iterdir()] == ["k.f64"]
         assert (tmp_path / "k.f64").read_bytes() == b"first"
         assert cache.get("k", [".json", ".f64"]) == (".f64", b"first")
+
+    def test_a_refused_unnamed_file_moves_the_cache_to_the_named_path_once(
+        self, tmp_path, monkeypatch
+    ):
+        if not hasattr(os, "O_TMPFILE"):
+            pytest.skip("os.O_TMPFILE is Linux-only")
+        refused = _refuse_unnamed_files(monkeypatch)
+        cache = ResponseCache(tmp_path)
+        assert [cache.put(f"k{i}", ".json", b"{}") for i in range(3)] == [True] * 3
+        assert refused == [str(tmp_path)]
+        ResponseCache(tmp_path).put("k3", ".json", b"{}")
+        assert len(refused) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"k{i}.json" for i in range(4)]
+
+    def test_an_unnamed_file_error_of_another_kind_is_raised(self, tmp_path, monkeypatch):
+        if not hasattr(os, "O_TMPFILE"):
+            pytest.skip("os.O_TMPFILE is Linux-only")
+
+        def link(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "denied")
+
+        monkeypatch.setattr(os, "link", link)
+        with pytest.raises(PermissionError):
+            ResponseCache(tmp_path).put("k", ".json", b"{}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("path, orphans", [("unnamed", 0), ("no-flag", 1)])
+    def test_a_writer_killed_before_its_link_leaves_only_a_named_orphan(
+        self, tmp_path, capsys, path, orphans
+    ):
+        """A writer killed between writing an entry and linking it leaves
+        nothing on the unnamed path, and its ``.tmp`` file on the named one,
+        which ``ehrqa cache inspect`` counts."""
+        if path == "unnamed" and not hasattr(os, "O_TMPFILE"):
+            pytest.skip("os.O_TMPFILE is Linux-only")
+        script = textwrap.dedent(
+            """
+            import os, signal, sys
+            from ehrqa.providers import ResponseCache
+
+            if sys.argv[2] == "no-flag":
+                del os.O_TMPFILE
+            os.link = lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+            ResponseCache(sys.argv[1]).put("k", ".json", b"{}")
+            """
+        )
+        src = Path(ehrqa.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), path], capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        assert [p.name.endswith(ResponseCache.TEMP) for p in tmp_path.iterdir()] == [True] * orphans
+        assert main(["cache", "inspect", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("1 orphaned .tmp file(s)" in out) == bool(orphans)
+
+    def test_puts_leave_no_file_descriptor_open(self, tmp_path, publish):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count")
+        cache = ResponseCache(tmp_path)
+        before = len(list(fds.iterdir()))
+        stored = [cache.put(f"k{i % 250}", ".json", b"{}") for i in range(500)]
+        assert len(list(fds.iterdir())) == before
+        assert stored == [True] * 250 + [False] * 250
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_both_paths_give_an_entry_the_same_mode(self, tmp_path, monkeypatch, umask):
+        if not hasattr(os, "O_TMPFILE"):
+            pytest.skip("os.O_TMPFILE is Linux-only")
+        old = os.umask(umask)
+        try:
+            ResponseCache(tmp_path / "unnamed").put("k", ".json", b"{}")
+            with monkeypatch.context() as patch:
+                patch.delattr(os, "O_TMPFILE")
+                ResponseCache(tmp_path / "named").put("k", ".json", b"{}")
+        finally:
+            os.umask(old)
+        modes = {name: (tmp_path / name / "k.json").stat().st_mode for name in ("unnamed", "named")}
+        assert modes["unnamed"] == modes["named"] == 0o100666 & ~umask
 
     def test_the_generator_writes_the_bytes_of_earlier_versions(self, tmp_path):
         """A generator entry is the compact, key-sorted JSON that
@@ -439,7 +557,7 @@ class TestCacheFormat:
         assert replayer.stats() == {"hits": 8 * 50, "misses": 0, "entries": 50}
 
 
-    def test_concurrent_records_of_one_key_serve_its_first_entry(self, tmp_path):
+    def test_concurrent_records_of_one_key_serve_its_first_entry(self, tmp_path, publish):
         replies = itertools.count()
 
         def reply(request):
