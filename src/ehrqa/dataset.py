@@ -1,9 +1,9 @@
 """Load, validate, save, and split case files.
 
 The canonical on-disk format is UTF-8 JSONL: one case object per line with
-a fixed field order, so save(load(path)) is byte-stable. A ``key_overlay``
-adapter merges a separate answer-key file (gold fields keyed by case_id)
-onto a questions-only file, mirroring setups where inputs and keys ship
+a fixed field order, so save(load(path)) is byte-stable. A separate
+answer-key file, when one is named, is merged (gold fields keyed by
+case_id) onto the case file, mirroring setups where inputs and keys ship
 separately.
 """
 
@@ -24,9 +24,6 @@ from .core import (
     id_sort_key,
 )
 
-SPLITS = ("dev", "test", "custom")
-FORMATS = ("canonical", "key_overlay")
-
 # Canonical field order for serialization
 _FIELDS = (
     "case_id",
@@ -38,18 +35,15 @@ _FIELDS = (
     "gold_evidence",
     "gold_alignments",
 )
-# The fields a key_overlay answer key supplies
+# The fields an answer key supplies
 _KEY_FIELDS = ("clinician_question",) + _FIELDS[4:]
 
 
 @dataclass(frozen=True)
 class CaseFile:
     cases: tuple[Case, ...]
-    split_label: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.split_label not in SPLITS:
-            raise EhrqaError(f"unknown split label {self.split_label!r}")
         ids = [c.case_id for c in self.cases]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -177,26 +171,16 @@ def read_records(path: Path, what: str) -> list[tuple[int, dict]]:
     return records
 
 
-def load_cases(
-    path: str | Path,
-    format: str = "canonical",
-    key_path: str | Path | None = None,
-    split_label: str = "custom",
-) -> CaseFile:
-    """Load a case file, validating every case invariant.
-
-    ``canonical`` reads self-contained case records. ``key_overlay`` reads
-    question records from ``path`` and merges gold fields (answers,
-    evidence, alignments) from the answer-key file at ``key_path``.
-    """
+def load_cases(path: str | Path, key_path: str | Path | None = None) -> CaseFile:
+    """Load a case file, validating every case invariant. When ``key_path``
+    is given, the gold fields (answers, evidence, alignments) of the
+    answer-key file there are merged onto the records of ``path``."""
     path = Path(path)
     if not path.exists():
         raise EhrqaError(f"case file not found: {path}")
     records = read_records(path, "cases")
 
-    if format == "key_overlay":
-        if key_path is None:
-            raise EhrqaError("key_overlay format requires key_path")
+    if key_path is not None:
         key_path = Path(key_path)
         if not key_path.exists():
             raise EhrqaError(f"key file not found: {key_path}")
@@ -213,12 +197,10 @@ def load_cases(
             gold = {f: overlay[f] for f in _KEY_FIELDS if overlay.get(f) is not None}
             merged.append((lineno, {**record, **gold}))
         records = merged
-    elif format not in FORMATS:
-        raise EhrqaError(f"unknown case file format {format!r}")
 
     cases = tuple(case_from_record(r, locus=f"{path}:{lineno}") for lineno, r in records)
     try:
-        return CaseFile(cases=cases, split_label=split_label)
+        return CaseFile(cases=cases)
     except CaseValidationError as exc:
         raise CaseValidationError(f"{path}: {exc}") from exc
 

@@ -32,7 +32,7 @@ from .core import (
     SamplingPlan,
     atomic_write_text,
 )
-from .dataset import FORMATS, SPLITS, CaseFile, case_sort_key, few_shot_pool, load_cases
+from .dataset import CaseFile, case_sort_key, few_shot_pool, load_cases
 from .prompting import make_contrast_example
 from .providers import (
     CachedEmbedder,
@@ -54,10 +54,10 @@ T = TypeVar("T")
 PROVIDER_MODES = ("record", "replay", "mock")
 SUBTASK_ORDER = ("st1", "st2", "st3", "st4")
 # The values each of the config's enumerated fields may take, by config
-# path; ``[]`` stands for each element of a list.
+# path; ``[]`` stands for each element of a list. ``dataset.split`` labels
+# the case file for the config hash alone: no code reads it.
 CHOICES = {
-    "dataset.format": FORMATS,
-    "dataset.split": SPLITS,
+    "dataset.split": ("dev", "test", "custom"),
     "subtasks[]": SUBTASK_ORDER,
     "provider_mode": PROVIDER_MODES,
     "record_source": ("live", "mock"),
@@ -65,7 +65,7 @@ CHOICES = {
 }
 
 DEFAULT_CONFIG: dict = {
-    "dataset": {"cases": None, "dev_cases": None, "format": "canonical", "key": None, "split": "dev"},
+    "dataset": {"cases": None, "dev_cases": None, "key": None, "split": "dev"},
     "subtasks": ["st2"],
     "provider_mode": "mock",
     "record_source": "live",
@@ -417,12 +417,10 @@ def load_dataset(config: dict) -> tuple[CaseFile, CaseFile]:
     ds = config["dataset"]
     if not ds["cases"]:
         raise ConfigError("config has no dataset.cases path")
-    case_file = load_cases(
-        Path(ds["cases"]), format=ds["format"], key_path=ds["key"], split_label=ds["split"]
-    )
+    case_file = load_cases(Path(ds["cases"]), key_path=ds["key"])
     pool_file = case_file
     if ds["dev_cases"]:
-        pool_file = load_cases(Path(ds["dev_cases"]), split_label="dev")
+        pool_file = load_cases(Path(ds["dev_cases"]))
     return case_file, pool_file
 
 

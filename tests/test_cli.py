@@ -144,7 +144,6 @@ class TestResolveConfig:
         [
             ({"record_source": "Mock"}, "record_source"),
             ({"st4": {"mode": "ensembel"}}, "st4.mode"),
-            ({"dataset": {"format": "jsonl"}}, "dataset.format"),
             ({"st2": {"shots": "3"}}, "st2.shots"),
             ({"st4": {"threshold_file": 0.5}}, "st4.threshold_file"),
         ],
@@ -241,10 +240,6 @@ class TestResolveConfig:
                 f"dataset.cases: must be a string or null, got {Path('x.jsonl')!r}",
             ),
             (
-                {"dataset": {"format": "csv"}},
-                "dataset.format: must be one of canonical, key_overlay, got 'csv'",
-            ),
-            (
                 {"dataset": {"split": "train"}},
                 "dataset.split: must be one of dev, test, custom, got 'train'",
             ),
@@ -320,12 +315,15 @@ class TestResolveConfig:
             ("st4.full_answer_context", False),
             ("st1.note_grounding", False),
             ("st1.note_grounding", True),
+            ("dataset.format", "jsonl"),
+            ("dataset.format", "csv"),
         ],
     )
     def test_the_removed_switches_are_not_config_fields(self, path, value):
         """st4 aligns the key's answer sentences or else st3's, always with
-        the full answer, and st1 never sees the note: a config that still
-        sets one of these switches fails, whatever the value."""
+        the full answer, st1 never sees the note, and a named answer key is
+        always read: a config that still sets one of these switches fails,
+        whatever the value."""
         section, key = path.split(".")
         with pytest.raises(ConfigError) as error:
             resolve_config({section: {key: value}})
@@ -390,7 +388,7 @@ class TestResolveConfig:
 
 class TestConfigHash:
     # golden pin: any change to the default configuration must be deliberate
-    DEFAULT_HASH = "349d89103818195d8427dae6a065e2ae54f1b42e077dd506335bb9775e8df2ce"
+    DEFAULT_HASH = "03928955c68cfd6d98cd30fb2373e675d3258f7e2ca08661f959526ed0878138"
 
     def test_default_config_hash_pinned(self):
         assert config_hash(resolve_config({})) == self.DEFAULT_HASH
@@ -891,7 +889,7 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "section, key, value",
         [("st4", "answers_from", "auto"), ("st4", "full_answer_context", True),
-         ("st1", "note_grounding", False)],
+         ("st1", "note_grounding", False), ("dataset", "format", "key_overlay")],
     )
     def test_a_config_with_a_removed_switch_exits_1_naming_it(
         self, tmp_path, capsys, section, key, value

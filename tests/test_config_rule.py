@@ -6,10 +6,11 @@ checked by one walk of the config against DEFAULT_CONFIG, so
 source, so a new one fails here."""
 
 import ast
+import itertools
 import json
 from collections import defaultdict
 
-from ehrqa.pipeline import DEFAULT_CONFIG, PRESETS, SUBTASK_ORDER, resolve_config
+from ehrqa.pipeline import DEFAULT_CONFIG, PRESETS, SUBTASK_ORDER, config_hash, resolve_config
 from tests.test_bench_hooks import load_bench
 from tests.test_failure_rule import SRC
 
@@ -66,11 +67,23 @@ def test_validate_config_checks_no_type_itself():
 # no second behaviour, so it is kept only for one of these reasons.
 ONE_VALUE_ALLOWED = {
     "dataset.dev_cases": "an input file",
-    "dataset.format": "how the input files are read",
     "dataset.key": "an input file",
     "dataset.split": "the acceptance suite sets it",
     "embedding.deployment": "a deployment name",
     "st4.threshold_file": "the path a sweep writes",
+}
+
+
+# Pairs of presets that resolve to one config, each kept for this reason.
+SAME_CONFIG_PRESETS = {
+    frozenset({"st2-10shot-union", "st2-union-postproc"}): (
+        "the 10-shot union row and the post-processing ablation's baseline are kept as "
+        "separate ablation rows; PAPER.md (the opening only) cannot settle whether they differ"
+    ),
+    frozenset({"st3-ensemble", "st3-faithful-ensemble"}): (
+        "the ensemble row and the faithful (reranked) ensemble row are kept as separate "
+        "ablation rows; PAPER.md (the opening only) cannot settle whether they differ"
+    ),
 }
 
 
@@ -111,6 +124,18 @@ def test_every_config_field_takes_two_values_in_use(monkeypatch, tmp_path):
             values[_field(path)].add(value)
     one_value = {path for path, _ in _leaves(DEFAULT_CONFIG) if len(values[_field(path)]) < 2}
     assert sorted(one_value) == sorted(ONE_VALUE_ALLOWED)
+
+
+def test_no_two_presets_resolve_to_one_config_unless_listed():
+    by_hash = defaultdict(list)
+    for name in PRESETS:
+        by_hash[config_hash(resolve_config(preset=name))].append(name)
+    same = {
+        frozenset(pair)
+        for names in by_hash.values()
+        for pair in itertools.combinations(names, 2)
+    }
+    assert same == set(SAME_CONFIG_PRESETS)
 
 
 def test_each_allowed_one_value_field_is_a_config_field():

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from ehrqa import pipeline
 from ehrqa.core import CaseValidationError, EhrqaError
 from ehrqa.dataset import (
     CaseFile,
@@ -12,6 +15,11 @@ from ehrqa.dataset import (
     toy_dataset_path,
 )
 from tests.conftest import simple_case
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# The fields a shared task ships in its answer key, not with the questions.
+KEY_FIELDS = ("clinician_question", "answer_sentences", "answer_paragraph",
+              "gold_evidence", "gold_alignments")
 
 
 def write_jsonl(path, records):
@@ -68,10 +76,10 @@ class TestLoadCases:
     def test_roundtrip_save_load_byte_stable(self, tmp_path):
         src = tmp_path / "src.jsonl"
         write_jsonl(src, [canonical_record("a", gold_evidence=["2"])])
-        first = load_cases(src, split_label="dev")
+        first = load_cases(src)
         out1 = tmp_path / "out1.jsonl"
         save_cases(first, out1)
-        second = load_cases(out1, split_label="dev")
+        second = load_cases(out1)
         out2 = tmp_path / "out2.jsonl"
         save_cases(second, out2)
         assert out1.read_bytes() == out2.read_bytes()
@@ -85,7 +93,7 @@ class TestLoadCases:
         out = tmp_path / "out.jsonl"
         out.write_text("previous\n", encoding="utf-8")
         with pytest.raises(UnicodeEncodeError):
-            save_cases(load_cases(src, split_label="dev"), out)
+            save_cases(load_cases(src), out)
         assert out.read_text(encoding="utf-8") == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "src.jsonl"]
 
@@ -112,7 +120,7 @@ class TestLoadCases:
                 }
             ],
         )
-        loaded = load_cases(questions, format="key_overlay", key_path=key, split_label="dev")
+        loaded = load_cases(questions, key_path=key)
         (case,) = loaded.cases
         assert case.case_id == "a"
         assert case.clinician_question == "Why was the stent placed urgently?"
@@ -127,7 +135,7 @@ class TestLoadCases:
                           {"case_id": "b", "gold_evidence": ["2"]},
                           {"case_id": "a", "gold_evidence": ["1"]}])
         with pytest.raises(EhrqaError) as raised:
-            load_cases(questions, format="key_overlay", key_path=key)
+            load_cases(questions, key_path=key)
         assert str(raised.value) == f"{key}:3: case_id 'a' has more than one answer-key record"
 
     def test_key_overlay_rejects_a_repeated_record_even_when_it_agrees(self, tmp_path):
@@ -135,7 +143,7 @@ class TestLoadCases:
         write_jsonl(questions, [canonical_record("a", gold_evidence=None)])
         write_jsonl(key, [{"case_id": "a", "gold_evidence": ["2"]}] * 2)
         with pytest.raises(EhrqaError) as raised:
-            load_cases(questions, format="key_overlay", key_path=key)
+            load_cases(questions, key_path=key)
         assert str(raised.value) == f"{key}:2: case_id 'a' has more than one answer-key record"
 
     def test_key_overlay_rejects_a_question_with_an_empty_note(self, tmp_path):
@@ -144,14 +152,24 @@ class TestLoadCases:
                                                  gold_alignments=None)])
         write_jsonl(key, [{"case_id": "a", "answer_paragraph": "A stent was placed."}])
         with pytest.raises(CaseValidationError) as raised:
-            load_cases(questions, format="key_overlay", key_path=key)
+            load_cases(questions, key_path=key)
         assert str(raised.value) == f"{questions}:1: case a: note has no sentences"
 
-    def test_key_overlay_requires_key_path(self, tmp_path):
+    def test_a_named_key_file_that_is_missing_is_an_error(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("a")])
-        with pytest.raises(EhrqaError, match="key_path"):
-            load_cases(path, format="key_overlay")
+        with pytest.raises(EhrqaError) as raised:
+            load_cases(path, key_path=tmp_path / "key.jsonl")
+        assert str(raised.value) == f"key file not found: {tmp_path / 'key.jsonl'}"
+
+    def test_a_key_replaces_only_the_non_null_gold_of_the_cases_it_lists(self, tmp_path):
+        questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+        write_jsonl(questions, [canonical_record("a", gold_evidence=["1"]),
+                                canonical_record("b", gold_evidence=["1"])])
+        write_jsonl(key, [{"case_id": "b", "gold_evidence": ["2"], "answer_paragraph": None}])
+        a, b = load_cases(questions, key_path=key).cases
+        assert (a.gold_evidence, b.gold_evidence) == ({"1"}, {"2"})
+        assert b.clinician_answer_paragraph == "A stent was placed."
 
     def test_duplicate_case_ids_rejected(self, tmp_path):
         path = tmp_path / "cases.jsonl"
@@ -228,7 +246,7 @@ class TestFewShotPool:
         cases = tuple(
             simple_case(case_id=str(i), n_sentences=3, gold_evidence={"1"}) for i in range(1, n + 1)
         )
-        return CaseFile(cases=cases, split_label="dev")
+        return CaseFile(cases=cases)
 
     def test_leave_one_out_of_twenty(self):
         pool = few_shot_pool(self.make_file(20), exclude_case_id="7")
@@ -251,9 +269,40 @@ class TestFewShotPool:
 
 
 def test_toy_dataset_loads_and_has_gold():
-    file = load_cases(toy_dataset_path(), split_label="dev")
+    file = load_cases(toy_dataset_path())
     assert len(file.cases) == 3
     for case in file.cases:
         assert case.gold_evidence
         assert case.gold_alignments is not None
         assert case.clinician_answer_sentences
+
+
+def test_a_config_that_names_a_key_reads_it(tmp_path):
+    """Cases split into a questions-only file and an answer key load, and
+    run, as the one canonical file does, with no other field set."""
+    spec = importlib.util.spec_from_file_location("bench_casegen", BENCH / "casegen.py")
+    casegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(casegen)
+    full = casegen.write_cases(6, 7, tmp_path / "cases.jsonl")
+    records = [json.loads(line) for line in full.read_text(encoding="utf-8").splitlines()]
+    questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+    write_jsonl(questions, [{f: v for f, v in r.items() if f not in KEY_FIELDS} for r in records])
+    write_jsonl(key, [{f: r[f] for f in ("case_id", *KEY_FIELDS)} for r in records])
+
+    def config(cases: dict, out: str) -> dict:
+        return pipeline.resolve_config({
+            "dataset": cases, "subtasks": ["st2"], "provider_mode": "mock",
+            "out_dir": str(tmp_path / out), "workers": 1,
+        })
+
+    split = config({"cases": str(questions), "key": str(key)}, "split")
+    whole = config({"cases": str(full)}, "whole")
+    loaded, pool = pipeline.load_dataset(split)
+    expected = load_cases(full).cases
+    assert [c.gold_evidence for c in loaded.cases] == [c.gold_evidence for c in expected]
+    assert loaded.cases == pool.cases == expected
+    pipeline.run_pipeline(split)
+    pipeline.run_pipeline(whole)
+    assert (tmp_path / "split" / "st2.jsonl").read_bytes() == (
+        tmp_path / "whole" / "st2.jsonl"
+    ).read_bytes()

@@ -450,7 +450,7 @@ def _st1_work(tmp_path, n: int, monkeypatch) -> tuple[int, int]:
         for i in range(n)
     )
     path = tmp_path / f"cases-{n}.jsonl"
-    save_cases(CaseFile(cases, split_label="dev"), path)
+    save_cases(CaseFile(cases), path)
     config = resolve_config({
         "dataset": {"cases": str(path)},
         "subtasks": ["st1"],
