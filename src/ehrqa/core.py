@@ -38,10 +38,12 @@ class ParseError(EhrqaError):
 class ProviderError(EhrqaError):
     """A live backend call failed after bounded retries.
 
-    The one backend failure a subtask may degrade on, as the paper says
-    (an empty vote, a fallback answer, skipped recall). Cache and other
-    integrity errors are not ProviderErrors, so no handler of this class
-    can swallow them.
+    The one backend failure a subtask may degrade on: an ensemble member's
+    failed call is an empty run (``providers.gather_multi``) or a dropped
+    st3 draft, and a call within a member falls back (the stripped draft,
+    the first rerank candidate, skipped recall, no st1 context). Cache and
+    other integrity errors are not ProviderErrors, so no handler of this
+    class can swallow them.
     """
 
 
@@ -55,7 +57,8 @@ class CacheMissError(EhrqaError):
 
 
 class SubtaskError(EhrqaError):
-    """A subtask could not produce output for a case."""
+    """A subtask could not produce output for a case, such as one that no
+    member of its ensemble gave a usable reply."""
 
 
 # A note sentence ID: a base-10 integer string from 1, no leading zeros.

@@ -174,7 +174,8 @@ def read_records(path: Path, what: str) -> list[tuple[int, dict]]:
 def load_cases(path: str | Path, key_path: str | Path | None = None) -> CaseFile:
     """Load a case file, validating every case invariant. When ``key_path``
     is given, the gold fields (answers, evidence, alignments) of the
-    answer-key file there are merged onto the records of ``path``."""
+    answer-key file there are merged onto the records of ``path``; a key
+    record whose case_id no case record has raises EhrqaError."""
     path = Path(path)
     if not path.exists():
         raise EhrqaError(f"case file not found: {path}")
@@ -184,12 +185,15 @@ def load_cases(path: str | Path, key_path: str | Path | None = None) -> CaseFile
         key_path = Path(key_path)
         if not key_path.exists():
             raise EhrqaError(f"key file not found: {key_path}")
+        case_ids = {record["case_id"] for _, record in records}
         keys: dict[str, dict] = {}
         for lineno, record in read_records(key_path, "answer key"):
             if (cid := record["case_id"]) in keys:
                 raise EhrqaError(
                     f"{key_path}:{lineno}: case_id {cid!r} has more than one answer-key record"
                 )
+            if cid not in case_ids:
+                raise EhrqaError(f"{key_path}:{lineno}: case_id {cid!r} is in no case of {path}")
             keys[cid] = record
         merged = []
         for lineno, record in records:

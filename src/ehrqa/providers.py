@@ -27,7 +27,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
-from .core import CacheMissError, EhrqaError, ProviderError
+from .core import CacheMissError, EhrqaError, ParseError, ProviderError, SubtaskError
 from .prompting import Message, _memo
 
 # Each function that computes with arrays imports NumPy itself: importing it
@@ -843,25 +843,44 @@ def provider_from_env(
 def gather_responses(
     generator: Generator,
     requests: Sequence[GenRequest],
-) -> list[str | None]:
+    parse: Callable[[str], T],
+    case_id: str,
+    subtask: str,
+) -> list[T | tuple[()]]:
     """Run requests against one backend; see gather_multi."""
     tags = [r.request_tag for r in requests]
     if len(set(tags)) != len(tags):
         raise EhrqaError("request_tag values must be unique within a batch")
-    return gather_multi([(generator, r) for r in requests])
+    return gather_multi([(generator, r) for r in requests], parse, case_id, subtask)
 
 
-def gather_multi(pairs: Sequence[tuple[Generator, GenRequest]]) -> list[str | None]:
-    """Run each request against its own backend, one after another on the
-    caller's thread, in request order: one reply per request, or None
-    where the call raised ProviderError, which is logged. Any other error,
-    a CacheMissError included, is re-raised at once.
+def gather_multi(
+    pairs: Sequence[tuple[Generator, GenRequest]],
+    parse: Callable[[str], T],
+    case_id: str,
+    subtask: str,
+) -> list[T | tuple[()]]:
+    """The ensemble step: run each request against its own backend, one
+    after another on the caller's thread, in request order, and read each
+    reply with ``parse`` into one run. A failed call (ProviderError) or an
+    unparseable reply (ParseError) is logged and becomes an empty run that
+    still counts toward the ensemble's size; any other error, a
+    CacheMissError included, is re-raised at once. A case none of whose
+    members gives a usable run raises SubtaskError.
     """
-    responses: list[str | None] = []
+    runs: list[T | tuple[()]] = []
+    usable = False
     for generator, request in pairs:
+        run: T | tuple[()] = ()
         try:
-            responses.append(generator.generate(request))
+            run = parse(generator.generate(request))
+            usable = True
         except ProviderError as exc:
-            responses.append(None)
             logger.warning("request %s failed: %s", request.request_tag, exc)
-    return responses
+        except ParseError as exc:
+            tag = request.request_tag
+            logger.warning("%s run %s unparseable, counting as empty: %s", subtask, tag, exc)
+        runs.append(run)
+    if not usable:
+        raise SubtaskError(f"case {case_id}: no {subtask} member gave a usable reply")
+    return runs

@@ -32,7 +32,6 @@ from .core import (
 from .parsing import parse_json_object, parse_st1_candidates
 from .prompting import load_template, render_prompt
 from .providers import GenRequest, Generator, gather_multi
-from .vote import parse_runs
 
 logger = logging.getLogger(__name__)
 
@@ -402,10 +401,10 @@ def generate_candidates(
     """Pool candidates from all backends, deduplicated case-insensitively:
     a candidate keeps its first spelling and its first position.
 
-    One backend failing is tolerated; all failing is a subtask error.
+    A backend whose call fails or whose reply holds no candidate adds
+    none; a case with no backend left, or none configured, raises
+    SubtaskError, as every ensemble step does.
     """
-    if not providers:
-        raise SubtaskError(f"case {case.case_id}: no candidate providers configured")
     template = load_template("st1")
     messages = tuple(
         render_prompt(
@@ -421,10 +420,8 @@ def generate_candidates(
         )
         for deployment, _ in providers
     ]
-    responses = gather_multi([(p, r) for (_, p), r in zip(providers, requests)])
-    runs = parse_runs(requests, responses, parse_st1_candidates, case.case_id, "st1")
-    if not any(runs):  # a parsed run holds at least one candidate
-        raise SubtaskError(f"case {case.case_id}: every candidate provider failed")
+    pairs = [(p, r) for (_, p), r in zip(providers, requests)]
+    runs = gather_multi(pairs, parse_st1_candidates, case.case_id, "st1")
     pooled: dict[str, str] = {}
     for run in runs:
         for candidate in run:

@@ -13,7 +13,7 @@ from .core import Case, MergePolicy, SamplingPlan, id_sort_key, resolve_threshol
 from .parsing import parse_id_array
 from .prompting import load_template, render_prompt
 from .providers import Generator, gather_responses
-from .vote import VoteTally, parse_runs, plan_requests, tally_from_runs
+from .vote import VoteTally, plan_requests, tally_from_runs
 
 
 def run_ensemble(
@@ -23,12 +23,13 @@ def run_ensemble(
     provider: Generator,
     clinician_question: str | None = None,
 ) -> VoteTally[str]:
-    """One parsed ID set per (member, sample); failures count as empty."""
+    """One parsed ID set per (member, sample); failures count as empty,
+    and a case with no usable run raises SubtaskError."""
     extra = {"clinician_question": clinician_question}
     messages = tuple(render_prompt(load_template("st2"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st2", messages, plan)
-    responses = gather_responses(provider, requests)
-    return tally_from_runs(parse_runs(requests, responses, parse_id_array, case.case_id, "st2"))
+    runs = gather_responses(provider, requests, parse_id_array, case.case_id, "st2")
+    return tally_from_runs(runs)
 
 
 def merge_votes(tally: VoteTally[str], policy: MergePolicy) -> list[str]:

@@ -104,11 +104,12 @@ def stage1_draft(
     clinician_question: str | None = None,
     *,
     messages: tuple[Message, ...] | None = None,
-) -> CitedDraft:
+) -> CitedDraft | None:
     """One member's cited draft over the supplied evidence. Citations
     outside it are dropped, and a draft that cites nothing cites all of it.
-    An ensemble passes ``messages``, the case's ``stage1_messages``,
-    rendered once for all its members."""
+    A failed call (ProviderError) is logged and gives None: that member
+    has no draft. An ensemble passes ``messages``, the case's
+    ``stage1_messages``, rendered once for all its members."""
     supplied = supplied_evidence(case, evidence_ids)
     request = GenRequest(
         deployment_name=deployment,
@@ -119,7 +120,8 @@ def stage1_draft(
     try:
         text = provider.generate(request)
     except ProviderError as exc:  # the backend client has already retried it
-        raise SubtaskError(f"case {case.case_id}: stage-1 draft failed: {exc}") from exc
+        logger.warning("request %s failed: %s", request.request_tag, exc)
+        return None
     markers = extract_markers(text)
     valid = [m for m in markers if m in supplied]
     invalid = [m for m in markers if m not in supplied]
@@ -221,21 +223,21 @@ def run_case(
     """Run the two-stage scaffold once per deployment; rerank when asked.
 
     Every member's draft is made first, in member order, then each
-    member's rewrite of its own draft, all on the caller's thread; a
-    failed draft fails the case at once. Single-deployment runs skip
-    reranking entirely. ``cited_ids`` are the chosen candidate's citations.
+    member's rewrite of its own draft, all on the caller's thread. A
+    member whose draft failed leaves stage 2, the rerank and
+    ``candidate_scores``; a case with no draft left raises SubtaskError.
+    A single candidate skips reranking. ``cited_ids`` are the chosen
+    candidate's citations.
     """
-    if not deployments:
-        raise SubtaskError(f"case {case.case_id}: no deployments configured")
     messages = stage1_messages(case, evidence_ids, shots, clinician_question)
     drafts = [
         stage1_draft(case, evidence_ids, shots, provider, d, clinician_question, messages=messages)
         for d in deployments
     ]
-    candidates = [
-        stage2_rewrite(draft, case, provider, constraints, d)
-        for d, draft in zip(deployments, drafts)
-    ]
+    members = [(d, draft) for d, draft in zip(deployments, drafts) if draft is not None]
+    if not members:
+        raise SubtaskError(f"case {case.case_id}: no st3 member gave a usable reply")
+    candidates = [stage2_rewrite(draft, case, provider, constraints, d) for d, draft in members]
     if len(candidates) == 1 or not rerank:
         chosen, scores = candidates[0], []
     else:
@@ -244,12 +246,12 @@ def run_case(
             raise SubtaskError(f"case {case.case_id}: rerank needs an embedder")
         chosen, scores = rerank_candidates(candidates, reference, embedder)
     # Equal candidates score equally, and a tie keeps the earlier one.
-    cited = drafts[candidates.index(chosen)].cited_ids
+    cited = members[candidates.index(chosen)][1].cited_ids
     return St3Result(
         answer_text=chosen,
         cited_ids=sorted(cited, key=id_sort_key),
         candidate_scores=[
             {"deployment": d, "answer": c, "score": (scores[i] if i < len(scores) else None)}
-            for i, (d, c) in enumerate(zip(deployments, candidates))
+            for i, ((d, _), c) in enumerate(zip(members, candidates))
         ],
     )

@@ -31,7 +31,7 @@ from .metrics import flatten_links
 from .parsing import parse_alignment
 from .prompting import answer_block, load_template, render_prompt
 from .providers import Embedder, Generator, cosine, gather_responses
-from .vote import VoteTally, parse_runs, plan_requests
+from .vote import VoteTally, plan_requests
 
 logger = logging.getLogger(__name__)
 
@@ -72,14 +72,14 @@ def run_ensemble(
     answers: list[tuple[str, str]],
     clinician_question: str | None = None,
 ) -> LinkVoteTally:
-    """One parse per run; unparseable runs vote for nothing."""
+    """One parse per run; failed and unparseable runs vote for nothing,
+    and a case with no usable run raises SubtaskError."""
     if not answers:
         raise EhrqaError(f"case {case.case_id}: no answer sentences to align")
     extra = {"answer_block": answer_block(answers), "clinician_question": clinician_question}
     messages = tuple(render_prompt(load_template("st4"), case, shots, extra=extra))
     requests = plan_requests(case.case_id, "st4", messages, plan)
-    responses = gather_responses(provider, requests)
-    runs = parse_runs(requests, responses, parse_alignment, case.case_id, "st4")
+    runs = gather_responses(provider, requests, parse_alignment, case.case_id, "st4")
     return tally_from_runs(runs, valid_answer_ids={aid for aid, _ in answers})
 
 

@@ -5,24 +5,22 @@ Each (member, sample) run of a sampling plan votes once for every key it
 names: a note sentence ID in st2, an (answer_id, evidence_id) link in st4.
 A key survives the merge when its vote count clears the policy threshold,
 and a dev-gold sweep picks the threshold with the best micro F1.
-Unparseable runs vote for nothing but still count toward the run total, so
-majority thresholds stay honest about ensemble size.
+The runs come from ``providers.gather_multi``: a failed or unparseable run
+votes for nothing but still counts toward the run total, so majority
+thresholds stay honest about ensemble size.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from collections.abc import Callable, Collection, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from .core import ConfigError, EhrqaError, ParseError, SamplingPlan
+from .core import ConfigError, EhrqaError, SamplingPlan
 from .metrics import _prf_from_counts
 from .prompting import Message
 from .providers import GenRequest
-
-logger = logging.getLogger(__name__)
 
 K = TypeVar("K", bound=Hashable)
 
@@ -65,33 +63,6 @@ def plan_requests(
         )
         for deployment, temperature, sample in plan.runs()
     ]
-
-
-def parse_runs(
-    requests: Sequence[GenRequest],
-    responses: Sequence[str | None],
-    parse: Callable[[str], Iterable],
-    case_id: str,
-    subtask: str,
-) -> list[Iterable]:
-    """Parse each request's response, None for a failed call, into one run;
-    a failed call or an unparseable response votes for nothing. st1 reads
-    its candidate replies through it too."""
-    runs: list[Iterable] = []
-    parsed_any = False
-    for request, response in zip(requests, responses, strict=True):
-        run: Iterable = ()
-        if response is not None:
-            try:
-                run = parse(response)
-                parsed_any = True
-            except ParseError as exc:
-                tag = request.request_tag
-                logger.warning("%s run %s unparseable, counting as empty: %s", subtask, tag, exc)
-        runs.append(run)
-    if not parsed_any:
-        logger.warning("case %s: every %s run failed to parse", case_id, subtask)
-    return runs
 
 
 def sweep(

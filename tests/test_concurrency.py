@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from ehrqa import pipeline
+from ehrqa.core import ProviderError, SubtaskError
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline, run_sweep
 from ehrqa.providers import PipelineMockProvider, ResponseCache
@@ -109,6 +110,41 @@ def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, mo
     assert {"st1.jsonl", "st2.jsonl", "st3.jsonl", "st4.jsonl"} <= set(reference)
     assert all(tree == reference for tree in trees.values())
     assert max(g.peak for g in built[3:6]) > 2  # workers=2 did overlap calls across cases
+
+
+class NoUsableSt2(FuzzGenerator):
+    """The fuzzed mock, except that every st2 call of case 5 fails and
+    every st2 reply of case 8 is prose."""
+
+    def generate(self, request):
+        reply = super().generate(request)
+        case_id, stage = request.request_tag.split("/")[:2]
+        if stage == "st2" and case_id == "5":
+            raise ProviderError("backend down")
+        return "No sentence supports it." if stage == "st2" and case_id == "8" else reply
+
+
+def test_a_case_with_no_usable_st2_run_fails_the_run_naming_the_first(tmp_path, monkeypatch):
+    """Whatever ``workers`` says and whichever case fails first in time,
+    the error names the first such case in case order, and no output is
+    written."""
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    seeds = iter(range(100))
+    monkeypatch.setattr(pipeline, "build_generator", lambda config: NoUsableSt2(next(seeds)))
+    errors = {}
+    for workers in (1, 2, 8):
+        out = tmp_path / f"out-w{workers}"
+        with pytest.raises(SubtaskError) as raised:
+            run_pipeline(resolve_config({
+                "dataset": {"cases": str(cases)},
+                "subtasks": ["st1", "st2", "st3", "st4"],
+                "provider_mode": "mock",
+                "out_dir": str(out),
+                "workers": workers,
+            }))
+        errors[workers] = str(raised.value)
+        assert not list(out.glob("*.jsonl"))
+    assert set(errors.values()) == {"case 5: no st2 member gave a usable reply"}
 
 
 # Runs ``ehrqa`` in a fresh interpreter and prints the name of the thread

@@ -130,7 +130,7 @@ class TestLoadCases:
     def test_key_overlay_rejects_a_second_record_for_a_case(self, tmp_path):
         """The second record would silently replace the first one's gold."""
         questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
-        write_jsonl(questions, [canonical_record("a", gold_evidence=None)])
+        write_jsonl(questions, [canonical_record(c, gold_evidence=None) for c in "ab"])
         write_jsonl(key, [{"case_id": "a", "gold_evidence": ["1", "2"]},
                           {"case_id": "b", "gold_evidence": ["2"]},
                           {"case_id": "a", "gold_evidence": ["1"]}])
@@ -145,6 +145,16 @@ class TestLoadCases:
         with pytest.raises(EhrqaError) as raised:
             load_cases(questions, key_path=key)
         assert str(raised.value) == f"{key}:2: case_id 'a' has more than one answer-key record"
+
+    def test_key_overlay_rejects_a_record_for_no_case(self, tmp_path):
+        """A mistyped case_id would leave the case it meant without gold."""
+        questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+        write_jsonl(questions, [canonical_record(c, gold_evidence=None) for c in "ab"])
+        write_jsonl(key, [{"case_id": "a", "gold_evidence": ["2"]},
+                          {"case_id": "z", "gold_evidence": ["1"]}])
+        with pytest.raises(EhrqaError) as raised:
+            load_cases(questions, key_path=key)
+        assert str(raised.value) == f"{key}:2: case_id 'z' is in no case of {questions}"
 
     def test_key_overlay_rejects_a_question_with_an_empty_note(self, tmp_path):
         questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"

@@ -1044,17 +1044,17 @@ class TestHttpProvider:
 class TestGatherResponses:
     def test_results_in_request_order_despite_scheduling(self):
         provider = ScriptedProvider(handler=lambda r: r.request_tag)
-        responses = gather_responses(provider, [req("b"), req("a"), req("c")])
+        runs = gather_responses(provider, [req("b"), req("a"), req("c")], str.upper, "c1", "st2")
         assert provider.calls == ["b", "a", "c"]  # made inline, one after another
-        assert responses == ["b", "a", "c"]
+        assert runs == ["B", "A", "C"]  # each reply read by parse
 
     def test_failures_captured_not_raised(self, caplog):
         provider = ScriptedProvider({"ok": "fine"})
         with caplog.at_level("WARNING"):
-            responses = gather_responses(provider, [req("missing"), req("ok")])
-        assert responses[0] is None
+            runs = gather_responses(provider, [req("missing"), req("ok")], str, "c1", "st2")
+        assert runs[0] == ()
         assert "request missing failed: no scripted response for tag 'missing'" in caplog.text
-        assert responses[1] == "fine"  # the batch went on past the failure
+        assert runs[1] == "fine"  # the batch went on past the failure
 
     @pytest.mark.parametrize("threads", [None, 1, 2])
     @pytest.mark.parametrize(
@@ -1072,7 +1072,8 @@ class TestGatherResponses:
         provider = ScriptedProvider(handler=respond)
 
         def batch(case_id):
-            return gather_responses(provider, [req(f"{case_id}/{t}") for t in "abc"])
+            requests = [req(f"{case_id}/{t}") for t in "abc"]
+            return gather_responses(provider, requests, str, case_id, "st2")
 
         with pytest.raises(type(error), match=str(error)):
             if threads is None:
@@ -1084,7 +1085,7 @@ class TestGatherResponses:
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(EhrqaError, match="unique"):
-            gather_responses(ScriptedProvider({}), [req("a"), req("a")])
+            gather_responses(ScriptedProvider({}), [req("a"), req("a")], str, "c1", "st2")
 
 
 class TestPipelineMock:

@@ -219,7 +219,9 @@ class TestGenerateCandidates:
             ("a", ScriptedProvider({"c1/st1/a/0": "no candidates here"})),
             ("b", ScriptedProvider({})),  # raises
         ]
-        with caplog.at_level("WARNING"), pytest.raises(SubtaskError, match="every candidate"):
+        with caplog.at_level("WARNING"), pytest.raises(
+            SubtaskError, match="^case c1: no st1 member gave a usable reply$"
+        ):
             generate_candidates(simple_case("c1"), ClinicalContext(), [], providers)
         assert "st1 run c1/st1/a/0 unparseable, counting as empty" in caplog.text
 
@@ -234,7 +236,7 @@ class TestGenerateCandidates:
 
     def test_all_providers_failing_is_error(self):
         providers = [("a", ScriptedProvider({})), ("b", ScriptedProvider({}))]
-        with pytest.raises(SubtaskError, match="every candidate provider"):
+        with pytest.raises(SubtaskError, match="^case c1: no st1 member gave a usable reply$"):
             generate_candidates(simple_case("c1"), ClinicalContext(), [], providers)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import ConfigError, MergePolicy, PlanMember, SamplingPlan
+from ehrqa.core import ConfigError, MergePolicy, PlanMember, SamplingPlan, SubtaskError
 from ehrqa.st2 import (
     VoteTally,
     default_confidence_floor,
@@ -72,13 +72,19 @@ class TestRunEnsemble:
         assert tally.votes == {"2": 2}
         assert tally.total_votes == 3  # the failed run still counts
 
-    def test_all_unparseable_gives_empty_tally(self, caplog):
+    def test_all_unparseable_is_a_subtask_error(self, caplog):
         case = simple_case("c1")
         provider = ScriptedProvider(handler=lambda r: "nothing structured")
-        with caplog.at_level("WARNING"):
-            tally = run_ensemble(case, [], TRIO_PLAN, provider)
-        assert tally.votes == {}
-        assert tally.total_votes == 3
+        with caplog.at_level("WARNING"), pytest.raises(SubtaskError) as raised:
+            run_ensemble(case, [], TRIO_PLAN, provider)
+        assert str(raised.value) == "case c1: no st2 member gave a usable reply"
+        assert len(provider.calls) == 3  # every run was asked
+        assert "st2 run c1/st2/m3/0 unparseable, counting as empty" in caplog.text
+
+    def test_a_parsed_empty_array_is_a_usable_run(self):
+        provider = ScriptedProvider(handler=lambda r: "[]")
+        tally = run_ensemble(simple_case("c1"), [], TRIO_PLAN, provider)
+        assert (tally.votes, tally.total_votes) == ({}, 3)
 
 
 class TestMergeVotes:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import ConstraintConfig, ProviderError, SubtaskError, count_words
+from ehrqa.core import ConstraintConfig, SubtaskError, count_words
 from ehrqa.providers import (
     HashEmbedder,
     ReplayGenerator,
@@ -127,10 +127,12 @@ class TestStage1:
         draft = stage1_draft(self.make_case(), ["5", "2"], [], provider, deployment="d")
         assert draft.cited_ids == ("2", "5")
 
-    def test_backend_failure_is_one_call_and_a_subtask_error(self):
+    def test_backend_failure_is_one_call_and_no_draft(self, caplog):
         provider = FailingProvider("backend down")
-        with pytest.raises(SubtaskError, match="case c1: stage-1 draft failed: backend down"):
-            stage1_draft(self.make_case(), ["2"], [], provider, deployment="d")
+        with caplog.at_level("WARNING"):
+            draft = stage1_draft(self.make_case(), ["2"], [], provider, deployment="d")
+        assert draft is None
+        assert "request c1/st3s1/d/0 failed: backend down" in caplog.text
         assert provider.calls == 1  # the backend client retries; the draft does not
 
     def test_empty_evidence_uses_full_note(self):
@@ -353,18 +355,40 @@ class TestRunCase:
         )
         assert all(r.messages == tuple(own) for r in drafts)
 
-    def test_a_failed_draft_fails_the_case_at_that_draft(self):
-        def respond(request):
-            if request.request_tag == "c1/st3s1/d2/0":
-                raise ProviderError("d2 down")
-            return "Draft [2]."
+    def test_a_failed_draft_leaves_the_case_to_the_other_members(self):
+        """Member dx's draft fails: the rerank chooses between d1 and d2
+        alone, and the result is that of a run with only those two."""
+        case = simple_case("c1")
+        reference = " ".join(s.text for s in case.note)
+        embedder = FixedEmbedder({
+            reference: [1.0, 0.0],
+            "Emergent catheterization revealed an occlusion.": [0.0, 1.0],
+            "Totally unrelated vocabulary here.": [1.0, 0.0],
+        })
+        provider = self.scripted_provider()  # it has no reply for dx
+        result = run_case(
+            case, ["2", "5"], [], provider, deployments=["d1", "dx", "d2"], embedder=embedder
+        )
+        assert provider.calls == [
+            "c1/st3s1/d1/0", "c1/st3s1/dx/0", "c1/st3s1/d2/0", "c1/st3s2/d1/0", "c1/st3s2/d2/0"
+        ]
+        assert result.answer_text == "Totally unrelated vocabulary here."
+        assert result.cited_ids == ["5"]
+        assert [(c["deployment"], c["score"]) for c in result.candidate_scores] == [
+            ("d1", 0.0), ("d2", 1.0)
+        ]
+        assert result == run_case(
+            case, ["2", "5"], [], self.scripted_provider(), deployments=["d1", "d2"],
+            embedder=embedder,
+        )
 
-        provider = ScriptedProvider(handler=respond)
-        with pytest.raises(SubtaskError, match="case c1: stage-1 draft failed: d2 down"):
-            run_case(
-                simple_case("c1"), ["2"], [], provider, deployments=["d1", "d2", "d3"], rerank=False
-            )
-        assert provider.calls == ["c1/st3s1/d1/0", "c1/st3s1/d2/0"]  # d3 is never asked
+    def test_a_case_with_no_draft_left_fails(self, caplog):
+        provider = FailingProvider("backend down")
+        with caplog.at_level("WARNING"), pytest.raises(SubtaskError) as raised:
+            run_case(simple_case("c1"), ["2"], [], provider, deployments=["d1", "d2"])
+        assert str(raised.value) == "case c1: no st3 member gave a usable reply"
+        assert provider.calls == 2  # each member was asked for its draft, and none rewrote
+        assert "request c1/st3s1/d2/0 failed: backend down" in caplog.text
 
 
 def test_grounding_smoke_content_words_stay_in_evidence():

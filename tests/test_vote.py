@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrqa.core import CacheMissError, EhrqaError
+from ehrqa.core import CacheMissError, EhrqaError, SubtaskError
 from ehrqa.metrics import micro_prf
 from ehrqa.parsing import parse_id_array
 from ehrqa.providers import GenRequest, gather_responses
 from ehrqa.prompting import Message
-from ehrqa.vote import VoteTally, parse_runs, sweep
+from ehrqa.vote import VoteTally, sweep
 from tests.conftest import ScriptedProvider
 
 # Note sentence IDs "1".."6"; votes may also name "7".."9", which no note has.
@@ -75,12 +75,22 @@ def request(tag):
 
 def test_failed_and_unparseable_runs_vote_for_nothing(caplog):
     requests = [request(f"c1/st2/m/{i}") for i in range(3)]
-    # the third call failed
-    responses = ['["2"]', "no array here", None]
+    # the third call fails
+    provider = ScriptedProvider({"c1/st2/m/0": '["2"]', "c1/st2/m/1": "no array here"})
     with caplog.at_level("WARNING"):
-        runs = parse_runs(requests, responses, parse_id_array, "c1", "st2")
+        runs = gather_responses(provider, requests, parse_id_array, "c1", "st2")
     assert runs == [{"2"}, (), ()]
     assert "st2 run c1/st2/m/1 unparseable, counting as empty" in caplog.text
+    assert "request c1/st2/m/2 failed" in caplog.text
+
+
+def test_a_case_without_a_usable_run_fails_after_asking_every_member(caplog):
+    requests = [request(f"c1/st2/m/{i}") for i in range(3)]
+    provider = ScriptedProvider({"c1/st2/m/1": "no array here"})  # the other calls fail
+    with caplog.at_level("WARNING"), pytest.raises(SubtaskError) as raised:
+        gather_responses(provider, requests, parse_id_array, "c1", "st2")
+    assert str(raised.value) == "case c1: no st2 member gave a usable reply"
+    assert provider.calls == [r.request_tag for r in requests]
 
 
 def test_a_cache_that_cannot_serve_a_run_fails_it():
@@ -90,11 +100,7 @@ def test_a_cache_that_cannot_serve_a_run_fails_it():
         return '["2"]'
 
     requests = [request(f"c1/st2/m/{i}") for i in range(3)]
+    provider = ScriptedProvider(handler=respond)
     with pytest.raises(CacheMissError, match="abc"):
-        parse_runs(
-            requests,
-            gather_responses(ScriptedProvider(handler=respond), requests),
-            parse_id_array,
-            "c1",
-            "st2",
-        )
+        gather_responses(provider, requests, parse_id_array, "c1", "st2")
+    assert provider.calls == ["c1/st2/m/0", "c1/st2/m/1"]  # raised at once
