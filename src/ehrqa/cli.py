@@ -2,12 +2,12 @@
 
 Subcommands:
   run    execute the configured subtasks over a case file
-  sweep  vote-threshold sweep on dev gold (st2 or st4)
+  sweep  vote-threshold sweep of a run's st2 or st4 votes on dev gold
   eval   score prediction files against a gold case file
   cache  inspect or prune the record/replay cache
 
-Configuration is a JSON file; --preset overlays a named built-in
-configuration (ablation rows) and individual flags override both.
+Only run takes a configuration: a JSON file, which --preset overlays with a
+named built-in configuration (ablation rows) and individual flags override.
 Credentials are environment-only: EHRQA_<NAME>_ENDPOINT / EHRQA_<NAME>_API_KEY.
 """
 
@@ -54,29 +54,23 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _config_from_args(args: argparse.Namespace, **overrides) -> dict:
-    if args.provider_mode:
-        overrides["provider_mode"] = args.provider_mode
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.cases:
-        overrides["dataset"] = {"cases": args.cases}
-    return resolve_config(_load_config_file(args.config), preset=args.preset, overrides=overrides)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    subtasks = {"subtasks": [args.subtask]} if args.subtask else {}
-    config = _config_from_args(args, **subtasks)
+    flags = {
+        "subtasks": args.subtask and [args.subtask],
+        "provider_mode": args.provider_mode,
+        "out_dir": args.out,
+        "workers": args.workers,
+        "dataset": args.cases and {"cases": args.cases},
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    config = resolve_config(_load_config_file(args.config), preset=args.preset, overrides=overrides)
     manifest = run_pipeline(config)
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    result = run_sweep(config, args.subtask)
+    result = run_sweep(args.run, args.gold, args.subtask, args.out)
     best_key = "best_threshold" if args.subtask == "st4" else "best_k"
     print(f"{best_key}: {result[best_key]}")
     for row in result["frontier"]:
@@ -215,28 +209,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ehrqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The options run and sweep share; each overrides the config.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--preset", choices=sorted(PRESETS), help="named built-in configuration")
-    common.add_argument("--cases", help="case file path (overrides config)")
-    common.add_argument("--provider-mode", choices=PROVIDER_MODES)
-    common.add_argument("--out", help="output directory")
-    common.add_argument(
+    # Each option but --config and --preset overrides the config.
+    run_p = sub.add_parser("run", help="run configured subtasks over a case file")
+    run_p.add_argument("--config", help="JSON config file")
+    run_p.add_argument("--preset", choices=sorted(PRESETS), help="named built-in configuration")
+    run_p.add_argument("--cases", help="case file path")
+    run_p.add_argument("--provider-mode", choices=PROVIDER_MODES)
+    run_p.add_argument("--out", help="output directory")
+    run_p.add_argument(
         "--workers", type=int,
-        help="cases at once when calls can wait: up to WORKERS**2 for run, WORKERS for sweep; "
-        "replay runs on one thread",
+        help="up to WORKERS**2 cases at once, each making its calls one after another; "
+        "a replay runs on one thread",
     )
-
-    run_p = sub.add_parser("run", parents=[common], help="run configured subtasks over a case file")
     run_p.add_argument("--subtask", choices=SUBTASK_ORDER, help="run this subtask alone")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", parents=[common], help="vote-threshold sweep on dev gold")
-    sweep_p.add_argument(
-        "--subtask", choices=["st2", "st4"], required=True,
-        help="the subtask to sweep; st1 runs first when the config lists it",
-    )
+    sweep_p = sub.add_parser("sweep", help="vote-threshold sweep of a run's votes on dev gold")
+    sweep_p.add_argument("--run", required=True, help="output directory of an st2 or st4 run")
+    sweep_p.add_argument("--gold", required=True, help="gold case file (canonical)")
+    sweep_p.add_argument("--subtask", choices=["st2", "st4"], required=True)
+    sweep_p.add_argument("--out", required=True, help="directory for the sweep files")
     sweep_p.set_defaults(func=cmd_sweep)
 
     eval_p = sub.add_parser("eval", help="score predictions against gold")

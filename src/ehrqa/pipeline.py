@@ -32,7 +32,7 @@ from .core import (
     SamplingPlan,
     atomic_write_text,
 )
-from .dataset import CaseFile, case_sort_key, few_shot_pool, load_cases
+from .dataset import CaseFile, case_sort_key, few_shot_pool, load_cases, read_records
 from .prompting import make_contrast_example
 from .providers import (
     CachedEmbedder,
@@ -359,8 +359,11 @@ class DeploymentRouter:
             if provider is None:
                 try:
                     provider = provider_from_env(deployment)
-                except EhrqaError:
-                    provider = provider_from_env("default")
+                except EhrqaError as own:
+                    try:
+                        provider = provider_from_env("default")
+                    except EhrqaError as default:
+                        raise EhrqaError(f"{own}; without them, {default}") from None
                     logger.warning(
                         "deployment %r has no credentials of its own; using EHRQA_DEFAULT_*",
                         deployment,
@@ -426,29 +429,15 @@ def load_dataset(config: dict) -> tuple[CaseFile, CaseFile]:
 
 @dataclasses.dataclass(frozen=True)
 class RunSetup:
-    """What every case of a run or a sweep shares, built once per run from
+    """What every case of a run shares, built once per run from
     a ``resolve_config`` result: ``built`` holds the objects
-    ``validate_config`` builds, and ``cases`` and ``pool``, the few-shot
-    pool, are in case_id order."""
+    ``validate_config`` builds, and ``pool``, the few-shot pool, is in
+    case_id order."""
 
     config: dict
     built: dict
-    cases: list[Case]
     pool: list[Case]
     generator: Generator
-    out_dir: Path
-
-
-def _setup(config: dict, check: Callable[[list[Case]], None]) -> RunSetup:
-    """The run's ``RunSetup``; ``check`` sees its cases before any backend
-    is built or any directory made."""
-    built = validate_config(config)
-    case_file, pool_file = load_dataset(config)
-    cases = sorted(case_file.cases, key=case_sort_key)
-    check(cases)
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RunSetup(config, built, cases, few_shot_pool(pool_file), build_generator(config), out_dir)
 
 
 # Which pool cases can be a few-shot example of each subtask that takes them.
@@ -522,14 +511,13 @@ def _chain_args(run: RunSetup, subtasks: list[str]) -> dict[str, dict]:
     return {s: args[s]() for s in subtasks}
 
 
-def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> tuple[dict, dict]:
+def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, dict]:
     """Run every subtask of ``args``, a run's ``_chain_args``, for one case,
     chaining outputs forward: the case adds its leave-one-out shots and what
-    the subtasks before it produced. Returns its records and its st2 and st4
-    vote tallies."""
+    the subtasks before it produced. Returns its record for each output, by
+    name: an st2 or st4 vote tally's is ``votes/<subtask>``."""
     cid = case.case_id
     records: dict[str, dict] = {}
-    tallies: dict[str, vote.VoteTally] = {}
     question = case.clinician_question
     st2_ids: list[str] | None = None
     st3_answer: str | None = None
@@ -550,7 +538,7 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> tuple[dict,
         result = st2.run_case(case, shots, clinician_question=question, **args["st2"])
         st2_ids = result.evidence_ids
         records["st2"] = {"case_id": cid, "evidence_ids": st2_ids}
-        tallies["st2"] = result.tally
+        records["votes/st2"] = _votes_record(cid, result.tally)
 
     if "st3" in args:
         evidence_ids = st2_ids if st2_ids is not None else sorted(case.gold_evidence or [])
@@ -574,9 +562,10 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> tuple[dict,
                 case, shots, answers=answers, clinician_question=question, **args["st4"]
             )
             alignments = [{"answer_id": aid, "evidence_id": ev} for aid, ev in result.alignments]
-            tallies["st4"] = result.tally
+            if result.tally is not None:  # an embedding_only st4 casts no votes
+                records["votes/st4"] = _votes_record(cid, result.tally)
         records["st4"] = {"case_id": cid, "alignments": alignments}
-    return records, tallies
+    return records
 
 
 def run_pipeline(config: dict) -> dict:
@@ -587,7 +576,8 @@ def run_pipeline(config: dict) -> dict:
     own thread, so no more than ``workers**2`` calls are in flight. A
     replay, whose calls only read the cache, runs its cases on the calling
     thread. Outputs are collected in case order, so concurrency never
-    changes the written files.
+    changes the written files; they include each case's st2 and st4 vote
+    tally, cast before any merge, for ``run_sweep``.
     """
     subtasks = [s for s in SUBTASK_ORDER if s in config["subtasks"]]
     st4_cfg = config["st4"]
@@ -596,21 +586,36 @@ def run_pipeline(config: dict) -> dict:
         raise ConfigError(
             "st4.mode: embedding_only aligns by recall alone, but st4.recall.enabled is false"
         )
-    run = _setup(config, partial(_check_answer_key, subtasks))
+    built = validate_config(config)
+    case_file, pool_file = load_dataset(config)
+    cases = sorted(case_file.cases, key=case_sort_key)
+    # Without st3 to answer in their place, st4 aligns the key's answer
+    # sentences, so each case needs them; checked before any backend is built.
+    bare = [c.case_id for c in cases if not c.clinician_answer_sentences]
+    if bare and "st4" in subtasks and "st3" not in subtasks:
+        raise ConfigError(
+            "st4 without st3 aligns each case's answer_sentences, "
+            f"and case(s) {', '.join(bare)} have none"
+        )
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    run = RunSetup(config, built, few_shot_pool(pool_file), build_generator(config))
     args = _chain_args(run, subtasks)
-    chain = partial(_case_chain, run=run, args=args)
-    threads = _case_threads(config, config["workers"] ** 2)
-    # A run keeps each case's records; the tallies are for a sweep.
-    per_case = _map_cases(lambda case: chain(case)[0], run.cases, threads)
+    # A replayed call reads the local cache, which no network wait holds up,
+    # so more case threads than one would only contend for the GIL.
+    threads = 1 if config["provider_mode"] == "replay" else config["workers"] ** 2
+    per_case = _map_cases(partial(_case_chain, run=run, args=args), cases, threads)
 
     outputs = subtasks + ["st1_candidates"] * ("st1" in subtasks)
+    outputs += [f"votes/{s}" for s in subtasks if s == "st2" or s == "st4" and not embedding_only]
     for name in outputs:
-        write_jsonl(run.out_dir / f"{name}.jsonl", [records[name] for records in per_case])
+        # An st4 case with no answer sentences to align casts no votes.
+        write_jsonl(out_dir / f"{name}.jsonl", [r[name] for r in per_case if name in r])
     manifest = {
         "config_hash": config_hash(config),
         "provider_mode": config["provider_mode"],
         "subtasks": subtasks,
-        "cases": [c.case_id for c in run.cases],
+        "cases": [c.case_id for c in cases],
         "outputs": sorted(f"{name}.jsonl" for name in outputs),
         "cache": run.generator.stats() if isinstance(run.generator, ReplayGenerator) else {},
     }
@@ -619,30 +624,10 @@ def run_pipeline(config: dict) -> dict:
     if isinstance(embedder, CachedEmbedder):
         manifest["embedding_cache"] = embedder.stats()
     atomic_write_text(
-        run.out_dir / "manifest.json",
+        out_dir / "manifest.json",
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
     return manifest
-
-
-def _check_answer_key(subtasks: list[str], cases: list[Case]) -> None:
-    """Without st3 in the run to answer in their place, st4 aligns the key's
-    answer sentences; a case without them would align nothing."""
-    if "st4" not in subtasks or "st3" in subtasks:
-        return
-    bare = [c.case_id for c in cases if not c.clinician_answer_sentences]
-    if bare:
-        raise ConfigError(
-            "st4 without st3 aligns each case's answer_sentences, "
-            f"and case(s) {', '.join(bare)} have none"
-        )
-
-
-def _case_threads(config: dict, threads: int) -> int:
-    """``threads``, or 1 in a replay: every replayed call is a read of the
-    local cache that no network wait can hold up, so more case threads
-    would only contend for the GIL."""
-    return 1 if config["provider_mode"] == "replay" else threads
 
 
 def _map_cases(fn: Callable[[Case], T], cases: list[Case], threads: int) -> list[T]:
@@ -691,34 +676,55 @@ def _st4_policy(cfg: dict, merge: MergePolicy, plan: SamplingPlan) -> MergePolic
     return policy
 
 
-def run_sweep(config: dict, subtask: str) -> dict:
-    """Dev-gold threshold sweep of a voting subtask: a dev run of the run's
-    own chain, st1 when ``subtasks`` lists it and then ``subtask``, whose
-    vote tallies are swept against the dev gold.
+def _votes_record(case_id: str, tally: vote.VoteTally) -> dict:
+    """A case's tally as a votes file holds it: st4 nests its (answer_id,
+    evidence_id) links as ``{answer_id: {evidence_id: count}}``."""
+    votes: dict = {}
+    for key, count in tally.votes.items():
+        if isinstance(key, tuple):
+            votes.setdefault(key[0], {})[key[1]] = count
+        else:
+            votes[key] = count
+    return {"case_id": case_id, "total_votes": tally.total_votes, "votes": votes}
 
-    ``config`` is a ``resolve_config`` result. Cases run on up to
-    ``workers`` threads; a replay runs them on the calling thread."""
+
+def _tally(record: dict, where: str, subtask: str) -> vote.VoteTally:
+    """The tally a votes record holds. A missing or malformed field raises
+    EhrqaError naming ``where`` (file, line and case) and the field."""
+    if missing := [f for f in ("total_votes", "votes") if f not in record]:
+        raise EhrqaError(f"{where} has no {missing[0]!r}")
+    votes, links = record["votes"], subtask == "st4"
+    if not isinstance(votes, dict) or links and not all(isinstance(v, dict) for v in votes.values()):
+        raise EhrqaError(f"{where} has a malformed 'votes': {votes!r}")
+    if links:
+        votes = {(a, e): c for a, inner in votes.items() for e, c in inner.items()}
+    try:
+        return vote.VoteTally(votes, record["total_votes"])  # which checks each count
+    except ConfigError as exc:
+        raise EhrqaError(f"{where} has a malformed tally: {exc}") from exc
+
+
+def run_sweep(run_dir: str | Path, gold: str | Path, subtask: str, out_dir: str | Path) -> dict:
+    """Dev-gold threshold sweep of a voting subtask: the tallies a run wrote
+    to ``run_dir/votes/<subtask>.jsonl``, swept against the cases of the
+    gold case file ``gold``. It reads no config or cache and makes no
+    backend call. Writes the best threshold and ``<subtask>_sweep.json`` to
+    ``out_dir``."""
     if subtask not in ("st2", "st4"):
         raise ConfigError("sweep supports st2 and st4 only")
-    if subtask == "st4" and config["st4"]["mode"] == "embedding_only":
-        raise ConfigError("st4.mode: embedding_only casts no votes to sweep")
-    # A threshold file and recall change no tally; the sweep writes the file.
-    config = deep_merge(config, {"st4": {"threshold_file": None, "recall": {"enabled": False}}})
     # An st4 case also needs answer sentences to align, as an st4 shot does.
     has_gold = SHOT_ELIGIBLE["st4"] if subtask == "st4" else lambda c: c.gold_evidence is not None
-
-    def check(cases: list[Case]) -> None:
-        for case in cases:
-            if not has_gold(case):
-                raise ConfigError(f"case {case.case_id} has no dev gold for the {subtask} sweep")
-
-    run = _setup(config, check)
-    subtasks = ["st1"] * ("st1" in config["subtasks"]) + [subtask]
-    chain = partial(_case_chain, run=run, args=_chain_args(run, subtasks))
-    # A case makes its calls one after another, so ``workers`` threads hold
-    # a sweep to ``workers`` calls in flight, not a run's ``workers**2``.
-    per_case = _map_cases(chain, run.cases, _case_threads(config, config["workers"]))
-    dev_runs = [(tallies[subtask], c) for (_, tallies), c in zip(per_case, run.cases)]
+    fields = "'gold_alignments' and 'answer_sentences'" if subtask == "st4" else "'gold_evidence'"
+    gold_cases = {c.case_id: c for c in load_cases(gold).cases if has_gold(c)}
+    path = Path(run_dir) / "votes" / f"{subtask}.jsonl"
+    dev_runs = []
+    for lineno, record in read_records(path, f"the votes of an {subtask} run"):
+        where = f"{path}:{lineno}: case {record['case_id']}"
+        if record["case_id"] not in gold_cases:
+            raise EhrqaError(
+                f"{where} has no dev gold for the {subtask} sweep: it needs {fields} in {gold}"
+            )
+        dev_runs.append((_tally(record, where, subtask), gold_cases[record["case_id"]]))
 
     if subtask == "st2":
         best, frontier = vote.sweep([(t, c.gold_evidence, c.note_id_set) for t, c in dev_runs], "k")
@@ -726,10 +732,10 @@ def run_sweep(config: dict, subtask: str) -> dict:
     else:
         best, frontier = st4.sweep_threshold([(t, c.gold_alignments, c) for t, c in dev_runs])
         best_key, best_file = "best_threshold", st4.THRESHOLD_FILENAME
-    atomic_write_text(run.out_dir / best_file, f"{best}\n")
+    atomic_write_text(Path(out_dir) / best_file, f"{best}\n")
     result = {"subtask": subtask, best_key: best, "frontier": frontier}
     atomic_write_text(
-        run.out_dir / f"{subtask}_sweep.json",
+        Path(out_dir) / f"{subtask}_sweep.json",
         json.dumps(result, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
     return result

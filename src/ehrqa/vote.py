@@ -33,11 +33,12 @@ class VoteTally(Generic[K]):
     total_votes: int
 
     def __post_init__(self) -> None:
-        if self.total_votes < 1:
-            raise ConfigError("tally needs total_votes >= 1")
-        bad = {k: c for k, c in self.votes.items() if not 1 <= c <= self.total_votes}
+        total = self.total_votes
+        if type(total) is not int or total < 1:
+            raise ConfigError(f"total_votes must be an integer >= 1, got {total!r}")
+        bad = {k: c for k, c in self.votes.items() if type(c) is not int or not 1 <= c <= total}
         if bad:
-            raise ConfigError(f"vote counts outside [1, total_votes]: {bad}")
+            raise ConfigError(f"votes: counts must be integers in [1, total_votes={total}]: {bad}")
 
 
 def tally_from_runs(runs: Sequence[Iterable[K]]) -> VoteTally[K]:

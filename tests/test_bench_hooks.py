@@ -83,7 +83,7 @@ def test_every_bench_hook_is_reached(monkeypatch, tmp_path):
         })
         with run.standin.Backends(p.pipeline):
             p.pipeline.run_pipeline(config)
-            p.pipeline.run_sweep({**config, "out_dir": str(tmp_path / "sweep")}, "st4")
+            p.pipeline.run_sweep(tmp_path / "out", cases, "st4", tmp_path / "sweep")
         for subtask in ("st1", "st2", "st3", "st4"):
             p.cli.cmd_eval(argparse.Namespace(
                 pred=str(tmp_path / "out" / f"{subtask}.jsonl"), gold=str(cases),

@@ -2,13 +2,14 @@ import copy
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
 from ehrqa import pipeline, report
 from ehrqa.cli import main
-from ehrqa.core import ConfigError, ConstraintConfig
+from ehrqa.core import ConfigError, ConstraintConfig, EhrqaError
 from ehrqa.dataset import load_cases, toy_dataset_path
 from ehrqa.pipeline import (
     DEFAULT_CONFIG,
@@ -363,8 +364,6 @@ class TestResolveConfig:
         )
         with pytest.raises(ConfigError, match=error):
             run_pipeline(config)
-        with pytest.raises(ConfigError, match=error):
-            run_sweep(config, subtask)
         assert backend.calls == []
 
     def test_a_threshold_file_above_the_plans_votes_fails_before_any_call(
@@ -725,20 +724,46 @@ class TestChaining:
             assert [a["answer_id"] for a in record["alignments"]] == answer_ids
 
 
+def run_then_sweep(tmp_path, subtask, gold=None, **fields) -> dict:
+    """A mock run of the toy set into ``tmp_path/out``, then a sweep of its
+    ``subtask`` votes into ``tmp_path/sweep`` against ``gold``, the toy set
+    unless given."""
+    run_pipeline(resolve_config(base_config(tmp_path, **fields)))
+    return run_sweep(tmp_path / "out", gold or toy_dataset_path(), subtask, tmp_path / "sweep")
+
+
+def toy_with(path, **fields_of_case_3) -> Path:
+    """The toy set with ``fields_of_case_3`` set on its last case, case 3."""
+    cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
+    cases[-1].update(fields_of_case_3)
+    path.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
+    return path
+
+
+@pytest.fixture
+def no_backend(monkeypatch):
+    """Any backend a sweep might build raises."""
+
+    def build(config):
+        raise AssertionError("a sweep built a backend")
+
+    monkeypatch.setattr(pipeline, "build_generator", build)
+    monkeypatch.setattr(pipeline, "build_embedder", build)
+
+
 class TestSweep:
     def test_st4_sweep_writes_threshold_file(self, tmp_path):
-        config = resolve_config(base_config(tmp_path, subtasks=["st4"]))
-        result = run_sweep(config, "st4")
-        path = tmp_path / "out" / "best_vote_threshold.txt"
+        result = run_then_sweep(tmp_path, "st4", subtasks=["st4"])
+        path = tmp_path / "sweep" / "best_vote_threshold.txt"
         content = path.read_text()
         assert content == f"{result['best_threshold']}\n"
         assert content.strip().isdigit()
 
     def test_frontier_recall_never_increases(self, tmp_path):
-        config = resolve_config(base_config(tmp_path, subtasks=["st4"]))
-        config["st4"]["plan"]["members"][0]["samples"] = 2
-        config["st4"]["plan"]["members"][1]["samples"] = 2
-        result = run_sweep(config, "st4")
+        members = [{"deployment": d, "samples": 2} for d in ("gpt-5.2", "gpt-5.1")]
+        st4 = {"plan": {"members": members, "extra_zero_temp_run": False}}
+        result = run_then_sweep(tmp_path, "st4", subtasks=["st4"], st4=st4)
+        assert [row["theta"] for row in result["frontier"]] == [1, 2, 3, 4]
         recalls = [row["micro_r"] for row in result["frontier"]]
         assert recalls == sorted(recalls, reverse=True)
 
@@ -761,21 +786,19 @@ class TestSweep:
         assert recalls == sorted(recalls, reverse=True)
 
     def test_st2_sweep_best_k(self, tmp_path):
-        config = resolve_config(base_config(tmp_path, subtasks=["st2"]))
-        result = run_sweep(config, "st2")
-        assert (tmp_path / "out" / "best_k.txt").read_text() == f"{result['best_k']}\n"
+        result = run_then_sweep(tmp_path, "st2", subtasks=["st2"])
+        assert (tmp_path / "sweep" / "best_k.txt").read_text() == f"{result['best_k']}\n"
 
     def test_swept_threshold_reused_by_run(self, tmp_path):
         # sweep writes the file; a later run consumes it as a manual threshold
-        config = resolve_config(base_config(tmp_path, subtasks=["st4"]))
-        config["st4"]["plan"]["members"][0]["samples"] = 2
-        config["st4"]["plan"]["members"][1]["samples"] = 2
-        run_sweep(config, "st4")
-        threshold_path = tmp_path / "out" / "best_vote_threshold.txt"
+        members = [{"deployment": d, "samples": 2} for d in ("gpt-5.2", "gpt-5.1")]
+        st4 = {"plan": {"members": members, "extra_zero_temp_run": False}}
+        run_then_sweep(tmp_path, "st4", subtasks=["st4"], st4=st4)
+        threshold_path = tmp_path / "sweep" / "best_vote_threshold.txt"
 
-        run_cfg = resolve_config(base_config(tmp_path, subtasks=["st4"]))
-        run_cfg["st4"]["plan"] = config["st4"]["plan"]
-        run_cfg["st4"]["threshold_file"] = str(threshold_path)
+        run_cfg = resolve_config(base_config(
+            tmp_path, subtasks=["st4"], st4={**st4, "threshold_file": str(threshold_path)},
+        ))
         run_pipeline(run_cfg)
 
         k = int(threshold_path.read_text())
@@ -785,6 +808,40 @@ class TestSweep:
         ]
         assert records  # manual-k merge executed without error
         assert k >= 1
+
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_a_run_writes_each_cases_tally_and_lists_it(self, tmp_path, subtask):
+        run_pipeline(resolve_config(base_config(tmp_path, subtasks=[subtask])))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"{subtask}.jsonl", f"votes/{subtask}.jsonl"]
+        lines = (tmp_path / "out" / "votes" / f"{subtask}.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["case_id"] for r in records] == ["1", "2", "3"]
+        for record in records:
+            assert sorted(record) == ["case_id", "total_votes", "votes"]
+            assert record["total_votes"] == 3 if subtask == "st2" else 2
+            counts = record["votes"].values()
+            if subtask == "st4":  # {answer_id: {evidence_id: count}}
+                counts = [c for inner in counts for c in inner.values()]
+            assert counts and all(1 <= c <= record["total_votes"] for c in counts)
+
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_a_sweep_needs_no_cache_and_builds_no_backend(
+        self, tmp_path, monkeypatch, subtask
+    ):
+        config = base_config(
+            tmp_path, subtasks=["st1", "st2", "st3", "st4"],
+            provider_mode="record", record_source="mock",
+        )
+        run_pipeline(resolve_config(config))
+        expected = run_sweep(tmp_path / "out", toy_dataset_path(), subtask, tmp_path / "before")
+        shutil.rmtree(tmp_path / "cache")
+        for name in ("build_generator", "build_embedder"):
+            monkeypatch.setattr(pipeline, name, lambda config: pytest.fail("built a backend"))
+        assert run_sweep(tmp_path / "out", toy_dataset_path(), subtask, tmp_path / "after") == (
+            expected
+        )
+        assert tree_bytes(tmp_path / "after") == tree_bytes(tmp_path / "before")
 
     @pytest.mark.parametrize(
         "content", [None, "three\n", "0\n", "²\n", "9" * 5000 + "\n", b"\xff\n", "directory"]
@@ -815,67 +872,87 @@ class TestSweep:
         assert error["error"].startswith("st4.threshold_file: ")
         assert backend.calls == []
 
-    def test_sweep_requires_gold(self, tmp_path, monkeypatch):
-        """Every case is checked before the first call: only the last case
-        has no gold, and no case makes a call."""
-        from ehrqa import pipeline
-        from tests.conftest import ScriptedProvider
-
-        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
-        cases[-1]["gold_alignments"] = cases[-1]["gold_evidence"] = None
-        stripped = tmp_path / "nogold.jsonl"
-        stripped.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
-        backend = ScriptedProvider(handler=lambda request: "[]")
-        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
-        config = resolve_config(base_config(tmp_path, dataset={"cases": str(stripped)}))
-        for subtask in ("st2", "st4"):
-            with pytest.raises(ConfigError, match=f"case 3 has no dev gold for the {subtask}"):
-                run_sweep(config, subtask)
-        assert backend.calls == []
-
     @pytest.mark.parametrize("subtask", ["st2", "st4"])
-    def test_a_recorded_sweep_without_gold_marks_no_cache_and_makes_no_directory(
-        self, tmp_path, subtask
-    ):
-        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
-        cases[-1]["gold_alignments"] = cases[-1]["gold_evidence"] = None
-        stripped = tmp_path / "nogold.jsonl"
-        stripped.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
-        config = resolve_config(base_config(
-            tmp_path, provider_mode="record", record_source="mock",
-            dataset={"cases": str(stripped)},
-        ))
-        with pytest.raises(ConfigError, match=f"case 3 has no dev gold for the {subtask}"):
-            run_sweep(config, subtask)
-        assert not (tmp_path / "cache").exists()
-        assert not (tmp_path / "out").exists()
-
-    def test_an_st4_sweep_needs_answer_sentences_to_align(self, tmp_path, monkeypatch):
-        from tests.conftest import ScriptedProvider
-
-        cases = [json.loads(line) for line in toy_dataset_path().read_text().splitlines()]
-        cases[-1]["answer_sentences"] = cases[-1]["gold_alignments"] = []
-        bare = tmp_path / "noanswers.jsonl"
-        bare.write_text("\n".join(json.dumps(r) for r in cases) + "\n")
-        backend = ScriptedProvider(handler=lambda request: "[]")
-        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
-        config = resolve_config(base_config(tmp_path, dataset={"cases": str(bare)}))
-        with pytest.raises(ConfigError, match="case 3 has no dev gold for the st4 sweep"):
-            run_sweep(config, "st4")
-        assert backend.calls == []
-
-    def test_an_st4_sweep_with_nothing_to_sweep_fails_before_any_call(self, tmp_path, monkeypatch):
-        """An embedding_only st4 casts no votes."""
-        from tests.conftest import ScriptedProvider
-
-        backend = ScriptedProvider(handler=lambda request: "[]")
-        monkeypatch.setattr(pipeline, "build_generator", lambda config: backend)
-        config = resolve_config(
-            base_config(tmp_path, subtasks=["st1", "st4"], st4={"mode": "embedding_only"})
+    def test_a_case_without_dev_gold_fails_the_sweep_naming_it(self, tmp_path, subtask):
+        """Only the last case has no gold; the error names the votes file's
+        line of that case, the case and the fields the sweep needs."""
+        gold = toy_with(tmp_path / "nogold.jsonl", gold_alignments=None, gold_evidence=None)
+        fields = {"st2": "'gold_evidence'", "st4": "'gold_alignments' and 'answer_sentences'"}
+        votes = tmp_path / "out" / "votes" / f"{subtask}.jsonl"
+        error = (
+            f"{votes}:3: case 3 has no dev gold for the {subtask} sweep: "
+            f"it needs {fields[subtask]} in {gold}"
         )
-        with pytest.raises(ConfigError, match=r"^st4\.mode:"):
-            run_sweep(config, "st4")
-        assert backend.calls == []
+        with pytest.raises(EhrqaError) as raised:
+            run_then_sweep(tmp_path, subtask, gold=gold, subtasks=["st2", "st3", "st4"])
+        assert str(raised.value) == error
+        assert not (tmp_path / "sweep").exists()
+
+    def test_a_case_of_the_votes_missing_from_the_gold_fails_the_sweep(self, tmp_path):
+        gold = tmp_path / "two.jsonl"
+        gold.write_text("".join(toy_dataset_path().read_text().splitlines(True)[:2]))
+        with pytest.raises(EhrqaError, match=r"st2\.jsonl:3: case 3 has no dev gold for the st2"):
+            run_then_sweep(tmp_path, "st2", gold=gold, subtasks=["st2"])
+
+    def test_an_st4_sweep_needs_answer_sentences_to_align(self, tmp_path):
+        gold = toy_with(tmp_path / "noanswers.jsonl", answer_sentences=[], gold_alignments=[])
+        with pytest.raises(EhrqaError, match="st4.jsonl:3: case 3 has no dev gold for the st4 "):
+            run_then_sweep(tmp_path, "st4", gold=gold, subtasks=["st4"])
+
+    def test_an_embedding_only_run_writes_no_st4_votes_to_sweep(self, tmp_path):
+        """An embedding_only st4 casts no votes, so a sweep of its run
+        fails naming the votes file it looked for."""
+        st4 = {"mode": "embedding_only", "recall": {"enabled": True}}
+        with pytest.raises(EhrqaError) as raised:
+            run_then_sweep(tmp_path, "st4", subtasks=["st1", "st4"], st4=st4)
+        votes = tmp_path / "out" / "votes" / "st4.jsonl"
+        assert str(raised.value).startswith(f"{votes}: cannot read the votes of an st4 run: ")
+        assert not votes.parent.exists()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["st1.jsonl", "st1_candidates.jsonl", "st4.jsonl"]
+
+    @pytest.mark.parametrize("subtask, line, error", [
+        ("st2", "[1]", "not a JSON object with a string 'case_id'"),
+        ("st2", {"case_id": 1}, "not a JSON object with a string 'case_id'"),
+        ("st2", {"case_id": "1", "votes": {}}, "case 1 has no 'total_votes'"),
+        ("st2", {"case_id": "1", "total_votes": 3}, "case 1 has no 'votes'"),
+        ("st2", {"case_id": "1", "total_votes": 3, "votes": [["2", 1]]},
+         "case 1 has a malformed 'votes': [['2', 1]]"),
+        ("st4", {"case_id": "1", "total_votes": 2, "votes": {"1": 2}},
+         "case 1 has a malformed 'votes': {'1': 2}"),
+        ("st2", {"case_id": "1", "total_votes": 0, "votes": {}},
+         "case 1 has a malformed tally: total_votes must be an integer >= 1, got 0"),
+        ("st2", {"case_id": "1", "total_votes": "3", "votes": {}},
+         "case 1 has a malformed tally: total_votes must be an integer >= 1, got '3'"),
+        ("st2", {"case_id": "1", "total_votes": 3.0, "votes": {}},
+         "case 1 has a malformed tally: total_votes must be an integer >= 1, got 3.0"),
+        ("st2", {"case_id": "1", "total_votes": 3, "votes": {"2": 4}},
+         "case 1 has a malformed tally: votes: counts must be integers in [1, total_votes=3]: "
+         "{'2': 4}"),
+        ("st2", {"case_id": "1", "total_votes": 3, "votes": {"2": True}},
+         "case 1 has a malformed tally: votes: counts must be integers in [1, total_votes=3]: "
+         "{'2': True}"),
+        ("st4", {"case_id": "1", "total_votes": 2, "votes": {"1": {"2": 0}}},
+         "case 1 has a malformed tally: votes: counts must be integers in [1, total_votes=2]: "
+         "{('1', '2'): 0}"),
+        ("st4", {"case_id": "1", "total_votes": 2, "votes": {"1": {"2": "2"}}},
+         "case 1 has a malformed tally: votes: counts must be integers in [1, total_votes=2]: "
+         "{('1', '2'): '2'}"),
+    ])
+    def test_a_malformed_votes_record_names_its_line_case_and_field(
+        self, tmp_path, no_backend, subtask, line, error
+    ):
+        """The record replaces the second of three valid ones."""
+        votes = tmp_path / "run" / "votes" / f"{subtask}.jsonl"
+        votes.parent.mkdir(parents=True)
+        valid = {"case_id": "1", "total_votes": 2, "votes": {}}
+        lines = [valid, line if isinstance(line, dict) else None, {**valid, "case_id": "3"}]
+        text = [json.dumps(r) if r is not None else line for r in lines]
+        votes.write_text("\n".join(text) + "\n")
+        with pytest.raises(EhrqaError) as raised:
+            run_sweep(tmp_path / "run", toy_dataset_path(), subtask, tmp_path / "sweep")
+        assert str(raised.value) == f"{votes}:2: {error}"
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestCliCommands:
@@ -1356,20 +1433,38 @@ class TestCliCommands:
         assert damaged[match.group(1)] in error["error"]
         assert tree_bytes(out) == recorded  # the previous outputs are left as they were
 
-    def test_sweep_command(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subtask, best", [("st2", "best_k"), ("st4", "best_threshold")])
+    def test_sweep_command(self, tmp_path, capsys, subtask, best):
+        """``sweep --run`` sweeps the votes of one st1-st4 run, either
+        subtask, and prints what ``run_sweep`` returns."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(base_config(tmp_path)))
-        assert main(["sweep", "--config", str(config_path), "--subtask", "st4"]) == 0
-        assert "best_threshold" in capsys.readouterr().out
+        all_four = base_config(tmp_path, subtasks=["st1", "st2", "st3", "st4"])
+        config_path.write_text(json.dumps(all_four))
+        assert main(["run", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        args = ["sweep", "--run", str(tmp_path / "out"), "--gold", str(toy_dataset_path()),
+                "--subtask", subtask, "--out", str(tmp_path / "sweep")]
+        assert main(args) == 0
+        result = json.loads((tmp_path / "sweep" / f"{subtask}_sweep.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{best}: {result[best]}"
+        assert len(lines) == 1 + len(result["frontier"])
 
-    @pytest.mark.parametrize("subtask", ["st2", "st4"])
-    def test_sweep_command_keeps_the_configs_subtasks(self, tmp_path, subtask):
-        """``sweep --subtask`` names the subtask to sweep; st1, which the
-        config lists, still runs first, so the sweep replays the run."""
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(base_config(
-            tmp_path, subtasks=["st1", "st2", "st3", "st4"], record_source="mock",
-        )))
-        assert main(["run", "--config", str(config_path), "--provider-mode", "record"]) == 0
-        args = ["sweep", "--config", str(config_path), "--provider-mode", "replay"]
-        assert main(args + ["--subtask", subtask]) == 0
+    @pytest.mark.parametrize("flag", ["--config", "--preset", "--cases", "--provider-mode",
+                                      "--workers"])
+    def test_sweep_takes_no_run_option(self, tmp_path, capsys, flag):
+        args = ["sweep", "--run", str(tmp_path), "--gold", str(toy_dataset_path()),
+                "--subtask", "st2", "--out", str(tmp_path / "sweep"), flag, "x"]
+        with pytest.raises(SystemExit) as raised:
+            main(args)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+    def test_a_sweep_of_a_run_without_votes_fails_naming_the_file(self, tmp_path, capsys):
+        args = ["sweep", "--run", str(tmp_path), "--gold", str(toy_dataset_path()),
+                "--subtask", "st2", "--out", str(tmp_path / "sweep")]
+        assert main(args) == 1
+        error = json.loads(capsys.readouterr().err)
+        votes = tmp_path / "votes" / "st2.jsonl"
+        assert error["type"] == "EhrqaError"
+        assert error["error"].startswith(f"{votes}: cannot read the votes of an st2 run: ")

@@ -22,7 +22,7 @@ import pytest
 from ehrqa import pipeline
 from ehrqa.core import ProviderError, SubtaskError
 from ehrqa.dataset import toy_dataset_path
-from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline, run_sweep
+from ehrqa.pipeline import DeploymentRouter, resolve_config, run_pipeline
 from ehrqa.providers import PipelineMockProvider, ResponseCache
 from tests.test_cli import base_config, tree_bytes
 from tests.test_providers import fake_response, req
@@ -107,7 +107,9 @@ def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, mo
                 main = threading.current_thread().name
                 assert {t for calls in generator.by_case.values() for t, _ in calls} == {main}
     reference = trees[1, 0]
-    assert {"st1.jsonl", "st2.jsonl", "st3.jsonl", "st4.jsonl"} <= set(reference)
+    # The vote tallies a sweep reads are outputs too, and as fixed.
+    written = {f"{name}.jsonl" for name in ("st1", "st2", "st3", "st4", "votes/st2", "votes/st4")}
+    assert written <= set(reference)
     assert all(tree == reference for tree in trees.values())
     assert max(g.peak for g in built[3:6]) > 2  # workers=2 did overlap calls across cases
 
@@ -192,33 +194,6 @@ def test_numpy_first_imported_on_case_threads_changes_no_output(tmp_path):
     assert outputs[2] == outputs[1] and outputs[8] == outputs[1]
 
 
-def test_a_sweep_keeps_its_calls_in_flight_at_workers(tmp_path, monkeypatch):
-    """A sweep case makes one batch of calls, so the sweep maps its cases
-    over ``workers`` threads, and its calls in flight stay at ``workers``,
-    not the ``workers**2`` of a run."""
-    built: list[FuzzGenerator] = []
-
-    def build_generator(config):
-        built.append(FuzzGenerator(7))
-        return built[-1]
-
-    monkeypatch.setattr(pipeline, "build_generator", build_generator)
-    results = {}
-    cases = nine_cases(tmp_path / "cases.jsonl")
-    for workers in (1, 2):
-        config = resolve_config(base_config(
-            tmp_path / f"w{workers}", dataset={"cases": str(cases)},
-            subtasks=["st2"], workers=workers,
-        ))
-        for member in config["st2"]["plan"]["members"]:
-            member["samples"] = 3
-        results[workers] = run_sweep(config, "st2")
-        check_calls(built[-1], built[0])
-        assert built[-1].peak <= workers
-    assert built[1].peak > 1  # workers=2 did overlap calls across cases
-    assert results[1] == results[2]
-
-
 def replay_config(tmp_path, cases, mode, workers, out, **overrides):
     return resolve_config({
         "dataset": {"cases": str(cases)},
@@ -266,20 +241,8 @@ def test_a_replay_runs_its_cases_on_the_calling_thread(tmp_path, cache_reads):
         assert len(cache_reads) == recorded
         assert set(cache_reads) == {threading.current_thread().name}
         trees[workers] = tree_bytes(tmp_path / out)
-    assert {"st1.jsonl", "st4.jsonl", "manifest.json"} <= set(trees[1])
+    assert {"st1.jsonl", "st4.jsonl", "votes/st4.jsonl", "manifest.json"} <= set(trees[1])
     assert trees[1] == trees[2] == trees[8]
-
-
-def test_a_replay_sweep_runs_its_cases_on_the_calling_thread(tmp_path, cache_reads):
-    cases = nine_cases(tmp_path / "cases.jsonl")
-    run_sweep(replay_config(tmp_path, cases, "record", 2, "record", subtasks=["st2"]), "st2")
-    results = {}
-    for workers in (1, 2):
-        del cache_reads[:]
-        config = replay_config(tmp_path, cases, "replay", workers, f"w{workers}", subtasks=["st2"])
-        results[workers] = run_sweep(config, "st2")
-        assert cache_reads and set(cache_reads) == {threading.current_thread().name}
-    assert results[1] == results[2]
 
 
 def test_a_recording_still_overlaps_its_calls(tmp_path, monkeypatch):

@@ -126,7 +126,9 @@ def test_cache_inspect_and_prune_load_no_numpy(recorded, tmp_path):
     assert list(cache.iterdir()) == []
 
 
-def test_st2_runs_and_sweeps_load_no_numpy(tmp_path):
+def test_st2_runs_and_sweeps_load_no_numpy(recorded, tmp_path):
+    """A sweep reads a run's votes alone, so neither an st2 nor an st4 sweep
+    loads NumPy, even of an st1-st4 run whose st1, rerank and recall did."""
     run = ("run", "--cases", TOY, "--subtask", "st2")
     assert _loaded(_main(*run, "--provider-mode", "mock", "--out", tmp_path / "mock")) == []
     config = _config(
@@ -140,10 +142,13 @@ def test_st2_runs_and_sweeps_load_no_numpy(tmp_path):
     assert (tmp_path / "replay" / "st2.jsonl").read_bytes() == (
         tmp_path / "mock" / "st2.jsonl"
     ).read_bytes()
-    assert _loaded(_main(
-        "sweep", "--subtask", "st2", "--cases", TOY, "--provider-mode", "mock",
-        "--out", tmp_path / "sweep",
-    )) == []
+    sweep = ("sweep", "--gold", TOY, "--out", tmp_path / "sweep")
+    assert _loaded(_main(*sweep, "--run", tmp_path / "replay", "--subtask", "st2")) == []
+    for subtask in ("st2", "st4"):
+        assert _loaded(_main(*sweep, "--run", recorded / "out", "--subtask", subtask)) == []
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+        "best_k.txt", "best_vote_threshold.txt", "st2_sweep.json", "st4_sweep.json"
+    ]
 
 
 def test_st3_without_rerank_and_st4_without_recall_load_no_numpy(tmp_path):

@@ -23,7 +23,8 @@ import pytest
 
 from ehrqa import pipeline
 from ehrqa.cli import main
-from ehrqa.core import ConfigError, ProviderError
+from ehrqa.core import ConfigError, EhrqaError, ProviderError
+from ehrqa.dataset import toy_dataset_path
 from ehrqa.providers import (
     HashEmbedder,
     HttpChatProvider,
@@ -280,6 +281,36 @@ def test_live_is_no_provider_mode(tmp_path, monkeypatch, capsys):
         main(["run", "--provider-mode", "live", "--cases", str(tmp_path / "cases.jsonl")])
     assert exit_.value.code == 2
     assert "argument --provider-mode: invalid choice: 'live'" in capsys.readouterr().err
+
+
+def test_a_deployment_without_credentials_names_its_own_and_the_default_ones(
+    tmp_path, monkeypatch, capsys
+):
+    """With neither its own credentials nor the default ones, a live call
+    fails naming the deployment and both pairs of variables it could read,
+    and a live recording exits 1 before it writes any output."""
+    for name in [n for n in os.environ if n.startswith("EHRQA_")]:
+        monkeypatch.delenv(name)
+
+    def message(deployment, stem):
+        return (
+            f"live provider {deployment!r} needs EHRQA_{stem}_ENDPOINT and EHRQA_{stem}_API_KEY "
+            "set; without them, live provider 'default' needs EHRQA_DEFAULT_ENDPOINT and "
+            "EHRQA_DEFAULT_API_KEY set"
+        )
+
+    with pytest.raises(EhrqaError) as raised:
+        pipeline.DeploymentRouter().generate(req("1/st2/gpt-5.2/0", deployment="gpt-5.2"))
+    assert str(raised.value) == message("gpt-5.2", "GPT_5_2")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"record_source": "live", "cache_dir": str(tmp_path / "cache")}))
+    args = ["run", "--config", str(config), "--cases", str(toy_dataset_path()),
+            "--provider-mode", "record", "--out", str(tmp_path / "out"), "--workers", "1"]
+    assert main(args) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": message("o3", "O3"), "type": "EhrqaError"  # st2's first member
+    }
+    assert not (tmp_path / "out" / "st2.jsonl").exists()
 
 
 @pytest.mark.parametrize("first, second", [("mock", "live"), ("live", "mock")])
