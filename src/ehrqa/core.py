@@ -1,18 +1,21 @@
 """Core domain types shared by every stage of the pipeline.
 
-All types here are immutable value objects and safe to share across
-concurrent tasks without coordination. The one file helper,
-``atomic_write_text``, is here because every layer that persists a file
-(outputs, the response cache, the swept threshold) uses it.
+All types here are immutable and safe to share across concurrent tasks.
+``atomic_write_text`` is here because every layer that persists a file
+(outputs, the response cache, the swept threshold) uses it; ``degraded``
+because every subtask reports its degraded results through it.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import re
 import threading
+from collections import Counter
 from collections.abc import Iterator
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -59,6 +62,19 @@ class CacheMissError(EhrqaError):
 class SubtaskError(EhrqaError):
     """A subtask could not produce output for a case, such as one that no
     member of its ensemble gave a usable reply."""
+
+
+# The degradations of the case being run, by kind, set per case; None outside a run.
+DEGRADATIONS: ContextVar[Counter | None] = ContextVar("degradations", default=None)
+
+
+def degraded(kind: str, msg: str, *args) -> None:
+    """Report one degraded result: log ``msg % args`` as a warning on the
+    logger ``ehrqa.<subtask>``, the subtask being ``kind`` up to its dot
+    (``st3.rewrite_failed``), and count ``kind`` for the case being run."""
+    logging.getLogger(f"ehrqa.{kind.partition('.')[0]}").warning(msg, *args)
+    if (counts := DEGRADATIONS.get()) is not None:
+        counts[kind] += 1
 
 
 # A note sentence ID: a base-10 integer string from 1, no leading zeros.

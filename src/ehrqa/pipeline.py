@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import islice
@@ -24,6 +25,7 @@ from typing import Callable, TypeVar
 
 from . import st2, st3, st4, vote
 from .core import (
+    DEGRADATIONS,
     Case,
     ConfigError,
     EhrqaError,
@@ -515,56 +517,65 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, d
     """Run every subtask of ``args``, a run's ``_chain_args``, for one case,
     chaining outputs forward: the case adds its leave-one-out shots and what
     the subtasks before it produced. Returns its record for each output, by
-    name: an st2 or st4 vote tally's is ``votes/<subtask>``."""
+    name: an st2 or st4 vote tally's is ``votes/<subtask>``, and the counts
+    of its ``core.degraded`` results are ``degradations``."""
     cid = case.case_id
-    records: dict[str, dict] = {}
-    question = case.clinician_question
-    st2_ids: list[str] | None = None
-    st3_answer: str | None = None
+    records: dict[str, dict] = {"degradations": Counter()}
+    token = DEGRADATIONS.set(records["degradations"])
+    try:
+        question = case.clinician_question
+        st2_ids: list[str] | None = None
+        st3_answer: str | None = None
 
-    if "st1" in args:
-        from . import st1
+        if "st1" in args:
+            from . import st1
 
-        result = st1.run_case(case, **args["st1"])
-        records["st1"] = {"case_id": cid, "clinician_question": result.clinician_question}
-        records["st1_candidates"] = {
-            "case_id": cid,
-            "candidates": [dataclasses.asdict(s) for s in result.candidates],
-        }
-        question = result.clinician_question or question
+            result = st1.run_case(case, **args["st1"])
+            records["st1"] = {"case_id": cid, "clinician_question": result.clinician_question}
+            records["st1_candidates"] = {
+                "case_id": cid,
+                "candidates": [dataclasses.asdict(s) for s in result.candidates],
+            }
+            question = result.clinician_question or question
 
-    if "st2" in args:
-        shots = _shots(run, case, "st2")
-        result = st2.run_case(case, shots, clinician_question=question, **args["st2"])
-        st2_ids = result.evidence_ids
-        records["st2"] = {"case_id": cid, "evidence_ids": st2_ids}
-        records["votes/st2"] = _votes_record(cid, result.tally)
+        if "st2" in args:
+            shots = _shots(run, case, "st2")
+            result = st2.run_case(case, shots, clinician_question=question, **args["st2"])
+            st2_ids = result.evidence_ids
+            records["st2"] = {"case_id": cid, "evidence_ids": st2_ids}
+            records["votes/st2"] = _votes_record(cid, result.tally)
 
-    if "st3" in args:
-        evidence_ids = st2_ids if st2_ids is not None else sorted(case.gold_evidence or [])
-        shots = _shots(run, case, "st3")
-        result = st3.run_case(case, evidence_ids, shots, clinician_question=question, **args["st3"])
-        st3_answer = result.answer_text
-        records["st3"] = {
-            "case_id": cid,
-            "answer_text": st3_answer,
-            "cited_ids": result.cited_ids,
-            "candidate_scores": result.candidate_scores,
-        }
-
-    if "st4" in args:
-        # The key's answer sentences, or st3's answer where the key has none.
-        answers = list(case.clinician_answer_sentences) or st4.segment_answer(st3_answer or "")
-        alignments = []
-        if answers:
-            shots = _shots(run, case, "st4")
-            result = st4.run_case(
-                case, shots, answers=answers, clinician_question=question, **args["st4"]
+        if "st3" in args:
+            evidence_ids = st2_ids if st2_ids is not None else sorted(case.gold_evidence or [])
+            shots = _shots(run, case, "st3")
+            result = st3.run_case(
+                case, evidence_ids, shots, clinician_question=question, **args["st3"]
             )
-            alignments = [{"answer_id": aid, "evidence_id": ev} for aid, ev in result.alignments]
-            if result.tally is not None:  # an embedding_only st4 casts no votes
-                records["votes/st4"] = _votes_record(cid, result.tally)
-        records["st4"] = {"case_id": cid, "alignments": alignments}
+            st3_answer = result.answer_text
+            records["st3"] = {
+                "case_id": cid,
+                "answer_text": st3_answer,
+                "cited_ids": result.cited_ids,
+                "candidate_scores": result.candidate_scores,
+            }
+
+        if "st4" in args:
+            # The key's answer sentences, or st3's answer where the key has none.
+            answers = list(case.clinician_answer_sentences) or st4.segment_answer(st3_answer or "")
+            alignments = []
+            if answers:
+                shots = _shots(run, case, "st4")
+                result = st4.run_case(
+                    case, shots, answers=answers, clinician_question=question, **args["st4"]
+                )
+                alignments = [
+                    {"answer_id": aid, "evidence_id": ev} for aid, ev in result.alignments
+                ]
+                if result.tally is not None:  # an embedding_only st4 casts no votes
+                    records["votes/st4"] = _votes_record(cid, result.tally)
+            records["st4"] = {"case_id": cid, "alignments": alignments}
+    finally:
+        DEGRADATIONS.reset(token)
     return records
 
 
@@ -618,6 +629,8 @@ def run_pipeline(config: dict) -> dict:
         "cases": [c.case_id for c in cases],
         "outputs": sorted(f"{name}.jsonl" for name in outputs),
         "cache": run.generator.stats() if isinstance(run.generator, ReplayGenerator) else {},
+        "degraded_cases": sum(1 for r in per_case if r["degradations"]),
+        "degradations": dict(sorted(sum((r["degradations"] for r in per_case), Counter()).items())),
     }
     # st3 and st4 share one embedder; each cache wrapper counts its own calls.
     embedder = next((a["embedder"] for a in args.values() if "embedder" in a), None)
@@ -728,11 +741,12 @@ def run_sweep(run_dir: str | Path, gold: str | Path, subtask: str, out_dir: str 
 
     if subtask == "st2":
         best, frontier = vote.sweep([(t, c.gold_evidence, c.note_id_set) for t, c in dev_runs], "k")
-        best_key, best_file = "best_k", "best_k.txt"
+        atomic_write_text(Path(out_dir) / "best_k.txt", f"{best}\n")
+        best_key = "best_k"
     else:
-        best, frontier = st4.sweep_threshold([(t, c.gold_alignments, c) for t, c in dev_runs])
-        best_key, best_file = "best_threshold", st4.THRESHOLD_FILENAME
-    atomic_write_text(Path(out_dir) / best_file, f"{best}\n")
+        runs = [(t, c.gold_alignments, c) for t, c in dev_runs]
+        best, frontier = st4.sweep_threshold(runs, out_path=Path(out_dir) / st4.THRESHOLD_FILENAME)
+        best_key = "best_threshold"
     result = {"subtask": subtask, best_key: best, "frontier": frontier}
     atomic_write_text(
         Path(out_dir) / f"{subtask}_sweep.json",

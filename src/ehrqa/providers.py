@@ -27,7 +27,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
-from .core import CacheMissError, EhrqaError, ParseError, ProviderError, SubtaskError
+from .core import CacheMissError, EhrqaError, ParseError, ProviderError, SubtaskError, degraded
 from .prompting import Message, _memo
 
 # Each function that computes with arrays imports NumPy itself: importing it
@@ -848,9 +848,6 @@ def gather_responses(
     subtask: str,
 ) -> list[T | tuple[()]]:
     """Run requests against one backend; see gather_multi."""
-    tags = [r.request_tag for r in requests]
-    if len(set(tags)) != len(tags):
-        raise EhrqaError("request_tag values must be unique within a batch")
     return gather_multi([(generator, r) for r in requests], parse, case_id, subtask)
 
 
@@ -863,8 +860,9 @@ def gather_multi(
     """The ensemble step: run each request against its own backend, one
     after another on the caller's thread, in request order, and read each
     reply with ``parse`` into one run. A failed call (ProviderError) or an
-    unparseable reply (ParseError) is logged and becomes an empty run that
-    still counts toward the ensemble's size; any other error, a
+    unparseable reply (ParseError) is logged and counted, as
+    ``<subtask>.member_failed`` or ``.member_unparseable``, and becomes an
+    empty run that still counts toward the ensemble's size; any other error, a
     CacheMissError included, is re-raised at once. A case none of whose
     members gives a usable run raises SubtaskError.
     """
@@ -876,10 +874,10 @@ def gather_multi(
             run = parse(generator.generate(request))
             usable = True
         except ProviderError as exc:
-            logger.warning("request %s failed: %s", request.request_tag, exc)
+            degraded(f"{subtask}.member_failed", "request %s failed: %s", request.request_tag, exc)
         except ParseError as exc:
-            tag = request.request_tag
-            logger.warning("%s run %s unparseable, counting as empty: %s", subtask, tag, exc)
+            msg = "%s run %s unparseable, counting as empty: %s"
+            degraded(f"{subtask}.member_unparseable", msg, subtask, request.request_tag, exc)
         runs.append(run)
     if not usable:
         raise SubtaskError(f"case {case_id}: no {subtask} member gave a usable reply")

@@ -10,7 +10,6 @@ hard constraints (word limit, terminal "?", no first person).
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
@@ -26,14 +25,13 @@ from .core import (
     SubtaskError,
     contains_first_person,
     count_words,
+    degraded,
     is_first_person,
     strip_token_punct,
 )
 from .parsing import parse_json_object, parse_st1_candidates
 from .prompting import load_template, render_prompt
 from .providers import GenRequest, Generator, gather_multi
-
-logger = logging.getLogger(__name__)
 
 # Share of the question-type match in the hybrid and candidate scores.
 TYPE_WEIGHT = 0.5
@@ -105,7 +103,7 @@ def extract_context(
     try:
         raw = parse_json_object(provider.generate(request))
     except (ProviderError, ParseError) as exc:
-        logger.warning("context extraction failed for %s: %s", case.case_id, exc)
+        degraded("st1.context_failed", "context extraction failed for %s: %s", case.case_id, exc)
         return EMPTY_CONTEXT
 
     haystack = case.patient_question.lower()
@@ -123,11 +121,8 @@ def extract_context(
                 dropped += 1
         fields[fname] = tuple(kept)
     if dropped:
-        logger.warning(
-            "context extraction for %s: dropped %d non-verbatim span(s)",
-            case.case_id,
-            dropped,
-        )
+        msg = "context extraction for %s: dropped %d non-verbatim span(s)"
+        degraded("st1.spans_dropped", msg, case.case_id, dropped)
     return ClinicalContext(**fields)
 
 
@@ -169,8 +164,8 @@ def token_overlap_f1(a: str, b: str) -> float:
     return _f1(overlap / len(tokens_a), overlap / len(tokens_b))
 
 
-def _weighted(type_match, lexical, type_weight: float):
-    return type_weight * type_match + (1.0 - type_weight) * lexical
+def _weighted(type_match, lexical):
+    return TYPE_WEIGHT * type_match + (1.0 - TYPE_WEIGHT) * lexical
 
 
 class TokenIndex:
@@ -288,7 +283,7 @@ def retrieve_shots(case: Case, pool: St1Pool, max_n: int = 5) -> list[Case]:
     smaller case_id, then to the earlier pool row."""
     query = QuestionFeatures.of(case.patient_question)
     type_match = (pool.patient_types == QUESTION_TYPES.index(query.qtype)).astype(float)
-    score = _weighted(type_match, pool.patient_index.f1(query.tokens), TYPE_WEIGHT)
+    score = _weighted(type_match, pool.patient_index.f1(query.tokens))
     rows = np.delete(np.arange(len(pool.cases)), pool.rows_of.get(case.case_id, []))
     # A stable sort, so equal case_ids keep their pool order.
     ranked = rows[np.lexsort((pool.id_rank[rows], -score[rows]))]
@@ -324,7 +319,6 @@ def score_candidates(
     candidates: list[str],
     gold_templates: GoldStyle | Iterable[str],
     constraints: ConstraintConfig,
-    type_weight: float = TYPE_WEIGHT,
 ) -> list[CandidateScore]:
     style = gold_templates
     if not isinstance(style, GoldStyle):
@@ -340,7 +334,7 @@ def score_candidates(
                 candidate=candidate,
                 type_match=type_match,
                 lexical=lexical,
-                total=_weighted(type_match, lexical, type_weight),
+                total=_weighted(type_match, lexical),
                 constraint_ok=check_constraints(candidate, constraints),
             )
         )
@@ -384,11 +378,8 @@ def select_candidate(
         return best.candidate, scored
     best_raw = min(scored, key=_selection_key)
     repaired = repair_candidate(best_raw.candidate, constraints)
-    logger.warning(
-        "no constraint-valid candidate; repaired %r -> %r",
-        best_raw.candidate,
-        repaired,
-    )
+    msg = "no constraint-valid candidate; repaired %r -> %r"
+    degraded("st1.repaired", msg, best_raw.candidate, repaired)
     return repaired, scored
 
 

@@ -9,15 +9,12 @@ similar to the note text.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 
-from .core import Case, ConstraintConfig, ProviderError, SubtaskError, id_sort_key
+from .core import Case, ConstraintConfig, ProviderError, SubtaskError, degraded, id_sort_key
 from .prompting import Message, load_template, render_prompt
 from .providers import Embedder, GenRequest, Generator, cosine
-
-logger = logging.getLogger(__name__)
 
 # A citation: a bracket holding one or more items, each a sentence ID or a
 # range of them, separated by commas or spaces: [2], [2, 3], [ 4 ], [2 3],
@@ -107,9 +104,10 @@ def stage1_draft(
 ) -> CitedDraft | None:
     """One member's cited draft over the supplied evidence. Citations
     outside it are dropped, and a draft that cites nothing cites all of it.
-    A failed call (ProviderError) is logged and gives None: that member
-    has no draft. An ensemble passes ``messages``, the case's
-    ``stage1_messages``, rendered once for all its members."""
+    A failed call (ProviderError) is logged and counted, as
+    ``st3.member_failed``, and gives None: that member has no draft. An
+    ensemble passes ``messages``, the case's ``stage1_messages``, rendered
+    once for all its members."""
     supplied = supplied_evidence(case, evidence_ids)
     request = GenRequest(
         deployment_name=deployment,
@@ -120,22 +118,17 @@ def stage1_draft(
     try:
         text = provider.generate(request)
     except ProviderError as exc:  # the backend client has already retried it
-        logger.warning("request %s failed: %s", request.request_tag, exc)
+        degraded("st3.member_failed", "request %s failed: %s", request.request_tag, exc)
         return None
     markers = extract_markers(text)
     valid = [m for m in markers if m in supplied]
     invalid = [m for m in markers if m not in supplied]
     if invalid:
-        logger.warning(
-            "case %s: dropped citation(s) outside supplied evidence: %s",
-            case.case_id,
-            invalid,
-        )
+        msg = "case %s: dropped citation(s) outside supplied evidence: %s"
+        degraded("st3.citations_outside", msg, case.case_id, invalid)
     if not valid:
-        logger.warning(
-            "case %s: draft cited nothing; treating all supplied evidence as cited",
-            case.case_id,
-        )
+        msg = "case %s: draft cited nothing; treating all supplied evidence as cited"
+        degraded("st3.cited_nothing", msg, case.case_id)
         valid = list(supplied)
     return CitedDraft(text_with_citations=text, cited_ids=tuple(valid))
 
@@ -164,13 +157,11 @@ def stage2_rewrite(
     try:
         text = provider.generate(request)
     except ProviderError as exc:
-        logger.warning(
-            "case %s: stage-2 rewrite failed, falling back to stripped draft: %s",
-            case.case_id,
-            exc,
-        )
+        msg = "case %s: stage-2 rewrite failed, falling back to stripped draft: %s"
+        degraded("st3.rewrite_failed", msg, case.case_id, exc)
     if _MARKER_RE.search(text):
-        logger.warning("case %s: stage-2 output contained citation markers", case.case_id)
+        msg = "case %s: stage-2 output contained citation markers"
+        degraded("st3.markers_left", msg, case.case_id)
     text = strip_markers(text)
     if not text:
         text = strip_markers(draft.text_with_citations)
@@ -192,7 +183,7 @@ def rerank_candidates(
     try:
         vec_r, *vectors = embedder.embed([reference_text, *candidates])
     except ProviderError as exc:
-        logger.warning("rerank embedding failed, keeping first candidate: %s", exc)
+        degraded("st3.rerank_failed", "rerank embedding failed, keeping first candidate: %s", exc)
         return candidates[0], []
     scores = [cosine(vec_c, vec_r) for vec_c in vectors]
     best_idx = 0

@@ -10,7 +10,6 @@ vote.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from .core import (
     ProviderError,
     SamplingPlan,
     atomic_write_text,
+    degraded,
     id_sort_key,
     resolve_threshold,
 )
@@ -32,8 +32,6 @@ from .parsing import parse_alignment
 from .prompting import answer_block, load_template, render_prompt
 from .providers import Embedder, Generator, cosine, gather_responses
 from .vote import VoteTally, plan_requests
-
-logger = logging.getLogger(__name__)
 
 Link = tuple[str, str]
 AlignmentList = list[tuple[str, list[str]]]
@@ -122,9 +120,6 @@ def sweep_threshold(
     Returns (best threshold, frontier rows); ties resolve to the smallest
     threshold. The winning integer is persisted bare, newline-terminated.
     """
-    for _, gold, case in dev_runs:
-        if gold is None:
-            raise EhrqaError(f"case {case.case_id} has no gold alignments for the sweep")
     best_theta, frontier = vote.sweep(
         [(tally, flatten_links(gold), case.note_id_set) for tally, gold, case in dev_runs],
         "theta",
@@ -165,11 +160,8 @@ def recall_augment(
     try:
         vectors = embedder.embed(answer_texts + note_texts)
     except ProviderError as exc:
-        logger.warning(
-            "case %s: recall augmentation skipped (embedding failure): %s",
-            case.case_id,
-            exc,
-        )
+        msg = "case %s: recall augmentation skipped (embedding failure): %s"
+        degraded("st4.recall_skipped", msg, case.case_id, exc)
         return alignment
     answer_vecs = vectors[: len(answer_texts)]
     note_vecs = vectors[len(answer_texts) :]

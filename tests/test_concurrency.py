@@ -5,6 +5,7 @@ replay reads its cache on the calling thread, live clients are built once
 per deployment, and case threads that race to import NumPy write what one
 thread writes."""
 
+import hashlib
 import itertools
 import json
 import logging
@@ -14,7 +15,7 @@ import subprocess
 import sys
 import threading
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,81 @@ def test_fuzzed_schedules_never_change_outputs_and_stay_in_the_pool(tmp_path, mo
     assert written <= set(reference)
     assert all(tree == reference for tree in trees.values())
     assert max(g.peak for g in built[3:6]) > 2  # workers=2 did overlap calls across cases
+
+
+def tag_fault(tag: str) -> str | None:
+    """The degradation a request's tag picks by its SHA-256, if any: a
+    failed st2 "o3" run, a failed st3 "o3" draft, a failed or marked st3
+    "gpt-5.1" rewrite, or a failed or malformed st4 "gpt-5.2" run. The other
+    members never fail, so each case keeps a usable one."""
+    _, stage, deployment = tag.split("/")[:3]
+    faults = {
+        "st2/o3": ("st2.member_failed", None, None, None),
+        "st3s1/o3": (None, "st3.member_failed", None, None),
+        "st3s2/gpt-5.1": ("st3.rewrite_failed", "st3.markers_left", None, None),
+        "st4/gpt-5.2": (None, None, "st4.member_failed", "st4.elements_dropped"),
+    }.get(f"{stage}/{deployment}", (None,) * 4)
+    return faults[hashlib.sha256(tag.encode()).digest()[0] % 4]
+
+
+class FaultyFuzz(FuzzGenerator):
+    """The fuzzed mock with the faults ``tag_fault`` picks."""
+
+    def generate(self, request):
+        reply = super().generate(request)
+        fault = tag_fault(request.request_tag)
+        if fault and fault.endswith("_failed"):
+            raise ProviderError("backend down")
+        if fault == "st3.markers_left":
+            return reply + " [1]"
+        if fault == "st4.elements_dropped":
+            return json.dumps(json.loads(reply) + [{"answer_id": "1"}])
+        return reply
+
+
+def test_tag_hash_faults_count_the_same_at_every_worker_count(tmp_path, monkeypatch):
+    """Each case counts its own degradations, whichever thread runs it and
+    whenever its calls complete: the outputs and the manifest are a
+    one-thread run's, and the counts are those of the faults injected."""
+    cases = nine_cases(tmp_path / "cases.jsonl")
+    built: list[FaultyFuzz] = []
+    seeds = iter(range(100))
+
+    def build_generator(config):
+        built.append(FaultyFuzz(next(seeds)))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_generator", build_generator)
+    trees = {}
+    for workers in (1, 2, 8):
+        for fuzz in range(2):
+            out = tmp_path / f"out-w{workers}-f{fuzz}"
+            manifest = run_pipeline(resolve_config({
+                "dataset": {"cases": str(cases)},
+                "subtasks": ["st1", "st2", "st3", "st4"],
+                "provider_mode": "mock",
+                "out_dir": str(out),
+                "workers": workers,
+                "st3": {"rerank": True},
+                "st4": {"recall": {"enabled": True}},
+            }))
+            trees[workers, fuzz] = tree_bytes(out)
+    faults = {
+        case_id: Counter(f for _, tag in calls if (f := tag_fault(tag)))
+        for case_id, calls in built[0].by_case.items()
+    }
+    expected = sum(faults.values(), Counter())
+    assert expected == {
+        "st2.member_failed": 3,
+        "st3.markers_left": 1,
+        "st3.member_failed": 1,
+        "st3.rewrite_failed": 1,
+        "st4.elements_dropped": 2,
+        "st4.member_failed": 1,
+    }
+    assert manifest["degradations"] == expected
+    assert manifest["degraded_cases"] == sum(1 for c in faults.values() if c) == 6
+    assert all(tree == trees[1, 0] for tree in trees.values())
 
 
 class NoUsableSt2(FuzzGenerator):

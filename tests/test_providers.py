@@ -1083,10 +1083,6 @@ class TestGatherResponses:
         assert provider.calls
         assert not any(tag.endswith("c") for tag in provider.calls)
 
-    def test_duplicate_tags_rejected(self):
-        with pytest.raises(EhrqaError, match="unique"):
-            gather_responses(ScriptedProvider({}), [req("a"), req("a")], str, "c1", "st2")
-
 
 class TestPipelineMock:
     def test_st2_outputs_valid_ids_from_prompt(self):

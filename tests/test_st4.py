@@ -263,12 +263,6 @@ class TestSweep:
         assert best == 1
         assert all(row["micro_f1"] == frontier[0]["micro_f1"] for row in frontier)
 
-    def test_missing_gold_is_error(self):
-        case = align_case()
-        runs = [(LinkVoteTally(votes={}, total_votes=1), None, case)]
-        with pytest.raises(EhrqaError, match="gold"):
-            sweep_threshold(runs)
-
     def test_returned_theta_is_argmax_by_exhaustive_recheck(self):
         rng = random.Random(31)
         for _ in range(30):
