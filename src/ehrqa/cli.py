@@ -87,15 +87,13 @@ def _read_predictions(path: Path, field: str, convert) -> dict:
     JSONL file.
 
     A file or line that ``read_records`` rejects, a record without the
-    field, a field ``convert`` rejects, or a case_id seen twice raises
-    ``EhrqaError`` naming the file, the line, the case_id and the field.
+    field, or a field ``convert`` rejects raises ``EhrqaError`` naming the
+    file, the line, the case_id and the field.
     """
     preds: dict = {}
     for lineno, record in read_records(path, "predictions"):
         cid = record["case_id"]
         where = f"{path}:{lineno}: case_id {cid!r}"
-        if cid in preds:
-            raise EhrqaError(f"{where} has more than one {field!r} record")
         if field not in record:
             raise EhrqaError(f"{where} has no {field!r}")
         try:

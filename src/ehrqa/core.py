@@ -64,8 +64,13 @@ class SubtaskError(EhrqaError):
     member of its ensemble gave a usable reply."""
 
 
-# The degradations of the case being run, by kind, set per case; None outside a run.
-DEGRADATIONS: ContextVar[Counter | None] = ContextVar("degradations", default=None)
+# The case being run, as (case_id, its degradations by kind); None outside a run.
+DEGRADATIONS: ContextVar[tuple[str, Counter] | None] = ContextVar("degradations", default=None)
+
+
+def running_case() -> str | None:
+    """The case_id of the case being run, for a site that is not given it."""
+    return (state := DEGRADATIONS.get()) and state[0]
 
 
 def degraded(kind: str, msg: str, *args) -> None:
@@ -73,8 +78,8 @@ def degraded(kind: str, msg: str, *args) -> None:
     logger ``ehrqa.<subtask>``, the subtask being ``kind`` up to its dot
     (``st3.rewrite_failed``), and count ``kind`` for the case being run."""
     logging.getLogger(f"ehrqa.{kind.partition('.')[0]}").warning(msg, *args)
-    if (counts := DEGRADATIONS.get()) is not None:
-        counts[kind] += 1
+    if (state := DEGRADATIONS.get()) is not None:
+        state[1][kind] += 1
 
 
 # A note sentence ID: a base-10 integer string from 1, no leading zeros.

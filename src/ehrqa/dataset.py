@@ -10,6 +10,7 @@ separately.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -44,6 +45,7 @@ class CaseFile:
     cases: tuple[Case, ...]
 
     def __post_init__(self) -> None:
+        # read_records rejects a repeated case_id of a file; this is for cases built in code.
         ids = [c.case_id for c in self.cases]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -147,66 +149,57 @@ def case_from_record(record: dict, locus: str) -> Case:
         raise CaseValidationError(f"{locus}: {exc}") from exc
 
 
-def read_records(path: Path, what: str) -> list[tuple[int, dict]]:
+def read_records(path: Path, what: str) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a UTF-8 JSONL file
-    of case, key or prediction records. A file that cannot be read or
-    decoded, a line that is not JSON, and a record that is not a JSON object
-    with a string case_id raise EhrqaError naming the file and the line."""
-    records = []
+    of per-case records (cases, answer key, predictions or votes), yielded
+    as it is read. A file that cannot be read or decoded, a line that is not
+    JSON, a record that is not a JSON object with a string case_id, and a
+    case_id that an earlier line holds raise EhrqaError naming the file and
+    the line."""
+    first: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                if not (line := line.strip()):
                     continue
                 try:
                     record = json.loads(line)
                 except ValueError as exc:
                     raise EhrqaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-                if not isinstance(record, dict) or not isinstance(record.get("case_id"), str):
+                if not isinstance(record, dict) or not isinstance(cid := record.get("case_id"), str):
                     raise EhrqaError(f"{path}:{lineno}: not a JSON object with a string 'case_id'")
-                records.append((lineno, record))
+                if (seen := first.setdefault(cid, lineno)) != lineno:
+                    raise EhrqaError(f"{path}:{lineno}: case_id {cid!r} repeats line {seen}")
+                yield lineno, record
     except (OSError, UnicodeDecodeError) as exc:
         raise EhrqaError(f"{path}: cannot read {what}: {exc}") from exc
-    return records
 
 
 def load_cases(path: str | Path, key_path: str | Path | None = None) -> CaseFile:
-    """Load a case file, validating every case invariant. When ``key_path``
-    is given, the gold fields (answers, evidence, alignments) of the
-    answer-key file there are merged onto the records of ``path``; a key
-    record whose case_id no case record has raises EhrqaError."""
+    """Load a case file, validating every case as its line is read. When
+    ``key_path`` is given, the answer-key file there is read first, and the
+    gold fields (answers, evidence, alignments) of each key record are
+    merged onto the case with its case_id; a key record whose case_id no
+    case has raises EhrqaError once the case file is read."""
     path = Path(path)
     if not path.exists():
         raise EhrqaError(f"case file not found: {path}")
-    records = read_records(path, "cases")
-
+    keys: dict[str, tuple[int, dict]] = {}
     if key_path is not None:
         key_path = Path(key_path)
         if not key_path.exists():
             raise EhrqaError(f"key file not found: {key_path}")
-        case_ids = {record["case_id"] for _, record in records}
-        keys: dict[str, dict] = {}
         for lineno, record in read_records(key_path, "answer key"):
-            if (cid := record["case_id"]) in keys:
-                raise EhrqaError(
-                    f"{key_path}:{lineno}: case_id {cid!r} has more than one answer-key record"
-                )
-            if cid not in case_ids:
-                raise EhrqaError(f"{key_path}:{lineno}: case_id {cid!r} is in no case of {path}")
-            keys[cid] = record
-        merged = []
-        for lineno, record in records:
-            overlay = keys.get(record["case_id"], {})
-            gold = {f: overlay[f] for f in _KEY_FIELDS if overlay.get(f) is not None}
-            merged.append((lineno, {**record, **gold}))
-        records = merged
-
-    cases = tuple(case_from_record(r, locus=f"{path}:{lineno}") for lineno, r in records)
-    try:
-        return CaseFile(cases=cases)
-    except CaseValidationError as exc:
-        raise CaseValidationError(f"{path}: {exc}") from exc
+            gold = {f: record[f] for f in _KEY_FIELDS if record.get(f) is not None}
+            keys[record["case_id"]] = (lineno, gold)
+    cases = []
+    for lineno, record in read_records(path, "cases"):
+        _, gold = keys.pop(record["case_id"], (0, {}))
+        cases.append(case_from_record({**record, **gold}, locus=f"{path}:{lineno}"))
+    if keys:  # the first, by line, of the key records no case took
+        cid, (lineno, _) = next(iter(keys.items()))
+        raise EhrqaError(f"{key_path}:{lineno}: case_id {cid!r} is in no case of {path}")
+    return CaseFile(cases=tuple(cases))
 
 
 def save_cases(case_file: CaseFile, path: str | Path) -> None:

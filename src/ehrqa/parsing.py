@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import ParseError, as_id, degraded, id_sort_key
+from .core import ParseError, as_id, degraded, id_sort_key, running_case
 
 _FENCE_RE = re.compile(r"^\s*```[a-zA-Z0-9]*\s*$", re.MULTILINE)
 _TRAILING_COMMA_RE = re.compile(r",\s*([\]}])")
@@ -145,8 +145,8 @@ def parse_alignment(text: str) -> list[tuple[str, set[str]]]:
                 continue
             merged.setdefault(aid, set()).update(e for e in map(as_id, raw_ev) if e is not None)
         if dropped:
-            msg = "parse_alignment: dropped %d malformed element(s)"
-            degraded("st4.elements_dropped", msg, dropped)
+            msg = "case %s: parse_alignment dropped %d malformed element(s)"
+            degraded("st4.elements_dropped", msg, running_case(), dropped)
         return sorted(merged.items(), key=lambda kv: id_sort_key(kv[0]))
     raise ParseError("no alignment array found in model output")
 

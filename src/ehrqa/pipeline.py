@@ -422,11 +422,8 @@ def load_dataset(config: dict) -> tuple[CaseFile, CaseFile]:
     ds = config["dataset"]
     if not ds["cases"]:
         raise ConfigError("config has no dataset.cases path")
-    case_file = load_cases(Path(ds["cases"]), key_path=ds["key"])
-    pool_file = case_file
-    if ds["dev_cases"]:
-        pool_file = load_cases(Path(ds["dev_cases"]))
-    return case_file, pool_file
+    case_file = load_cases(ds["cases"], key_path=ds["key"])
+    return case_file, load_cases(ds["dev_cases"]) if ds["dev_cases"] else case_file
 
 
 @dataclasses.dataclass(frozen=True)
@@ -521,7 +518,7 @@ def _case_chain(case: Case, run: RunSetup, args: dict[str, dict]) -> dict[str, d
     of its ``core.degraded`` results are ``degradations``."""
     cid = case.case_id
     records: dict[str, dict] = {"degradations": Counter()}
-    token = DEGRADATIONS.set(records["degradations"])
+    token = DEGRADATIONS.set((cid, records["degradations"]))
     try:
         question = case.clinician_question
         st2_ids: list[str] | None = None

@@ -27,6 +27,7 @@ from .core import (
     count_words,
     degraded,
     is_first_person,
+    running_case,
     strip_token_punct,
 )
 from .parsing import parse_json_object, parse_st1_candidates
@@ -378,8 +379,8 @@ def select_candidate(
         return best.candidate, scored
     best_raw = min(scored, key=_selection_key)
     repaired = repair_candidate(best_raw.candidate, constraints)
-    msg = "no constraint-valid candidate; repaired %r -> %r"
-    degraded("st1.repaired", msg, best_raw.candidate, repaired)
+    msg = "case %s: no constraint-valid candidate; repaired %r -> %r"
+    degraded("st1.repaired", msg, running_case(), best_raw.candidate, repaired)
     return repaired, scored
 
 

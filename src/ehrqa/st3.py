@@ -12,7 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import Case, ConstraintConfig, ProviderError, SubtaskError, degraded, id_sort_key
+from .core import (
+    Case, ConstraintConfig, ProviderError, SubtaskError, degraded, id_sort_key, running_case,
+)
 from .prompting import Message, load_template, render_prompt
 from .providers import Embedder, GenRequest, Generator, cosine
 
@@ -121,6 +123,9 @@ def stage1_draft(
         degraded("st3.member_failed", "request %s failed: %s", request.request_tag, exc)
         return None
     markers = extract_markers(text)
+    if any(not i.isdigit() for m in _MARKER_RE.findall(text) for i in _ITEM_RE.findall(m)):
+        msg = "case %s: draft cites a range, which cites none of its IDs"
+        degraded("st3.cited_range", msg, case.case_id)
     valid = [m for m in markers if m in supplied]
     invalid = [m for m in markers if m not in supplied]
     if invalid:
@@ -183,7 +188,8 @@ def rerank_candidates(
     try:
         vec_r, *vectors = embedder.embed([reference_text, *candidates])
     except ProviderError as exc:
-        degraded("st3.rerank_failed", "rerank embedding failed, keeping first candidate: %s", exc)
+        msg = "case %s: rerank embedding failed, keeping first candidate: %s"
+        degraded("st3.rerank_failed", msg, running_case(), exc)
         return candidates[0], []
     scores = [cosine(vec_c, vec_r) for vec_c in vectors]
     best_idx = 0

@@ -789,6 +789,21 @@ class TestSweep:
         result = run_then_sweep(tmp_path, "st2", subtasks=["st2"])
         assert (tmp_path / "sweep" / "best_k.txt").read_text() == f"{result['best_k']}\n"
 
+    @pytest.mark.parametrize("subtask", ["st2", "st4"])
+    def test_a_repeated_votes_record_fails_the_sweep(self, tmp_path, capsys, subtask):
+        """A votes file appended to itself would count a case twice."""
+        run_pipeline(resolve_config(base_config(tmp_path, subtasks=[subtask])))
+        votes = tmp_path / "out" / "votes" / f"{subtask}.jsonl"
+        first = votes.read_text(encoding="utf-8").splitlines()[0]
+        with votes.open("a", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+        argv = ["sweep", "--run", str(tmp_path / "out"), "--gold", str(toy_dataset_path()),
+                "--subtask", subtask, "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": f"{votes}:4: case_id '1' repeats line 1", "type": "EhrqaError"}
+        assert not (tmp_path / "sweep").exists()
+
     def test_swept_threshold_reused_by_run(self, tmp_path):
         # sweep writes the file; a later run consumes it as a manual threshold
         members = [{"deployment": d, "samples": 2} for d in ("gpt-5.2", "gpt-5.1")]
@@ -942,10 +957,11 @@ class TestSweep:
     def test_a_malformed_votes_record_names_its_line_case_and_field(
         self, tmp_path, no_backend, subtask, line, error
     ):
-        """The record replaces the second of three valid ones."""
+        """The record replaces the second of three valid ones, whose case_ids
+        differ from its own."""
         votes = tmp_path / "run" / "votes" / f"{subtask}.jsonl"
         votes.parent.mkdir(parents=True)
-        valid = {"case_id": "1", "total_votes": 2, "votes": {}}
+        valid = {"case_id": "2", "total_votes": 2, "votes": {}}
         lines = [valid, line if isinstance(line, dict) else None, {**valid, "case_id": "3"}]
         text = [json.dumps(r) if r is not None else line for r in lines]
         votes.write_text("\n".join(text) + "\n")
@@ -1177,9 +1193,7 @@ class TestCliCommands:
         pred = tmp_path / "st2.jsonl"
         pred.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         message = self._eval_error(pred, "st2", capsys)
-        assert str(pred) in message
-        assert repr(cases[0]["case_id"]) in message
-        assert "'evidence_ids'" in message
+        assert message == f"{pred}:4: case_id {cases[0]['case_id']!r} repeats line 1"
 
     @pytest.mark.parametrize(
         "subtask,field",

@@ -14,7 +14,8 @@ from ehrqa.dataset import (
     save_cases,
     toy_dataset_path,
 )
-from tests.conftest import simple_case
+from ehrqa.providers import PipelineMockProvider
+from tests.conftest import ScriptedProvider, simple_case
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # The fields a shared task ships in its answer key, not with the questions.
@@ -136,7 +137,7 @@ class TestLoadCases:
                           {"case_id": "a", "gold_evidence": ["1"]}])
         with pytest.raises(EhrqaError) as raised:
             load_cases(questions, key_path=key)
-        assert str(raised.value) == f"{key}:3: case_id 'a' has more than one answer-key record"
+        assert str(raised.value) == f"{key}:3: case_id 'a' repeats line 1"
 
     def test_key_overlay_rejects_a_repeated_record_even_when_it_agrees(self, tmp_path):
         questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
@@ -144,7 +145,7 @@ class TestLoadCases:
         write_jsonl(key, [{"case_id": "a", "gold_evidence": ["2"]}] * 2)
         with pytest.raises(EhrqaError) as raised:
             load_cases(questions, key_path=key)
-        assert str(raised.value) == f"{key}:2: case_id 'a' has more than one answer-key record"
+        assert str(raised.value) == f"{key}:2: case_id 'a' repeats line 1"
 
     def test_key_overlay_rejects_a_record_for_no_case(self, tmp_path):
         """A mistyped case_id would leave the case it meant without gold."""
@@ -184,7 +185,7 @@ class TestLoadCases:
     def test_duplicate_case_ids_rejected(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("a"), canonical_record("a")])
-        with pytest.raises(CaseValidationError, match="duplicate case_ids"):
+        with pytest.raises(EhrqaError, match="case_id 'a' repeats line 1"):
             load_cases(path)
 
 
@@ -243,12 +244,28 @@ class TestMalformedRecords:
             load_cases(path)
         assert str(raised.value) == f"{path}:1: case_id must be non-empty"
 
+    def test_the_first_bad_line_is_the_error_whatever_its_kind(self, tmp_path):
+        """Each case is built as its line is read, so a broken case on line 1
+        is reported before line 2, which is not JSON."""
+        path = tmp_path / "cases.jsonl"
+        path.write_text(json.dumps(canonical_record("a", note=[])) + "\n{\n", encoding="utf-8")
+        with pytest.raises(CaseValidationError) as raised:
+            load_cases(path)
+        assert str(raised.value) == f"{path}:1: case a: note has no sentences"
+
+    def test_a_key_record_for_no_case_is_reported_after_the_cases(self, tmp_path):
+        questions, key = tmp_path / "questions.jsonl", tmp_path / "key.jsonl"
+        write_jsonl(questions, [canonical_record("a", gold_evidence=["9"])])
+        write_jsonl(key, [{"case_id": "z", "gold_evidence": ["1"]}])
+        with pytest.raises(CaseValidationError, match=rf"^{re.escape(str(questions))}:1: case a"):
+            load_cases(questions, key_path=key)
+
     def test_a_repeated_case_id_names_the_file_once(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         write_jsonl(path, [canonical_record("1"), canonical_record("1")])
-        with pytest.raises(CaseValidationError) as raised:
+        with pytest.raises(EhrqaError) as raised:
             load_cases(path)
-        assert str(raised.value) == f"{path}: duplicate case_ids: ['1']"
+        assert str(raised.value) == f"{path}:2: case_id '1' repeats line 1"
 
 
 class TestFewShotPool:
@@ -316,3 +333,40 @@ def test_a_config_that_names_a_key_reads_it(tmp_path):
     assert (tmp_path / "split" / "st2.jsonl").read_bytes() == (
         tmp_path / "whole" / "st2.jsonl"
     ).read_bytes()
+
+
+def test_shots_come_from_the_dev_file_which_takes_no_key(tmp_path, monkeypatch):
+    """``dataset.key`` is merged onto ``dataset.cases`` alone: a key whose
+    cases are not in ``dataset.dev_cases`` loads, and every shot comes from
+    the dev file."""
+    spec = importlib.util.spec_from_file_location("bench_casegen", BENCH / "casegen.py")
+    casegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(casegen)
+    full = casegen.write_cases(6, 7, tmp_path / "cases.jsonl")
+    records = [json.loads(line) for line in full.read_text(encoding="utf-8").splitlines()]
+    questions, key, dev = (tmp_path / f"{n}.jsonl" for n in ("questions", "key", "dev"))
+    write_jsonl(questions, [{f: v for f, v in r.items() if f not in KEY_FIELDS} for r in records[:3]])
+    write_jsonl(key, [{f: r[f] for f in ("case_id", *KEY_FIELDS)} for r in records[:3]])
+    write_jsonl(dev, records[3:])
+    config = pipeline.resolve_config({
+        "dataset": {"cases": str(questions), "key": str(key), "dev_cases": str(dev)},
+        "subtasks": ["st2"], "provider_mode": "mock", "out_dir": str(tmp_path / "out"),
+        "workers": 1,
+    })
+    case_file, pool_file = pipeline.load_dataset(config)
+    expected = load_cases(full).cases
+    assert case_file.cases == expected[:3] and pool_file.cases == expected[3:]
+
+    prompts: dict[str, str] = {}
+    mock = PipelineMockProvider()
+
+    def reply(request):
+        prompts[request.request_tag] = "\n".join(m.content for m in request.messages)
+        return mock.generate(request)
+
+    monkeypatch.setattr(pipeline, "build_generator", lambda config: ScriptedProvider(handler=reply))
+    pipeline.run_pipeline(config)
+    assert {tag.split("/")[0] for tag in prompts} == {"1", "2", "3"}
+    for tag, prompt in prompts.items():
+        shown = {c.case_id for c in expected if f"Patient question: {c.patient_question}\n" in prompt}
+        assert shown == {"4", "5", "6"}, tag

@@ -4,6 +4,7 @@ and the number of cases with any. Outside a run nothing is counted."""
 
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from ehrqa.core import DEGRADATIONS, ProviderError
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import resolve_config, run_pipeline
 from ehrqa.providers import HashEmbedder, PipelineMockProvider
-from ehrqa.st3 import CitedDraft, stage2_rewrite
+from ehrqa.st3 import CitedDraft, stage1_draft, stage2_rewrite
 from tests.conftest import FailingProvider, ScriptedProvider, simple_case
 
 DOWN = ProviderError("backend down")
@@ -30,6 +31,7 @@ FAULTS = {
     "1/st3s1/o3/0": DOWN,
     "2/st3s1/o3/0": "The answer [1] and [99].",
     "4/st3s1/gpt-5.2/0": "An answer with no citation.",
+    "7/st3s1/o3/0": "The answer [1] and [2-3].",
     "4/st3s2/o3/0": DOWN,
     "5/st3s2/o3/0": "The rerank-trigger answer.",
     "5/st3s2/gpt-5.1/0": "An answer [1].",
@@ -52,7 +54,8 @@ WARNINGS = {
     ),
     "st1.repaired": (
         "ehrqa.st1",
-        "no constraint-valid candidate; repaired 'Tell me about my stent' -> 'Tell about stent?'",
+        "case 7: no constraint-valid candidate; repaired 'Tell me about my stent' -> "
+        "'Tell about stent?'",
     ),
     "st2.member_failed": ("ehrqa.st2", "request 1/st2/o3/0 failed: backend down"),
     "st2.member_unparseable": (
@@ -71,9 +74,10 @@ WARNINGS = {
         "ehrqa.st3",
         "case 4: stage-2 rewrite failed, falling back to stripped draft: backend down",
     ),
+    "st3.cited_range": ("ehrqa.st3", "case 7: draft cites a range, which cites none of its IDs"),
     "st3.markers_left": ("ehrqa.st3", "case 5: stage-2 output contained citation markers"),
     "st3.rerank_failed": (
-        "ehrqa.st3", "rerank embedding failed, keeping first candidate: embedder down"
+        "ehrqa.st3", "case 5: rerank embedding failed, keeping first candidate: embedder down"
     ),
     "st4.member_failed": ("ehrqa.st4", "request 1/st4/gpt-5.2/0 failed: backend down"),
     "st4.member_unparseable": (
@@ -81,7 +85,9 @@ WARNINGS = {
         "st4 run 2/st4/gpt-5.1/0 unparseable, counting as empty: "
         "no alignment array found in model output",
     ),
-    "st4.elements_dropped": ("ehrqa.st4", "parse_alignment: dropped 1 malformed element(s)"),
+    "st4.elements_dropped": (
+        "ehrqa.st4", "case 4: parse_alignment dropped 1 malformed element(s)"
+    ),
     "st4.recall_skipped": (
         "ehrqa.st4",
         "case 5: recall augmentation skipped (embedding failure): embedder down",
@@ -168,3 +174,18 @@ def test_a_call_outside_a_run_is_logged_but_counted_nowhere(tmp_path, caplog):
     assert DEGRADATIONS.get() is None
     manifest = run_pipeline(config(tmp_path, nine_cases(tmp_path / "cases.jsonl"), 1))
     assert manifest["degraded_cases"] == 0 and manifest["degradations"] == {}
+
+
+def test_a_draft_with_ranges_counts_one_cited_range_and_cites_none_of_their_ids(caplog):
+    case = simple_case()
+    provider = ScriptedProvider({"c1/st3s1/default/0": "Answer [1, 3-5] and [2-4]."})
+    counts = Counter()
+    token = DEGRADATIONS.set((case.case_id, counts))
+    try:
+        with caplog.at_level(logging.WARNING, logger="ehrqa.st3"):
+            draft = stage1_draft(case, ["1", "2", "3", "4", "5"], [], provider)
+    finally:
+        DEGRADATIONS.reset(token)
+    assert draft.cited_ids == ("1",)
+    assert counts == {"st3.cited_range": 1}
+    assert caplog.messages == ["case c1: draft cites a range, which cites none of its IDs"]

@@ -220,7 +220,7 @@ def test_a_prediction_id_that_is_no_id_names_the_file_line_and_field(
 
 @pytest.mark.parametrize("change, line, says", [
     (lambda rs: rs[:2] + [{"case_id": rs[2]["case_id"]}], 3, "has no 'evidence_ids'"),
-    (lambda rs: rs + [rs[0]], 4, "has more than one 'evidence_ids' record"),
+    (lambda rs: rs + [rs[0]], 4, "repeats line 1"),
 ])
 def test_every_prediction_error_names_the_line(tmp_path, capsys, change, line, says):
     records = change(_gold_predictions("st2"))

@@ -14,6 +14,8 @@ import pytest
 from ehrqa import pipeline
 from ehrqa.dataset import toy_dataset_path
 from ehrqa.pipeline import resolve_config, run_pipeline, run_sweep
+from ehrqa.prompting import make_contrast_example
+from tests.conftest import simple_case
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PER_RUN = ("plan_from_config", "policy_from_config", "recall_from_config", "few_shot_pool")
@@ -139,3 +141,16 @@ def test_each_presets_outputs_are_pinned(casegen_cases, tmp_path, preset):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     assert digest.hexdigest() == PRESET_SHA256[preset]
+
+
+def test_a_contrast_shot_needs_a_sentence_outside_its_gold():
+    """Under ``st2.contrast_shots``, a pool case whose gold evidence is its
+    whole note has no sentence to add, so it stays a plain shot."""
+    whole = simple_case("1", n_sentences=3, gold_evidence={"1", "2", "3"})
+    part = simple_case("2", n_sentences=3, gold_evidence={"2"})
+    run_cfg = resolve_config({"st2": {"shots": 2, "contrast_shots": True}})
+    run = pipeline.RunSetup(run_cfg, {}, [whole, part], None)
+    plain, contrast = pipeline._shots(run, simple_case("3"), "st2")
+    assert plain is whole
+    assert contrast == make_contrast_example(part)
+    assert contrast.bad_ids == {"1", "2"}
